@@ -1,7 +1,8 @@
 """Command-line front door: compute measures, run verification suites, bench.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-parse error, 3 domain or parity error.
+parse error, 3 domain, parity or capacity error (running out of memory counts
+as a capacity error).
 """
 
 from __future__ import annotations
@@ -204,6 +205,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory: the state exceeds this machine's capacity", file=sys.stderr)
+        return EXIT_DOMAIN
     return EXIT_OK
 
 

@@ -1,31 +1,35 @@
 """Scalar entanglement invariants and measures for pure n-qubit states.
 
-The even-qubit measure is 2|E(a)| where E is a degree-2 quadratic form over
-antipodal index pairs; the odd-qubit measure is 4|B(a)^2 - 4 L(a) H(a)| built
-from the full-range pairing B and the two half-space forms L and H. All of
-them are plain +,-,* arithmetic over the amplitude vector: the even measure
-costs exactly 2**(n-1) complex multiplications.
+Every production measure is built from one bilinear pair form over m = n-1
+qubits, P(x, y) = sum_k (-1)^N(k) x_k y_{2^m-1-k}, of the halves lo and hi
+(qubit i = 0 and = 1) of the amplitudes split on a qubit i by a strided view,
+reshape(..., 2**(i-1), 2, 2**(n-i)): nothing is copied or permuted. The even
+measure 2|E|, E = P(lo, hi) split on qubit 1, costs exactly 2**(n-1) complex
+products. The odd measure 4|B^2 - 4 L H|, with B = P(lo, hi), L = P(lo, lo)/2
+and H = P(hi, hi)/2, is 4|P(lo,hi)^2 - P(lo,lo) P(hi,hi)|: three pair forms.
+The residual tau^(i) takes the split on qubit i; R is the residuals' mean.
+Sign and complement act bit by bit, so P contracts a ceil(m/2)-bit block and
+applies the other parities to its partial sums: tables and temporaries stay
+at O(2**(n/2)). The staggered defining sums and a flat complementary-pair sum
+stay as independent oracles, as do the quartic Wong-Christensen tangle (even
+n, capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement,
+the only formula sourced outside the quadratic-form family.
 
-Two external cross-checks live here as well: the quartic epsilon-contraction
-tangle of Wong and Christensen (even n, exponentially expensive, capped), and
-the Coffman-Kundu-Wootters residual entanglement for three qubits. The latter
-is the only formula in the package sourced outside the quadratic-form family;
-it exists purely to cross-check the odd measure at n == 3.
-
-Kernel functions (underscore-prefixed) accept raw amplitude arrays with any
-number of leading batch axes; the public operations take a StateVector and
-return an InvariantValue or MeasureReport.
+Kernels (underscore-prefixed) take raw amplitude arrays with any leading batch
+axes; the public operations take a StateVector and return an InvariantValue
+or MeasureReport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bitops import parity_signs, sgn_star_table, sgn_table
 from .errors import DomainError
-from .state import StateVector, QubitPermutation, _perm_index_map
+from .state import StateVector
 
 __all__ = [
     "InvariantValue",
@@ -98,13 +102,6 @@ def _even_invariant(amps: np.ndarray, n: int) -> np.ndarray:
     return np.sum(signs * terms, axis=-1)
 
 
-def _even_invariant_pairs(amps: np.ndarray, n: int) -> np.ndarray:
-    """Antipodal-pair form: sum over k < 2**(n-1) of (-1)^N(k) a_k a_{2^n-1-k}."""
-    half = 1 << (n - 1)
-    signs = parity_signs(n - 1)  # k < 2**(n-1) so N(k) is the plain popcount
-    return np.sum(signs * amps[..., :half] * amps[..., ::-1][..., :half], axis=-1)
-
-
 def _odd_invariant(amps: np.ndarray, n: int) -> np.ndarray:
     half = 1 << (n - 1)
     eighth = 1 << (n - 3)
@@ -116,20 +113,20 @@ def _odd_invariant(amps: np.ndarray, n: int) -> np.ndarray:
     return np.sum(signs * ((t1 - t2) - (t3 - t4)), axis=-1)
 
 
-def _odd_invariant_pairs(amps: np.ndarray, n: int) -> np.ndarray:
-    """Pair form with the top-bit-masked count: (-1)^{N*(k)} a_k a_{2^n-1-k}."""
+def _invariant_pairs(amps: np.ndarray, n: int) -> np.ndarray:
+    """Pair oracle, both parities: sum_{k < 2**(n-1)} (-1)^N(k) a_k a_{2^n-1-k} (N = N* there)."""
     half = 1 << (n - 1)
-    # k < 2**(n-1) has a clear top bit, so the masked count equals N(k)
-    signs = parity_signs(n - 1)
-    return np.sum(signs * amps[..., :half] * amps[..., ::-1][..., :half], axis=-1)
+    return np.sum(parity_signs(n - 1) * amps[..., :half] * amps[..., ::-1][..., :half], axis=-1)
+
+
+def _half_space(n: int) -> tuple[int, int, np.ndarray]:
+    if n < 3:
+        raise DomainError(f"half-space invariants need n >= 3, got n={n}")
+    return 1 << (n - 1), 1 << (n - 3), sgn_star_table(n - 1)
 
 
 def _low_half_invariant(amps: np.ndarray, n: int) -> np.ndarray:
-    half = 1 << (n - 1)
-    eighth = 1 << (n - 3) if n >= 3 else 0
-    if eighth == 0:
-        raise DomainError(f"half-space invariants need n >= 3, got n={n}")
-    signs = sgn_star_table(n - 1)
+    half, eighth, signs = _half_space(n)
     low = amps[..., :half]
     t1 = low[..., 0::2][..., :eighth] * low[..., ::-1][..., 0::2][..., :eighth]
     t2 = low[..., 1::2][..., :eighth] * low[..., ::-1][..., 1::2][..., :eighth]
@@ -137,35 +134,53 @@ def _low_half_invariant(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def _high_half_invariant(amps: np.ndarray, n: int) -> np.ndarray:
-    half = 1 << (n - 1)
-    eighth = 1 << (n - 3) if n >= 3 else 0
-    if eighth == 0:
-        raise DomainError(f"half-space invariants need n >= 3, got n={n}")
-    signs = sgn_star_table(n - 1)
+    half, eighth, signs = _half_space(n)
     t1 = amps[..., half::2][..., :eighth] * amps[..., ::-1][..., 0::2][..., :eighth]
     t2 = amps[..., half + 1::2][..., :eighth] * amps[..., ::-1][..., 1::2][..., :eighth]
     return np.sum(signs * (t1 - t2), axis=-1)
 
 
+def _halves(amps: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit-i = 0 and = 1 halves as (..., p, q, r) views; q is the longer side's ceil(m/2) bits."""
+    lead, above, below, q = amps.shape[:-1], i - 1, n - i, n // 2
+    if below >= above:
+        v = amps.reshape(lead + (1 << above, 2, 1 << (below - q), 1 << q)).swapaxes(-1, -2)
+        return v[..., 0, :, :], v[..., 1, :, :]
+    v = amps.reshape(lead + (1 << (above - q), 1 << q, 2, 1 << below))
+    return v[..., 0, :], v[..., 1, :]
+
+
+@lru_cache(maxsize=None)
+def _block_signs(size: int) -> np.ndarray:
+    """Read-only complex (-1)^N(k), k < size: small calls then never cast a table."""
+    signs = parity_signs(size.bit_length() - 1).astype(np.complex128)
+    signs.flags.writeable = False
+    return signs
+
+
+def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P(x, y) on (..., p, q, r) block views; the sign is s(p) s(q) s(r)."""
+    p, q, r = (_block_signs(size) for size in x.shape[-3:])
+    partial = np.einsum("...pqr,q,...pqr->...pr", x, q, y[..., ::-1, ::-1, ::-1])
+    return p @ partial @ r
+
+
 def _tau_even(amps: np.ndarray, n: int) -> np.ndarray:
-    return 2.0 * np.abs(_even_invariant(amps, n))
+    lo, hi = _halves(amps, n, 1)
+    return 2.0 * np.abs(_pair(lo, hi))
+
+
+def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
+    lo, hi = _halves(amps, n, i)
+    return 4.0 * np.abs(_pair(lo, hi) ** 2 - _pair(lo, lo) * _pair(hi, hi))
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:
-    combo = _odd_invariant(amps, n) ** 2 \
-        - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n)
-    return 4.0 * np.abs(combo)
+    return _residual(amps, n, 1)
 
 
 def _tau_any(amps: np.ndarray, n: int) -> np.ndarray:
     return _tau_even(amps, n) if n % 2 == 0 else _tau_odd(amps, n)
-
-
-def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
-    if i == 1:
-        return _tau_odd(amps, n)
-    swap = QubitPermutation.transposition(n, 1, i)
-    return _tau_odd(amps[..., _perm_index_map(n, swap.mapping)], n)
 
 
 def _r_tangle(amps: np.ndarray, n: int) -> np.ndarray:
@@ -183,14 +198,7 @@ def _three_tangle(amps: np.ndarray) -> np.ndarray:
     amps[4a + 2b + c]. Coded directly from the published construction; kept
     independent of the quadratic-form route it cross-checks.
     """
-    a000 = amps[..., 0]
-    a001 = amps[..., 1]
-    a010 = amps[..., 2]
-    a011 = amps[..., 3]
-    a100 = amps[..., 4]
-    a101 = amps[..., 5]
-    a110 = amps[..., 6]
-    a111 = amps[..., 7]
+    a000, a001, a010, a011, a100, a101, a110, a111 = (amps[..., k] for k in range(8))
     d1 = (a000 * a111) ** 2 + (a001 * a110) ** 2 + (a010 * a101) ** 2 + (a100 * a011) ** 2
     d2 = (a000 * a111 * a011 * a100 + a000 * a111 * a101 * a010
           + a000 * a111 * a110 * a001 + a011 * a100 * a101 * a010
@@ -230,8 +238,6 @@ def _require_parity(psi: StateVector, parity: str, what: str) -> None:
         raise DomainError(f"{what} is defined for even n only, got n={psi.n}")
     if parity == "odd" and psi.n % 2 != 1:
         raise DomainError(f"{what} is defined for odd n only, got n={psi.n}")
-    if parity == "odd" and psi.n < 3:
-        raise DomainError(f"{what} needs n >= 3, got n={psi.n}")
 
 
 def even_invariant(psi: StateVector) -> InvariantValue:
@@ -243,7 +249,7 @@ def even_invariant(psi: StateVector) -> InvariantValue:
 def even_invariant_pairs(psi: StateVector) -> InvariantValue:
     """Same invariant written as a sum over complementary index pairs."""
     _require_parity(psi, "even", "even_invariant_pairs")
-    return InvariantValue(complex(_even_invariant_pairs(psi.amps, psi.n)), "even")
+    return InvariantValue(complex(_invariant_pairs(psi.amps, psi.n)), "even")
 
 
 def odd_invariant(psi: StateVector) -> InvariantValue:
@@ -255,7 +261,7 @@ def odd_invariant(psi: StateVector) -> InvariantValue:
 def odd_invariant_pairs(psi: StateVector) -> InvariantValue:
     """Same invariant written as a sum over complementary index pairs."""
     _require_parity(psi, "odd", "odd_invariant_pairs")
-    return InvariantValue(complex(_odd_invariant_pairs(psi.amps, psi.n)), "odd")
+    return InvariantValue(complex(_invariant_pairs(psi.amps, psi.n)), "odd")
 
 
 def low_half_invariant(psi: StateVector) -> InvariantValue:
@@ -271,14 +277,8 @@ def high_half_invariant(psi: StateVector) -> InvariantValue:
 
 
 def _report(kind: str, value: float, psi: StateVector, residuals=None, state: str = "") -> MeasureReport:
-    return MeasureReport(
-        kind=kind,
-        value=float(value),
-        n=psi.n,
-        norm=psi.norm(),
-        residuals=residuals,
-        state=state or f"n={psi.n}",
-    )
+    return MeasureReport(kind=kind, value=float(value), n=psi.n, norm=psi.norm(),
+                         residuals=residuals, state=state or f"n={psi.n}")
 
 
 def tau_even(psi: StateVector, state: str = "") -> MeasureReport:

@@ -338,7 +338,7 @@ def _parse_factor(tok: str, col: int, max_qubits: int) -> ProductFactor:
         elif kind == "basis" and len(parts) == 3:
             state = named_state("basis", int(parts[1]), extra=int(parts[2]), max_qubits=max_qubits)
         elif kind == "file" and len(parts) >= 2:
-            state = read_qsv(":".join(parts[1:]))
+            state = read_qsv(":".join(parts[1:]), max_qubits=max_qubits)
         else:
             raise ParseError(f"unknown factor kind {head!r}", line=1, column=col)
     except ValueError:
@@ -448,16 +448,24 @@ def _write_qsv_stream(psi: StateVector, fh) -> None:
         fh.write(f"{a.real:.17g} {a.imag:.17g}\n")
 
 
-def read_qsv(source) -> StateVector:
+def read_qsv(source, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Read a state from a path or text file object in qsv format."""
     if hasattr(source, "read"):
-        return _read_qsv_stream(source)
+        return _read_qsv_stream(source, max_qubits)
     with open(source, "r", encoding="ascii") as fh:
-        return _read_qsv_stream(fh)
+        return _read_qsv_stream(fh, max_qubits)
 
 
-def _read_qsv_stream(fh) -> StateVector:
-    lines = fh.read().split("\n")
+_COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
+
+
+def _read_qsv_stream(fh, max_qubits: int) -> StateVector:
+    # refuse an over-capacity header before the amplitude block is even read
+    header, count = fh.readline(), fh.readline()
+    m = _COUNT_RE.match(count)
+    if header.strip() == "qsv 1" and m is not None and int(m.group(1)) > max_qubits:
+        raise CapacityError(f"qsv file declares {int(m.group(1))} qubits, capacity is {max_qubits}")
+    lines = (header + count + fh.read()).split("\n")
     # allow trailing blank lines, nothing else
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -467,7 +475,7 @@ def _read_qsv_stream(fh) -> StateVector:
         raise ParseError(f"bad qsv header {lines[0]!r}, expected 'qsv 1'", line=1, column=1)
     if len(lines) < 2:
         raise ParseError("missing 'n <int>' line", line=2, column=1)
-    m = re.match(r"^n\s+(\d+)\s*$", lines[1])
+    m = _COUNT_RE.match(lines[1])
     if m is None:
         raise ParseError(f"bad qubit-count line {lines[1]!r}, expected 'n <int>'", line=2, column=1)
     n = int(m.group(1))
@@ -500,4 +508,13 @@ def _read_qsv_stream(fh) -> StateVector:
             raise ParseError(f"bad imaginary part {tokens[1]!r}", line=lineno,
                              column=line.rindex(tokens[1]) + 1) from None
         amps[i] = complex(re_part, im_part)
+    # float() accepts nan, inf and overflowing literals; a measure of them is meaningless
+    bad = np.flatnonzero(~np.isfinite(amps.view(np.float64)))  # tokens in file order
+    if bad.size:
+        i, part = divmod(int(bad[0]), 2)
+        line = lines[i + 2]
+        token = line.split()[part]
+        column = (line.rindex(token) if part else line.index(token)) + 1
+        raise ParseError(f"non-finite {('real', 'imaginary')[part]} part {token!r}",
+                         line=i + 3, column=column)
     return StateVector(n, amps)

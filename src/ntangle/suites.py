@@ -21,11 +21,10 @@ from .locc import branch, make_povm, monotone_average
 from .measures import (
     _concurrence,
     _even_invariant,
-    _even_invariant_pairs,
     _high_half_invariant,
+    _invariant_pairs,
     _low_half_invariant,
     _odd_invariant,
-    _odd_invariant_pairs,
     _r_tangle,
     _residual,
     _tau_any,
@@ -203,10 +202,10 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
     for n in range(2, n_max + 1):
         amps = random_state_batch(n, trials, _rng(cfg.seed, 1, n))
         if n % 2 == 0:
-            dev = np.abs(_even_invariant(amps, n) - _even_invariant_pairs(amps, n)).max()
+            dev = np.abs(_even_invariant(amps, n) - _invariant_pairs(amps, n)).max()
             checks.append(_check(f"even-pair-form-n{n}", dev, tol, trials))
         else:
-            dev = np.abs(_odd_invariant(amps, n) - _odd_invariant_pairs(amps, n)).max()
+            dev = np.abs(_odd_invariant(amps, n) - _invariant_pairs(amps, n)).max()
             checks.append(_check(f"odd-pair-form-n{n}", dev, tol, trials))
     amps2 = random_state_batch(2, trials, _rng(cfg.seed, 2))
     direct = 2.0 * np.abs(amps2[:, 0] * amps2[:, 3] - amps2[:, 1] * amps2[:, 2])

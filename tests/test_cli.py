@@ -1,5 +1,6 @@
 import json
 
+from ntangle import cli
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.state import named_state, write_qsv
@@ -75,6 +76,33 @@ def test_compute_qsv_error_names_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau")
     assert code == 2
     assert "line 4" in err
+
+
+def test_compute_non_finite_qsv_exit_2(capsys, tmp_path):
+    path = tmp_path / "nan.qsv"
+    path.write_text("qsv 1\nn 2\n1 0\n0 0\n0 nan\n1 0\n")
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau")
+    assert code == 2
+    assert "line 5, column 3" in err
+    assert out == ""
+
+
+def test_compute_qsv_over_capacity_exit_3(capsys, tmp_path):
+    path = tmp_path / "huge.qsv"
+    path.write_text("qsv 1\nn 27\n0 0\n")
+    code, _, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau")
+    assert code == 3
+    assert "capacity" in err
+
+
+def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_product", exhausted)
+    code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "tau")
+    assert code == 3
+    assert err.startswith("error: ") and "capacity" in err
 
 
 def test_compute_parity_error_exit_3(capsys):
@@ -191,11 +219,18 @@ def test_verify_rejects_bad_trials(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import ntangle
+
+    # the child must import the same package as this process, installed or not
+    src = str(Path(ntangle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ntangle", "compute",
                            "--expr", "bell@1,2", "--measure", "concurrence"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "value 1" in proc.stdout

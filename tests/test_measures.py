@@ -5,6 +5,16 @@ import pytest
 
 from ntangle.errors import DomainError
 from ntangle.measures import (
+    _concurrence,
+    _even_invariant,
+    _halves,
+    _high_half_invariant,
+    _low_half_invariant,
+    _odd_invariant,
+    _r_tangle,
+    _residual,
+    _tau_even,
+    _tau_odd,
     concurrence,
     even_invariant,
     even_invariant_pairs,
@@ -23,6 +33,7 @@ from ntangle.measures import (
 from ntangle.state import (
     QubitPermutation,
     StateVector,
+    _perm_index_map,
     named_state,
     permute,
     random_state,
@@ -200,6 +211,54 @@ def test_report_carries_norm_of_unnormalized_input():
     rep = tau_even(doubled)
     assert abs(rep.norm - 2.0) < 1e-12
     assert abs(rep.value - 4.0) < 1e-9  # raw homogeneous value, not clamped
+
+
+# --- the pair-form kernel against the staggered oracles ---------------------
+
+def _staggered_tau_odd(amps, n):
+    b = _odd_invariant(amps, n)
+    return 4.0 * np.abs(b * b - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n))
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_pair_kernel_matches_staggered_oracles_with_batch_axes(n):
+    rng = np.random.default_rng(900 + n)
+    amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    for i in range(1, n + 1):
+        lo, hi = _halves(amps, n, i)
+        assert np.shares_memory(lo, amps) and np.shares_memory(hi, amps)  # strided, no copy
+    if n % 2 == 0:
+        got = _tau_even(amps, n)
+        assert got.shape == (3, 2)
+        np.testing.assert_allclose(got, 2.0 * np.abs(_even_invariant(amps, n)), rtol=0, atol=1e-12)
+        return
+    tau = _tau_odd(amps, n)
+    assert tau.shape == (3, 2)
+    np.testing.assert_allclose(tau, _staggered_tau_odd(amps, n), rtol=0, atol=1e-12)
+    residuals = np.stack([_residual(amps, n, i) for i in range(1, n + 1)])
+    for i in range(1, n + 1):
+        swap = QubitPermutation.transposition(n, 1, i)
+        for idx in np.ndindex(3, 2):
+            swapped = permute(StateVector(n, amps[idx]), swap).amps
+            assert abs(residuals[i - 1][idx] - float(_tau_odd(swapped, n))) < 1e-12
+            assert abs(residuals[i - 1][idx] - float(_staggered_tau_odd(swapped, n))) < 1e-12
+    np.testing.assert_allclose(_r_tangle(amps, n), residuals.mean(axis=0), rtol=0, atol=1e-15)
+
+
+def test_tau_even_kernel_is_the_concurrence_at_n2():
+    rng = np.random.default_rng(31)
+    amps = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    np.testing.assert_allclose(_tau_even(amps, 2), _concurrence(amps), rtol=1e-15, atol=0)
+
+
+def test_residuals_gather_through_no_permutation_maps():
+    psi = rand(9, 4242)
+    _perm_index_map.cache_clear()
+    r_tangle(psi)
+    for i in range(1, 10):
+        tau_residual(psi, i)
+    assert _perm_index_map.cache_info().currsize == 0
 
 
 # --- quartic cross-reference ------------------------------------------------

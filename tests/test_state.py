@@ -362,6 +362,35 @@ def test_qsv_parse_errors():
     assert exc.value.column == 3
 
 
+def test_qsv_rejects_non_finite_amplitudes():
+    cases = (
+        ("qsv 1\nn 1\n0 0\nnan 0\n", 4, 1, "real"),
+        ("qsv 1\nn 1\n0 inf\n1 0\n", 3, 3, "imaginary"),
+        ("qsv 1\nn 1\n1 0\n0  -1e400\n", 4, 4, "imaginary"),  # overflows to -inf
+        ("qsv 1\nn 2\n1 0\n-Infinity 0\n0 nan\n0 0\n", 4, 1, "real"),  # first one wins
+    )
+    for text, line, column, part in cases:
+        with pytest.raises(ParseError) as exc:
+            read_qsv(io.StringIO(text))
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert f"non-finite {part} part" in str(exc.value)
+
+
+def test_qsv_capacity_checked_before_the_amplitude_block():
+    class HeaderOnly(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("the amplitude block was read")
+
+    with pytest.raises(CapacityError):
+        read_qsv(HeaderOnly("qsv 1\nn 27\n"))
+    with pytest.raises(CapacityError):
+        read_qsv(HeaderOnly("qsv 1\nn 3\n"), max_qubits=2)
+    buf = io.StringIO()
+    write_qsv(ghz(3), buf)
+    buf.seek(0)
+    assert read_qsv(buf, max_qubits=3).allclose(ghz(3))
+
+
 def test_state_vector_validation():
     with pytest.raises(DomainError):
         StateVector(2, np.zeros(3))
