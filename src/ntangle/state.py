@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -70,12 +70,15 @@ class StateVector:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"state needs at least one qubit, got n={self.n}")
-        amps = np.array(self.amps, dtype=np.complex128)
+        amps = self.amps
+        # adopt an array nobody can write through; copy anything else
+        if not (isinstance(amps, np.ndarray) and amps.dtype == np.complex128
+                and amps.flags.c_contiguous and _immutable(amps)):
+            amps = _readonly(np.array(amps, dtype=np.complex128))
         if amps.shape != (1 << self.n,):
             raise DomainError(
                 f"amplitude vector has shape {amps.shape}, expected ({1 << self.n},) for n={self.n}"
             )
-        amps.flags.writeable = False
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
@@ -88,7 +91,7 @@ class StateVector:
         nrm = self.norm()
         if nrm == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return StateVector(self.n, self.amps / nrm)
+        return StateVector(self.n, _readonly(self.amps / nrm))
 
     def allclose(self, other: "StateVector", tol: float = 1e-12) -> bool:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=tol, atol=tol))
@@ -154,15 +157,18 @@ class QubitPermutation:
         return QubitPermutation(inv)
 
 
-@lru_cache(maxsize=8192)
-def _perm_index_map(n: int, mapping: tuple) -> np.ndarray:
-    """Gather map: permuted_amps = amps[map]. mapping[j-1] = image of qubit j."""
-    t = np.arange(1 << n, dtype=np.int64)
-    src = np.zeros_like(t)
-    for j in range(1, n + 1):
-        src |= ((t >> (n - mapping[j - 1])) & 1) << (n - j)
-    src.flags.writeable = False
-    return src
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _immutable(a: np.ndarray) -> bool:
+    """True when neither ``a`` nor any array it views can be written."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
 
 
 def tensor(phi: StateVector, omega: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
@@ -170,14 +176,19 @@ def tensor(phi: StateVector, omega: StateVector, max_qubits: int = DEFAULT_MAX_Q
     n = phi.n + omega.n
     if n > max_qubits:
         raise CapacityError(f"tensor product needs {n} qubits, capacity is {max_qubits}")
-    return StateVector(n, np.outer(phi.amps, omega.amps).ravel())
+    return StateVector(n, _readonly(np.outer(phi.amps, omega.amps)).ravel())
 
 
 def permute(psi: StateVector, pi: QubitPermutation) -> StateVector:
-    """Rearrange qubits: the content of qubit j moves to qubit pi(j)."""
+    """Rearrange qubits: the content of qubit j moves to qubit pi(j).
+
+    Qubit j is axis j-1 of the (2,)*n view of the amplitudes, so this is one
+    axis transpose: output axis k-1 is input axis pi^-1(k)-1.
+    """
     if pi.n != psi.n:
         raise DomainError(f"permutation acts on {pi.n} qubits, state has {psi.n}")
-    return StateVector(psi.n, psi.amps[_perm_index_map(psi.n, pi.mapping)])
+    axes = [j - 1 for j in pi.inverse().mapping]
+    return StateVector(psi.n, _readonly(psi.amps.reshape((2,) * psi.n).transpose(axes).flatten()))
 
 
 def _as_operator(m) -> np.ndarray:
@@ -427,10 +438,14 @@ def is_diagonal_nonneg(m, tol: float = 1e-12) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# qsv state file format (text): line 1 "qsv 1", line 2 "n <int>", then
+# qsv state file format (ASCII text): line 1 "qsv 1", line 2 "n <int>", then
 # exactly 2**n lines of "re im". Writers emit 17 significant digits so the
 # round trip is bit-exact for doubles.
 # ---------------------------------------------------------------------------
+
+_QSV_BLOCK = 1 << 15  # amplitudes formatted per '%' operation when writing
+_QSV_CHUNK_BYTES = 1 << 20  # amplitude text per numpy parse when reading; bounds the check temporaries
+
 
 def write_qsv(psi: StateVector, target) -> None:
     """Write a state to a path or text file object in qsv format."""
@@ -444,28 +459,109 @@ def write_qsv(psi: StateVector, target) -> None:
 def _write_qsv_stream(psi: StateVector, fh) -> None:
     fh.write("qsv 1\n")
     fh.write(f"n {psi.n}\n")
-    for a in psi.amps:
-        fh.write(f"{a.real:.17g} {a.imag:.17g}\n")
+    flat = psi.amps.view(np.float64)
+    for start in range(0, flat.size, 2 * _QSV_BLOCK):
+        part = flat[start:start + 2 * _QSV_BLOCK].tolist()
+        fh.write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
 
 
 def read_qsv(source, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Read a state from a path or text file object in qsv format."""
     if hasattr(source, "read"):
         return _read_qsv_stream(source, max_qubits)
-    with open(source, "r", encoding="ascii") as fh:
+    # non-ASCII bytes decode to lone surrogates, one per byte, for the scanner to report
+    with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
         return _read_qsv_stream(fh, max_qubits)
 
 
 _COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
 def _read_qsv_stream(fh, max_qubits: int) -> StateVector:
     # refuse an over-capacity header before the amplitude block is even read
     header, count = fh.readline(), fh.readline()
     m = _COUNT_RE.match(count)
-    if header.strip() == "qsv 1" and m is not None and int(m.group(1)) > max_qubits:
-        raise CapacityError(f"qsv file declares {int(m.group(1))} qubits, capacity is {max_qubits}")
-    lines = (header + count + fh.read()).split("\n")
+    n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
+    if n > max_qubits:
+        raise CapacityError(f"qsv file declares {n} qubits, capacity is {max_qubits}")
+    block = fh.read()
+    # the fast path needs the same two header lines the scanner splits off and accepts
+    if n >= 1 and header.endswith("\n") and count.endswith("\n") and (header + count).isascii():
+        flat = _parse_amplitude_block(block, n)
+        if flat is not None:
+            return StateVector(n, _readonly(flat).view(np.complex128))
+    text = header + count + block
+    del block  # hold one copy of the text while the scanner splits it into lines
+    return _scan_qsv(text)
+
+
+def _parse_amplitude_block(block: str, n: int) -> np.ndarray | None:
+    """The 2 * 2**n doubles of a well-formed amplitude block, else None.
+
+    Accepts a subset of what ``_scan_qsv`` accepts: tokens of ASCII digits,
+    '.', 'e', 'E', '+' and '-', exactly two per line, separated by spaces,
+    tabs and newlines. numpy parses them with the correctly rounded strtod
+    behind ``float()``, so the bits agree. Anything else, including values
+    that parse to nan or inf, returns None and is left to the scanner.
+    """
+    if not block.isascii():
+        return None
+    data = block.encode("ascii")
+    if data.translate(None, b"0123456789.eE+- \t\n"):
+        return None
+    end = len(data)
+    while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
+        end -= 1
+    dim = 1 << n
+    if data.count(b"\n", 0, end) + 1 != dim:
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, count=end)
+    out = np.empty(2 * dim)
+    done = lo = 0  # lines parsed, offset of the next one
+    with warnings.catch_warnings():
+        # older numpy only warns when a token is not read to its end
+        warnings.simplefilter("error", DeprecationWarning)
+        while lo < end:
+            hi = data.find(b"\n", min(lo + _QSV_CHUNK_BYTES, end), end)
+            hi = end if hi < 0 else hi
+            chunk = buf[lo:hi]
+            newlines = np.flatnonzero(chunk == 10)
+            lines = newlines.size + 1
+            # tokens are runs of bytes above ' '; tokens 2j and 2j+1 must start
+            # on line j, after newline j-1 and before newline j
+            starts = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))[::2]
+            if (starts.size != 2 * lines or (starts[2::2] < newlines).any()
+                    or (starts[1:-1:2] > newlines).any()):
+                return None
+            try:
+                values = np.fromstring(data[lo:hi], dtype=np.float64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            if values.size != 2 * lines:  # a token such as '1-2' read as two numbers
+                return None
+            out[2 * done:2 * (done + lines)] = values
+            done += lines
+            lo = hi + 1
+    if not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _scan_qsv(text: str) -> StateVector:
+    """Parse qsv text line by line.
+
+    This is the definition of the format and the source of every ParseError:
+    ``read_qsv`` comes here whenever the one-call parse of the amplitude block
+    refuses it.
+    """
+    bad = _NON_ASCII_RE.search(text)
+    if bad is not None:
+        start = text.rfind("\n", 0, bad.start()) + 1
+        byte = bad.group().encode("utf-8", "surrogateescape")[0]
+        raise ParseError(f"non-ASCII byte 0x{byte:02x}", line=text.count("\n", 0, start) + 1,
+                         column=bad.start() - start + 1)
+    lines = text.split("\n")
     # allow trailing blank lines, nothing else
     while lines and lines[-1].strip() == "":
         lines.pop()
@@ -517,4 +613,4 @@ def _read_qsv_stream(fh, max_qubits: int) -> StateVector:
         column = (line.rindex(token) if part else line.index(token)) + 1
         raise ParseError(f"non-finite {('real', 'imaginary')[part]} part {token!r}",
                          line=i + 3, column=column)
-    return StateVector(n, amps)
+    return StateVector(n, _readonly(amps))

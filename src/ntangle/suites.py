@@ -37,7 +37,6 @@ from .measures import (
 from .state import (
     QubitPermutation,
     StateVector,
-    _perm_index_map,
     apply_local,
     build_product,
     named_state,
@@ -405,8 +404,8 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
             psi = random_state(n, _rng(cfg.seed, 8, n, s))
             base = float(_r_tangle(psi.amps, n))
             for pm in itertools.permutations(range(1, n + 1)):
-                moved = psi.amps[_perm_index_map(n, pm)]
-                worst = max(worst, abs(float(_r_tangle(moved, n)) - base))
+                moved = permute(psi, QubitPermutation(pm))
+                worst = max(worst, abs(float(_r_tangle(moved.amps, n)) - base))
                 count += 1
         checks.append(_check(f"r-full-group-n{n}", worst, tol, count))
 

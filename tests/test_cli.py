@@ -87,6 +87,15 @@ def test_compute_non_finite_qsv_exit_2(capsys, tmp_path):
     assert out == ""
 
 
+def test_compute_non_ascii_qsv_exit_2(capsys, tmp_path):
+    path = tmp_path / "accent.qsv"
+    path.write_bytes(b"qsv 1\nn 1\n0 \xc3\xa9\n1 0\n")
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "concurrence")
+    assert code == 2
+    assert "non-ASCII byte 0xc3 (line 3, column 3)" in err
+    assert out == ""
+
+
 def test_compute_qsv_over_capacity_exit_3(capsys, tmp_path):
     path = tmp_path / "huge.qsv"
     path.write_text("qsv 1\nn 27\n0 0\n")

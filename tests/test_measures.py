@@ -1,8 +1,11 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ntangle import state as state_module
 from ntangle.errors import DomainError
 from ntangle.measures import (
     _concurrence,
@@ -33,7 +36,6 @@ from ntangle.measures import (
 from ntangle.state import (
     QubitPermutation,
     StateVector,
-    _perm_index_map,
     named_state,
     permute,
     random_state,
@@ -252,13 +254,20 @@ def test_tau_even_kernel_is_the_concurrence_at_n2():
     np.testing.assert_allclose(_tau_even(amps, 2), _concurrence(amps), rtol=1e-15, atol=0)
 
 
-def test_residuals_gather_through_no_permutation_maps():
+def test_residuals_keep_no_permutation_cache():
+    assert not [name for name, obj in vars(state_module).items() if hasattr(obj, "cache_info")]
     psi = rand(9, 4242)
-    _perm_index_map.cache_clear()
-    r_tangle(psi)
-    for i in range(1, 10):
-        tau_residual(psi, i)
-    assert _perm_index_map.cache_info().currsize == 0
+    gc.collect()
+    tracemalloc.start()
+    try:
+        r_tangle(psi)
+        for i in range(1, 10):
+            tau_residual(psi, i)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096  # less than one 512-entry int64 gather map at n=9
 
 
 # --- quartic cross-reference ------------------------------------------------

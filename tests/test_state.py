@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ntangle import state as state_module
 from ntangle.errors import CapacityError, DomainError, ParseError
 from ntangle.state import (
+    _QSV_BLOCK,
+    _scan_qsv,
     ProductExpression,
     ProductFactor,
     QubitPermutation,
@@ -143,6 +146,17 @@ def test_permute_composition(seed, n):
     two_step = permute(permute(psi, pi), sigma)
     one_step = permute(psi, sigma.compose(pi))
     assert np.array_equal(two_step.amps, one_step.amps)
+
+
+def test_permute_matches_the_bitwise_gather():
+    # output index t takes input index sum_j bit(t, n - pi(j)) << (n - j)
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        psi = StateVector(n, rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n))
+        pi = QubitPermutation(map(int, rng.permutation(np.arange(1, n + 1))))
+        src = [sum(((t >> (n - pi(j))) & 1) << (n - j) for j in range(1, n + 1))
+               for t in range(2 ** n)]
+        assert np.array_equal(permute(psi, pi).amps, psi.amps[src])
 
 
 def test_permute_size_mismatch():
@@ -389,6 +403,108 @@ def test_qsv_capacity_checked_before_the_amplitude_block():
     write_qsv(ghz(3), buf)
     buf.seek(0)
     assert read_qsv(buf, max_qubits=3).allclose(ghz(3))
+
+
+def test_qsv_non_ascii_byte_names_line_and_column(tmp_path):
+    path = tmp_path / "accent.qsv"
+    path.write_bytes(b"qsv 1\nn 1\n0 \xc3\xa9\n1 0\n")
+    with pytest.raises(ParseError) as exc:
+        read_qsv(path)
+    assert (exc.value.line, exc.value.column) == (3, 3)
+    assert "non-ASCII byte 0xc3" in str(exc.value)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).amps.view(np.uint64).tolist()
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+QSV_TABLE = (
+    "qsv 1\nn 1\n  \t0.5\t 1 \t\n 1  0  \n",  # spaces and tabs around tokens
+    "qsv 1\r\nn 1\r\n0 1\r\n1 0\r\n",  # CRLF
+    "qsv 1\nn 1\n0 1\n1 0\n\n \n\t\n",  # trailing blank lines
+    "qsv 1\nn 1\n0 1\n1 0",  # no final newline
+    "qsv 1\nn 2\n+.5 5.\n-0 1E5\n4.9406564584124654e-324 2.2250738585072009e-308\n"
+    "1e-320 -2.5e-324\n",  # sign and point forms, subnormals
+    "qsv 1\nn 2\n9007199254740993 18014398509481986\n18014398509481990 0.30000000000000004\n"
+    "2.2250738585072011e-308 1.0000000000000001\n-18014398509481986 3\n",  # halfway literals
+    "qsv 1\nn 1\n1_0 0\n1 0\n",  # float() takes it; only the scanner does
+    "qsv 1\nn 1\n0x1p3 0\n1 0\n",
+    "qsv 1\nn 1\n1-2 0\n1 0\n",
+    "qsv 1\nn 1\n1 0\n3 1-2\n",
+    "qsv 1\nn 1\nnan 0\n1 0\n",
+    "qsv 1\nn 1\n0 inf\n1 0\n",
+    "qsv 1\nn 1\n0 1e400\n1 0\n",
+    "qsv 1\nn 1\n1 2 3\n4\n",  # 3 tokens then 1: the right total, the wrong lines
+    "qsv 1\nn 2\n0 0\n\n0 0\n1 0\n",  # blank middle line
+    "qsv 1\nn 2\n0 0\n1 0\n0 1\n",  # a missing line
+    "qsv 1\nn 1\n0 0\n1 0\n2 0\n",  # a surplus line
+    "qsv 1\nn 1\n0 \u00e9\n1 0\n",  # a non-ASCII character
+    "qsv 1\nn 1\n1e 0\n1 0\n",
+    "qsv 1\nn 1\n. 0\n1 0\n",
+    "qsv 1\nn 1\n1.5.5 0\n1 0\n",
+)
+
+
+@pytest.mark.parametrize("text", QSV_TABLE)
+def test_qsv_reader_agrees_with_the_line_scanner(text):
+    assert _outcome(read_qsv, io.StringIO(text)) == _outcome(_scan_qsv, text)
+
+
+def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
+    def refuse(text):
+        raise AssertionError("the line scanner ran")
+
+    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
+    psi = random_state(16, 5)  # several read chunks
+    path = tmp_path / "big.qsv"
+    write_qsv(psi, path)
+    assert np.array_equal(read_qsv(path).amps, psi.amps)
+    for i, text in enumerate(QSV_TABLE[:6]):  # the well-formed entries; CRLF too, from a path
+        path = tmp_path / f"table{i}.qsv"
+        path.write_bytes(text.encode("ascii"))
+        assert _outcome(read_qsv, path) == _outcome(_scan_qsv, text.replace("\r", ""))
+
+
+def test_qsv_roundtrip_bit_exact_n1_to_12(tmp_path):
+    rng = np.random.default_rng(2024)
+    for n in range(1, 13):
+        amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+        amps *= 10.0 ** rng.integers(-300, 300, size=2 ** n)
+        path = tmp_path / f"s{n}.qsv"
+        write_qsv(StateVector(n, amps), path)
+        assert np.array_equal(read_qsv(path).amps.view(np.uint64), amps.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [3, _QSV_BLOCK.bit_length() - 1, _QSV_BLOCK.bit_length()])
+def test_qsv_writer_matches_per_amplitude_formatting(n):
+    rng = np.random.default_rng(n)
+    amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    special = [-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.0]
+    amps[:3] = np.array(special[0::2]) + 1j * np.array(special[1::2])
+    amps[-1] = complex(-0.0, -0.0)
+    buf = io.StringIO()
+    write_qsv(StateVector(n, amps), buf)
+    expected = f"qsv 1\nn {n}\n" + "".join(f"{a.real:.17g} {a.imag:.17g}\n" for a in amps)
+    assert buf.getvalue() == expected
+
+
+def test_state_vector_adopts_frozen_arrays_and_copies_writable_ones():
+    frozen = np.arange(4, dtype=np.complex128)
+    frozen.flags.writeable = False
+    assert np.shares_memory(StateVector(2, frozen).amps, frozen)
+
+    source = np.zeros(4, dtype=np.complex128)
+    view = source[:]
+    view.flags.writeable = False  # read-only, but its base is not
+    for given_amps in (source, view):
+        psi = StateVector(2, given_amps)
+        source[0] = 1.0
+        assert psi.amps[0] == 0.0
+        source[0] = 0.0
 
 
 def test_state_vector_validation():
