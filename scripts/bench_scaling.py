@@ -4,6 +4,11 @@ cross-reference at its default cap. The interesting column is op_count:
 2**(n-1) against 3*2**(4n)."""
 
 import argparse
+import sys
+from pathlib import Path
+
+# run from a checkout without installing: the package source sits in ../src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ntangle.bench import op_count, records_to_text, run_bench
 

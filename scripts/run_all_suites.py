@@ -8,6 +8,10 @@ counts for a fast smoke run; the defaults match the acceptance suite.
 import argparse
 import sys
 import time
+from pathlib import Path
+
+# run from a checkout without installing: the package source sits in ../src
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ntangle.suites import SUITES, DEFAULT_SEED, SuiteConfig, run_suite
 

@@ -15,11 +15,9 @@ import numpy as np
 
 from .errors import DomainError
 from .measures import _residual, _r_tangle, _tau_even, _tau_odd
-from .state import StateVector, apply_single, random_operator
+from .state import StateVector, _apply_at, _readonly, random_operator
 
 __all__ = ["PovmPair", "BranchOutcome", "make_povm", "branch", "monotone_average"]
-
-_COMPLETENESS_TOL = 1e-10
 
 # below this squared norm a branch is treated as impossible and carries a
 # null state; it then contributes exactly 0 to any monotone average
@@ -57,12 +55,33 @@ def make_povm(a1, seed, tol: float = 1e-9) -> PovmPair:
     sv = np.linalg.svd(a1, compute_uv=False)
     if sv[0] > 1.0 + tol:
         raise DomainError(f"operator with top singular value {sv[0]:.6g} is not a contraction")
-    defect = np.eye(2) - a1.conj().T @ a1
-    w, v = np.linalg.eigh(defect)
-    w = np.clip(w, 0.0, None)  # absorb roundoff below zero
-    root = (v * np.sqrt(w)) @ v.conj().T
-    a2 = random_operator("unitary", seed) @ root
+    a2 = _completion(a1[None], random_operator("unitary", seed)[None])[0]
     return PovmPair(a1=a1, a2=a2, a=float(min(sv[0], 1.0)), b=float(sv[1]))
+
+
+def _completion(a1: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A2 = W (I - A1'A1)^(1/2) for (..., 2, 2) stacks of contractions A1 and unitaries W."""
+    defect = np.eye(2) - a1.conj().swapaxes(-1, -2) @ a1
+    lam, v = np.linalg.eigh(defect)
+    lam = np.clip(lam, 0.0, None)  # absorb roundoff below zero
+    return w @ ((v * np.sqrt(lam)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def _branches(amps: np.ndarray, n: int, k: int, a1: np.ndarray, a2: np.ndarray):
+    """Both branches of the POVM (a1, a2) on qubit k of (..., 2**n) amplitudes.
+
+    Returns the raw branches (2, ..., 2**n), their probabilities (2, ...) and
+    the normalized branches. An impossible branch has probability 0 and
+    normalizes to the zero vector, on which every measure is exactly 0.
+    """
+    raw = _apply_at(amps, n, k, np.stack([a1, a2]))
+    p = np.vecdot(raw, raw).real  # the conjugating dot of np.vdot, row by row
+    live = p >= _NULL_PROBABILITY
+    # dividing by inf zeroes an impossible branch without a warning; a complex
+    # divisor spares the ufunc a buffered cast of the real one
+    norm = np.sqrt(np.where(live, p, np.inf)).astype(np.complex128)
+    states = _readonly(raw / norm[..., None])
+    return raw, np.where(live, p, 0.0), states
 
 
 def branch(psi: StateVector, k: int, povm: PovmPair) -> tuple[BranchOutcome, BranchOutcome]:
@@ -70,18 +89,9 @@ def branch(psi: StateVector, k: int, povm: PovmPair) -> tuple[BranchOutcome, Bra
 
     Probabilities sum to 1 only when the input is normalized.
     """
-    if not 1 <= k <= psi.n:
-        raise DomainError(f"qubit label {k} out of range 1..{psi.n}")
-    outcomes = []
-    for element in (povm.a1, povm.a2):
-        raw = apply_single(psi, k, element)
-        p = float(np.vdot(raw.amps, raw.amps).real)
-        if p < _NULL_PROBABILITY:
-            outcomes.append(BranchOutcome(state=None, probability=0.0, raw=raw))
-        else:
-            outcomes.append(BranchOutcome(state=StateVector(psi.n, raw.amps / np.sqrt(p)),
-                                          probability=p, raw=raw))
-    return outcomes[0], outcomes[1]
+    raw, p, states = _branches(psi.amps, psi.n, k, povm.a1, povm.a2)
+    return tuple(BranchOutcome(state=StateVector(psi.n, s) if q else None, probability=float(q),
+                               raw=StateVector(psi.n, r)) for r, q, s in zip(raw, p, states))
 
 
 def _measure_kernel(measure: str, n: int):
@@ -120,9 +130,5 @@ def monotone_average(psi: StateVector, k: int, povm: PovmPair, eta: float,
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
     kernel = _measure_kernel(measure, psi.n)
-    total = 0.0
-    for out in branch(psi, k, povm):
-        if out.state is None:
-            continue
-        total += out.probability * float(kernel(out.state.amps)) ** eta
-    return total
+    _, p, states = _branches(psi.amps, psi.n, k, povm.a1, povm.a2)
+    return float((p * kernel(states) ** eta).sum(0))

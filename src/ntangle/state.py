@@ -158,7 +158,11 @@ class QubitPermutation:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    """Freeze a fresh array and every array it views, so that StateVector adopts it."""
+    v = a
+    while isinstance(v, np.ndarray):
+        v.flags.writeable = False
+        v = v.base
     return a
 
 
@@ -204,20 +208,30 @@ def apply_local(psi: StateVector, ops) -> StateVector:
     if len(ops) != psi.n:
         raise DomainError(f"need exactly {psi.n} operators, got {len(ops)}")
     arr = psi.amps.reshape((2,) * psi.n)
-    for axis, m in enumerate(ops):
-        arr = np.moveaxis(np.tensordot(m, arr, axes=([1], [axis])), 0, axis)
-    return StateVector(psi.n, arr.reshape(-1))
+    # each step contracts the leading axis and appends its image last, so after
+    # n steps the qubits are back in order; the leading axis is the slowest in
+    # memory, so tensordot hands the strided view to BLAS without copying it
+    for m in ops:
+        arr = np.tensordot(arr, m, axes=(0, 1))
+    return StateVector(psi.n, _readonly(arr.reshape(-1)))
+
+
+def _apply_at(amps: np.ndarray, n: int, k: int, ops: np.ndarray) -> np.ndarray:
+    """Apply (..., 2, 2) operators to qubit k of (..., 2**n) amplitudes; leading axes broadcast.
+
+    The result is a fresh read-only array, so a StateVector adopts its rows
+    without copying them.
+    """
+    if not 1 <= k <= n:
+        raise DomainError(f"qubit label {k} out of range 1..{n}")
+    v = amps.reshape(amps.shape[:-1] + (1 << (k - 1), 2, 1 << (n - k)))
+    out = ops[..., None, :, :] @ v
+    return _readonly(out.reshape(out.shape[:-3] + (1 << n,)))
 
 
 def apply_single(psi: StateVector, k: int, m) -> StateVector:
     """Apply a 2x2 matrix to qubit k only; identities elsewhere."""
-    if not 1 <= k <= psi.n:
-        raise DomainError(f"qubit label {k} out of range 1..{psi.n}")
-    m = _as_operator(m)
-    arr = psi.amps.reshape((2,) * psi.n)
-    axis = k - 1
-    arr = np.moveaxis(np.tensordot(m, arr, axes=([1], [axis])), 0, axis)
-    return StateVector(psi.n, arr.reshape(-1))
+    return StateVector(psi.n, _apply_at(psi.amps, psi.n, k, _as_operator(m)))
 
 
 def named_state(kind: str, n: int, extra: int | None = None,
@@ -382,8 +396,15 @@ def random_state_batch(n: int, count: int, seed, max_qubits: int = DEFAULT_MAX_Q
         raise CapacityError(f"random state needs {n} qubits, capacity is {max_qubits}")
     rng = _rng(seed)
     dim = 1 << n
-    z = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((count, dim), dtype=np.complex128)
+    z.real = rng.standard_normal((count, dim))
+    z.imag = rng.standard_normal((count, dim))
+    # a few rows at a time keeps the norm's temporaries small; every row's
+    # norm is computed as it would be in one call
+    step = max(1, (1 << 18) // dim)
+    for lo in range(0, count, step):
+        rows = z[lo:lo + step]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return z
 
 
@@ -407,18 +428,31 @@ def random_operator(kind: str, seed) -> np.ndarray:
             if abs(det) > 1e-6:
                 return m / np.sqrt(det)
     if kind == "unitary":
-        q, r = np.linalg.qr(_ginibre(rng))
-        d = np.diagonal(r)
-        return q * (d / np.abs(d))
+        return _unitary(_ginibre(rng))
     if kind == "contraction":
-        m = _ginibre(rng)
-        top = np.linalg.svd(m, compute_uv=False)[0]
-        return m * (rng.uniform(0.25, 1.0) / top)
+        return _contraction(*_contraction_draws(rng))
     raise DomainError(f"unknown operator kind {kind!r}")
 
 
 def _ginibre(rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+
+def _unitary(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from (..., 2, 2) Gaussian matrices: QR with the phases of R moved into Q."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _contraction_draws(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """The Gaussian matrix and the top singular value that make one random contraction."""
+    return _ginibre(rng), rng.uniform(0.25, 1.0)
+
+
+def _contraction(g: np.ndarray, top) -> np.ndarray:
+    """(..., 2, 2) matrices g rescaled so that their top singular values are ``top``."""
+    return g * (top / np.linalg.svd(g, compute_uv=False)[..., 0])[..., None, None]
 
 
 def is_unitary(m, tol: float = 1e-9) -> bool:

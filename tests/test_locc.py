@@ -1,12 +1,15 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from ntangle.errors import DomainError
-from ntangle.locc import branch, make_povm, monotone_average
-from ntangle.measures import tau_even, tau_odd
-from ntangle.state import named_state, random_operator, random_state
+from ntangle.locc import _branches, _completion, branch, make_povm, monotone_average
+from ntangle.measures import _residual, _tau_even, tau_even, tau_odd
+from ntangle.state import (StateVector, named_state, random_operator, random_state,
+                           random_state_batch)
 
 
 def ghz(n):
@@ -129,6 +132,43 @@ def test_monotone_average_zero_probability_branch():
     povm = make_povm(np.eye(2), seed=9)  # second branch impossible
     avg = monotone_average(psi, 1, povm, 1.0, "even")
     assert abs(avg - tau_even(psi).value) < 1e-12
+
+
+def test_null_branch_of_a_batch_contributes_exactly_zero():
+    n, trials = 4, 6
+    amps = random_state_batch(n, trials, 71)
+    a1 = np.broadcast_to(np.eye(2, dtype=complex), (trials, 2, 2))
+    w = np.stack([random_operator("unitary", 80 + t) for t in range(trials)])
+    eta = np.linspace(0.1, 1.0, trials)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning fails the test
+        a2 = _completion(a1, w)
+        _, p, states = _branches(amps, n, 2, a1, a2)
+        values = _tau_even(states, n)
+        average = (p * values ** eta).sum(0)
+        psi = StateVector(n, amps[0])
+        single = monotone_average(psi, 2, make_povm(np.eye(2), 9), 0.5)
+    assert abs(single - tau_even(psi).value ** 0.5) < 1e-12
+    assert np.all(p[1] == 0.0) and np.all(states[1] == 0.0) and np.all(values[1] == 0.0)
+    assert np.all(p[1] * values[1] ** eta == 0.0)
+    assert np.array_equal(average, p[0] * values[0] ** eta)
+    assert np.allclose(p[0], 1.0, atol=1e-12)
+    assert np.all(_residual(states[1], n, 3) == 0.0)
+
+
+def test_branch_results_are_adopted_without_a_copy():
+    # two raw and two normalized branches; one more copy of any of them reads 5x
+    psi = random_state(16, 43)
+    povm = make_povm(random_operator("contraction", 44), seed=45)
+    branch(psi, 9, povm)
+    tracemalloc.start()
+    try:
+        out = branch(psi, 9, povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    assert peak <= 4.1 * psi.amps.nbytes
 
 
 def test_monotone_average_argument_checks():

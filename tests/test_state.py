@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from ntangle import state as state_module
 from ntangle.errors import CapacityError, DomainError, ParseError
 from ntangle.state import (
     _QSV_BLOCK,
+    _apply_at,
+    _contraction,
+    _contraction_draws,
+    _ginibre,
     _scan_qsv,
+    _unitary,
     ProductExpression,
     ProductFactor,
     QubitPermutation,
@@ -200,6 +206,46 @@ def test_apply_single_matches_apply_local():
         assert np.allclose(apply_single(psi, k, m).amps, apply_local(psi, ops).amps, atol=1e-13)
 
 
+def test_apply_at_broadcasts_operator_and_state_batches():
+    rng = np.random.default_rng(37)
+    n = 5
+    amps = rng.standard_normal((3, 2 ** n)) + 1j * rng.standard_normal((3, 2 ** n))
+    ops = rng.standard_normal((2, 3, 2, 2)) + 1j * rng.standard_normal((2, 3, 2, 2))
+    for k in range(1, n + 1):
+        out = _apply_at(amps, n, k, ops)
+        assert out.shape == (2, 3, 2 ** n) and not out.flags.writeable
+        for b, t in np.ndindex(2, 3):
+            ref = [np.eye(2)] * n
+            ref[k - 1] = ops[b, t]
+            want = apply_local(StateVector(n, amps[t]), ref).amps
+            assert np.allclose(out[b, t], want, atol=1e-13)
+    with pytest.raises(DomainError):
+        _apply_at(amps, n, n + 1, ops)
+
+
+def _peak_ratio(fn, psi):
+    """Peak bytes traced while fn runs, over the bytes of the input state."""
+    fn()  # first call outside the trace, so no one-off import or cache counts
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del out
+    return peak / psi.amps.nbytes
+
+
+def test_operator_results_are_adopted_without_a_copy():
+    # the result array and one in-flight operand; a further copy of the
+    # result, as when StateVector had to copy a writable array, reads 3x
+    psi = random_state(16, 41)
+    ops = [random_operator("general", 200 + i) for i in range(16)]
+    for k in (1, 9, 16):
+        assert _peak_ratio(lambda: apply_single(psi, k, ops[0]), psi) <= 2.1
+    assert _peak_ratio(lambda: apply_local(psi, ops), psi) <= 2.1
+
+
 def test_apply_single_ghz4_diagonal():
     out = apply_single(ghz(4), 1, np.diag([0.3, 0.7]))
     assert abs(out.amps[0] - 0.3 * RT2) < 1e-15
@@ -319,6 +365,18 @@ def test_random_operator_kinds():
     assert np.array_equal(g, random_operator("general", 4))
     with pytest.raises(DomainError):
         random_operator("hermitian", 5)
+
+
+def test_batched_operator_builders_match_random_operator():
+    # the suites draw per trial and build operators per batch; both must give
+    # random_operator's matrices bit for bit
+    seeds = range(200)
+    draws = [_contraction_draws(np.random.default_rng(s)) for s in seeds]
+    batch = _contraction(np.array([g for g, _ in draws]), np.array([top for _, top in draws]))
+    unitaries = _unitary(np.array([_ginibre(np.random.default_rng(s)) for s in seeds]))
+    for s in seeds:
+        assert np.array_equal(batch[s], random_operator("contraction", s))
+        assert np.array_equal(unitaries[s], random_operator("unitary", s))
 
 
 def test_operator_predicates():

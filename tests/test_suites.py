@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from ntangle.errors import DomainError
-from ntangle.suites import SUITES, SuiteConfig, run_suite
+from ntangle.locc import branch, make_povm, monotone_average
+from ntangle.measures import r_tangle, tau, tau_residual
+from ntangle.state import StateVector, named_state, random_operator, random_state_batch
+from ntangle.suites import _ETA_GRID, SUITES, SuiteConfig, _check, _rng, run_suite
 
 # trimmed-down configs so the whole module stays fast; the acceptance module
 # runs everything at full contract scale
@@ -31,11 +40,97 @@ def test_suite_passes_quick(name):
 
 
 def test_reports_are_deterministic():
-    cfg = SuiteConfig("closed-form", trials=20, n_max=4, seed=123)
-    first = run_suite(cfg)
-    second = run_suite(cfg)
-    assert first.to_json_dict() == second.to_json_dict()
-    assert first.to_text() == second.to_text()
+    for cfg in (SuiteConfig("closed-form", trials=20, n_max=4, seed=123),
+                SuiteConfig("monotone", trials=12, n_max=5, seed=123),
+                SuiteConfig("permutation", trials=12, n_max=7, seed=123)):
+        first = run_suite(cfg)
+        second = run_suite(cfg)
+        assert first.to_json_dict() == second.to_json_dict()
+        assert first.to_text() == second.to_text()
+
+
+def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
+    """The monotone suite as one trial at a time through the public API: the oracle."""
+    checks = []
+    for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
+        even = n % 2 == 0
+        worst_tau = worst_res = worst_r = worst_comp = worst_raw = worst_rescale = 0.0
+        for t in range(trials):
+            rng = _rng(seed, 14, n, t)
+            psi = StateVector(n, random_state_batch(n, 1, rng)[0])
+            k = int(rng.integers(1, n + 1))
+            povm = make_povm(random_operator("contraction", rng), rng)
+            eta = float(rng.uniform(0.01, 1.0)) if t % 4 == 3 else _ETA_GRID[t % 4]
+            b1, b2 = branch(psi, k, povm)
+            worst_comp = max(worst_comp, abs(b1.probability + b2.probability - 1.0))
+            base = tau(psi).value
+            avg = monotone_average(psi, k, povm, eta, "even" if even else "odd")
+            worst_tau = max(worst_tau, avg - base ** eta)
+            if not even:
+                i = int(rng.integers(1, n + 1))
+                worst_res = max(worst_res, monotone_average(psi, k, povm, eta, f"residual:{i}")
+                                - tau_residual(psi, i).value ** eta)
+                worst_r = max(worst_r, monotone_average(psi, k, povm, eta, "r")
+                              - r_tangle(psi).value ** eta)
+            degree = 1 if even else 2
+            det1 = (povm.a * povm.b) ** degree
+            det2 = ((1.0 - povm.a ** 2) * (1.0 - povm.b ** 2)) ** (degree / 2.0)
+            for out, det_factor in ((b1, det1), (b2, det2)):
+                raw_val = tau(out.raw).value
+                worst_raw = max(worst_raw, abs(raw_val - base * det_factor))
+                if out.state is not None:
+                    worst_rescale = max(worst_rescale, abs(raw_val - tau(out.state).value
+                                                           * out.probability ** degree))
+        checks.append(_check(f"average-vs-input-n{n}", worst_tau, tol, trials))
+        if not even:
+            checks.append(_check(f"average-vs-input-residual-n{n}", worst_res, tol, trials))
+            checks.append(_check(f"average-vs-input-r-n{n}", worst_r, tol, trials))
+        checks.append(_check(f"branch-probability-sum-n{n}", worst_comp, 1e-10, trials))
+        checks.append(_check(f"raw-branch-covariance-n{n}", worst_raw, tol, 2 * trials))
+        checks.append(_check(f"normalized-branch-rescaling-n{n}", worst_rescale, tol, 2 * trials))
+
+    worst = 0.0
+    for t in range(25):
+        rng = _rng(seed, 15, t)
+        psi = StateVector(4, random_state_batch(4, 1, rng)[0])
+        p = float(rng.uniform(0.1, 0.9))
+        povm = make_povm(np.sqrt(p) * random_operator("unitary", rng), rng)
+        eta = _ETA_GRID[t % 3]
+        worst = max(worst, abs(monotone_average(psi, int(rng.integers(1, 5)), povm, eta, "even")
+                               - tau(psi).value ** eta))
+    checks.append(_check("unitary-povm-equality-n4", worst, tol, 25))
+
+    ghz4 = named_state("ghz", 4)
+    worst = 0.0
+    count = 0
+    grid = np.linspace(0.05, 1.0, 8)
+    for a in grid:
+        for b in grid:
+            for k in range(1, 5):
+                povm = make_povm(np.diag([a, b]), _rng(seed, 16, count))
+                closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * tau(ghz4).value
+                worst = max(worst, abs(monotone_average(ghz4, k, povm, 1.0, "even") - closed))
+                count += 1
+    checks.append(_check("diagonal-closed-form-ghz4", worst, tol, count))
+    return checks
+
+
+def test_batched_monotone_matches_the_per_trial_oracle():
+    report = run_suite(SuiteConfig("monotone", trials=40, n_max=5, seed=123))
+    oracle = _monotone_per_trial(seed=123, trials=40, n_max=5)
+    assert [(c.name, c.count, c.passed) for c in report.checks] == \
+        [(c.name, c.count, c.passed) for c in oracle]
+    for got, want in zip(report.checks, oracle):
+        assert abs(got.worst - want.worst) <= 1e-14, (got.name, got.worst, want.worst)
+
+
+def test_run_all_suites_script_runs_from_an_uninstalled_checkout(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_all_suites.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--quick"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all suites passed" in proc.stdout
 
 
 def test_json_schema_version():
