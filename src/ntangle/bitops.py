@@ -79,45 +79,30 @@ def sgn_star(n: int, i: int) -> int:
     return parity
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    # np.bitwise_count requires a non-negative integer array
-    return np.bitwise_count(arr)
-
-
-def _parity_from_counts(counts: np.ndarray) -> np.ndarray:
-    return np.where(counts & 1, -1, 1).astype(np.int8)
-
-
 @lru_cache(maxsize=None)
 def parity_signs(m: int) -> np.ndarray:
     """Read-only table of (-1)**count_ones(k) for all k < 2**m."""
-    signs = _parity_from_counts(_popcount(np.arange(1 << m, dtype=np.uint64)))
+    signs = np.where(np.bitwise_count(np.arange(1 << m, dtype=np.uint64)) & 1, -1, 1).astype(np.int8)
     signs.flags.writeable = False
     return signs
 
 
-@lru_cache(maxsize=None)
 def sgn_table(n: int) -> np.ndarray:
     """Read-only table of sgn(n, i) over its full domain 0 <= i < 2**(n-3)."""
     if n < 3:
         raise DomainError(f"sgn needs n >= 3, got n={n}")
-    signs = _parity_from_counts(_popcount(np.arange(1 << (n - 3), dtype=np.uint64)))
-    signs.flags.writeable = False
-    return signs
+    return parity_signs(n - 3)
 
 
 @lru_cache(maxsize=None)
 def sgn_star_table(n: int) -> np.ndarray:
     """Read-only table of sgn_star(n, i) over its full domain 0 <= i < 2**(n-2)."""
-    if n == 2:
-        signs = np.array([1], dtype=np.int8)
-        signs.flags.writeable = False
-        return signs
     if n < 2:
         raise DomainError(f"sgn_star needs n >= 2, got n={n}")
-    signs = _parity_from_counts(_popcount(np.arange(1 << (n - 2), dtype=np.uint64)))
+    signs = parity_signs(n - 2)
     if n % 2 == 1:
+        signs = signs.copy()
         quarter = 1 << (n - 3)
         signs[quarter:] = -signs[quarter:]
-    signs.flags.writeable = False
+        signs.flags.writeable = False
     return signs

@@ -229,6 +229,13 @@ def _apply_at(amps: np.ndarray, n: int, k: int, ops: np.ndarray) -> np.ndarray:
     return _readonly(out.reshape(out.shape[:-3] + (1 << n,)))
 
 
+def _apply_each(amps: np.ndarray, n: int, ops: np.ndarray) -> np.ndarray:
+    """Apply (..., n, 2, 2) operators, one per qubit, to (..., 2**n) amplitudes; leading axes broadcast."""
+    for k in range(1, n + 1):
+        amps = _apply_at(amps, n, k, ops[..., k - 1, :, :])
+    return amps
+
+
 def apply_single(psi: StateVector, k: int, m) -> StateVector:
     """Apply a 2x2 matrix to qubit k only; identities elsewhere."""
     return StateVector(psi.n, _apply_at(psi.amps, psi.n, k, _as_operator(m)))

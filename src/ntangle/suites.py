@@ -4,16 +4,18 @@ Every suite is a pure function of its SuiteConfig: identical config yields an
 identical report. Randomness is drawn from per-trial generators derived from
 the master seed, so trial ordering or parallelism can never change a result.
 
-Batching rests on one rule: a per-trial loop only draws, in a fixed order,
-and everything computed from the draws (SVDs, POVM completion, branches,
-measures) runs once per batch afterwards. A monotone trial draws its state,
-qubit k, the contraction's Gaussian matrix and top singular value, the
-completing unitary's Gaussian matrix, eta when t % 4 == 3 and, for odd n,
-the residual focus. Moving work out of the loop keeps every draw; adding,
-dropping or reordering a draw changes the reports.
+Batching rests on one rule, which every suite keeps through `_draws`, the
+module's only per-trial loop: a trial only draws, in a fixed order, and
+everything computed from the draws (local operators, determinants, SVDs,
+POVM completion, branches, permutations, measures) runs once per batch
+afterwards. A monotone trial, for one, draws its state, qubit k, the
+contraction's Gaussian matrix and top singular value, the completing
+unitary's Gaussian matrix, eta when t % 4 == 3 and, for odd n, the residual
+focus. Moving work out of a draw keeps every draw; adding, dropping or
+reordering a draw changes the reports.
 
-Suite names: bitops, closed-form, oracle-n3, covariance-even, covariance-odd,
-permutation, product, monotone, range, golden-examples.
+Suite names, in run order: bitops, closed-form, oracle-n3, golden-examples,
+covariance-even, covariance-odd, permutation, product, monotone, range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import bitops
 from .errors import DomainError
-from .locc import _branches, _completion, make_povm, monotone_average
+from .locc import _branches, _completion
 from .measures import (
     _even_invariant,
     _high_half_invariant,
@@ -42,20 +44,18 @@ from .measures import (
     DEFAULT_WONG_CAP,
 )
 from .state import (
+    _apply_each,
     _contraction,
     _contraction_draws,
     _ginibre,
     _unitary,
     QubitPermutation,
     StateVector,
-    apply_local,
     build_product,
     named_state,
     permute,
     random_operator,
-    random_state,
     random_state_batch,
-    tensor,
     ProductExpression,
     ProductFactor,
 )
@@ -102,7 +102,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        # a suite that checked nothing has certified nothing
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
     def to_text(self) -> str:
         lines = [f"suite {self.suite}  seed={self.seed}  n_max={self.n_max}"
@@ -143,6 +144,22 @@ class SuiteReport:
 def _rng(seed: int, *key) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) & 0xFFFFFFFFFFFFFFFF for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
+
+
+def _draws(seed: int, key: tuple, trials: int, draw) -> tuple:
+    """Stack, value by value, the tuples draw(_rng(seed, *key, t), t) returns for each trial t.
+
+    Each trial's values are copied into the stacks as they come, so only one
+    trial's draws are alive at a time.
+    """
+    stacks = None
+    for t in range(trials):
+        values = draw(_rng(seed, *key, t), t)
+        if stacks is None:
+            stacks = tuple(np.empty((trials,) + np.shape(v), np.result_type(v)) for v in values)
+        for stack, value in zip(stacks, values):
+            stack[t] = value
+    return stacks
 
 
 def _check(name: str, worst, tol: float, count: int, detail: str = "") -> CheckResult:
@@ -258,72 +275,56 @@ def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
 # covariance: invariants transform with the product of operator determinants
 # ---------------------------------------------------------------------------
 
-def suite_covariance_even(cfg: SuiteConfig) -> SuiteReport:
+def _odd_combination(amps: np.ndarray, n: int) -> np.ndarray:
+    """B^2 - 4LH: the degree-4 combination of the odd invariants behind the odd measure."""
+    return (_odd_invariant(amps, n) ** 2
+            - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n))
+
+
+# by parity of n: qubit counts, default n_max, invariant, measure and check
+# names. The invariant picks up the determinant product to the power
+# 1 + parity, and has twice that degree in the amplitudes.
+_COVARIANCE = (
+    ((4, 6, 8, 10), 10, _even_invariant, _tau_even, "invariant-det-product", "tau-abs-det-product"),
+    ((5, 7, 9), 9, _odd_combination, _tau_odd, "combo-det-squared", "tau-abs-det-squared"),
+)
+
+
+def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
+    sizes, default_n_max, invariant, measure, invariant_name, tau_name = _COVARIANCE[parity]
+    power = 1 + parity
     tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
     trials = cfg.trials if cfg.trials is not None else 100
-    n_max = cfg.n_max if cfg.n_max is not None else 10
+    n_max = cfg.n_max if cfg.n_max is not None else default_n_max
+    quarter = max(1, trials // 4)
     checks = []
-    for n in [x for x in (4, 6, 8, 10) if x <= n_max]:
-        worst_inv = worst_tau = worst_sl = 0.0
-        for t in range(trials):
-            rng = _rng(cfg.seed, 4, n, t)
-            psi = StateVector(n, random_state_batch(n, 1, rng)[0])
-            ops = [random_operator("general", rng) for _ in range(n)]
-            dets = np.prod([np.linalg.det(m) for m in ops])
-            mapped = apply_local(psi, ops)
-            # the invariant is degree 2, so roundoff scales with the squared
-            # norm of the transformed state; deviations are relative to that
-            scale = max(1.0, mapped.norm() ** 2)
-            lhs = complex(_even_invariant(mapped.amps, n))
-            rhs = complex(_even_invariant(psi.amps, n)) * dets
-            worst_inv = max(worst_inv, abs(lhs - rhs) / max(scale, abs(rhs)))
-            tau_lhs = float(_tau_even(mapped.amps, n))
-            tau_rhs = float(_tau_even(psi.amps, n)) * abs(dets)
-            worst_tau = max(worst_tau, abs(tau_lhs - tau_rhs) / max(scale, abs(tau_rhs)))
-            if t < max(1, trials // 4):
-                sl = apply_local(psi, [random_operator("special_linear", rng) for _ in range(n)])
-                dev = abs(float(_tau_even(sl.amps, n)) - float(_tau_even(psi.amps, n)))
-                worst_sl = max(worst_sl, dev / max(1.0, sl.norm() ** 2))
-        checks.append(_check(f"invariant-det-product-n{n}", worst_inv, tol, trials))
-        checks.append(_check(f"tau-abs-det-product-n{n}", worst_tau, tol, trials))
-        checks.append(_check(f"sl-invariance-n{n}", worst_sl, tol, max(1, trials // 4)))
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    for n in [x for x in sizes if x <= n_max]:
+        def draw(rng, t):
+            amps = random_state_batch(n, 1, rng)[0]
+            ops = np.stack([random_operator("general", rng) for _ in range(n)])
+            # only the first quarter of the trials draws a special linear
+            # tuple; the rest stack ops in its place, sliced off below
+            sl = ops if t >= quarter else np.stack([random_operator("special_linear", rng)
+                                                    for _ in range(n)])
+            return amps, ops, sl
 
-
-def suite_covariance_odd(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 100
-    n_max = cfg.n_max if cfg.n_max is not None else 9
-    checks = []
-    for n in [x for x in (5, 7, 9) if x <= n_max]:
-        worst_combo = worst_tau = worst_sl = 0.0
-        for t in range(trials):
-            rng = _rng(cfg.seed, 5, n, t)
-            psi = StateVector(n, random_state_batch(n, 1, rng)[0])
-            ops = [random_operator("general", rng) for _ in range(n)]
-            dets = np.prod([np.linalg.det(m) for m in ops])
-            mapped = apply_local(psi, ops)
-
-            def combo(amps):
-                return (_odd_invariant(amps, n) ** 2
-                        - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n))
-
-            # degree-4 combination: roundoff scales with the fourth power of
-            # the transformed norm
-            scale = max(1.0, mapped.norm() ** 4)
-            lhs = complex(combo(mapped.amps))
-            rhs = complex(combo(psi.amps)) * dets ** 2
-            worst_combo = max(worst_combo, abs(lhs - rhs) / max(scale, abs(rhs)))
-            tau_lhs = float(_tau_odd(mapped.amps, n))
-            tau_rhs = float(_tau_odd(psi.amps, n)) * abs(dets) ** 2
-            worst_tau = max(worst_tau, abs(tau_lhs - tau_rhs) / max(scale, abs(tau_rhs)))
-            if t < max(1, trials // 4):
-                sl = apply_local(psi, [random_operator("special_linear", rng) for _ in range(n)])
-                dev = abs(float(_tau_odd(sl.amps, n)) - float(_tau_odd(psi.amps, n)))
-                worst_sl = max(worst_sl, dev / max(1.0, sl.norm() ** 4))
-        checks.append(_check(f"combo-det-squared-n{n}", worst_combo, tol, trials))
-        checks.append(_check(f"tau-abs-det-squared-n{n}", worst_tau, tol, trials))
-        checks.append(_check(f"sl-invariance-n{n}", worst_sl, tol, max(1, trials // 4)))
+        amps, ops, sl = _draws(cfg.seed, (4 + parity, n), trials, draw)
+        dets = np.prod(np.linalg.det(ops), axis=-1)
+        mapped = _apply_each(amps, n, ops)
+        # roundoff scales with the transformed norm to the invariant's degree;
+        # deviations are relative to that
+        scale = np.maximum(1.0, np.linalg.norm(mapped, axis=-1) ** (2 * power))
+        rhs = invariant(amps, n) * dets ** power
+        inv_dev = np.abs(invariant(mapped, n) - rhs) / np.maximum(scale, np.abs(rhs))
+        tau = measure(amps, n)
+        tau_rhs = tau * np.abs(dets) ** power
+        tau_dev = np.abs(measure(mapped, n) - tau_rhs) / np.maximum(scale, tau_rhs)
+        sl_mapped = _apply_each(amps[:quarter], n, sl[:quarter])
+        sl_dev = np.abs(measure(sl_mapped, n) - tau[:quarter]) \
+            / np.maximum(1.0, np.linalg.norm(sl_mapped, axis=-1) ** (2 * power))
+        checks.append(_check(f"{invariant_name}-n{n}", inv_dev.max(), tol, trials))
+        checks.append(_check(f"{tau_name}-n{n}", tau_dev.max(), tol, trials))
+        checks.append(_check(f"sl-invariance-n{n}", sl_dev.max(), tol, quarter))
     return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
 
 
@@ -332,35 +333,43 @@ def suite_covariance_odd(cfg: SuiteConfig) -> SuiteReport:
 # n, full invariance of R, and residual invariance when the focus is fixed
 # ---------------------------------------------------------------------------
 
-def _random_perm(rng, n, fix_first=False) -> QubitPermutation:
+def _random_axes(rng, n: int, fix_first: bool = False) -> np.ndarray:
+    """The axis order ``permute`` transposes to under a seeded random relabeling."""
     if fix_first:
-        rest = rng.permutation(np.arange(2, n + 1))
-        return QubitPermutation((1, *map(int, rest)))
-    return QubitPermutation(map(int, rng.permutation(np.arange(1, n + 1))))
+        return np.argsort(np.r_[0, 1 + rng.permutation(n - 1)])
+    return np.argsort(rng.permutation(n))
+
+
+def _gather(amps: np.ndarray, n: int, axes: np.ndarray) -> np.ndarray:
+    """``permute`` over batches: (..., 2**n) amplitudes moved to (..., n) axis orders.
+
+    Leading axes broadcast. Output index o reads the input index that holds
+    bit k of o (counted from the most significant end) at axis axes[k].
+    """
+    bits = (np.arange(1 << n) >> (n - 1 - np.arange(n))[:, None]) & 1
+    return np.take_along_axis(amps, (1 << (n - 1 - axes)) @ bits, axis=-1)
 
 
 def _all_moves(seed: int, key: tuple, n: int, states: int, perms):
     """Seeded states (s, 2**n) and their images (s, len(perms), 2**n) under each axis order."""
-    amps = np.stack([random_state(n, _rng(seed, *key, s)).amps for s in range(states)])
-    index = np.arange(1 << n).reshape((2,) * n)
-    return amps, amps[:, np.stack([index.transpose(p).ravel() for p in perms])]
+    amps, = _draws(seed, key, states, lambda rng, t: (random_state_batch(n, 1, rng)[0],))
+    return amps, _gather(amps[:, None], n, np.array(list(perms))[None])
 
 
 def _sampled_moves(seed: int, key: tuple, n: int, trials: int, fix_first: bool = False):
     """Per-trial states (trials, 2**n) and images (trials, 1, 2**n) under a seeded permutation."""
-    amps = np.empty((trials, 1 << n), dtype=np.complex128)
-    moved = np.empty((trials, 1, 1 << n), dtype=np.complex128)
-    for t in range(trials):
-        rng = _rng(seed, *key, t)
-        psi = StateVector(n, random_state_batch(n, 1, rng)[0])
-        amps[t] = psi.amps
-        moved[t, 0] = permute(psi, _random_perm(rng, n, fix_first)).amps
-    return amps, moved
+    amps, axes = _draws(seed, key, trials, lambda rng, t: (random_state_batch(n, 1, rng)[0],
+                                                           _random_axes(rng, n, fix_first)))
+    return amps, _gather(amps, n, axes)[:, None]
 
 
 def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
     """Largest |kernel(image) - kernel(state)| over the states and their images."""
     return float(np.max(np.abs(kernel(moved, n) - kernel(amps, n)[:, None]), initial=0.0))
+
+
+def _residuals(amps: np.ndarray, n: int) -> list:
+    return [_residual(amps, n, i) for i in range(1, n + 1)]
 
 
 def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
@@ -401,36 +410,26 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
 
     # residual with focus i is invariant under permutations fixing qubit i
     for n in [x for x in (5, 7) if x <= n_max]:
-        samples = 50
-        amps, moved, foci = [], [], []
-        for t in range(samples):
-            rng = _rng(cfg.seed, 9, n, t)
-            psi = StateVector(n, random_state_batch(n, 1, rng)[0])
-            i = int(rng.integers(1, n + 1))
+        def draw(rng, t):
+            amps, i = random_state_batch(n, 1, rng)[0], rng.integers(1, n + 1)
             images = rng.permutation([q for q in range(1, n + 1) if q != i])
-            amps.append(psi.amps)
-            moved.append(permute(psi, QubitPermutation(np.insert(images, i - 1, i))).amps)
-            foci.append(i - 1)
-        res, moved_res = ([_residual(np.array(x), n, j) for j in range(1, n + 1)]
-                          for x in (amps, moved))
+            return amps, np.argsort(np.insert(images, i - 1, i)), i - 1
+
+        amps, axes, foci = _draws(cfg.seed, (9, n), 50, draw)
+        res, moved_res = (_residuals(x, n) for x in (amps, _gather(amps, n, axes)))
         worst = np.abs(np.choose(foci, moved_res) - np.choose(foci, res)).max()
-        checks.append(_check(f"residual-fixing-focus-n{n}", worst, tol, samples))
+        checks.append(_check(f"residual-fixing-focus-n{n}", worst, tol, 50))
 
     # quartic cross-reference is permutation invariant; the quadratic measure
     # value is recorded alongside for exploration but nothing relates the two
     if n_max >= 4:
-        worst = 0.0
-        samples = 50
-        pair = ""
-        for t in range(samples):
-            rng = _rng(cfg.seed, 10, t)
-            psi = StateVector(4, random_state_batch(4, 1, rng)[0])
-            moved = permute(psi, _random_perm(rng, 4))
-            w0 = float(_wong_tangle(psi.amps, 4))
-            worst = max(worst, abs(float(_wong_tangle(moved.amps, 4)) - w0))
-            if t == 0:
-                pair = f"sample quartic={w0:.6g} quadratic={float(_tau_even(psi.amps, 4)):.6g}"
-        checks.append(_check("quartic-permutation-n4", worst, tol, samples, detail=pair))
+        amps, axes = _draws(cfg.seed, (10,), 50, lambda rng, t: (random_state_batch(4, 1, rng)[0],
+                                                                 _random_axes(rng, 4)))
+        # the quartic oracle takes one state at a time
+        wong = np.array([[_wong_tangle(x, 4) for x in rows] for rows in (amps, _gather(amps, 4, axes))])
+        pair = f"sample quartic={wong[0, 0]:.6g} quadratic={float(_tau_even(amps[0], 4)):.6g}"
+        checks.append(_check("quartic-permutation-n4", np.abs(wong[1] - wong[0]).max(), tol, 50,
+                             detail=pair))
 
     return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
 
@@ -441,17 +440,27 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
 # non-invertible local operator
 # ---------------------------------------------------------------------------
 
-def _factor_tau(state: StateVector) -> float:
+def _factor_tau(amps: np.ndarray, n: int) -> np.ndarray:
     # a single qubit carries no entanglement; its measure is 0 by convention
-    if state.n < 2:
-        return 0.0
-    return float(_tau_any(state.amps, state.n))
+    return _tau_any(amps, n) if n >= 2 else np.zeros(len(amps))
 
 
-def _expected_product_tau(phi: StateVector, omega: StateVector, n: int, l: int) -> float:
-    if n % 2 == 0:
-        return _factor_tau(phi) * _factor_tau(omega) if l % 2 == 0 else 0.0
-    return _factor_tau(phi) * _factor_tau(omega) ** 2 if l % 2 == 1 else 0.0
+def _product_draws(seed: int, key: tuple, trials: int, n: int, l: int, more):
+    """Per-trial factors phi (l qubits) and omega (n - l), their tensor product, and more(rng)."""
+    phi, omega, extra = _draws(seed, key, trials, lambda rng, t: (
+        random_state_batch(l, 1, rng)[0], random_state_batch(n - l, 1, rng)[0], more(rng)))
+    return phi, omega, (phi[:, :, None] * omega[:, None, :]).reshape(trials, -1), extra
+
+
+def _factor_residuals(amps: np.ndarray, size: int, other_tau: np.ndarray) -> list:
+    """A product's expected residual about each qubit of one factor.
+
+    It is 0 unless the factor holding the focus qubit has odd size; then the
+    factor's own residual enters once and the other factor enters squared.
+    """
+    if size % 2 == 0 or size == 1:
+        return [np.zeros(len(amps))] * size
+    return [res * other_tau ** 2 for res in _residuals(amps, size)]
 
 
 def suite_product(cfg: SuiteConfig) -> SuiteReport:
@@ -462,48 +471,32 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
 
     for n in [x for x in (4, 5, 6, 7, 8) if x <= n_max]:
         worst_plain = worst_relabel = 0.0
-        count = 0
         for l in range(1, n):
-            for t in range(trials):
-                rng = _rng(cfg.seed, 11, n, l, t)
-                phi = StateVector(l, random_state_batch(l, 1, rng)[0])
-                omega = StateVector(n - l, random_state_batch(n - l, 1, rng)[0])
-                psi = tensor(phi, omega)
-                expected = _expected_product_tau(phi, omega, n, l)
-                worst_plain = max(worst_plain, abs(float(_tau_any(psi.amps, n)) - expected))
-                pi = _random_perm(rng, n, fix_first=(n % 2 == 1))
-                moved = permute(psi, pi)
-                worst_relabel = max(worst_relabel, abs(float(_tau_any(moved.amps, n)) - expected))
-                count += 1
-        checks.append(_check(f"factorization-n{n}", worst_plain, tol, count,
+            phi, omega, psi, axes = _product_draws(cfg.seed, (11, n, l), trials, n, l,
+                                                   lambda rng: _random_axes(rng, n, n % 2 == 1))
+            # the measure factorizes, omega's factor squared for odd n, when
+            # l has the parity of n; otherwise it vanishes
+            expected = (_factor_tau(phi, l) * _factor_tau(omega, n - l) ** (1 + n % 2)
+                        if l % 2 == n % 2 else 0.0)
+            worst_plain = max(worst_plain, np.abs(_tau_any(psi, n) - expected).max())
+            moved = _gather(psi, n, axes)
+            worst_relabel = max(worst_relabel, np.abs(_tau_any(moved, n) - expected).max())
+        checks.append(_check(f"factorization-n{n}", worst_plain, tol, (n - 1) * trials,
                              detail="all splits l=1..n-1"))
-        checks.append(_check(f"factorization-relabeled-n{n}", worst_relabel, tol, count))
+        checks.append(_check(f"factorization-relabeled-n{n}", worst_relabel, tol, (n - 1) * trials))
 
-    # residual product rule: the factor holding the focus qubit must have odd
-    # size, in which case its own residual enters once and the other factor
-    # enters squared
+    # residual product rule, about a seeded focus qubit i
     for n in [x for x in (5, 7) if x <= n_max]:
         worst = 0.0
-        count = 0
+        count = max(1, trials // 2)
         for l in range(1, n):
-            for t in range(max(1, trials // 2)):
-                rng = _rng(cfg.seed, 12, n, l, t)
-                phi = StateVector(l, random_state_batch(l, 1, rng)[0])
-                omega = StateVector(n - l, random_state_batch(n - l, 1, rng)[0])
-                psi = tensor(phi, omega)
-                i = int(rng.integers(1, n + 1))
-                holder, local, other = (phi, i, omega) if i <= l else (omega, i - l, phi)
-                if holder.n % 2 == 1:
-                    if holder.n == 1:
-                        expected = 0.0
-                    else:
-                        expected = float(_residual(holder.amps, holder.n, local)) \
-                            * _factor_tau(other) ** 2
-                else:
-                    expected = 0.0
-                worst = max(worst, abs(float(_residual(psi.amps, n, i)) - expected))
-                count += 1
-        checks.append(_check(f"residual-product-n{n}", worst, tol, count))
+            phi, omega, psi, i = _product_draws(cfg.seed, (12, n, l), count, n, l,
+                                                lambda rng: rng.integers(1, n + 1))
+            expected = (_factor_residuals(phi, l, _factor_tau(omega, n - l))
+                        + _factor_residuals(omega, n - l, _factor_tau(phi, l)))
+            worst = max(worst, np.abs(np.choose(i - 1, _residuals(psi, n))
+                                      - np.choose(i - 1, expected)).max())
+        checks.append(_check(f"residual-product-n{n}", worst, tol, (n - 1) * count))
 
     # no non-invertible tuple of local operators can reach a nonzero-measure
     # product class from GHZ: every image has measure 0 while the product
@@ -512,22 +505,25 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
                        (5, _product((named_state("ghz", 3), (1, 2, 3)), (named_state("bell", 2), (4, 5))))):
         if n > n_max:
             continue
-        ghz = named_state("ghz", n)
-        worst = abs(float(_tau_any(witness.amps, n)) - 1.0)
+
+        def draw(rng, t):
+            ops = np.stack([random_operator("general", rng) for _ in range(n)])
+            singular, (u, v) = np.zeros(n, dtype=bool), np.zeros((2, n, 2), dtype=np.complex128)
+            for s in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+                singular[s] = True
+                u[s] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+                v[s] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return ops, singular, u, v
+
         reach_trials = 200 if cfg.trials is None else cfg.trials
-        for t in range(reach_trials):
-            rng = _rng(cfg.seed, 13, n, t)
-            ops = [random_operator("general", rng) for _ in range(n)]
-            singular_slots = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            for s in singular_slots:
-                u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                ops[s] = np.outer(u, v)  # rank one, determinant zero
-            # unit Frobenius norm per factor: harmless by homogeneity, keeps
-            # the image amplitudes O(1) so the zero is a clean numerical zero
-            ops = [m / np.linalg.norm(m) for m in ops]
-            image = apply_local(ghz, ops)
-            worst = max(worst, float(_tau_any(image.amps, n)))
+        ops, singular, u, v = _draws(cfg.seed, (13, n), reach_trials, draw)
+        # rank one, determinant zero, on the singular slots
+        ops = np.where(singular[..., None, None], u[..., :, None] * v[..., None, :], ops)
+        # unit Frobenius norm per factor: harmless by homogeneity, keeps
+        # the image amplitudes O(1) so the zero is a clean numerical zero
+        images = _apply_each(named_state("ghz", n).amps, n,
+                             ops / np.linalg.norm(ops, axis=(-2, -1), keepdims=True))
+        worst = max(abs(float(_tau_any(witness.amps, n)) - 1.0), _tau_any(images, n).max())
         checks.append(_check(f"nonreachability-from-ghz-n{n}", worst, tol, reach_trials + 1,
                              detail="images of GHZ under singular tuples stay at 0"))
 
@@ -543,22 +539,15 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
 _ETA_GRID = (0.25, 0.5, 1.0)
 
 
-def _monotone_draws(seed: int, n: int, trials: int):
-    """Every trial's draws, stacked, in the order the module docstring lists them."""
-    amps = np.empty((trials, 1 << n), dtype=np.complex128)
-    g1, g2 = np.empty((2, trials, 2, 2), dtype=np.complex128)
-    ks, foci = np.ones((2, trials), dtype=np.int64)
-    tops, etas = np.empty((2, trials))
-    for t in range(trials):
-        rng = _rng(seed, 14, n, t)
-        amps[t] = random_state_batch(n, 1, rng)[0]
-        ks[t] = rng.integers(1, n + 1)
-        g1[t], tops[t] = _contraction_draws(rng)
-        g2[t] = _ginibre(rng)
-        etas[t] = rng.uniform(0.01, 1.0) if t % 4 == 3 else _ETA_GRID[t % 4]
-        if n % 2:
-            foci[t] = rng.integers(1, n + 1)
-    return amps, ks, g1, tops, g2, etas, foci
+def _branches_at(amps: np.ndarray, n: int, ks: np.ndarray, a1: np.ndarray, a2: np.ndarray):
+    """``locc._branches`` with its own measured qubit ks[t] per row: one batch per qubit."""
+    raw = np.empty((2,) + amps.shape, dtype=np.complex128)
+    phi = np.empty_like(raw)
+    p = np.empty((2, len(amps)))
+    for k in range(1, n + 1):
+        at = ks == k
+        raw[:, at], p[:, at], phi[:, at] = _branches(amps[at], n, k, a1[at], a2[at])
+    return raw, p, phi
 
 
 def _excess(p: np.ndarray, values: np.ndarray, base: np.ndarray, eta) -> float:
@@ -574,22 +563,24 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 
     for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
         even = n % 2 == 0
-        amps, ks, g1, tops, g2, eta, foci = _monotone_draws(cfg.seed, n, trials)
+
+        def draw(rng, t):  # in the order the module docstring lists
+            amps, k = random_state_batch(n, 1, rng)[0], rng.integers(1, n + 1)
+            g1, top = _contraction_draws(rng)
+            g2 = _ginibre(rng)
+            eta = rng.uniform(0.01, 1.0) if t % 4 == 3 else _ETA_GRID[t % 4]
+            return amps, k, g1, top, g2, eta, 1 if even else rng.integers(1, n + 1)
+
+        amps, ks, g1, tops, g2, eta, foci = _draws(cfg.seed, (14, n), trials, draw)
         a1 = _contraction(g1, tops)
         sv = np.linalg.svd(a1, compute_uv=False)
         a, b = np.minimum(sv[:, 0], 1.0), sv[:, 1]
-        a2 = _completion(a1, _unitary(g2))
-        raw = np.empty((2, trials, 1 << n), dtype=np.complex128)
-        phi = np.empty_like(raw)
-        p = np.empty((2, trials))
-        for k in range(1, n + 1):  # one batch per measured qubit
-            at = ks == k
-            raw[:, at], p[:, at], phi[:, at] = _branches(amps[at], n, k, a1[at], a2[at])
+        raw, p, phi = _branches_at(amps, n, ks, a1, _completion(a1, _unitary(g2)))
 
         base, phi_tau = _tau_any(amps, n), _tau_any(phi, n)
         checks.append(_check(f"average-vs-input-n{n}", _excess(p, phi_tau, base, eta), tol, trials))
         if not even:
-            res, phi_res = ([_residual(x, n, i) for i in range(1, n + 1)] for x in (amps, phi))
+            res, phi_res = _residuals(amps, n), _residuals(phi, n)
             checks.append(_check(f"average-vs-input-residual-n{n}", _excess(
                 p, np.choose(foci - 1, phi_res), np.choose(foci - 1, res), eta), tol, trials))
             checks.append(_check(f"average-vs-input-r-n{n}",
@@ -613,36 +604,29 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
     # a POVM made of scaled unitaries leaves both branches equivalent to the
     # input, so the average equals the input measure exactly
     if n_max >= 4:
-        worst = 0.0
-        samples = 25
-        for t in range(samples):
-            rng = _rng(cfg.seed, 15, t)
-            psi = StateVector(4, random_state_batch(4, 1, rng)[0])
-            p = float(rng.uniform(0.1, 0.9))
-            povm = make_povm(np.sqrt(p) * random_operator("unitary", rng), rng)
-            eta = _ETA_GRID[t % 3]
-            base = float(_tau_even(psi.amps, 4))
-            worst = max(worst, abs(monotone_average(psi, int(rng.integers(1, 5)), povm, eta, "even")
-                                   - base ** eta))
-        checks.append(_check("unitary-povm-equality-n4", worst, tol, samples))
+        # the state, p, the Gaussian matrices of the scaled and of the
+        # completing unitary, then qubit k
+        amps, p, g1, g2, ks = _draws(cfg.seed, (15,), 25, lambda rng, t: (
+            random_state_batch(4, 1, rng)[0], rng.uniform(0.1, 0.9), _ginibre(rng), _ginibre(rng),
+            rng.integers(1, 5)))
+        a1 = np.sqrt(p)[:, None, None] * _unitary(g1)
+        _, prob, phi = _branches_at(amps, 4, ks, a1, _completion(a1, _unitary(g2)))
+        eta = np.array(_ETA_GRID)[np.arange(25) % 3]
+        worst = np.abs((prob * _tau_even(phi, 4) ** eta).sum(0) - _tau_even(amps, 4) ** eta).max()
+        checks.append(_check("unitary-povm-equality-n4", worst, tol, 25))
 
     # diagonal elements on GHZ4: the eta=1 average collapses to the closed
     # form (ab + sqrt((1-a^2)(1-b^2))) times the input measure
     if n_max >= 4:
-        ghz4 = named_state("ghz", 4)
-        base = float(_tau_even(ghz4.amps, 4))
-        worst = 0.0
-        count = 0
         grid = np.linspace(0.05, 1.0, 8)
-        for a in grid:
-            for b in grid:
-                for k in range(1, 5):
-                    povm = make_povm(np.diag([a, b]), _rng(cfg.seed, 16, count))
-                    avg = monotone_average(ghz4, k, povm, 1.0, "even")
-                    closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * base
-                    worst = max(worst, abs(avg - closed))
-                    count += 1
-        checks.append(_check("diagonal-closed-form-ghz4", worst, tol, count))
+        a, b, ks = (x.ravel() for x in np.meshgrid(grid, grid, np.arange(1, 5), indexing="ij"))
+        g, = _draws(cfg.seed, (16,), a.size, lambda rng, t: (_ginibre(rng),))
+        a1 = np.stack([a, b], axis=-1)[:, None, :] * np.eye(2, dtype=np.complex128)
+        ghz4 = np.broadcast_to(named_state("ghz", 4).amps, (a.size, 16))
+        _, p, phi = _branches_at(ghz4, 4, ks, a1, _completion(a1, _unitary(g)))
+        closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * _tau_even(ghz4[0], 4)
+        worst = np.abs((p * _tau_even(phi, 4)).sum(0) - closed).max()
+        checks.append(_check("diagonal-closed-form-ghz4", worst, tol, a.size))
 
     return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
 
@@ -678,210 +662,85 @@ def _pc(arr):
     return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
 
 
+def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
+    """Failures and cases of identity(n, l, j, k) over its whole grid.
+
+    The grid is every n <= n_max, l_lo <= l <= n - 2 passing keep(n, l),
+    j < 2**(l - l_lo) and k < 2**(n - l - 2); ``identity`` returns the
+    boolean arrays that must be true, and each of their entries is a case.
+    """
+    bad = cases = 0
+    for n in range(l_lo + 2, n_max + 1):
+        for l in range(l_lo, n - 1):
+            if keep is None or keep(n, l):
+                j = np.arange(1 << (l - l_lo), dtype=np.int64)[:, None]
+                k = np.arange(1 << (n - l - 2), dtype=np.int64)
+                for holds in identity(n, l, j, k):
+                    bad += int(np.count_nonzero(~holds))
+                    cases += holds.size
+    return bad, cases
+
+
 def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     n_max = cfg.n_max if cfg.n_max is not None else 12
     tol = 0.0  # exact integer identities: zero violations allowed
+    sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []
 
-    def run(name, violation_counter, detail=""):
-        bad, combos = violation_counter
-        checks.append(_check(name, float(bad), tol, combos, detail=detail))
+    def run(name, violations, detail=""):
+        bad, cases = violations
+        checks.append(_check(name, bad, tol, cases, detail=detail))
 
-    run("count-split-high-block", _prop1i(n_max))
-    run("count-split-strided", _prop1ii(n_max))
-    run("count-complement-in-block", _prop1iii(n_max))
-    run("sgn-reflection", _prop2(n_max))
-    run("sgn-shift-flip", _prop3i(n_max))
-    main3, degenerate3 = _prop3ii(n_max)
-    run("sgn-star-shift-flip", main3,
+    def grid(l_lo, identity, keep=None):
+        return _violations(n_max, l_lo, identity, keep)
+
+    def star_shift(ratio):
+        return lambda n, l, t, k: (
+            star(n - 1)[k + ((2 * t + 1) << (n - l - 1))] == ratio * star(n - 1)[k + (t << (n - l))],)
+
+    def star_reflection(flip):
+        return lambda n, l, j, k: (star(n - 1)[((j + 1) << (n - l - 1)) - 1 - k]
+                                   == flip * (-1) ** (n + l + 1) * star(n - 1)[k + (j << (n - l - 1))],)
+
+    def parity_match(n, l):
+        return n % 2 == l % 2
+
+    run("count-split-high-block", grid(2, lambda n, l, j, k: (
+        _pc(k + (j << (n - l - 1))) == _pc(j) + _pc(k),)))
+    run("count-split-strided", grid(3, lambda n, l, t, k: (
+        _pc(k + (t << (n - l))) == _pc(k) + _pc(t),
+        _pc(k + ((2 * t + 1) << (n - l - 1))) == _pc(k) + _pc(t) + 1)))
+    run("count-complement-in-block", grid(2, lambda n, l, j, k: (
+        _pc((1 << (n - l - 1)) - 1 - k) == (n - l - 1) - _pc(k),
+        _pc(((j + 1) << (n - l - 1)) - 1 - k) == _pc(j) + (n - l - 1) - _pc(k))))
+    run("sgn-reflection", grid(2, lambda n, l, j, k: (
+        sgn(n)[((j + 1) << (n - l - 1)) - 1 - k] == (-1) ** (n + l + 1) * sgn(n)[k + (j << (n - l - 1))],)))
+    run("sgn-shift-flip", grid(3, lambda n, l, t, k: (
+        sgn(n)[k + ((2 * t + 1) << (n - l - 1))] == -sgn(n)[k + (t << (n - l))],)))
+    # The starred identities hold where their two arguments share a branch of
+    # the piecewise definition. For even widths the shift at l == 3 (t == 0 is
+    # the whole range) and the reflection at l == 2 (j == 0 is) cross the
+    # branch boundary: the shift's ratio is +1 instead of -1 and the
+    # reflection's factor flips. Those complements are counted separately.
+    run("sgn-star-shift-flip", grid(3, star_shift(-1), lambda n, l: l > 3 or n % 2),
         detail="l >= 4 for even widths; every l for odd widths")
-    run("sgn-star-shift-flip-degenerate", degenerate3,
+    run("sgn-star-shift-flip-degenerate", grid(3, star_shift(1), lambda n, l: l == 3 and n % 2 == 0),
         detail="even width, l=3: arguments straddle the sign branch, ratio +1")
-    main4, degenerate4 = _prop4(n_max)
-    run("sgn-star-reflection", main4,
+    run("sgn-star-reflection", grid(2, star_reflection(1), lambda n, l: l > 2 or n % 2),
         detail="l >= 3 for even widths; every l for odd widths")
-    run("sgn-star-reflection-degenerate", degenerate4,
+    run("sgn-star-reflection-degenerate", grid(2, star_reflection(-1), lambda n, l: l == 2 and n % 2 == 0),
         detail="even width, l=2: arguments straddle the sign branch, factor flips")
-    run("sgn-star-parity-collapse", _prop5i(n_max))
-    run("sgn-split-factorization", _prop5ii(n_max))
-    run("sgn-star-split-factorization", _prop5iii(n_max))
+    run("sgn-star-parity-collapse", grid(3, lambda n, l, t, k: (
+        star(n - l)[k] == np.where(_pc(k) & 1, -1, 1),), parity_match))
+    run("sgn-split-factorization", grid(3, lambda n, l, t, k: (
+        sgn(n)[k + (t << (n - l))] == star(n - l)[k] * sgn(l)[t],), parity_match))
+    run("sgn-star-split-factorization", grid(3, lambda n, l, t, k: (
+        star(n - 1)[k + (t << (n - l))] == star(n - l)[k] * star(l - 1)[t],), parity_match))
     run("complement-counts", _complement_counts(max(n_max, 16)),
         detail="N(k)+N(2^n-1-k)=n and starred variant")
     run("even-width-collapse", _even_collapse(n_max),
         detail="sgn_star with even first argument is the plain parity sign")
-
     return _report(cfg, checks, n_max=n_max, trials=1, tol=tol)
-
-
-def _grid(n, l, j_bits, k_bits):
-    # callers' l-loops keep both exponents nonnegative
-    j = np.arange(1 << j_bits, dtype=np.int64)[:, None]
-    k = np.arange(1 << k_bits, dtype=np.int64)[None, :]
-    return j, k
-
-
-def _prop1i(n_max):
-    bad = combos = 0
-    for n in range(2, n_max + 1):
-        for l in range(2, n - 1):
-            j, k = _grid(n, l, l - 2, n - l - 2)
-            lhs = _pc(k + (j << (n - l - 1)))
-            rhs = _pc(j) + _pc(k)
-            bad += int((lhs != rhs).sum())
-            combos += lhs.size
-    return bad, combos
-
-
-def _prop1ii(n_max):
-    bad = combos = 0
-    for n in range(2, n_max + 1):
-        for l in range(3, n - 1):
-            t, k = _grid(n, l, l - 3, n - l - 2)
-            lhs1 = _pc(k + (t << (n - l)))
-            rhs1 = _pc(k) + _pc(t)
-            lhs2 = _pc(k + ((2 * t + 1) << (n - l - 1)))
-            rhs2 = rhs1 + 1
-            bad += int((lhs1 != rhs1).sum()) + int((lhs2 != rhs2).sum())
-            combos += 2 * lhs1.size
-    return bad, combos
-
-
-def _prop1iii(n_max):
-    bad = combos = 0
-    for n in range(2, n_max + 1):
-        for l in range(2, n - 1):
-            j, k = _grid(n, l, l - 2, n - l - 2)
-            lhs1 = _pc((1 << (n - l - 1)) - 1 - k)
-            rhs1 = (n - l - 1) - _pc(k)
-            lhs2 = _pc(((j + 1) << (n - l - 1)) - 1 - k)
-            rhs2 = _pc(j) + (n - l - 1) - _pc(k)
-            bad += int((lhs1 != rhs1).sum()) + int((lhs2 != rhs2).sum())
-            combos += lhs1.size + lhs2.size
-    return bad, combos
-
-
-def _prop2(n_max):
-    bad = combos = 0
-    for n in range(3, n_max + 1):
-        table = bitops.sgn_table(n)
-        for l in range(2, n - 1):
-            j, k = _grid(n, l, l - 2, n - l - 2)
-            lhs = table[((j + 1) << (n - l - 1)) - 1 - k]
-            rhs = (-1) ** (n + l + 1) * table[k + (j << (n - l - 1))]
-            bad += int((lhs != rhs).sum())
-            combos += lhs.size
-    return bad, combos
-
-
-def _prop3i(n_max):
-    bad = combos = 0
-    for n in range(3, n_max + 1):
-        table = bitops.sgn_table(n)
-        for l in range(3, n - 1):
-            t, k = _grid(n, l, l - 3, n - l - 2)
-            lhs = table[k + ((2 * t + 1) << (n - l - 1))]
-            rhs = -table[k + (t << (n - l))]
-            bad += int((lhs != rhs).sum())
-            combos += lhs.size
-    return bad, combos
-
-
-def _prop3ii(n_max):
-    """Sign flip for the starred function under the shift.
-
-    The flip holds on the domain where the two arguments share a branch of
-    the piecewise definition: every l for odd widths, l >= 4 for even widths.
-    At l == 3 (where t == 0 is the whole range) the shifted argument crosses
-    the branch boundary and for even widths the ratio is +1 instead of -1;
-    that complement is characterized and counted separately.
-    """
-    bad = combos = 0
-    bad_deg = combos_deg = 0
-    for n in range(4, n_max + 1):
-        table = bitops.sgn_star_table(n - 1)
-        for l in range(3, n - 1):
-            t, k = _grid(n, l, l - 3, n - l - 2)
-            lhs = table[k + ((2 * t + 1) << (n - l - 1))]
-            base = table[k + (t << (n - l))]
-            if l == 3 and n % 2 == 0:
-                bad_deg += int((lhs != base).sum())
-                combos_deg += lhs.size
-            else:
-                bad += int((lhs != -base).sum())
-                combos += lhs.size
-    return (bad, combos), (bad_deg, combos_deg)
-
-
-def _prop4(n_max):
-    """Reflection identity for the starred function, factor (-1)**(n+l+1).
-
-    Same branch-straddling caveat as the shift flip, here at l == 2 (where
-    j == 0 is the whole range): for even widths the reflected argument lands
-    in the other branch and the factor comes out as (-1)**(n+l) instead.
-    """
-    bad = combos = 0
-    bad_deg = combos_deg = 0
-    for n in range(4, n_max + 1):
-        table = bitops.sgn_star_table(n - 1)
-        for l in range(2, n - 1):
-            j, k = _grid(n, l, l - 2, n - l - 2)
-            lhs = table[((j + 1) << (n - l - 1)) - 1 - k]
-            base = table[k + (j << (n - l - 1))]
-            if l == 2 and n % 2 == 0:
-                bad_deg += int((lhs != (-1) ** (n + l) * base).sum())
-                combos_deg += lhs.size
-            else:
-                bad += int((lhs != (-1) ** (n + l + 1) * base).sum())
-                combos += lhs.size
-    return (bad, combos), (bad_deg, combos_deg)
-
-
-def _parity_match(n, l):
-    return (n % 2) == (l % 2)
-
-
-def _prop5i(n_max):
-    bad = combos = 0
-    for n in range(4, n_max + 1):
-        for l in range(3, n - 1):
-            if not _parity_match(n, l) or n - l < 2:
-                continue
-            k = np.arange(1 << (n - l - 2), dtype=np.int64)
-            lhs = bitops.sgn_star_table(n - l)[k]
-            rhs = np.where(_pc(k) & 1, -1, 1)
-            bad += int((lhs != rhs).sum())
-            combos += k.size
-    return bad, combos
-
-
-def _prop5ii(n_max):
-    bad = combos = 0
-    for n in range(4, n_max + 1):
-        sgn_n = bitops.sgn_table(n)
-        for l in range(3, n - 1):
-            if not _parity_match(n, l) or n - l < 2:
-                continue
-            t, k = _grid(n, l, l - 3, n - l - 2)
-            lhs = sgn_n[k + (t << (n - l))]
-            rhs = bitops.sgn_star_table(n - l)[k] * bitops.sgn_table(l)[t]
-            bad += int((lhs != rhs).sum())
-            combos += lhs.size
-    return bad, combos
-
-
-def _prop5iii(n_max):
-    bad = combos = 0
-    for n in range(4, n_max + 1):
-        star_n1 = bitops.sgn_star_table(n - 1)
-        for l in range(3, n - 1):
-            if not _parity_match(n, l) or n - l < 2:
-                continue
-            t, k = _grid(n, l, l - 3, n - l - 2)
-            lhs = star_n1[k + (t << (n - l))]
-            rhs = bitops.sgn_star_table(n - l)[k] * bitops.sgn_star_table(l - 1)[t]
-            bad += int((lhs != rhs).sum())
-            combos += lhs.size
-    return bad, combos
 
 
 def _complement_counts(n_top):
@@ -907,17 +766,17 @@ def _even_collapse(n_max):
     return bad, combos
 
 
-SUITES = {
+SUITES = {  # in run order
     "bitops": suite_bitops,
     "closed-form": suite_closed_form,
     "oracle-n3": suite_oracle_n3,
-    "covariance-even": suite_covariance_even,
-    "covariance-odd": suite_covariance_odd,
+    "golden-examples": suite_golden_examples,
+    "covariance-even": lambda cfg: suite_covariance(cfg, 0),
+    "covariance-odd": lambda cfg: suite_covariance(cfg, 1),
     "permutation": suite_permutation,
     "product": suite_product,
     "monotone": suite_monotone,
     "range": suite_range,
-    "golden-examples": suite_golden_examples,
 }
 
 
@@ -928,4 +787,6 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         raise DomainError(
             f"unknown suite {cfg.suite!r}; available: {', '.join(sorted(SUITES))}"
         ) from None
+    if cfg.trials is not None and cfg.trials < 1:
+        raise DomainError(f"trials must be at least 1, got {cfg.trials}")
     return fn(cfg)

@@ -102,6 +102,23 @@ def test_criterion_9_sign_function_properties():
     # exact integer identities: the suite runs at tolerance zero
     assert all(c.tol == 0.0 for c in report.checks)
     assert all(c.worst == 0.0 for c in report.checks)
+    # every identity is checked on its whole domain, case by case
+    assert [(c.name, c.count) for c in report.checks] == [
+        ("count-split-high-block", 4097),
+        ("count-split-strided", 3586),
+        ("count-complement-in-block", 5110),
+        ("sgn-reflection", 4097),
+        ("sgn-shift-flip", 1793),
+        ("sgn-star-shift-flip", 1623),
+        ("sgn-star-shift-flip-degenerate", 170),
+        ("sgn-star-reflection", 3756),
+        ("sgn-star-reflection-degenerate", 341),
+        ("sgn-star-parity-collapse", 224),
+        ("sgn-split-factorization", 939),
+        ("sgn-star-split-factorization", 939),
+        ("complement-counts", 262136),
+        ("even-width-collapse", 1365),
+    ]
 
 
 def test_criterion_10_closed_forms():

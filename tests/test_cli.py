@@ -151,6 +151,13 @@ def test_verify_failure_exit_1(capsys):
     assert "FAIL" in out
 
 
+def test_verify_with_no_checks_exits_1(capsys):
+    # below every size a suite covers it checks nothing, and certifies nothing
+    code, out, _ = run_cli(capsys, "verify", "--suite", "permutation", "--n-max", "2")
+    assert code == 1
+    assert "result FAIL (0/0 checks)" in out
+
+
 def test_verify_json_deterministic(capsys):
     args = ("verify", "--suite", "oracle-n3", "--trials", "50", "--seed", "7",
             "--format", "json")

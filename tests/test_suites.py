@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ntangle import bitops
 from ntangle.errors import DomainError
 from ntangle.locc import branch, make_povm, monotone_average
 from ntangle.measures import r_tangle, tau, tau_residual
-from ntangle.state import StateVector, named_state, random_operator, random_state_batch
-from ntangle.suites import _ETA_GRID, SUITES, SuiteConfig, _check, _rng, run_suite
+from ntangle.state import (QubitPermutation, StateVector, named_state, permute, random_operator,
+                           random_state_batch)
+from ntangle.suites import (_ETA_GRID, SUITES, SuiteConfig, _check, _gather, _random_axes, _rng,
+                            run_suite)
 
 # trimmed-down configs so the whole module stays fast; the acceptance module
 # runs everything at full contract scale
@@ -152,3 +155,77 @@ def test_failure_is_reported_not_raised():
 def test_unknown_suite():
     with pytest.raises(DomainError):
         run_suite(SuiteConfig("nonsense"))
+
+
+@pytest.mark.parametrize("name, n_max", [("covariance-even", 2), ("covariance-odd", 2),
+                                         ("permutation", 2), ("product", 2), ("monotone", 2),
+                                         ("range", 1)])
+def test_a_suite_that_checks_nothing_fails(name, n_max):
+    report = run_suite(SuiteConfig(name, n_max=n_max))
+    assert report.checks == ()
+    assert not report.passed
+    assert report.to_json_dict()["passed"] is False
+    assert report.to_text().endswith("result FAIL (0/0 checks)\n")
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+@pytest.mark.parametrize("trials", [0, -1])
+def test_trials_below_one_are_refused(name, trials):
+    with pytest.raises(DomainError, match="trials must be at least 1"):
+        run_suite(SuiteConfig(name, trials=trials))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gather_matches_permute_bit_for_bit(n):
+    amps = random_state_batch(n, 6, _rng(5, n))
+
+    def permuted(row, axes):
+        # the axis order permute transposes to is the inverse of its mapping
+        return permute(StateVector(n, row), QubitPermutation(np.argsort(axes) + 1)).amps
+
+    # one axis order per row, drawn as the suites draw them, qubit 1 fixed or not
+    for fix_first in (False, True):
+        axes = np.stack([_random_axes(_rng(9, n, t), n, fix_first) for t in range(len(amps))])
+        assert not fix_first or (axes[:, 0] == 0).all()
+        got = _gather(amps, n, axes)
+        want = np.stack([permuted(row, ax) for row, ax in zip(amps, axes)])
+        assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    # axis orders shared by every row
+    shared = np.stack([_random_axes(_rng(11, n, s), n) for s in range(4)])
+    got = _gather(amps[:, None], n, shared[None])
+    assert got.shape == (len(amps), len(shared), 1 << n)
+    for r, row in enumerate(amps):
+        for s, ax in enumerate(shared):
+            assert np.array_equal(got[r, s].view(np.float64), permuted(row, ax).view(np.float64))
+
+
+def test_random_axes_invert_the_drawn_relabeling():
+    # the relabeling QubitPermutation(rng.permutation(1..n)), qubit 1 kept when
+    # asked, moves a state exactly as the gather over the axis order that
+    # _random_axes draws from the same generator
+    for n in range(2, 8):
+        psi = StateVector(n, random_state_batch(n, 1, _rng(3, n))[0])
+        for fix_first in (False, True):
+            rng = _rng(4, n, fix_first)
+            if fix_first:
+                pi = QubitPermutation((1, *rng.permutation(np.arange(2, n + 1))))
+            else:
+                pi = QubitPermutation(rng.permutation(np.arange(1, n + 1)))
+            axes = _random_axes(_rng(4, n, fix_first), n, fix_first)
+            assert np.array_equal(_gather(psi.amps, n, axes), permute(psi, pi).amps)
+
+
+def test_bitops_suite_catches_one_flipped_sign(monkeypatch):
+    real = bitops.sgn_star_table
+
+    def flipped(n):
+        table = real(n)
+        if n == 7:
+            table = table.copy()
+            table[5] = -table[5]
+        return table
+
+    monkeypatch.setattr(bitops, "sgn_star_table", flipped)
+    report = run_suite(SuiteConfig("bitops", n_max=12))
+    assert not report.passed
+    assert any(c.worst > 0 for c in report.checks)
