@@ -60,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n-max", type=int, default=None, help="upper qubit bound override")
     v.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
     v.add_argument("--tol", type=float, default=None, help="tolerance override")
-    v.add_argument("--oracle-cap", type=int, default=DEFAULT_WONG_CAP)
     v.add_argument("--format", choices=("text", "json"), default="text")
 
     b = sub.add_parser("bench", help="time the quadratic measure and the quartic oracle")
@@ -148,8 +147,6 @@ def _cmd_verify(args) -> int:
         n_max=args.n_max,
         seed=args.seed,
         tol=args.tol,
-        oracle_cap=args.oracle_cap,
-        format=args.format,
     )
     report = run_suite(cfg)
     if args.format == "json":

@@ -70,8 +70,7 @@ class MeasureReport:
 
     ``value`` is the raw homogeneous value: it lies in [0, 1] for normalized
     input but is reported as-is together with the input norm otherwise.
-    ``residuals`` is the per-qubit residual vector (odd-n measures only);
-    ``seed`` is set when the measured state came from a seeded generator.
+    ``residuals`` is the per-qubit residual vector (odd-n measures only).
     """
 
     kind: str
@@ -80,8 +79,6 @@ class MeasureReport:
     norm: float
     residuals: tuple | None = None
     state: str = ""
-    seed: int | None = None
-    tolerance: float = 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,6 @@ __all__ = [
     "random_state",
     "random_state_batch",
     "random_operator",
-    "is_unitary",
-    "is_special_linear",
-    "is_diagonal_nonneg",
     "read_qsv",
     "write_qsv",
 ]
@@ -50,8 +47,6 @@ __all__ = [
 # 2**26 complex amplitudes keep the quadratic even-n measure interactive on
 # desktop hardware; raise per call where a larger state is really wanted.
 DEFAULT_MAX_QUBITS = 26
-
-_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +78,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
-
-    def is_normalized(self, tol: float = _NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
         nrm = self.norm()
@@ -392,7 +384,7 @@ def _rng(seed) -> np.random.Generator:
 
 def random_state(n: int, seed, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
     """Haar-uniform random pure state: complex Gaussian amplitudes, normalized."""
-    return StateVector(n, random_state_batch(n, 1, seed, max_qubits=max_qubits)[0])
+    return StateVector(n, _readonly(random_state_batch(n, 1, seed, max_qubits=max_qubits)[0]))
 
 
 def random_state_batch(n: int, count: int, seed, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
@@ -406,12 +398,9 @@ def random_state_batch(n: int, count: int, seed, max_qubits: int = DEFAULT_MAX_Q
     z = np.empty((count, dim), dtype=np.complex128)
     z.real = rng.standard_normal((count, dim))
     z.imag = rng.standard_normal((count, dim))
-    # a few rows at a time keeps the norm's temporaries small; every row's
-    # norm is computed as it would be in one call
-    step = max(1, (1 << 18) // dim)
-    for lo in range(0, count, step):
-        rows = z[lo:lo + step]
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    # the sum of squares over the float view needs no temporary
+    flat = z.view(np.float64)
+    z /= np.sqrt(np.vecdot(flat, flat))[:, None]
     return z
 
 
@@ -429,20 +418,32 @@ def random_operator(kind: str, seed) -> np.ndarray:
     if kind == "general":
         return _ginibre(rng)
     if kind == "special_linear":
-        while True:
-            m = _ginibre(rng)
-            det = np.linalg.det(m)
-            if abs(det) > 1e-6:
-                return m / np.sqrt(det)
+        return _special_linear(rng)
     if kind == "unitary":
         return _unitary(_ginibre(rng))
     if kind == "contraction":
-        return _contraction(*_contraction_draws(rng))
+        return _contraction(_ginibre(rng), rng.uniform(0.25, 1.0))
     raise DomainError(f"unknown operator kind {kind!r}")
 
 
-def _ginibre(rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+def _ginibre(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """A (*shape, 2, 2) stack of standard complex Gaussian matrices."""
+    shape = (*shape, 2, 2)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _special_linear(rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """(*shape, 2, 2) Gaussian matrices with |det| > 1e-6, divided by a square root of det.
+
+    The matrices failing the bound are drawn again, as one batch in stack
+    order, until none fails.
+    """
+    g = _ginibre(rng, shape)
+    det = np.linalg.det(g)
+    while np.any(bad := np.abs(det) <= 1e-6):
+        g[bad] = _ginibre(rng, (np.count_nonzero(bad),))
+        det = np.linalg.det(g)
+    return g / np.sqrt(det)[..., None, None]
 
 
 def _unitary(g: np.ndarray) -> np.ndarray:
@@ -452,30 +453,9 @@ def _unitary(g: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def _contraction_draws(rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """The Gaussian matrix and the top singular value that make one random contraction."""
-    return _ginibre(rng), rng.uniform(0.25, 1.0)
-
-
 def _contraction(g: np.ndarray, top) -> np.ndarray:
     """(..., 2, 2) matrices g rescaled so that their top singular values are ``top``."""
     return g * (top / np.linalg.svd(g, compute_uv=False)[..., 0])[..., None, None]
-
-
-def is_unitary(m, tol: float = 1e-9) -> bool:
-    m = _as_operator(m)
-    return bool(np.allclose(m.conj().T @ m, np.eye(2), atol=tol))
-
-
-def is_special_linear(m, tol: float = 1e-9) -> bool:
-    return bool(abs(np.linalg.det(_as_operator(m)) - 1.0) <= tol)
-
-
-def is_diagonal_nonneg(m, tol: float = 1e-12) -> bool:
-    m = _as_operator(m)
-    off = abs(m[0, 1]) + abs(m[1, 0])
-    diag_ok = all(abs(m[i, i].imag) <= tol and m[i, i].real >= -tol for i in (0, 1))
-    return off <= tol and diag_ok
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,17 @@
 """Named verification suites behind `ntangle verify` and the acceptance tests.
 
 Every suite is a pure function of its SuiteConfig: identical config yields an
-identical report. Randomness is drawn from per-trial generators derived from
-the master seed, so trial ordering or parallelism can never change a result.
+identical report. Each block of trials (a suite's check at one qubit count,
+say) has its own generator, derived from the master seed and the block's key,
+and draws every value its trials need as one batch: the states, then each
+further value in turn for all trials at once. Everything computed from the
+draws (local operators, determinants, SVDs, POVM completion, branches,
+permutations, measures) then runs once per batch.
 
-Batching rests on one rule, which every suite keeps through `_draws`, the
-module's only per-trial loop: a trial only draws, in a fixed order, and
-everything computed from the draws (local operators, determinants, SVDs,
-POVM completion, branches, permutations, measures) runs once per batch
-afterwards. A monotone trial, for one, draws its state, qubit k, the
-contraction's Gaussian matrix and top singular value, the completing
-unitary's Gaussian matrix, eta when t % 4 == 3 and, for odd n, the residual
-focus. Moving work out of a draw keeps every draw; adding, dropping or
-reordering a draw changes the reports.
+The order of the batched calls within a block fixes the report: adding,
+dropping or reordering a call, or changing its size, changes every value drawn
+after it. The trial count is one of those sizes, so changing ``trials``
+changes every sample of a block, not just the last ones.
 
 Suite names, in run order: bitops, closed-form, oracle-n3, golden-examples,
 covariance-even, covariance-odd, permutation, product, monotone, range.
@@ -41,20 +40,18 @@ from .measures import (
     _tau_odd,
     _three_tangle,
     _wong_tangle,
-    DEFAULT_WONG_CAP,
 )
 from .state import (
     _apply_each,
     _contraction,
-    _contraction_draws,
     _ginibre,
+    _special_linear,
     _unitary,
     QubitPermutation,
     StateVector,
     build_product,
     named_state,
     permute,
-    random_operator,
     random_state_batch,
     ProductExpression,
     ProductFactor,
@@ -77,8 +74,6 @@ class SuiteConfig:
     n_max: int | None = None      # upper qubit bound; None = suite default
     seed: int = DEFAULT_SEED
     tol: float | None = None      # None = suite default
-    oracle_cap: int = DEFAULT_WONG_CAP
-    format: str = "text"          # text | json
 
 
 @dataclass(frozen=True)
@@ -144,22 +139,6 @@ class SuiteReport:
 def _rng(seed: int, *key) -> np.random.Generator:
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [int(k) & 0xFFFFFFFFFFFFFFFF for k in key]
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def _draws(seed: int, key: tuple, trials: int, draw) -> tuple:
-    """Stack, value by value, the tuples draw(_rng(seed, *key, t), t) returns for each trial t.
-
-    Each trial's values are copied into the stacks as they come, so only one
-    trial's draws are alive at a time.
-    """
-    stacks = None
-    for t in range(trials):
-        values = draw(_rng(seed, *key, t), t)
-        if stacks is None:
-            stacks = tuple(np.empty((trials,) + np.shape(v), np.result_type(v)) for v in values)
-        for stack, value in zip(stacks, values):
-            stack[t] = value
-    return stacks
 
 
 def _check(name: str, worst, tol: float, count: int, detail: str = "") -> CheckResult:
@@ -299,16 +278,11 @@ def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
     quarter = max(1, trials // 4)
     checks = []
     for n in [x for x in sizes if x <= n_max]:
-        def draw(rng, t):
-            amps = random_state_batch(n, 1, rng)[0]
-            ops = np.stack([random_operator("general", rng) for _ in range(n)])
-            # only the first quarter of the trials draws a special linear
-            # tuple; the rest stack ops in its place, sliced off below
-            sl = ops if t >= quarter else np.stack([random_operator("special_linear", rng)
-                                                    for _ in range(n)])
-            return amps, ops, sl
-
-        amps, ops, sl = _draws(cfg.seed, (4 + parity, n), trials, draw)
+        rng = _rng(cfg.seed, 4 + parity, n)
+        amps = random_state_batch(n, trials, rng)
+        ops = _ginibre(rng, (trials, n))
+        # the first quarter of the trials also maps through a special linear tuple
+        sl = _special_linear(rng, (quarter, n))
         dets = np.prod(np.linalg.det(ops), axis=-1)
         mapped = _apply_each(amps, n, ops)
         # roundoff scales with the transformed norm to the invariant's degree;
@@ -319,7 +293,7 @@ def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
         tau = measure(amps, n)
         tau_rhs = tau * np.abs(dets) ** power
         tau_dev = np.abs(measure(mapped, n) - tau_rhs) / np.maximum(scale, tau_rhs)
-        sl_mapped = _apply_each(amps[:quarter], n, sl[:quarter])
+        sl_mapped = _apply_each(amps[:quarter], n, sl)
         sl_dev = np.abs(measure(sl_mapped, n) - tau[:quarter]) \
             / np.maximum(1.0, np.linalg.norm(sl_mapped, axis=-1) ** (2 * power))
         checks.append(_check(f"{invariant_name}-n{n}", inv_dev.max(), tol, trials))
@@ -333,11 +307,25 @@ def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
 # n, full invariance of R, and residual invariance when the focus is fixed
 # ---------------------------------------------------------------------------
 
-def _random_axes(rng, n: int, fix_first: bool = False) -> np.ndarray:
-    """The axis order ``permute`` transposes to under a seeded random relabeling."""
+def _random_axes(rng, n: int, count: int, fix_first: bool = False) -> np.ndarray:
+    """(count, n) uniformly random axis orders for ``_gather``; axis 0 stays first if fix_first.
+
+    Each row is the argsort of n uniform keys.
+    """
+    keys = rng.random((count, n))
     if fix_first:
-        return np.argsort(np.r_[0, 1 + rng.permutation(n - 1)])
-    return np.argsort(rng.permutation(n))
+        keys[:, 0] = -1.0
+    return np.argsort(keys, axis=-1)
+
+
+def _focus_axes(rng, n: int, foci: np.ndarray) -> np.ndarray:
+    """Uniformly random axis orders, row t keeping axis foci[t] in place.
+
+    Orders keeping axis 0 first, conjugated by the cyclic shift taking 0 to the focus.
+    """
+    shift = (np.arange(n) - foci[:, None]) % n
+    first = _random_axes(rng, n, len(foci), fix_first=True)
+    return (np.take_along_axis(first, shift, -1) + foci[:, None]) % n
 
 
 def _gather(amps: np.ndarray, n: int, axes: np.ndarray) -> np.ndarray:
@@ -352,15 +340,15 @@ def _gather(amps: np.ndarray, n: int, axes: np.ndarray) -> np.ndarray:
 
 def _all_moves(seed: int, key: tuple, n: int, states: int, perms):
     """Seeded states (s, 2**n) and their images (s, len(perms), 2**n) under each axis order."""
-    amps, = _draws(seed, key, states, lambda rng, t: (random_state_batch(n, 1, rng)[0],))
+    amps = random_state_batch(n, states, _rng(seed, *key))
     return amps, _gather(amps[:, None], n, np.array(list(perms))[None])
 
 
 def _sampled_moves(seed: int, key: tuple, n: int, trials: int, fix_first: bool = False):
     """Per-trial states (trials, 2**n) and images (trials, 1, 2**n) under a seeded permutation."""
-    amps, axes = _draws(seed, key, trials, lambda rng, t: (random_state_batch(n, 1, rng)[0],
-                                                           _random_axes(rng, n, fix_first)))
-    return amps, _gather(amps, n, axes)[:, None]
+    rng = _rng(seed, *key)
+    amps = random_state_batch(n, trials, rng)
+    return amps, _gather(amps, n, _random_axes(rng, n, trials, fix_first))[:, None]
 
 
 def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
@@ -410,23 +398,21 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
 
     # residual with focus i is invariant under permutations fixing qubit i
     for n in [x for x in (5, 7) if x <= n_max]:
-        def draw(rng, t):
-            amps, i = random_state_batch(n, 1, rng)[0], rng.integers(1, n + 1)
-            images = rng.permutation([q for q in range(1, n + 1) if q != i])
-            return amps, np.argsort(np.insert(images, i - 1, i)), i - 1
-
-        amps, axes, foci = _draws(cfg.seed, (9, n), 50, draw)
-        res, moved_res = (_residuals(x, n) for x in (amps, _gather(amps, n, axes)))
+        rng = _rng(cfg.seed, 9, n)
+        amps, foci = random_state_batch(n, 50, rng), rng.integers(0, n, 50)
+        moved = _gather(amps, n, _focus_axes(rng, n, foci))
+        res, moved_res = _residuals(amps, n), _residuals(moved, n)
         worst = np.abs(np.choose(foci, moved_res) - np.choose(foci, res)).max()
         checks.append(_check(f"residual-fixing-focus-n{n}", worst, tol, 50))
 
     # quartic cross-reference is permutation invariant; the quadratic measure
     # value is recorded alongside for exploration but nothing relates the two
     if n_max >= 4:
-        amps, axes = _draws(cfg.seed, (10,), 50, lambda rng, t: (random_state_batch(4, 1, rng)[0],
-                                                                 _random_axes(rng, 4)))
+        rng = _rng(cfg.seed, 10)
+        amps = random_state_batch(4, 50, rng)
+        moved = _gather(amps, 4, _random_axes(rng, 4, 50))
         # the quartic oracle takes one state at a time
-        wong = np.array([[_wong_tangle(x, 4) for x in rows] for rows in (amps, _gather(amps, 4, axes))])
+        wong = np.array([[_wong_tangle(x, 4) for x in rows] for rows in (amps, moved)])
         pair = f"sample quartic={wong[0, 0]:.6g} quadratic={float(_tau_even(amps[0], 4)):.6g}"
         checks.append(_check("quartic-permutation-n4", np.abs(wong[1] - wong[0]).max(), tol, 50,
                              detail=pair))
@@ -445,11 +431,11 @@ def _factor_tau(amps: np.ndarray, n: int) -> np.ndarray:
     return _tau_any(amps, n) if n >= 2 else np.zeros(len(amps))
 
 
-def _product_draws(seed: int, key: tuple, trials: int, n: int, l: int, more):
-    """Per-trial factors phi (l qubits) and omega (n - l), their tensor product, and more(rng)."""
-    phi, omega, extra = _draws(seed, key, trials, lambda rng, t: (
-        random_state_batch(l, 1, rng)[0], random_state_batch(n - l, 1, rng)[0], more(rng)))
-    return phi, omega, (phi[:, :, None] * omega[:, None, :]).reshape(trials, -1), extra
+def _product_block(seed: int, key: tuple, trials: int, n: int, l: int):
+    """The block's generator, factors phi (l qubits) and omega (n - l), and their tensor products."""
+    rng = _rng(seed, *key)
+    phi, omega = random_state_batch(l, trials, rng), random_state_batch(n - l, trials, rng)
+    return rng, phi, omega, (phi[:, :, None] * omega[:, None, :]).reshape(trials, -1)
 
 
 def _factor_residuals(amps: np.ndarray, size: int, other_tau: np.ndarray) -> list:
@@ -472,8 +458,8 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
     for n in [x for x in (4, 5, 6, 7, 8) if x <= n_max]:
         worst_plain = worst_relabel = 0.0
         for l in range(1, n):
-            phi, omega, psi, axes = _product_draws(cfg.seed, (11, n, l), trials, n, l,
-                                                   lambda rng: _random_axes(rng, n, n % 2 == 1))
+            rng, phi, omega, psi = _product_block(cfg.seed, (11, n, l), trials, n, l)
+            axes = _random_axes(rng, n, trials, fix_first=n % 2 == 1)
             # the measure factorizes, omega's factor squared for odd n, when
             # l has the parity of n; otherwise it vanishes
             expected = (_factor_tau(phi, l) * _factor_tau(omega, n - l) ** (1 + n % 2)
@@ -490,12 +476,12 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
         worst = 0.0
         count = max(1, trials // 2)
         for l in range(1, n):
-            phi, omega, psi, i = _product_draws(cfg.seed, (12, n, l), count, n, l,
-                                                lambda rng: rng.integers(1, n + 1))
+            rng, phi, omega, psi = _product_block(cfg.seed, (12, n, l), count, n, l)
+            foci = rng.integers(0, n, count)
             expected = (_factor_residuals(phi, l, _factor_tau(omega, n - l))
                         + _factor_residuals(omega, n - l, _factor_tau(phi, l)))
-            worst = max(worst, np.abs(np.choose(i - 1, _residuals(psi, n))
-                                      - np.choose(i - 1, expected)).max())
+            worst = max(worst, np.abs(np.choose(foci, _residuals(psi, n))
+                                      - np.choose(foci, expected)).max())
         checks.append(_check(f"residual-product-n{n}", worst, tol, (n - 1) * count))
 
     # no non-invertible tuple of local operators can reach a nonzero-measure
@@ -505,20 +491,15 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
                        (5, _product((named_state("ghz", 3), (1, 2, 3)), (named_state("bell", 2), (4, 5))))):
         if n > n_max:
             continue
-
-        def draw(rng, t):
-            ops = np.stack([random_operator("general", rng) for _ in range(n)])
-            singular, (u, v) = np.zeros(n, dtype=bool), np.zeros((2, n, 2), dtype=np.complex128)
-            for s in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
-                singular[s] = True
-                u[s] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                v[s] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            return ops, singular, u, v
-
         reach_trials = 200 if cfg.trials is None else cfg.trials
-        ops, singular, u, v = _draws(cfg.seed, (13, n), reach_trials, draw)
-        # rank one, determinant zero, on the singular slots
-        ops = np.where(singular[..., None, None], u[..., :, None] * v[..., None, :], ops)
+        rng = _rng(cfg.seed, 13, n)
+        ops = _ginibre(rng, (reach_trials, n))
+        # between 1 and n singular slots per trial: the slots a random order ranks first
+        ranks = _random_axes(rng, n, reach_trials)
+        singular = ranks < rng.integers(1, n + 1, reach_trials)[:, None]
+        # rank one, determinant zero, on the singular slots: the outer product of two rows
+        uv = _ginibre(rng, (reach_trials, n))
+        ops = np.where(singular[..., None, None], uv[..., 0, :, None] * uv[..., 1, None, :], ops)
         # unit Frobenius norm per factor: harmless by homogeneity, keeps
         # the image amplitudes O(1) so the zero is a clean numerical zero
         images = _apply_each(named_state("ghz", n).amps, n,
@@ -563,26 +544,24 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 
     for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
         even = n % 2 == 0
-
-        def draw(rng, t):  # in the order the module docstring lists
-            amps, k = random_state_batch(n, 1, rng)[0], rng.integers(1, n + 1)
-            g1, top = _contraction_draws(rng)
-            g2 = _ginibre(rng)
-            eta = rng.uniform(0.01, 1.0) if t % 4 == 3 else _ETA_GRID[t % 4]
-            return amps, k, g1, top, g2, eta, 1 if even else rng.integers(1, n + 1)
-
-        amps, ks, g1, tops, g2, eta, foci = _draws(cfg.seed, (14, n), trials, draw)
-        a1 = _contraction(g1, tops)
+        rng = _rng(cfg.seed, 14, n)
+        amps, ks = random_state_batch(n, trials, rng), rng.integers(1, n + 1, trials)
+        a1 = _contraction(_ginibre(rng, (trials,)), rng.uniform(0.25, 1.0, trials))
+        a2 = _completion(a1, _unitary(_ginibre(rng, (trials,))))
+        # eta cycles through the grid; every fourth trial draws its own
+        eta = np.resize([*_ETA_GRID, 0.0], trials)
+        eta[3::4] = rng.uniform(0.01, 1.0, eta[3::4].size)
         sv = np.linalg.svd(a1, compute_uv=False)
         a, b = np.minimum(sv[:, 0], 1.0), sv[:, 1]
-        raw, p, phi = _branches_at(amps, n, ks, a1, _completion(a1, _unitary(g2)))
+        raw, p, phi = _branches_at(amps, n, ks, a1, a2)
 
         base, phi_tau = _tau_any(amps, n), _tau_any(phi, n)
         checks.append(_check(f"average-vs-input-n{n}", _excess(p, phi_tau, base, eta), tol, trials))
         if not even:
+            foci = rng.integers(0, n, trials)
             res, phi_res = _residuals(amps, n), _residuals(phi, n)
             checks.append(_check(f"average-vs-input-residual-n{n}", _excess(
-                p, np.choose(foci - 1, phi_res), np.choose(foci - 1, res), eta), tol, trials))
+                p, np.choose(foci, phi_res), np.choose(foci, res), eta), tol, trials))
             checks.append(_check(f"average-vs-input-r-n{n}",
                                  _excess(p, sum(phi_res) / n, sum(res) / n, eta), tol, trials))
         comp = np.abs(p[0] + p[1] - 1.0)
@@ -604,13 +583,11 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
     # a POVM made of scaled unitaries leaves both branches equivalent to the
     # input, so the average equals the input measure exactly
     if n_max >= 4:
-        # the state, p, the Gaussian matrices of the scaled and of the
-        # completing unitary, then qubit k
-        amps, p, g1, g2, ks = _draws(cfg.seed, (15,), 25, lambda rng, t: (
-            random_state_batch(4, 1, rng)[0], rng.uniform(0.1, 0.9), _ginibre(rng), _ginibre(rng),
-            rng.integers(1, 5)))
-        a1 = np.sqrt(p)[:, None, None] * _unitary(g1)
-        _, prob, phi = _branches_at(amps, 4, ks, a1, _completion(a1, _unitary(g2)))
+        rng = _rng(cfg.seed, 15)
+        amps, p = random_state_batch(4, 25, rng), rng.uniform(0.1, 0.9, 25)
+        a1 = np.sqrt(p)[:, None, None] * _unitary(_ginibre(rng, (25,)))
+        a2 = _completion(a1, _unitary(_ginibre(rng, (25,))))
+        _, prob, phi = _branches_at(amps, 4, rng.integers(1, 5, 25), a1, a2)
         eta = np.array(_ETA_GRID)[np.arange(25) % 3]
         worst = np.abs((prob * _tau_even(phi, 4) ** eta).sum(0) - _tau_even(amps, 4) ** eta).max()
         checks.append(_check("unitary-povm-equality-n4", worst, tol, 25))
@@ -620,10 +597,10 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
     if n_max >= 4:
         grid = np.linspace(0.05, 1.0, 8)
         a, b, ks = (x.ravel() for x in np.meshgrid(grid, grid, np.arange(1, 5), indexing="ij"))
-        g, = _draws(cfg.seed, (16,), a.size, lambda rng, t: (_ginibre(rng),))
         a1 = np.stack([a, b], axis=-1)[:, None, :] * np.eye(2, dtype=np.complex128)
+        a2 = _completion(a1, _unitary(_ginibre(_rng(cfg.seed, 16), (a.size,))))
         ghz4 = np.broadcast_to(named_state("ghz", 4).amps, (a.size, 16))
-        _, p, phi = _branches_at(ghz4, 4, ks, a1, _completion(a1, _unitary(g)))
+        _, p, phi = _branches_at(ghz4, 4, ks, a1, a2)
         closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * _tau_even(ghz4[0], 4)
         worst = np.abs((p * _tau_even(phi, 4)).sum(0) - closed).max()
         checks.append(_check("diagonal-closed-form-ghz4", worst, tol, a.size))

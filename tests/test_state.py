@@ -12,9 +12,9 @@ from ntangle.state import (
     _QSV_BLOCK,
     _apply_at,
     _contraction,
-    _contraction_draws,
     _ginibre,
     _scan_qsv,
+    _special_linear,
     _unitary,
     ProductExpression,
     ProductFactor,
@@ -23,9 +23,6 @@ from ntangle.state import (
     apply_local,
     apply_single,
     build_product,
-    is_diagonal_nonneg,
-    is_special_linear,
-    is_unitary,
     named_state,
     parse_product_expression,
     permute,
@@ -236,6 +233,13 @@ def _peak_ratio(fn, psi):
     return peak / psi.amps.nbytes
 
 
+def test_random_state_peaks_at_the_state_and_one_real_draw():
+    # the state plus the Gaussian draw of its real parts; a conjugate copy for
+    # the norm, or a copy of the drawn row on adoption, reads 2x
+    psi = random_state(16, 5)
+    assert _peak_ratio(lambda: random_state(16, 5), psi) <= 1.6
+
+
 def test_operator_results_are_adopted_without_a_copy():
     # the result array and one in-flight operand; a further copy of the
     # result, as when StateVector had to copy a writable array, reads 3x
@@ -356,9 +360,8 @@ def test_random_state_normalized_and_deterministic():
 def test_random_operator_kinds():
     sl = random_operator("special_linear", 1)
     assert abs(np.linalg.det(sl) - 1.0) < 1e-9
-    assert is_special_linear(sl)
     u = random_operator("unitary", 2)
-    assert is_unitary(u, tol=1e-10)
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-10)
     c = random_operator("contraction", 3)
     assert np.linalg.svd(c, compute_uv=False)[0] <= 1.0 + 1e-12
     g = random_operator("general", 4)
@@ -367,24 +370,61 @@ def test_random_operator_kinds():
         random_operator("hermitian", 5)
 
 
+def _operator_one_at_a_time(kind, s):
+    """random_operator(kind, s) drawn one matrix at a time, as it was before batching."""
+    rng = np.random.default_rng(s)
+
+    def gaussian():
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+    if kind == "special_linear":
+        while abs(np.linalg.det(m := gaussian())) <= 1e-6:
+            pass
+        return m / np.sqrt(np.linalg.det(m))
+    if kind == "unitary":
+        return _unitary(gaussian())
+    if kind == "contraction":
+        return _contraction(gaussian(), rng.uniform(0.25, 1.0))
+    return gaussian()
+
+
 def test_batched_operator_builders_match_random_operator():
-    # the suites draw per trial and build operators per batch; both must give
-    # random_operator's matrices bit for bit
-    seeds = range(200)
-    draws = [_contraction_draws(np.random.default_rng(s)) for s in seeds]
-    batch = _contraction(np.array([g for g, _ in draws]), np.array([top for _, top in draws]))
-    unitaries = _unitary(np.array([_ginibre(np.random.default_rng(s)) for s in seeds]))
-    for s in seeds:
-        assert np.array_equal(batch[s], random_operator("contraction", s))
-        assert np.array_equal(unitaries[s], random_operator("unitary", s))
+    # the suites build operators in batches; a batch of one from a seed's
+    # generator, random_operator and the one-at-a-time draw agree bit for bit
+    gen = np.random.default_rng
+    for s in range(200):
+        rng = gen(s)
+        built = {"general": _ginibre(gen(s), (1,))[0],
+                 "special_linear": _special_linear(gen(s), (1,))[0],
+                 "unitary": _unitary(_ginibre(gen(s), (1,)))[0],
+                 "contraction": _contraction(_ginibre(rng, (1,)), rng.uniform(0.25, 1.0, 1))[0]}
+        for kind, m in built.items():
+            want = _operator_one_at_a_time(kind, s).view(np.float64)
+            assert np.array_equal(random_operator(kind, s).view(np.float64), want)
+            assert np.array_equal(m.view(np.float64), want)
 
 
-def test_operator_predicates():
-    assert is_diagonal_nonneg(np.diag([0.5, 0.0]))
-    assert not is_diagonal_nonneg(np.diag([0.5, -0.1]))
-    assert not is_diagonal_nonneg(np.array([[0.5, 0.2], [0.0, 0.5]]))
-    assert not is_special_linear(2.0 * np.eye(2))
-    assert not is_unitary(np.diag([1.0, 0.5]))
+def test_special_linear_batches_redraw_small_determinants(monkeypatch):
+    # a matrix with |det| <= 1e-6 is drawn again; the others keep their draw
+    real = state_module._ginibre
+    calls = []
+
+    def first_singular(rng, shape=()):
+        g = real(rng, shape)
+        if not calls:
+            g[1] = [[1.0, 2.0], [2.0, 4.0]]
+        calls.append(tuple(shape))
+        return g
+
+    monkeypatch.setattr(state_module, "_ginibre", first_singular)
+    sl = _special_linear(np.random.default_rng(3), (4,))
+    assert calls == [(4,), (1,)]
+    assert np.allclose(np.linalg.det(sl), 1.0, atol=1e-9)
+    monkeypatch.undo()
+    rng = np.random.default_rng(3)
+    first, redrawn = _ginibre(rng, (4,)), _ginibre(rng, (1,))
+    first[1] = redrawn[0]
+    assert np.array_equal(sl, first / np.sqrt(np.linalg.det(first))[:, None, None])
 
 
 # --- qsv file format ---------------------------------------------------------

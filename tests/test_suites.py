@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,12 +9,12 @@ import pytest
 
 from ntangle import bitops
 from ntangle.errors import DomainError
-from ntangle.locc import branch, make_povm, monotone_average
+from ntangle.locc import PovmPair, _completion, branch, monotone_average
 from ntangle.measures import r_tangle, tau, tau_residual
-from ntangle.state import (QubitPermutation, StateVector, named_state, permute, random_operator,
-                           random_state_batch)
-from ntangle.suites import (_ETA_GRID, SUITES, SuiteConfig, _check, _gather, _random_axes, _rng,
-                            run_suite)
+from ntangle.state import (QubitPermutation, StateVector, _contraction, _ginibre, _unitary,
+                           named_state, permute, random_state_batch)
+from ntangle.suites import (_ETA_GRID, SUITES, SuiteConfig, _check, _focus_axes, _gather,
+                            _random_axes, _rng, run_suite)
 
 # trimmed-down configs so the whole module stays fast; the acceptance module
 # runs everything at full contract scale
@@ -52,25 +53,39 @@ def test_reports_are_deterministic():
         assert first.to_text() == second.to_text()
 
 
+def _povm(a1, g):
+    """The POVM the suite builds from contraction a1 and the Gaussian matrix g of its unitary."""
+    sv = np.linalg.svd(a1, compute_uv=False)
+    return PovmPair(a1=a1, a2=_completion(a1[None], _unitary(g)[None])[0],
+                    a=float(min(sv[0], 1.0)), b=float(sv[1]))
+
+
 def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
-    """The monotone suite as one trial at a time through the public API: the oracle."""
+    """The monotone suite evaluated one trial at a time through the public API: the oracle.
+
+    It draws the suite's batches with the suite's calls, in the suite's order,
+    then evaluates each trial on its own.
+    """
     checks = []
     for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
         even = n % 2 == 0
+        rng = _rng(seed, 14, n)
+        amps, ks = random_state_batch(n, trials, rng), rng.integers(1, n + 1, trials)
+        a1 = _contraction(_ginibre(rng, (trials,)), rng.uniform(0.25, 1.0, trials))
+        g2 = _ginibre(rng, (trials,))
+        uniform = iter(rng.uniform(0.01, 1.0, trials // 4))
+        etas = [float(next(uniform)) if t % 4 == 3 else _ETA_GRID[t % 4] for t in range(trials)]
+        foci = None if even else rng.integers(0, n, trials) + 1
         worst_tau = worst_res = worst_r = worst_comp = worst_raw = worst_rescale = 0.0
         for t in range(trials):
-            rng = _rng(seed, 14, n, t)
-            psi = StateVector(n, random_state_batch(n, 1, rng)[0])
-            k = int(rng.integers(1, n + 1))
-            povm = make_povm(random_operator("contraction", rng), rng)
-            eta = float(rng.uniform(0.01, 1.0)) if t % 4 == 3 else _ETA_GRID[t % 4]
+            psi, k, povm, eta = StateVector(n, amps[t]), int(ks[t]), _povm(a1[t], g2[t]), etas[t]
             b1, b2 = branch(psi, k, povm)
             worst_comp = max(worst_comp, abs(b1.probability + b2.probability - 1.0))
             base = tau(psi).value
             avg = monotone_average(psi, k, povm, eta, "even" if even else "odd")
             worst_tau = max(worst_tau, avg - base ** eta)
             if not even:
-                i = int(rng.integers(1, n + 1))
+                i = int(foci[t])
                 worst_res = max(worst_res, monotone_average(psi, k, povm, eta, f"residual:{i}")
                                 - tau_residual(psi, i).value ** eta)
                 worst_r = max(worst_r, monotone_average(psi, k, povm, eta, "r")
@@ -92,25 +107,27 @@ def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
         checks.append(_check(f"raw-branch-covariance-n{n}", worst_raw, tol, 2 * trials))
         checks.append(_check(f"normalized-branch-rescaling-n{n}", worst_rescale, tol, 2 * trials))
 
+    rng = _rng(seed, 15)
+    amps, p = random_state_batch(4, 25, rng), rng.uniform(0.1, 0.9, 25)
+    g1, g2, ks = _ginibre(rng, (25,)), _ginibre(rng, (25,)), rng.integers(1, 5, 25)
     worst = 0.0
     for t in range(25):
-        rng = _rng(seed, 15, t)
-        psi = StateVector(4, random_state_batch(4, 1, rng)[0])
-        p = float(rng.uniform(0.1, 0.9))
-        povm = make_povm(np.sqrt(p) * random_operator("unitary", rng), rng)
+        psi = StateVector(4, amps[t])
+        povm = _povm(np.sqrt(p[t]) * _unitary(g1[t]), g2[t])
         eta = _ETA_GRID[t % 3]
-        worst = max(worst, abs(monotone_average(psi, int(rng.integers(1, 5)), povm, eta, "even")
+        worst = max(worst, abs(monotone_average(psi, int(ks[t]), povm, eta, "even")
                                - tau(psi).value ** eta))
     checks.append(_check("unitary-povm-equality-n4", worst, tol, 25))
 
     ghz4 = named_state("ghz", 4)
+    grid = np.linspace(0.05, 1.0, 8)
+    g = _ginibre(_rng(seed, 16), (len(grid) ** 2 * 4,))
     worst = 0.0
     count = 0
-    grid = np.linspace(0.05, 1.0, 8)
     for a in grid:
         for b in grid:
             for k in range(1, 5):
-                povm = make_povm(np.diag([a, b]), _rng(seed, 16, count))
+                povm = _povm(np.diag([a, b]).astype(np.complex128), g[count])
                 closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * tau(ghz4).value
                 worst = max(worst, abs(monotone_average(ghz4, k, povm, 1.0, "even") - closed))
                 count += 1
@@ -183,15 +200,15 @@ def test_gather_matches_permute_bit_for_bit(n):
         # the axis order permute transposes to is the inverse of its mapping
         return permute(StateVector(n, row), QubitPermutation(np.argsort(axes) + 1)).amps
 
-    # one axis order per row, drawn as the suites draw them, qubit 1 fixed or not
-    for fix_first in (False, True):
-        axes = np.stack([_random_axes(_rng(9, n, t), n, fix_first) for t in range(len(amps))])
-        assert not fix_first or (axes[:, 0] == 0).all()
+    # one axis order per row, drawn as the suites draw them
+    for axes in (_random_axes(_rng(9, n), n, len(amps)),
+                 _random_axes(_rng(10, n), n, len(amps), fix_first=True),
+                 _focus_axes(_rng(11, n), n, np.arange(len(amps)) % n)):
         got = _gather(amps, n, axes)
         want = np.stack([permuted(row, ax) for row, ax in zip(amps, axes)])
         assert np.array_equal(got.view(np.float64), want.view(np.float64))
     # axis orders shared by every row
-    shared = np.stack([_random_axes(_rng(11, n, s), n) for s in range(4)])
+    shared = _random_axes(_rng(12, n), n, 4)
     got = _gather(amps[:, None], n, shared[None])
     assert got.shape == (len(amps), len(shared), 1 << n)
     for r, row in enumerate(amps):
@@ -199,20 +216,23 @@ def test_gather_matches_permute_bit_for_bit(n):
             assert np.array_equal(got[r, s].view(np.float64), permuted(row, ax).view(np.float64))
 
 
-def test_random_axes_invert_the_drawn_relabeling():
-    # the relabeling QubitPermutation(rng.permutation(1..n)), qubit 1 kept when
-    # asked, moves a state exactly as the gather over the axis order that
-    # _random_axes draws from the same generator
-    for n in range(2, 8):
-        psi = StateVector(n, random_state_batch(n, 1, _rng(3, n))[0])
-        for fix_first in (False, True):
-            rng = _rng(4, n, fix_first)
-            if fix_first:
-                pi = QubitPermutation((1, *rng.permutation(np.arange(2, n + 1))))
-            else:
-                pi = QubitPermutation(rng.permutation(np.arange(1, n + 1)))
-            axes = _random_axes(_rng(4, n, fix_first), n, fix_first)
-            assert np.array_equal(_gather(psi.amps, n, axes), permute(psi, pi).amps)
+def test_random_axes_are_permutations_fixing_what_they_must():
+    count = 2000
+    for n in range(2, 6):
+        rng = _rng(4, n)
+        foci = rng.integers(0, n, count)
+        free, first, focus = (_random_axes(rng, n, count), _random_axes(rng, n, count, True),
+                              _focus_axes(rng, n, foci))
+        for axes in (free, first, focus):
+            assert axes.shape == (count, n)
+            assert (np.sort(axes, axis=-1) == np.arange(n)).all()
+        assert (first[:, 0] == 0).all()
+        assert (np.take_along_axis(focus, foci[:, None], -1)[:, 0] == foci).all()
+        # every order the constraint allows turns up
+        assert len({tuple(row) for row in free}) == math.factorial(n)
+        assert len({tuple(row) for row in first}) == math.factorial(n - 1)
+        for f in range(n):
+            assert len({tuple(row) for row in focus[foci == f]}) == math.factorial(n - 1)
 
 
 def test_bitops_suite_catches_one_flipped_sign(monkeypatch):
