@@ -1,8 +1,12 @@
-"""Timing and operation-count records for the quadratic and quartic tangles.
+"""Timing and operation-count records for the tangles and the quartic oracle.
 
-Wall times are environment noise; the operation counts are exact formulas:
-the quadratic even measure needs 2**(n-1) complex multiplications, the
-quartic contraction 3 * 2**(4n). Nothing here asserts absolute speed.
+Wall times are environment noise; the operation counts are exact numbers of
+amplitude products: the quadratic even measure needs 2**(n-1), the quartic
+contraction 3 * 2**(4n), and R at odd n (n + 2) * 2**(n-1): its cross pass
+sums the 2**(n-1) products a_j a_~j once by rows and once by columns, and
+each of the n splits adds two half-length self forms of 2**(n-2) products.
+The quadratic and quartic rows take the even sizes of a range, the R rows the
+odd ones. Nothing here asserts absolute speed.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .measures import DEFAULT_WONG_CAP, _tau_even, _wong_tangle
+from .measures import DEFAULT_WONG_CAP, _r_tangle, _tau_even, _wong_tangle
 from .state import DEFAULT_MAX_QUBITS, random_state
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "CSV_HEADER"]
@@ -22,10 +26,14 @@ CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    measure: str  # quadratic | quartic
+    measure: str  # quadratic | quartic | r
     median_ns: int
     min_ns: int
     op_count: int
+
+
+_KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle}
+_PARITY = {"quadratic": 0, "quartic": 0, "r": 1}
 
 
 def op_count(measure: str, n: int) -> int:
@@ -33,6 +41,8 @@ def op_count(measure: str, n: int) -> int:
         return 1 << (n - 1)
     if measure == "quartic":
         return 3 * (1 << (4 * n))
+    if measure == "r":
+        return (n + 2) << (n - 1)
     raise DomainError(f"unknown bench measure {measure!r}")
 
 
@@ -49,25 +59,31 @@ def _time_call(fn, repetitions: int) -> tuple[int, int]:
 def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
               oracle_cap: int = DEFAULT_WONG_CAP,
               max_qubits: int = DEFAULT_MAX_QUBITS) -> list:
-    """Time the requested measures on seeded random states of each even size."""
+    """Time each requested measure on seeded random states of the sizes of its parity."""
+    ns = list(ns)
+    for measure in measures:
+        if measure not in _KERNELS:
+            raise DomainError(f"unknown bench measure {measure!r}")
+        if not any(n % 2 == _PARITY[measure] for n in ns):
+            parity = "odd" if _PARITY[measure] else "even"
+            raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
     records = []
     for n in ns:
-        if n < 2 or n % 2 != 0:
-            raise DomainError(f"bench sizes must be even and >= 2, got n={n}")
+        if n < 2:
+            raise DomainError(f"bench sizes must be >= 2, got n={n}")
         if n > max_qubits:
             raise DomainError(f"bench size n={n} exceeds capacity {max_qubits}")
-        if "quartic" in measures and n > oracle_cap:
+        todo = [m for m in measures if n % 2 == _PARITY[m]]
+        if "quartic" in todo and n > oracle_cap:
             raise DomainError(
                 f"quartic bench at n={n} exceeds the oracle cap of {oracle_cap}"
             )
+        if not todo:
+            continue
         psi = random_state(n, seed + n, max_qubits=max_qubits)
-        for measure in measures:
-            if measure == "quadratic":
-                median_ns, min_ns = _time_call(lambda: _tau_even(psi.amps, psi.n), repetitions)
-            elif measure == "quartic":
-                median_ns, min_ns = _time_call(lambda: _wong_tangle(psi.amps, psi.n), repetitions)
-            else:
-                raise DomainError(f"unknown bench measure {measure!r}")
+        for measure in todo:
+            kernel = _KERNELS[measure]
+            median_ns, min_ns = _time_call(lambda: kernel(psi.amps, psi.n), repetitions)
             records.append(BenchRecord(n=n, measure=measure, median_ns=median_ns,
                                        min_ns=min_ns, op_count=op_count(measure, n)))
     return records

@@ -6,14 +6,20 @@ qubits, P(x, y) = sum_k (-1)^N(k) x_k y_{2^m-1-k}, of the halves lo and hi
 reshape(..., 2**(i-1), 2, 2**(n-i)): nothing is copied or permuted. The even
 measure 2|E|, E = P(lo, hi) split on qubit 1, costs exactly 2**(n-1) complex
 products. The odd measure 4|B^2 - 4 L H|, with B = P(lo, hi), L = P(lo, lo)/2
-and H = P(hi, hi)/2, is 4|P(lo,hi)^2 - P(lo,lo) P(hi,hi)|: three pair forms.
-The residual tau^(i) takes the split on qubit i; R is the residuals' mean.
-Sign and complement act bit by bit, so P contracts a ceil(m/2)-bit block and
-applies the other parities to its partial sums: tables and temporaries stay
-at O(2**(n/2)). The staggered defining sums and a flat complementary-pair sum
-stay as independent oracles, as do the quartic Wong-Christensen tangle (even
-n, capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement,
-the only formula sourced outside the quadratic-form family.
+and H = P(hi, hi)/2, is 4|P(lo,hi)^2 - P(lo,lo) P(hi,hi)|. For odd n, m is
+even, so the terms k and ~k of a self form P(x, x) are equal and half of them,
+doubled, give it: one residual costs 2**n products, not three pair forms'
+3 * 2**(n-1). The residual tau^(i) takes the split on qubit i; R is the
+residuals' mean. Every cross form B_i is a signed marginal of the same
+products a_j a_~j, j < 2**(n-1), so one cross pass yields all n of them, and
+R costs that pass plus n pairs of half-length self forms: (n + 2) * 2**(n-1)
+products instead of the 3n * 2**(n-1) of 3n pair forms. Sign and complement
+act bit by bit, so P contracts a ceil(m/2)-bit block and applies the other
+parities to its partial sums: tables and temporaries stay at O(2**(n/2)).
+The staggered defining sums and a flat complementary-pair sum stay as
+independent oracles, as do the quartic Wong-Christensen tangle (even n,
+capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement, the
+only formula sourced outside the quadratic-form family.
 
 Kernels (underscore-prefixed) take raw amplitude arrays with any leading batch
 axes; the public operations take a StateVector and return an InvariantValue
@@ -155,6 +161,17 @@ def _block_signs(size: int) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=None)
+def _marginal_signs(bits: int) -> np.ndarray:
+    """Read-only complex (bits + 1, 2**bits) table: row 0 is (-1)^N(k), row t
+    is (-1)^N(k) (-1)^(bit t of k), bits counted from the most significant."""
+    k = np.arange(1 << bits)
+    flips = 1 - 2 * ((k >> np.arange(bits - 1, -1, -1)[:, None]) & 1)
+    signs = (parity_signs(bits) * np.vstack([np.ones_like(k), flips])).astype(np.complex128)
+    signs.flags.writeable = False
+    return signs
+
+
 def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """P(x, y) on (..., p, q, r) block views; the sign is s(p) s(q) s(r)."""
     p, q, r = (_block_signs(size) for size in x.shape[-3:])
@@ -162,14 +179,48 @@ def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return p @ partial @ r
 
 
+def _self_pair(x: np.ndarray) -> np.ndarray:
+    """P(x, x) over an even number of bits: terms k and ~k are equal, so twice the q < Q/2 half.
+
+    The complement of a q < Q/2 index lies in the upper half, and the sign
+    table of the lower half is that of Q/2 entries, so the half is a pair form.
+    """
+    half = x.shape[-2] // 2
+    return 2.0 * _pair(x[..., :half, :], x[..., half:, :])
+
+
 def _tau_even(amps: np.ndarray, n: int) -> np.ndarray:
     lo, hi = _halves(amps, n, 1)
     return 2.0 * np.abs(_pair(lo, hi))
 
 
+def _odd_measure(cross: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    return 4.0 * np.abs(cross ** 2 - _self_pair(lo) * _self_pair(hi))
+
+
 def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     lo, hi = _halves(amps, n, i)
-    return 4.0 * np.abs(_pair(lo, hi) ** 2 - _pair(lo, lo) * _pair(hi, hi))
+    return _odd_measure(_pair(lo, hi), lo, hi)
+
+
+def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
+    """Every residual of an odd-n state, stacked as (n, ...).
+
+    The cross form of the split on qubit i is B_i = sum_{j_i = 0} (-1)^N(j)
+    a_j a_~j, a signed marginal of the products a_j a_~j, j < 2**(n-1). Those
+    are viewed as a (2**h, 2**h) block, h = (n-1)/2, with the row bits on
+    qubits 2..h+1; one einsum sums its rows and one its columns, and every
+    B_i is a signed sum of one of the two short vectors.
+    """
+    h = (n - 1) // 2
+    lead, half = amps.shape[:-1], 1 << (n - 1)
+    x = amps[..., :half].reshape(lead + (1 << h, 1 << h))
+    y = amps[..., ::-1][..., :half].reshape(lead + (1 << h, 1 << h))    # y[r, c] = a_~(r, c)
+    signs = _marginal_signs(h)
+    rows = np.einsum("...rc,c,...rc->...r", x, signs[0], y) @ signs.T      # qubits 1..h+1
+    cols = np.einsum("...rc,r,...rc->...c", x, signs[0], y) @ signs[1:].T  # qubits h+2..n
+    cross = np.moveaxis(np.concatenate([rows, cols], axis=-1), -1, 0)
+    return np.stack([_odd_measure(b, *_halves(amps, n, i)) for i, b in enumerate(cross, 1)])
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:
@@ -181,7 +232,7 @@ def _tau_any(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def _r_tangle(amps: np.ndarray, n: int) -> np.ndarray:
-    return sum(_residual(amps, n, i) for i in range(1, n + 1)) / n
+    return _residuals(amps, n).mean(axis=0)
 
 
 def _concurrence(amps: np.ndarray) -> np.ndarray:
@@ -308,7 +359,7 @@ def tau_residual(psi: StateVector, i: int, state: str = "") -> MeasureReport:
 def r_tangle(psi: StateVector, state: str = "") -> MeasureReport:
     """Arithmetic mean of the per-qubit residual measures (odd n)."""
     _require_parity(psi, "odd", "r_tangle")
-    residuals = tuple(float(_residual(psi.amps, psi.n, i)) for i in range(1, psi.n + 1))
+    residuals = tuple(map(float, _residuals(psi.amps, psi.n)))
     return _report("r_tangle", sum(residuals) / psi.n, psi, residuals=residuals, state=state)
 
 

@@ -34,7 +34,7 @@ from .measures import (
     _low_half_invariant,
     _odd_invariant,
     _r_tangle,
-    _residual,
+    _residuals,
     _tau_any,
     _tau_even,
     _tau_odd,
@@ -232,7 +232,7 @@ def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
     amps = random_state_batch(3, trials, _rng(cfg.seed, 3))
     t = _tau_odd(amps, 3)
     oracle = _three_tangle(amps)
-    res = np.stack([_residual(amps, 3, i) for i in (1, 2, 3)])
+    res = _residuals(amps, 3)
     checks = [
         _check("tau-vs-oracle", np.abs(t - oracle).max(), tol, trials),
         _check("residuals-equal", (res.max(axis=0) - res.min(axis=0)).max(), tol, trials),
@@ -354,10 +354,6 @@ def _sampled_moves(seed: int, key: tuple, n: int, trials: int, fix_first: bool =
 def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
     """Largest |kernel(image) - kernel(state)| over the states and their images."""
     return float(np.max(np.abs(kernel(moved, n) - kernel(amps, n)[:, None]), initial=0.0))
-
-
-def _residuals(amps: np.ndarray, n: int) -> list:
-    return [_residual(amps, n, i) for i in range(1, n + 1)]
 
 
 def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
@@ -563,7 +559,8 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
             checks.append(_check(f"average-vs-input-residual-n{n}", _excess(
                 p, np.choose(foci, phi_res), np.choose(foci, res), eta), tol, trials))
             checks.append(_check(f"average-vs-input-r-n{n}",
-                                 _excess(p, sum(phi_res) / n, sum(res) / n, eta), tol, trials))
+                                 _excess(p, phi_res.mean(axis=0), res.mean(axis=0), eta),
+                                 tol, trials))
         comp = np.abs(p[0] + p[1] - 1.0)
         checks.append(_check(f"branch-probability-sum-n{n}", np.max(comp, initial=0.0),
                              1e-10, trials))

@@ -191,6 +191,38 @@ def test_bench_csv_roundtrip(capsys):
         assert int(r[2]) >= int(r[3]) >= 0  # median >= min
 
 
+def _bench_rows(capsys, *args):
+    code, out, err = run_cli(capsys, "bench", *args, "--repetitions", "1", "--format", "csv")
+    return code, [line.split(",") for line in out.strip().splitlines()[1:]], err
+
+
+def test_bench_r_times_the_odd_sizes(capsys):
+    code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "8", "--measure", "r")
+    assert code == 0
+    assert [(int(r[0]), r[1]) for r in rows] == [(3, "r"), (5, "r"), (7, "r")]
+    # the cross pass reads the 2**(n-1) pair products twice; each split adds 2**(n-1)
+    assert [int(r[4]) for r in rows] == [(n + 2) * 2 ** (n - 1) for n in (3, 5, 7)]
+    code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "8")
+    assert code == 0
+    assert [(int(r[0]), r[1]) for r in rows] == [(4, "quadratic"), (6, "quadratic"),
+                                                 (8, "quadratic")]
+
+
+def test_bench_single_parity_ranges(capsys):
+    code, rows, _ = _bench_rows(capsys, "--n-min", "9", "--n-max", "9", "--measure", "r")
+    assert code == 0
+    assert [(int(r[0]), int(r[4])) for r in rows] == [(9, 11 * 2 ** 8)]
+    code, rows, _ = _bench_rows(capsys, "--n-min", "6", "--n-max", "6")
+    assert code == 0
+    assert [(int(r[0]), r[1]) for r in rows] == [(6, "quadratic")]
+    code, rows, err = _bench_rows(capsys, "--n-min", "6", "--n-max", "6", "--measure", "r")
+    assert code == 3 and not rows
+    assert "odd size" in err
+    code, rows, err = _bench_rows(capsys, "--n-min", "5", "--n-max", "5")
+    assert code == 3 and not rows
+    assert "even size" in err
+
+
 def test_bench_quartic_op_count(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "4",
                            "--measure", "both", "--repetitions", "2", "--format", "csv")

@@ -14,8 +14,11 @@ from ntangle.measures import (
     _high_half_invariant,
     _low_half_invariant,
     _odd_invariant,
+    _pair,
     _r_tangle,
     _residual,
+    _residuals,
+    _self_pair,
     _tau_even,
     _tau_odd,
     concurrence,
@@ -238,14 +241,28 @@ def test_pair_kernel_matches_staggered_oracles_with_batch_axes(n):
     tau = _tau_odd(amps, n)
     assert tau.shape == (3, 2)
     np.testing.assert_allclose(tau, _staggered_tau_odd(amps, n), rtol=0, atol=1e-12)
-    residuals = np.stack([_residual(amps, n, i) for i in range(1, n + 1)])
+    residuals = _residuals(amps, n)
+    assert residuals.shape == (n, 3, 2)
     for i in range(1, n + 1):
+        one = _residual(amps, n, i)
+        np.testing.assert_allclose(residuals[i - 1], one, rtol=0, atol=1e-12)
         swap = QubitPermutation.transposition(n, 1, i)
         for idx in np.ndindex(3, 2):
             swapped = permute(StateVector(n, amps[idx]), swap).amps
-            assert abs(residuals[i - 1][idx] - float(_tau_odd(swapped, n))) < 1e-12
-            assert abs(residuals[i - 1][idx] - float(_staggered_tau_odd(swapped, n))) < 1e-12
+            staggered = float(_staggered_tau_odd(swapped, n))
+            assert abs(one[idx] - float(_tau_odd(swapped, n))) < 1e-12
+            assert abs(one[idx] - staggered) < 1e-12
+            assert abs(residuals[i - 1][idx] - staggered) < 1e-12
     np.testing.assert_allclose(_r_tangle(amps, n), residuals.mean(axis=0), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", (3, 5, 7, 9))
+def test_self_pair_is_the_full_pair_form(n):
+    rng = np.random.default_rng(950 + n)
+    amps = rng.standard_normal((4, 1 << n)) + 1j * rng.standard_normal((4, 1 << n))
+    for i in range(1, n + 1):
+        for x in _halves(amps, n, i):
+            np.testing.assert_allclose(_self_pair(x), _pair(x, x), rtol=0, atol=1e-12)
 
 
 def test_tau_even_kernel_is_the_concurrence_at_n2():
@@ -268,6 +285,19 @@ def test_residuals_keep_no_permutation_cache():
     finally:
         tracemalloc.stop()
     assert retained < 4096  # less than one 512-entry int64 gather map at n=9
+
+
+def test_r_tangle_memory_stays_far_below_the_state():
+    psi = rand(19, 4343)
+    r_tangle(psi)  # fill the sign-table caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        r_tangle(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.amps.nbytes / 32
 
 
 # --- quartic cross-reference ------------------------------------------------
