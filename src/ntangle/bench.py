@@ -5,8 +5,11 @@ amplitude products: the quadratic even measure needs 2**(n-1), the quartic
 contraction 3 * 2**(4n), and R at odd n (n + 2) * 2**(n-1): its cross pass
 sums the 2**(n-1) products a_j a_~j once by rows and once by columns, and
 each of the n splits adds two half-length self forms of 2**(n-2) products.
-The quadratic and quartic rows take the even sizes of a range, the R rows the
-odd ones. Nothing here asserts absolute speed.
+The odd measure tau_odd and each residual (timed at qubits 1 and n-1, one row
+each) need 2**n: the cross form's 2**(n-1) and two self forms of 2**(n-2).
+The quadratic and quartic rows take the even sizes of a range, the odd, R and
+residual rows the odd ones. The text output names the kernels' worker count.
+Nothing here asserts absolute speed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .measures import DEFAULT_WONG_CAP, _r_tangle, _tau_even, _wong_tangle
+from .measures import (DEFAULT_WONG_CAP, _WORKERS, _r_tangle, _residual, _tau_even, _tau_odd,
+                       _wong_tangle)
 from .state import DEFAULT_MAX_QUBITS, random_state
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "CSV_HEADER"]
@@ -26,14 +30,22 @@ CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    measure: str  # quadratic | quartic | r
+    measure: str  # quadratic | quartic | r | odd | residual:<i>
     median_ns: int
     min_ns: int
     op_count: int
 
 
-_KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle}
-_PARITY = {"quadratic": 0, "quartic": 0, "r": 1}
+_KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle, "odd": _tau_odd,
+            "residual": _residual}
+_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1}
+
+
+def _rows(measure: str, n: int) -> list:
+    """(label, extra kernel arguments) of each row a measure times at size n."""
+    if measure == "residual":
+        return [(f"residual:{i}", (i,)) for i in (1, n - 1)]
+    return [(measure, ())]
 
 
 def op_count(measure: str, n: int) -> int:
@@ -43,6 +55,8 @@ def op_count(measure: str, n: int) -> int:
         return 3 * (1 << (4 * n))
     if measure == "r":
         return (n + 2) << (n - 1)
+    if measure in ("odd", "residual"):
+        return 1 << n
     raise DomainError(f"unknown bench measure {measure!r}")
 
 
@@ -83,9 +97,10 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
         psi = random_state(n, seed + n, max_qubits=max_qubits)
         for measure in todo:
             kernel = _KERNELS[measure]
-            median_ns, min_ns = _time_call(lambda: kernel(psi.amps, psi.n), repetitions)
-            records.append(BenchRecord(n=n, measure=measure, median_ns=median_ns,
-                                       min_ns=min_ns, op_count=op_count(measure, n)))
+            for label, args in _rows(measure, n):
+                median_ns, min_ns = _time_call(lambda: kernel(psi.amps, psi.n, *args), repetitions)
+                records.append(BenchRecord(n=n, measure=label, median_ns=median_ns,
+                                           min_ns=min_ns, op_count=op_count(measure, n)))
     return records
 
 
@@ -97,10 +112,10 @@ def records_to_csv(records) -> str:
 
 
 def records_to_text(records) -> str:
-    lines = [f"{'n':>4} {'measure':<10} {'median':>12} {'min':>12} {'op_count':>16}"]
+    lines = [f"{'n':>4} {'measure':<12} {'median':>12} {'min':>12} {'op_count':>16}"]
     for r in records:
         lines.append(
-            f"{r.n:>4} {r.measure:<10} {r.median_ns / 1e6:>10.3f}ms {r.min_ns / 1e6:>10.3f}ms"
+            f"{r.n:>4} {r.measure:<12} {r.median_ns / 1e6:>10.3f}ms {r.min_ns / 1e6:>10.3f}ms"
             f" {r.op_count:>16}"
         )
     by_kind = {}
@@ -110,4 +125,5 @@ def records_to_text(records) -> str:
         if {"quadratic", "quartic"} <= kinds.keys():
             lines.append(f"op-count ratio at n={n}: quartic/quadratic ="
                          f" {kinds['quartic'] // kinds['quadratic']}")
+    lines.append(f"workers: {_WORKERS} (one per CPU in the affinity mask)")
     return "\n".join(lines) + "\n"

@@ -16,6 +16,13 @@ R costs that pass plus n pairs of half-length self forms: (n + 2) * 2**(n-1)
 products instead of the 3n * 2**(n-1) of 3n pair forms. Sign and complement
 act bit by bit, so P contracts a ceil(m/2)-bit block and applies the other
 parities to its partial sums: tables and temporaries stay at O(2**(n/2)).
+
+Large states use every CPU in the process's affinity mask (`taskset -c 0`
+gives one thread): a pair form cuts its partial sums into one slice per CPU,
+and R runs one task per residual. Each partial sum is the same reduction over
+q at any cut, so every value is bit-identical at any CPU count. The norm in a
+report is StateVector.norm(), computed once per state and then memoized.
+
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the quartic Wong-Christensen tangle (even n,
 capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement, the
@@ -28,6 +35,8 @@ or MeasureReport.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,10 +181,73 @@ def _marginal_signs(bits: int) -> np.ndarray:
     return signs
 
 
+# ---------------------------------------------------------------------------
+# fan-out: independent parts of one large state's kernel on every CPU
+# ---------------------------------------------------------------------------
+
+# one worker per CPU this process may run on (`taskset -c 0` gives one); numpy's
+# einsum releases the GIL, so the workers do run at once
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# work on a state block of at least this many amplitudes (8 MB) fans out: on a
+# 2-vCPU Xeon a split of a smaller block costs more in dispatch than it saves.
+# The size of one state decides, never the batch, so suite batches stay serial.
+_SPLIT_MIN = 1 << 19
+_pool = None  # the ThreadPoolExecutor, made at first use
+_pool_lock = threading.Lock()
+_in_pool = threading.local()
+
+
+def _mark_worker() -> None:
+    _in_pool.worker = True
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)  # a forked child has none of the threads
+
+
+def _fan_out(fn, items) -> list:
+    """[fn(item) for item in items], on a pool of _WORKERS threads made at first use.
+
+    Serial with one CPU, one item, or when called from a pool worker: a task
+    never waits on the pool it runs in, so nested calls cannot deadlock.
+    """
+    global _pool
+    if _WORKERS < 2 or len(items) < 2 or getattr(_in_pool, "worker", False):
+        return [fn(item) for item in items]
+    with _pool_lock:
+        if _pool is None:
+            # imported at first use: a process that never fans out saves its 0.8 MB
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ntangle",
+                                       initializer=_mark_worker)
+        pool = _pool
+    futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
+
+
 def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P(x, y) on (..., p, q, r) block views; the sign is s(p) s(q) s(r)."""
+    """P(x, y) on (..., p, q, r) block views; the sign is s(p) s(q) s(r).
+
+    A large block cuts its (..., p, r) partial sums into one slice per worker
+    along the longer strided axis: p, or r unless r is the unit-stride one.
+    Every partial sum is the same reduction over q at any cut, so the value
+    is bit-identical to the uncut one.
+    """
     p, q, r = (_block_signs(size) for size in x.shape[-3:])
-    partial = np.einsum("...pqr,q,...pqr->...pr", x, q, y[..., ::-1, ::-1, ::-1])
+    y = y[..., ::-1, ::-1, ::-1]
+    axis = -1 if x.shape[-1] > x.shape[-3] and x.strides[-1] != x.itemsize else -3
+    length = x.shape[axis]
+    ways = min(_WORKERS, length) if x.shape[-3] * x.shape[-2] * x.shape[-1] >= _SPLIT_MIN else 1
+    step = -(-length // ways)
+    cuts = [(Ellipsis, slice(k, k + step)) + (slice(None),) * (-1 - axis)
+            for k in range(0, length, step)]
+    parts = _fan_out(lambda cut: np.einsum("...pqr,q,...pqr->...pr", x[cut], q, y[cut]), cuts)
+    partial = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1 if axis == -1 else -2)
     return p @ partial @ r
 
 
@@ -220,7 +292,13 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     rows = np.einsum("...rc,c,...rc->...r", x, signs[0], y) @ signs.T      # qubits 1..h+1
     cols = np.einsum("...rc,r,...rc->...c", x, signs[0], y) @ signs[1:].T  # qubits h+2..n
     cross = np.moveaxis(np.concatenate([rows, cols], axis=-1), -1, 0)
-    return np.stack([_odd_measure(b, *_halves(amps, n, i)) for i, b in enumerate(cross, 1)])
+
+    def residual(i):
+        return _odd_measure(cross[i - 1], *_halves(amps, n, i))
+
+    # a large state fans out one task per split; each residual stays whole
+    splits = range(1, n + 1)
+    return np.stack(_fan_out(residual, splits) if half >= _SPLIT_MIN else [residual(i) for i in splits])
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:

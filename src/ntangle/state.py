@@ -77,7 +77,12 @@ class StateVector:
         object.__setattr__(self, "amps", amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """The 2-norm, computed once: the amplitudes cannot change after construction."""
+        nrm = self.__dict__.get("_norm")
+        if nrm is None:
+            nrm = float(np.linalg.norm(self.amps))
+            object.__setattr__(self, "_norm", nrm)
+        return nrm
 
     def normalized(self) -> "StateVector":
         nrm = self.norm()

@@ -1,6 +1,6 @@
 import json
 
-from ntangle import cli
+from ntangle import cli, measures
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.state import named_state, write_qsv
@@ -221,6 +221,29 @@ def test_bench_single_parity_ranges(capsys):
     code, rows, err = _bench_rows(capsys, "--n-min", "5", "--n-max", "5")
     assert code == 3 and not rows
     assert "even size" in err
+
+
+def test_bench_odd_and_residual_rows(capsys):
+    code, rows, _ = _bench_rows(capsys, "--n-min", "4", "--n-max", "7", "--measure", "odd")
+    assert code == 0
+    # the cross form's 2**(n-1) products and two half-length self forms of 2**(n-2)
+    assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [(5, "odd", 32), (7, "odd", 128)]
+    code, rows, _ = _bench_rows(capsys, "--n-min", "5", "--n-max", "7", "--measure", "residual")
+    assert code == 0
+    assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
+        (5, "residual:1", 32), (5, "residual:4", 32), (7, "residual:1", 128), (7, "residual:6", 128)]
+    code, rows, err = _bench_rows(capsys, "--n-min", "6", "--n-max", "6", "--measure", "odd")
+    assert code == 3 and not rows
+    assert "odd size" in err
+
+
+def test_bench_text_names_the_worker_count(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--n-min", "3", "--n-max", "3",
+                           "--measure", "residual", "--repetitions", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines[1:3]] == ["residual:1", "residual:2"]
+    assert lines[-1] == f"workers: {measures._WORKERS} (one per CPU in the affinity mask)"
 
 
 def test_bench_quartic_op_count(capsys):

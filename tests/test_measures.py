@@ -1,10 +1,13 @@
 import gc
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
 
+from ntangle import measures
 from ntangle import state as state_module
 from ntangle.errors import DomainError
 from ntangle.measures import (
@@ -298,6 +301,88 @@ def test_r_tangle_memory_stays_far_below_the_state():
     finally:
         tracemalloc.stop()
     assert peak < psi.amps.nbytes / 32
+
+
+# --- fan-out: split kernels against the serial ones --------------------------
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("n", range(9, 14))
+def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
+    assert 1 << (n - 1) < measures._SPLIT_MIN  # so the first pass is the serial path
+    rng = np.random.default_rng(970 + n)
+    amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
+
+    def values():
+        out = []
+        for i in range(1, n + 1):
+            lo, hi = _halves(amps, n, i)
+            out += [_pair(lo, hi), _pair(hi, lo), _pair(lo, lo)]
+        if n % 2 == 0:
+            return out + [_tau_even(amps, n)]
+        return out + [_tau_odd(amps, n), _residuals(amps, n)]
+
+    serial = values()
+    monkeypatch.setattr(measures, "_WORKERS", workers)
+    monkeypatch.setattr(measures, "_SPLIT_MIN", 1)  # every block splits
+    monkeypatch.setattr(measures, "_pool", None)
+    try:
+        split = values()
+        assert (measures._pool is not None) == (workers > 1)  # the slices did run on the pool
+    finally:
+        if measures._pool is not None:
+            measures._pool.shutdown()
+    for want, got in zip(serial, split, strict=True):
+        assert got.shape == want.shape
+        assert (got == want).all()  # the same reductions: equal, not close
+
+
+def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
+    # states above the split threshold, called from more threads than CPUs at once
+    monkeypatch.setattr(measures, "_SPLIT_MIN", 1 << 12)
+    even, odd = rand(16, 8181), rand(15, 8282)
+    assert 1 << (odd.n - 3) >= measures._SPLIT_MIN  # R's self forms split too
+    with monkeypatch.context() as serial:
+        serial.setattr(measures, "_WORKERS", 1)
+        want = (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
+
+    def call():
+        return (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
+
+    monkeypatch.setattr(measures, "_WORKERS", max(2, measures._WORKERS))  # a pool, even on one CPU
+    measures._block_signs.cache_clear()  # the threads race to fill the sign tables
+    measures._marginal_signs.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    users = ThreadPoolExecutor(4)
+    try:
+        futures = [users.submit(call) for _ in range(16)]
+        _, not_done = wait(futures, timeout=60)
+        assert not not_done  # a task waiting on its own pool would hang here
+        assert [f.result() for f in futures] == [want] * 16
+    finally:
+        sys.setswitchinterval(interval)
+        users.shutdown(wait=False, cancel_futures=True)
+
+
+def test_report_norm_is_computed_once_per_state(monkeypatch):
+    psi = StateVector(7, 3.0 * rand(7, 8383).amps)
+    want = float(np.linalg.norm(psi.amps))
+    calls = []
+    norm = np.linalg.norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert tau_odd(psi).norm == want  # bit for bit
+    assert r_tangle(psi).norm == want
+    assert tau_residual(psi, 3).norm == want
+    assert len(calls) == 1
+    zero = StateVector(3, np.zeros(8))
+    for _ in range(2):  # the memoized zero is refused as the computed one was
+        with pytest.raises(DomainError):
+            zero.normalized()
 
 
 # --- quartic cross-reference ------------------------------------------------
