@@ -333,8 +333,8 @@ def _three_tangle(amps: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def _wong_tangle(amps: np.ndarray, n: int) -> float:
-    """Quartic epsilon-contraction over four amplitude copies.
+def _wong_tangle(amps: np.ndarray, n: int) -> np.ndarray:
+    """Quartic epsilon-contraction over four amplitude copies of (..., 2**n) amplitudes.
 
     Slots 1..n-1 pair the first/second and third/fourth copies, slot n pairs
     first/third and second/fourth. The inner pairing over slots 1..n-1 is
@@ -349,8 +349,8 @@ def _wong_tangle(amps: np.ndarray, n: int) -> float:
     pair_upper = np.where((xor | 1) == dim - 1, lead_signs[:, None], 0)
     eps = np.array([[0, 1], [-1, 0]])
     last = eps[x[:, None] & 1, x[None, :] & 1]
-    t = (amps[:, None] * amps[None, :]) * pair_upper
-    return 2.0 * float(np.abs(np.sum(t * (last @ t @ last.T))))
+    t = (amps[..., :, None] * amps[..., None, :]) * pair_upper
+    return 2.0 * np.abs(np.sum(t * (last @ t @ last.T), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------

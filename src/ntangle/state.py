@@ -94,6 +94,7 @@ class StateVector:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=tol, atol=tol))
 
 
+@dataclass(frozen=True)
 class QubitPermutation:
     """A bijection on qubit labels 1..n.
 
@@ -101,26 +102,14 @@ class QubitPermutation:
     ends up on qubit mapping[j-1] after ``permute``.
     """
 
-    __slots__ = ("mapping",)
+    mapping: tuple
 
-    def __init__(self, mapping):
-        mapping = tuple(int(x) for x in mapping)
+    def __post_init__(self):
+        mapping = tuple(int(x) for x in self.mapping)
         n = len(mapping)
         if sorted(mapping) != list(range(1, n + 1)):
             raise DomainError(f"mapping {mapping} is not a bijection on 1..{n}")
         object.__setattr__(self, "mapping", mapping)
-
-    def __setattr__(self, *_):
-        raise AttributeError("QubitPermutation is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, QubitPermutation) and self.mapping == other.mapping
-
-    def __hash__(self):
-        return hash(self.mapping)
-
-    def __repr__(self):
-        return f"QubitPermutation({self.mapping})"
 
     @property
     def n(self) -> int:
@@ -204,13 +193,7 @@ def apply_local(psi: StateVector, ops) -> StateVector:
     ops = [_as_operator(m) for m in ops]
     if len(ops) != psi.n:
         raise DomainError(f"need exactly {psi.n} operators, got {len(ops)}")
-    arr = psi.amps.reshape((2,) * psi.n)
-    # each step contracts the leading axis and appends its image last, so after
-    # n steps the qubits are back in order; the leading axis is the slowest in
-    # memory, so tensordot hands the strided view to BLAS without copying it
-    for m in ops:
-        arr = np.tensordot(arr, m, axes=(0, 1))
-    return StateVector(psi.n, _readonly(arr.reshape(-1)))
+    return StateVector(psi.n, _apply_each(psi.amps, psi.n, np.stack(ops)))
 
 
 def _apply_at(amps: np.ndarray, n: int, k: int, ops: np.ndarray) -> np.ndarray:
@@ -227,10 +210,17 @@ def _apply_at(amps: np.ndarray, n: int, k: int, ops: np.ndarray) -> np.ndarray:
 
 
 def _apply_each(amps: np.ndarray, n: int, ops: np.ndarray) -> np.ndarray:
-    """Apply (..., n, 2, 2) operators, one per qubit, to (..., 2**n) amplitudes; leading axes broadcast."""
-    for k in range(1, n + 1):
-        amps = _apply_at(amps, n, k, ops[..., k - 1, :, :])
-    return amps
+    """Apply (..., n, 2, 2) operators, one per qubit, to (..., 2**n) amplitudes; leading axes broadcast.
+
+    Each step contracts the leading qubit and appends its image last, so after
+    n steps the qubits are back in order. The leading qubit is the slowest axis
+    in memory, so every step is a BLAS product of a strided view, with no
+    copy. The result is a fresh read-only C-contiguous array.
+    """
+    for k in range(n):
+        out = amps.reshape(amps.shape[:-1] + (2, -1)).swapaxes(-1, -2) @ ops[..., k, :, :].swapaxes(-1, -2)
+        amps = out.reshape(out.shape[:-2] + (-1,))
+    return _readonly(amps)
 
 
 def apply_single(psi: StateVector, k: int, m) -> StateVector:

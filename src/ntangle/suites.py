@@ -407,8 +407,7 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         rng = _rng(cfg.seed, 10)
         amps = random_state_batch(4, 50, rng)
         moved = _gather(amps, 4, _random_axes(rng, 4, 50))
-        # the quartic oracle takes one state at a time
-        wong = np.array([[_wong_tangle(x, 4) for x in rows] for rows in (amps, moved)])
+        wong = _wong_tangle(np.stack([amps, moved]), 4)
         pair = f"sample quartic={wong[0, 0]:.6g} quadratic={float(_tau_even(amps[0], 4)):.6g}"
         checks.append(_check("quartic-permutation-n4", np.abs(wong[1] - wong[0]).max(), tol, 50,
                              detail=pair))

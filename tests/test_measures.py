@@ -405,6 +405,17 @@ def test_wong_tangle_permutation_invariance():
         assert abs(wong_tangle(permute(psi, pi)).value - base) < 1e-9
 
 
+def test_wong_tangle_takes_batches():
+    rng = np.random.default_rng(9)
+    for shape in ((5, 16), (2, 3, 16)):
+        amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        batched = measures._wong_tangle(amps, 4)
+        assert batched.shape == shape[:-1]
+        for idx in np.ndindex(shape[:-1]):
+            assert batched[idx] == measures._wong_tangle(amps[idx], 4)
+    assert type(wong_tangle(ghz(4)).value) is float
+
+
 def test_wong_tangle_cap():
     with pytest.raises(DomainError):
         wong_tangle(ghz(6))

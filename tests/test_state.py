@@ -11,6 +11,7 @@ from ntangle.errors import CapacityError, DomainError, ParseError
 from ntangle.state import (
     _QSV_BLOCK,
     _apply_at,
+    _apply_each,
     _contraction,
     _ginibre,
     _scan_qsv,
@@ -103,6 +104,10 @@ def test_permutation_validation():
     swap = QubitPermutation.transposition(5, 1, 5)
     assert swap.mapping == (5, 2, 3, 4, 1)
     assert swap.compose(swap) == QubitPermutation.identity(5)
+    assert hash(QubitPermutation(range(1, 6))) == hash(QubitPermutation.identity(5))
+    assert repr(swap) == "QubitPermutation(mapping=(5, 2, 3, 4, 1))"
+    with pytest.raises(AttributeError):
+        swap.mapping = (1, 2, 3, 4, 5)
 
 
 def test_permute_identity_and_inverse():
@@ -218,6 +223,35 @@ def test_apply_at_broadcasts_operator_and_state_batches():
             assert np.allclose(out[b, t], want, atol=1e-13)
     with pytest.raises(DomainError):
         _apply_at(amps, n, n + 1, ops)
+
+
+def _one_qubit_at_a_time(amps, n, ops):
+    for k in range(1, n + 1):
+        amps = _apply_at(amps, n, k, ops[..., k - 1, :, :])
+    return amps
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_apply_each_matches_one_qubit_at_a_time(n):
+    rng = np.random.default_rng(300 + n)
+
+    def draw(*shape):  # unit rows or unit operators, so an absolute tolerance suits every n
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = (-2, -1) if shape[-2:] == (2, 2) else -1
+        return x / np.linalg.norm(x, axis=axes, keepdims=True)
+
+    cases = [(draw(3, 2 ** n), draw(3, n, 2, 2)),  # per-row operators
+             (draw(2 ** n), draw(4, n, 2, 2)),  # one state, a stack of operator tuples
+             (draw(3, 2 ** n), np.stack([draw(2, 2) for _ in range(n)]))]  # one tuple for a batch
+    for amps, ops in cases:
+        out = _apply_each(amps, n, ops)
+        want = _one_qubit_at_a_time(amps, n, ops)
+        assert out.shape == want.shape
+        assert np.abs(out - want).max() <= 1e-13
+        assert out.flags.c_contiguous and not out.flags.writeable
+    psi = StateVector(n, cases[1][0])
+    ops = [draw(2, 2) for _ in range(n)]
+    assert np.array_equal(apply_local(psi, ops).amps, _apply_each(psi.amps, n, np.stack(ops)))
 
 
 def _peak_ratio(fn, psi):

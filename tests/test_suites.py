@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ntangle import bitops
+from ntangle import bitops, measures
 from ntangle.errors import DomainError
 from ntangle.locc import PovmPair, _completion, branch, monotone_average
 from ntangle.measures import r_tangle, tau, tau_residual
@@ -142,6 +142,22 @@ def test_batched_monotone_matches_the_per_trial_oracle():
         [(c.name, c.count, c.passed) for c in oracle]
     for got, want in zip(report.checks, oracle):
         assert abs(got.worst - want.worst) <= 1e-14, (got.name, got.worst, want.worst)
+
+
+def test_no_suite_batch_reaches_the_thread_pool(monkeypatch):
+    # suite states are small, so every pair form stays one serial slice even
+    # with a pool at hand: a fan-out would start threads and raise verify's RSS
+    monkeypatch.setattr(measures, "_WORKERS", 2)
+    fan_out, sizes = measures._fan_out, []
+
+    def spy(fn, items):
+        sizes.append(len(items))
+        return fan_out(fn, items)
+
+    monkeypatch.setattr(measures, "_fan_out", spy)
+    for name in SUITES:
+        assert run_suite(SuiteConfig(name, seed=7)).passed, name
+    assert sizes and max(sizes) == 1
 
 
 def test_run_all_suites_script_runs_from_an_uninstalled_checkout(tmp_path):
