@@ -17,10 +17,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import state
 from .errors import DomainError
 from .measures import (DEFAULT_WONG_CAP, _WORKERS, _r_tangle, _residual, _tau_even, _tau_odd,
                        _wong_tangle)
-from .state import DEFAULT_MAX_QUBITS, random_state
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "CSV_HEADER"]
 
@@ -71,9 +71,11 @@ def _time_call(fn, repetitions: int) -> tuple[int, int]:
 
 
 def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
-              oracle_cap: int = DEFAULT_WONG_CAP,
-              max_qubits: int = DEFAULT_MAX_QUBITS) -> list:
-    """Time each requested measure on seeded random states of the sizes of its parity."""
+              oracle_cap: int = DEFAULT_WONG_CAP) -> list:
+    """Time each requested measure on seeded random states of the sizes of its parity.
+
+    Every size is checked before the first kernel is timed.
+    """
     ns = list(ns)
     for measure in measures:
         if measure not in _KERNELS:
@@ -81,20 +83,21 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
         if not any(n % 2 == _PARITY[measure] for n in ns):
             parity = "odd" if _PARITY[measure] else "even"
             raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
-    records = []
     for n in ns:
         if n < 2:
             raise DomainError(f"bench sizes must be >= 2, got n={n}")
-        if n > max_qubits:
-            raise DomainError(f"bench size n={n} exceeds capacity {max_qubits}")
-        todo = [m for m in measures if n % 2 == _PARITY[m]]
-        if "quartic" in todo and n > oracle_cap:
+        if n > state.DEFAULT_MAX_QUBITS:
+            raise DomainError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
+        if "quartic" in measures and n % 2 == 0 and n > oracle_cap:
             raise DomainError(
                 f"quartic bench at n={n} exceeds the oracle cap of {oracle_cap}"
             )
+    records = []
+    for n in ns:
+        todo = [m for m in measures if n % 2 == _PARITY[m]]
         if not todo:
             continue
-        psi = random_state(n, seed + n, max_qubits=max_qubits)
+        psi = state.random_state(n, seed + n)
         for measure in todo:
             kernel = _KERNELS[measure]
             for label, args in _rows(measure, n):

@@ -98,15 +98,15 @@ def _cmd_compute(args) -> int:
 
     name = args.measure
     if name in _MEASURES:
-        report = _MEASURES[name](psi, state=label)
+        report = _MEASURES[name](psi)
     elif name == "wong":
-        report = wong_tangle(psi, cap=args.oracle_cap, state=label)
+        report = wong_tangle(psi, cap=args.oracle_cap)
     elif name.startswith("residual:"):
         try:
             i = int(name.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad residual qubit in measure {name!r}", line=1, column=1) from None
-        report = tau_residual(psi, i, state=label)
+        report = tau_residual(psi, i)
     else:
         raise ParseError(f"unknown measure {name!r}", line=1, column=1)
 
@@ -117,7 +117,7 @@ def _cmd_compute(args) -> int:
             "value": report.value,
             "n": report.n,
             "norm": report.norm,
-            "state": report.state,
+            "state": label,
         }
         if report.residuals is not None:
             payload["residuals"] = list(report.residuals)
@@ -129,7 +129,7 @@ def _cmd_compute(args) -> int:
         print(f"norm {report.norm:.15g}")
         if report.residuals is not None:
             print("residuals " + " ".join(f"{r:.15g}" for r in report.residuals))
-        print(f"state {report.state}")
+        print(f"state {label}")
     return EXIT_OK
 
 

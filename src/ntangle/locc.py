@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .measures import _residual, _r_tangle, _tau_even, _tau_odd
+from .measures import tau_even
 from .state import StateVector, _apply_at, _readonly, random_operator
 
 __all__ = ["PovmPair", "BranchOutcome", "make_povm", "branch", "monotone_average"]
@@ -47,13 +47,13 @@ class BranchOutcome:
     raw: StateVector
 
 
-def make_povm(a1, seed, tol: float = 1e-9) -> PovmPair:
+def make_povm(a1, seed) -> PovmPair:
     """Complete a contraction a1 into a two-outcome POVM with a seeded unitary."""
     a1 = np.asarray(a1, dtype=np.complex128)
     if a1.shape != (2, 2):
         raise DomainError(f"POVM element must be 2x2, got shape {a1.shape}")
     sv = np.linalg.svd(a1, compute_uv=False)
-    if sv[0] > 1.0 + tol:
+    if sv[0] > 1.0 + 1e-9:  # roundoff above 1 still counts as a contraction
         raise DomainError(f"operator with top singular value {sv[0]:.6g} is not a contraction")
     a2 = _completion(a1[None], random_operator("unitary", seed)[None])[0]
     return PovmPair(a1=a1, a2=a2, a=float(min(sv[0], 1.0)), b=float(sv[1]))
@@ -94,41 +94,18 @@ def branch(psi: StateVector, k: int, povm: PovmPair) -> tuple[BranchOutcome, Bra
                                raw=StateVector(psi.n, r)) for r, q, s in zip(raw, p, states))
 
 
-def _measure_kernel(measure: str, n: int):
-    if measure == "even":
-        if n % 2 != 0:
-            raise DomainError(f"measure 'even' needs an even qubit count, got n={n}")
-        return lambda amps: _tau_even(amps, n)
-    if measure == "odd":
-        if n % 2 != 1 or n < 3:
-            raise DomainError(f"measure 'odd' needs an odd qubit count >= 3, got n={n}")
-        return lambda amps: _tau_odd(amps, n)
-    if measure == "r":
-        if n % 2 != 1 or n < 3:
-            raise DomainError(f"measure 'r' needs an odd qubit count >= 3, got n={n}")
-        return lambda amps: _r_tangle(amps, n)
-    if measure.startswith("residual:"):
-        if n % 2 != 1 or n < 3:
-            raise DomainError(f"residual measures need an odd qubit count >= 3, got n={n}")
-        try:
-            i = int(measure.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad residual qubit in measure {measure!r}") from None
-        if not 1 <= i <= n:
-            raise DomainError(f"residual qubit {i} out of range 1..{n}")
-        return lambda amps: _residual(amps, n, i)
-    raise DomainError(f"unknown measure {measure!r}; expected even, odd, residual:<i> or r")
-
-
 def monotone_average(psi: StateVector, k: int, povm: PovmPair, eta: float,
-                     measure: str = "even") -> float:
+                     measure=tau_even) -> float:
     """The eta-averaged measure p1 m(phi1)^eta + p2 m(phi2)^eta over the two branches.
 
-    Zero-probability branches contribute 0. For an entanglement monotone this
-    never exceeds m(psi)^eta for 0 < eta <= 1.
+    ``measure`` is a public measure function such as ``tau_odd`` or
+    ``r_tangle``; bind the qubit of a residual first, as in
+    ``lambda s: tau_residual(s, i)``. Both branches are measured, so a measure
+    that does not apply to psi raises. An impossible branch is the zero
+    vector and contributes exactly 0. For an entanglement monotone the
+    average never exceeds m(psi)^eta for 0 < eta <= 1.
     """
     if not 0.0 < eta <= 1.0:
         raise DomainError(f"eta must lie in (0, 1], got {eta}")
-    kernel = _measure_kernel(measure, psi.n)
     _, p, states = _branches(psi.amps, psi.n, k, povm.a1, povm.a2)
-    return float((p * kernel(states) ** eta).sum(0))
+    return float(sum(q * measure(StateVector(psi.n, s)).value ** eta for q, s in zip(p, states)))

@@ -81,11 +81,12 @@ class InvariantValue:
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """A measure evaluation with enough provenance to reproduce it.
+    """A measure of one state: its kind, value, qubit count and input norm.
 
     ``value`` is the raw homogeneous value: it lies in [0, 1] for normalized
     input but is reported as-is together with the input norm otherwise.
-    ``residuals`` is the per-qubit residual vector (odd-n measures only).
+    ``residuals`` is the per-qubit residual vector (R only). Where the state
+    came from is the caller's to record.
     """
 
     kind: str
@@ -93,7 +94,6 @@ class MeasureReport:
     n: int
     norm: float
     residuals: tuple | None = None
-    state: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +313,6 @@ def _r_tangle(amps: np.ndarray, n: int) -> np.ndarray:
     return _residuals(amps, n).mean(axis=0)
 
 
-def _concurrence(amps: np.ndarray) -> np.ndarray:
-    return 2.0 * np.abs(amps[..., 0] * amps[..., 3] - amps[..., 1] * amps[..., 2])
-
-
 def _three_tangle(amps: np.ndarray) -> np.ndarray:
     """Coffman-Kundu-Wootters residual entanglement, 4|d1 - 2 d2 + 4 d3|.
 
@@ -402,53 +398,52 @@ def high_half_invariant(psi: StateVector) -> InvariantValue:
     return InvariantValue(complex(_high_half_invariant(psi.amps, psi.n)), "high")
 
 
-def _report(kind: str, value: float, psi: StateVector, residuals=None, state: str = "") -> MeasureReport:
-    return MeasureReport(kind=kind, value=float(value), n=psi.n, norm=psi.norm(),
-                         residuals=residuals, state=state or f"n={psi.n}")
+def _report(kind: str, value: float, psi: StateVector, residuals=None) -> MeasureReport:
+    return MeasureReport(kind=kind, value=float(value), n=psi.n, norm=psi.norm(), residuals=residuals)
 
 
-def tau_even(psi: StateVector, state: str = "") -> MeasureReport:
+def tau_even(psi: StateVector) -> MeasureReport:
     """Even-n measure 2|E|; degree 2: scaling amplitudes by c scales it by |c|^2."""
     _require_parity(psi, "even", "tau_even")
-    return _report("tau_even", _tau_even(psi.amps, psi.n), psi, state=state)
+    return _report("tau_even", _tau_even(psi.amps, psi.n), psi)
 
 
-def tau_odd(psi: StateVector, state: str = "") -> MeasureReport:
+def tau_odd(psi: StateVector) -> MeasureReport:
     """Odd-n measure 4|B^2 - 4 L H|; degree 4: scales by |c|^4."""
     _require_parity(psi, "odd", "tau_odd")
-    return _report("tau_odd", _tau_odd(psi.amps, psi.n), psi, state=state)
+    return _report("tau_odd", _tau_odd(psi.amps, psi.n), psi)
 
 
-def tau(psi: StateVector, state: str = "") -> MeasureReport:
+def tau(psi: StateVector) -> MeasureReport:
     """Parity dispatch: the even measure for even n, the odd measure for odd n."""
     if psi.n < 2:
         raise DomainError(f"tau needs at least 2 qubits, got n={psi.n}")
-    return tau_even(psi, state) if psi.n % 2 == 0 else tau_odd(psi, state)
+    return tau_even(psi) if psi.n % 2 == 0 else tau_odd(psi)
 
 
-def tau_residual(psi: StateVector, i: int, state: str = "") -> MeasureReport:
+def tau_residual(psi: StateVector, i: int) -> MeasureReport:
     """Residual measure with respect to qubit i: the odd measure after swapping 1 and i."""
     _require_parity(psi, "odd", "tau_residual")
     if not 1 <= i <= psi.n:
         raise DomainError(f"qubit label {i} out of range 1..{psi.n}")
-    return _report("tau_residual", _residual(psi.amps, psi.n, i), psi, state=state)
+    return _report("tau_residual", _residual(psi.amps, psi.n, i), psi)
 
 
-def r_tangle(psi: StateVector, state: str = "") -> MeasureReport:
+def r_tangle(psi: StateVector) -> MeasureReport:
     """Arithmetic mean of the per-qubit residual measures (odd n)."""
     _require_parity(psi, "odd", "r_tangle")
     residuals = tuple(map(float, _residuals(psi.amps, psi.n)))
-    return _report("r_tangle", sum(residuals) / psi.n, psi, residuals=residuals, state=state)
+    return _report("r_tangle", sum(residuals) / psi.n, psi, residuals=residuals)
 
 
-def concurrence(psi: StateVector, state: str = "") -> MeasureReport:
-    """Two-qubit concurrence 2|a0 a3 - a1 a2| (identical to tau_even at n=2)."""
+def concurrence(psi: StateVector) -> MeasureReport:
+    """Two-qubit concurrence 2|a0 a3 - a1 a2|: the even measure's kernel at n=2."""
     if psi.n != 2:
         raise DomainError(f"concurrence is defined for n=2 only, got n={psi.n}")
-    return _report("concurrence", _concurrence(psi.amps), psi, state=state)
+    return _report("concurrence", _tau_even(psi.amps, 2), psi)
 
 
-def wong_tangle(psi: StateVector, cap: int = DEFAULT_WONG_CAP, state: str = "") -> MeasureReport:
+def wong_tangle(psi: StateVector, cap: int = DEFAULT_WONG_CAP) -> MeasureReport:
     """Quartic even-n tangle of Wong and Christensen (expensive cross-reference)."""
     _require_parity(psi, "even", "wong_tangle")
     if psi.n > cap:
@@ -456,11 +451,11 @@ def wong_tangle(psi: StateVector, cap: int = DEFAULT_WONG_CAP, state: str = "") 
             f"wong_tangle at n={psi.n} exceeds the cap of {cap}; "
             f"the contraction has 3*2^(4n) multiplications"
         )
-    return _report("wong_tangle", _wong_tangle(psi.amps, psi.n), psi, state=state)
+    return _report("wong_tangle", _wong_tangle(psi.amps, psi.n), psi)
 
 
-def three_tangle(psi: StateVector, state: str = "") -> MeasureReport:
+def three_tangle(psi: StateVector) -> MeasureReport:
     """Independent three-qubit residual-entanglement oracle (external construction)."""
     if psi.n != 3:
         raise DomainError(f"three_tangle is defined for n=3 only, got n={psi.n}")
-    return _report("three_tangle", _three_tangle(psi.amps), psi, state=state)
+    return _report("three_tangle", _three_tangle(psi.amps), psi)

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 # 2**26 complex amplitudes keep the quadratic even-n measure interactive on
-# desktop hardware; raise per call where a larger state is really wanted.
+# desktop hardware; every capacity check reads this value at call time.
 DEFAULT_MAX_QUBITS = 26
 
 
@@ -90,8 +90,8 @@ class StateVector:
             raise DomainError("cannot normalize the zero vector")
         return StateVector(self.n, _readonly(self.amps / nrm))
 
-    def allclose(self, other: "StateVector", tol: float = 1e-12) -> bool:
-        return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=tol, atol=tol))
+    def allclose(self, other: "StateVector") -> bool:
+        return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=1e-12, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -161,11 +161,11 @@ def _immutable(a: np.ndarray) -> bool:
     return a is None
 
 
-def tensor(phi: StateVector, omega: StateVector, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def tensor(phi: StateVector, omega: StateVector) -> StateVector:
     """Tensor product with ``phi`` on the high bits of the index."""
     n = phi.n + omega.n
-    if n > max_qubits:
-        raise CapacityError(f"tensor product needs {n} qubits, capacity is {max_qubits}")
+    if n > DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"tensor product needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     return StateVector(n, _readonly(np.outer(phi.amps, omega.amps)).ravel())
 
 
@@ -228,13 +228,12 @@ def apply_single(psi: StateVector, k: int, m) -> StateVector:
     return StateVector(psi.n, _apply_at(psi.amps, psi.n, k, _as_operator(m)))
 
 
-def named_state(kind: str, n: int, extra: int | None = None,
-                max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def named_state(kind: str, n: int, extra: int | None = None) -> StateVector:
     """Construct one of the named states: ghz, w, bell or a basis state."""
     if n < 1:
         raise DomainError(f"named state needs n >= 1, got n={n}")
-    if n > max_qubits:
-        raise CapacityError(f"named state needs {n} qubits, capacity is {max_qubits}")
+    if n > DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"named state needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     dim = 1 << n
     amps = np.zeros(dim, dtype=np.complex128)
     if kind == "ghz":
@@ -276,7 +275,7 @@ class ProductExpression:
         return sum(f.state.n for f in self.factors)
 
 
-def build_product(expr: ProductExpression, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def build_product(expr: ProductExpression) -> StateVector:
     """Tensor the factors in listed order, then move them onto their labels."""
     if not expr.factors:
         raise DomainError("product expression has no factors")
@@ -290,11 +289,11 @@ def build_product(expr: ProductExpression, max_qubits: int = DEFAULT_MAX_QUBITS)
     n = len(labels)
     if sorted(labels) != list(range(1, n + 1)):
         raise DomainError(f"factor labels {labels} do not partition 1..{n}")
-    if n > max_qubits:
-        raise CapacityError(f"product needs {n} qubits, capacity is {max_qubits}")
+    if n > DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"product needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     psi = expr.factors[0].state
     for f in expr.factors[1:]:
-        psi = tensor(psi, f.state, max_qubits=max_qubits)
+        psi = tensor(psi, f.state)
     pi = QubitPermutation(labels)
     if pi.mapping == tuple(range(1, n + 1)):
         return psi
@@ -304,7 +303,7 @@ def build_product(expr: ProductExpression, max_qubits: int = DEFAULT_MAX_QUBITS)
 _FACTOR_RE = re.compile(r"^(?P<head>[^@]+)@(?P<labels>[\d,]+)$")
 
 
-def parse_product_expression(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> ProductExpression:
+def parse_product_expression(text: str) -> ProductExpression:
     """Parse 'ghz:3@1,2,3 x bell@4,5' style expressions.
 
     Factors are separated by a lone ``x`` token. Each factor is
@@ -324,7 +323,7 @@ def parse_product_expression(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) ->
         if expect_factor:
             if tok == "x":
                 raise ParseError("expected a factor, found separator 'x'", line=1, column=col)
-            factors.append(_parse_factor(tok, col, max_qubits))
+            factors.append(_parse_factor(tok, col))
             expect_factor = False
         else:
             if tok != "x":
@@ -336,7 +335,7 @@ def parse_product_expression(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) ->
     return ProductExpression(tuple(factors))
 
 
-def _parse_factor(tok: str, col: int, max_qubits: int) -> ProductFactor:
+def _parse_factor(tok: str, col: int) -> ProductFactor:
     m = _FACTOR_RE.match(tok)
     if m is None:
         raise ParseError(f"malformed factor {tok!r}, expected kind@labels", line=1, column=col)
@@ -349,19 +348,27 @@ def _parse_factor(tok: str, col: int, max_qubits: int) -> ProductFactor:
         raise ParseError(f"factor {tok!r} has no labels", line=1, column=col)
     parts = head.split(":")
     kind = parts[0]
+
+    def integer(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ParseError(f"bad integer in factor {tok!r}", line=1, column=col) from None
+
+    # a capacity error keeps its own type (and exit code); any other domain error names the factor
     try:
         if kind == "bell" and len(parts) == 1:
             state = named_state("bell", 2)
         elif kind in ("ghz", "w") and len(parts) == 2:
-            state = named_state(kind, int(parts[1]), max_qubits=max_qubits)
+            state = named_state(kind, integer(parts[1]))
         elif kind == "basis" and len(parts) == 3:
-            state = named_state("basis", int(parts[1]), extra=int(parts[2]), max_qubits=max_qubits)
+            state = named_state("basis", integer(parts[1]), extra=integer(parts[2]))
         elif kind == "file" and len(parts) >= 2:
-            state = read_qsv(":".join(parts[1:]), max_qubits=max_qubits)
+            state = read_qsv(":".join(parts[1:]))
         else:
             raise ParseError(f"unknown factor kind {head!r}", line=1, column=col)
-    except ValueError:
-        raise ParseError(f"bad integer in factor {tok!r}", line=1, column=col) from None
+    except CapacityError:
+        raise
     except DomainError as exc:
         raise ParseError(f"invalid factor {tok!r}: {exc}", line=1, column=col) from None
     if state.n != len(labels):
@@ -377,17 +384,17 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def random_state(n: int, seed, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def random_state(n: int, seed) -> StateVector:
     """Haar-uniform random pure state: complex Gaussian amplitudes, normalized."""
-    return StateVector(n, _readonly(random_state_batch(n, 1, seed, max_qubits=max_qubits)[0]))
+    return StateVector(n, _readonly(random_state_batch(n, 1, seed)[0]))
 
 
-def random_state_batch(n: int, count: int, seed, max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def random_state_batch(n: int, count: int, seed) -> np.ndarray:
     """A (count, 2**n) array of independent Haar-uniform amplitude rows."""
     if n < 1:
         raise DomainError(f"random state needs n >= 1, got n={n}")
-    if n > max_qubits:
-        raise CapacityError(f"random state needs {n} qubits, capacity is {max_qubits}")
+    if n > DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"random state needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     rng = _rng(seed)
     dim = 1 << n
     z = np.empty((count, dim), dtype=np.complex128)
@@ -481,26 +488,26 @@ def _write_qsv_stream(psi: StateVector, fh) -> None:
         fh.write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
 
 
-def read_qsv(source, max_qubits: int = DEFAULT_MAX_QUBITS) -> StateVector:
+def read_qsv(source) -> StateVector:
     """Read a state from a path or text file object in qsv format."""
     if hasattr(source, "read"):
-        return _read_qsv_stream(source, max_qubits)
+        return _read_qsv_stream(source)
     # non-ASCII bytes decode to lone surrogates, one per byte, for the scanner to report
     with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return _read_qsv_stream(fh, max_qubits)
+        return _read_qsv_stream(fh)
 
 
 _COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
-def _read_qsv_stream(fh, max_qubits: int) -> StateVector:
+def _read_qsv_stream(fh) -> StateVector:
     # refuse an over-capacity header before the amplitude block is even read
     header, count = fh.readline(), fh.readline()
     m = _COUNT_RE.match(count)
     n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
-    if n > max_qubits:
-        raise CapacityError(f"qsv file declares {n} qubits, capacity is {max_qubits}")
+    if n > DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     block = fh.read()
     # the fast path needs the same two header lines the scanner splits off and accepts
     if n >= 1 and header.endswith("\n") and count.endswith("\n") and (header + count).isascii():

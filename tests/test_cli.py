@@ -1,8 +1,11 @@
 import json
 
-from ntangle import cli, measures
+import pytest
+
+from ntangle import bench, cli, measures
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
+from ntangle.errors import DomainError
 from ntangle.state import named_state, write_qsv
 
 
@@ -112,6 +115,37 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "tau")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
+
+
+def test_compute_reports_the_state_label(capsys, tmp_path):
+    path = tmp_path / "bell.qsv"
+    write_qsv(named_state("bell", 2), path)
+    expr = "bell@1,2 x ghz:3@3,4,5"
+    for source, label in ((("--file", str(path)), f"file:{path}"), (("--expr", expr), expr)):
+        _, out, _ = run_cli(capsys, "compute", *source)
+        assert out.splitlines()[-1] == f"state {label}"
+        _, out, _ = run_cli(capsys, "compute", *source, "--format", "json")
+        assert json.loads(out)["state"] == label
+
+
+def test_compute_bad_integer_in_factor_exit_2(capsys):
+    code, out, err = run_cli(capsys, "compute", "--expr", "ghz:three@1,2,3")
+    assert code == 2 and out == ""
+    assert "bad integer in factor 'ghz:three@1,2,3'" in err
+
+
+@pytest.mark.parametrize("expr", ("basis:2:9@1,2", "ghz:1@1"))
+def test_compute_invalid_factor_exit_2(capsys, expr):
+    code, out, err = run_cli(capsys, "compute", "--expr", expr)
+    assert code == 2 and out == ""
+    assert f"invalid factor '{expr}': " in err and "bad integer" not in err
+
+
+def test_compute_factor_over_capacity_exit_3(capsys):
+    labels = ",".join(str(j) for j in range(1, 31))
+    code, out, err = run_cli(capsys, "compute", "--expr", f"ghz:30@{labels}")
+    assert code == 3 and out == ""
+    assert "needs 30 qubits, capacity is 26" in err
 
 
 def test_compute_parity_error_exit_3(capsys):
@@ -266,6 +300,17 @@ def test_bench_range_over_capacity(capsys):
     code, _, err = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "40")
     assert code == 2
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("ns, kinds", (([5, 1], ("odd",)), ([5, 27], ("odd",)),
+                                       ([4, 6], ("quartic",))))
+def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
+    def refuse(fn, repetitions):
+        raise AssertionError("a kernel was timed before every size was checked")
+
+    monkeypatch.setattr(bench, "_time_call", refuse)
+    with pytest.raises(DomainError):
+        bench.run_bench(ns, kinds)
 
 
 def test_compute_deterministic_output(capsys):

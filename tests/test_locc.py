@@ -7,7 +7,7 @@ import pytest
 
 from ntangle.errors import DomainError
 from ntangle.locc import _branches, _completion, branch, make_povm, monotone_average
-from ntangle.measures import _residual, _tau_even, tau_even, tau_odd
+from ntangle.measures import _residual, _tau_even, r_tangle, tau_even, tau_odd, tau_residual
 from ntangle.state import (StateVector, named_state, random_operator, random_state,
                            random_state_batch)
 
@@ -97,7 +97,7 @@ def test_monotone_average_unitary_equality():
     for s, eta in enumerate((0.25, 0.5, 1.0)):
         u = random_operator("unitary", 40_000 + s)
         povm = make_povm(math.sqrt(0.6) * u, seed=s)
-        avg = monotone_average(psi, 1 + s, povm, eta, "even")
+        avg = monotone_average(psi, 1 + s, povm, eta, tau_even)
         assert abs(avg - base ** eta) < 1e-12
 
 
@@ -105,7 +105,7 @@ def test_monotone_average_diagonal_closed_form_ghz4():
     base = tau_even(ghz(4)).value
     for a, b in ((0.2, 0.9), (0.5, 0.5), (1.0, 0.3)):
         povm = make_povm(np.diag([a, b]), seed=8)
-        avg = monotone_average(ghz(4), 2, povm, 1.0, "even")
+        avg = monotone_average(ghz(4), 2, povm, 1.0, tau_even)
         closed = (a * b + math.sqrt((1 - a * a) * (1 - b * b))) * base
         assert abs(avg - closed) < 1e-12
 
@@ -120,17 +120,17 @@ def test_monotone_average_never_exceeds_input():
         eta = float(rng.uniform(0.05, 1.0))
         if n % 2 == 0:
             base = tau_even(psi).value
-            avg = monotone_average(psi, k, povm, eta, "even")
+            avg = monotone_average(psi, k, povm, eta, tau_even)
         else:
             base = tau_odd(psi).value
-            avg = monotone_average(psi, k, povm, eta, "odd")
+            avg = monotone_average(psi, k, povm, eta, tau_odd)
         assert avg <= base ** eta + 1e-9
 
 
 def test_monotone_average_zero_probability_branch():
     psi = named_state("bell", 2)
     povm = make_povm(np.eye(2), seed=9)  # second branch impossible
-    avg = monotone_average(psi, 1, povm, 1.0, "even")
+    avg = monotone_average(psi, 1, povm, 1.0, tau_even)
     assert abs(avg - tau_even(psi).value) < 1e-12
 
 
@@ -175,20 +175,18 @@ def test_monotone_average_argument_checks():
     psi = ghz(4)
     povm = make_povm(0.5 * np.eye(2), seed=10)
     with pytest.raises(DomainError):
-        monotone_average(psi, 1, povm, 0.0, "even")
+        monotone_average(psi, 1, povm, 0.0, tau_even)
     with pytest.raises(DomainError):
-        monotone_average(psi, 1, povm, 1.5, "even")
+        monotone_average(psi, 1, povm, 1.5, tau_even)
     with pytest.raises(DomainError):
-        monotone_average(psi, 1, povm, 0.5, "odd")  # parity mismatch
+        monotone_average(psi, 1, povm, 0.5, tau_odd)  # parity mismatch
     with pytest.raises(DomainError):
-        monotone_average(ghz(3), 1, povm, 0.5, "residual:4")
-    with pytest.raises(DomainError):
-        monotone_average(psi, 1, povm, 0.5, "negativity")
+        monotone_average(ghz(3), 1, povm, 0.5, lambda s: tau_residual(s, 4))
 
 
 def test_monotone_average_residual_and_r():
     psi = random_state(5, 23)
     povm = make_povm(random_operator("contraction", 24), seed=11)
-    for measure in ("r", "residual:2", "residual:5"):
+    for measure in (r_tangle, lambda s: tau_residual(s, 2), lambda s: tau_residual(s, 5)):
         avg = monotone_average(psi, 3, povm, 0.5, measure)
         assert np.isfinite(avg) and avg >= 0.0

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import sys
 import tracemalloc
@@ -7,11 +8,11 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import pytest
 
+import ntangle
 from ntangle import measures
 from ntangle import state as state_module
 from ntangle.errors import DomainError
 from ntangle.measures import (
-    _concurrence,
     _even_invariant,
     _halves,
     _high_half_invariant,
@@ -271,7 +272,8 @@ def test_self_pair_is_the_full_pair_form(n):
 def test_tau_even_kernel_is_the_concurrence_at_n2():
     rng = np.random.default_rng(31)
     amps = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
-    np.testing.assert_allclose(_tau_even(amps, 2), _concurrence(amps), rtol=1e-15, atol=0)
+    inline = 2.0 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
+    np.testing.assert_allclose(_tau_even(amps, 2), inline, rtol=1e-15, atol=0)
 
 
 def test_residuals_keep_no_permutation_cache():
@@ -462,3 +464,12 @@ def test_invariants_scale_quadratically():
                    - c ** 2 * low_half_invariant(psi5).value) < 1e-12
         assert abs(high_half_invariant(scaled).value
                    - c ** 2 * high_half_invariant(psi5).value) < 1e-12
+
+
+def test_public_functions_take_no_capacity_or_label():
+    # the capacity is DEFAULT_MAX_QUBITS and a report's label is the CLI's
+    for name in ntangle.__all__:
+        obj = getattr(ntangle, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters
+            assert not {"max_qubits", "state"} & params.keys(), (name, list(params))

@@ -89,9 +89,10 @@ def test_tensor_associative():
     assert np.allclose(left.amps, right.amps, rtol=1e-15, atol=0)
 
 
-def test_tensor_capacity():
+def test_tensor_capacity(monkeypatch):
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 5)
     with pytest.raises(CapacityError):
-        tensor(ghz(3), ghz(3), max_qubits=5)
+        tensor(ghz(3), ghz(3))
 
 
 # --- permutation ------------------------------------------------------------
@@ -522,19 +523,21 @@ def test_qsv_rejects_non_finite_amplitudes():
         assert f"non-finite {part} part" in str(exc.value)
 
 
-def test_qsv_capacity_checked_before_the_amplitude_block():
+def test_qsv_capacity_checked_before_the_amplitude_block(monkeypatch):
     class HeaderOnly(io.StringIO):
         def read(self, *args):
             raise AssertionError("the amplitude block was read")
 
     with pytest.raises(CapacityError):
         read_qsv(HeaderOnly("qsv 1\nn 27\n"))
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 2)
     with pytest.raises(CapacityError):
-        read_qsv(HeaderOnly("qsv 1\nn 3\n"), max_qubits=2)
+        read_qsv(HeaderOnly("qsv 1\nn 3\n"))
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 3)
     buf = io.StringIO()
     write_qsv(ghz(3), buf)
     buf.seek(0)
-    assert read_qsv(buf, max_qubits=3).allclose(ghz(3))
+    assert read_qsv(buf).allclose(ghz(3))
 
 
 def test_qsv_non_ascii_byte_names_line_and_column(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from ntangle import bitops, measures
 from ntangle.errors import DomainError
 from ntangle.locc import PovmPair, _completion, branch, monotone_average
-from ntangle.measures import r_tangle, tau, tau_residual
+from ntangle.measures import r_tangle, tau, tau_even, tau_odd, tau_residual
 from ntangle.state import (QubitPermutation, StateVector, _contraction, _ginibre, _unitary,
                            named_state, permute, random_state_batch)
 from ntangle.suites import (_ETA_GRID, SUITES, SuiteConfig, _check, _focus_axes, _gather,
@@ -82,13 +82,13 @@ def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
             b1, b2 = branch(psi, k, povm)
             worst_comp = max(worst_comp, abs(b1.probability + b2.probability - 1.0))
             base = tau(psi).value
-            avg = monotone_average(psi, k, povm, eta, "even" if even else "odd")
+            avg = monotone_average(psi, k, povm, eta, tau_even if even else tau_odd)
             worst_tau = max(worst_tau, avg - base ** eta)
             if not even:
                 i = int(foci[t])
-                worst_res = max(worst_res, monotone_average(psi, k, povm, eta, f"residual:{i}")
+                worst_res = max(worst_res, monotone_average(psi, k, povm, eta, lambda s: tau_residual(s, i))
                                 - tau_residual(psi, i).value ** eta)
-                worst_r = max(worst_r, monotone_average(psi, k, povm, eta, "r")
+                worst_r = max(worst_r, monotone_average(psi, k, povm, eta, r_tangle)
                               - r_tangle(psi).value ** eta)
             degree = 1 if even else 2
             det1 = (povm.a * povm.b) ** degree
@@ -115,7 +115,7 @@ def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
         psi = StateVector(4, amps[t])
         povm = _povm(np.sqrt(p[t]) * _unitary(g1[t]), g2[t])
         eta = _ETA_GRID[t % 3]
-        worst = max(worst, abs(monotone_average(psi, int(ks[t]), povm, eta, "even")
+        worst = max(worst, abs(monotone_average(psi, int(ks[t]), povm, eta, tau_even)
                                - tau(psi).value ** eta))
     checks.append(_check("unitary-povm-equality-n4", worst, tol, 25))
 
@@ -129,7 +129,7 @@ def _monotone_per_trial(seed, trials, n_max, tol=1e-9):
             for k in range(1, 5):
                 povm = _povm(np.diag([a, b]).astype(np.complex128), g[count])
                 closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * tau(ghz4).value
-                worst = max(worst, abs(monotone_average(ghz4, k, povm, 1.0, "even") - closed))
+                worst = max(worst, abs(monotone_average(ghz4, k, povm, 1.0, tau_even) - closed))
                 count += 1
     checks.append(_check("diagonal-closed-form-ghz4", worst, tol, count))
     return checks
