@@ -7,20 +7,24 @@ sums the 2**(n-1) products a_j a_~j once by rows and once by columns, and
 each of the n splits adds two half-length self forms of 2**(n-2) products.
 The odd measure tau_odd and each residual (timed at qubits 1 and n-1, one row
 each) need 2**n: the cross form's 2**(n-1) and two self forms of 2**(n-2).
-The quadratic and quartic rows take the even sizes of a range, the odd, R and
-residual rows the odd ones. The text output names the kernels' worker count.
-Nothing here asserts absolute speed.
+The read row times ``read_qsv`` of a seeded state written to a temporary file
+before the timing starts; its count is the 2**n amplitudes parsed. The
+quadratic and quartic rows take the even sizes of a range, the odd, R and
+residual rows the odd ones, and the read row every size. The text output
+names the worker count of the kernels and the reader. Nothing here asserts
+absolute speed.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 
 from . import state
 from .errors import DomainError
-from .measures import (DEFAULT_WONG_CAP, _WORKERS, _r_tangle, _residual, _tau_even, _tau_odd,
-                       _wong_tangle)
+from .measures import DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_even, _tau_odd, _wong_tangle
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "CSV_HEADER"]
 
@@ -30,7 +34,7 @@ CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    measure: str  # quadratic | quartic | r | odd | residual:<i>
+    measure: str  # quadratic | quartic | r | odd | residual:<i> | read
     median_ns: int
     min_ns: int
     op_count: int
@@ -38,14 +42,21 @@ class BenchRecord:
 
 _KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle, "odd": _tau_odd,
             "residual": _residual}
-_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1}
+# the parity of the sizes each measure takes; None takes every size
+_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1, "read": None}
 
 
-def _rows(measure: str, n: int) -> list:
-    """(label, extra kernel arguments) of each row a measure times at size n."""
+def _rows(measure: str, psi: state.StateVector, tmp: str) -> list:
+    """(label, timed call) of each row a measure times on psi."""
+    n = psi.n
+    if measure == "read":
+        path = os.path.join(tmp, f"state{n}.qsv")
+        state.write_qsv(psi, path)
+        return [("read", lambda: state.read_qsv(path))]
+    kernel = _KERNELS[measure]
     if measure == "residual":
-        return [(f"residual:{i}", (i,)) for i in (1, n - 1)]
-    return [(measure, ())]
+        return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in (1, n - 1)]
+    return [(measure, lambda: kernel(psi.amps, n))]
 
 
 def op_count(measure: str, n: int) -> int:
@@ -55,7 +66,7 @@ def op_count(measure: str, n: int) -> int:
         return 3 * (1 << (4 * n))
     if measure == "r":
         return (n + 2) << (n - 1)
-    if measure in ("odd", "residual"):
+    if measure in ("odd", "residual", "read"):
         return 1 << n
     raise DomainError(f"unknown bench measure {measure!r}")
 
@@ -78,9 +89,9 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
     """
     ns = list(ns)
     for measure in measures:
-        if measure not in _KERNELS:
+        if measure not in _PARITY:
             raise DomainError(f"unknown bench measure {measure!r}")
-        if not any(n % 2 == _PARITY[measure] for n in ns):
+        if _PARITY[measure] is not None and not any(n % 2 == _PARITY[measure] for n in ns):
             parity = "odd" if _PARITY[measure] else "even"
             raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
     for n in ns:
@@ -93,17 +104,17 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
                 f"quartic bench at n={n} exceeds the oracle cap of {oracle_cap}"
             )
     records = []
-    for n in ns:
-        todo = [m for m in measures if n % 2 == _PARITY[m]]
-        if not todo:
-            continue
-        psi = state.random_state(n, seed + n)
-        for measure in todo:
-            kernel = _KERNELS[measure]
-            for label, args in _rows(measure, n):
-                median_ns, min_ns = _time_call(lambda: kernel(psi.amps, psi.n, *args), repetitions)
-                records.append(BenchRecord(n=n, measure=label, median_ns=median_ns,
-                                           min_ns=min_ns, op_count=op_count(measure, n)))
+    with tempfile.TemporaryDirectory(prefix="ntangle-bench-") as tmp:
+        for n in ns:
+            todo = [m for m in measures if _PARITY[m] in (None, n % 2)]
+            if not todo:
+                continue
+            psi = state.random_state(n, seed + n)
+            for measure in todo:
+                for label, call in _rows(measure, psi, tmp):
+                    median_ns, min_ns = _time_call(call, repetitions)
+                    records.append(BenchRecord(n=n, measure=label, median_ns=median_ns,
+                                               min_ns=min_ns, op_count=op_count(measure, n)))
     return records
 
 
@@ -128,5 +139,5 @@ def records_to_text(records) -> str:
         if {"quadratic", "quartic"} <= kinds.keys():
             lines.append(f"op-count ratio at n={n}: quartic/quadratic ="
                          f" {kinds['quartic'] // kinds['quadratic']}")
-    lines.append(f"workers: {_WORKERS} (one per CPU in the affinity mask)")
+    lines.append(f"workers: {state._WORKERS} (one per CPU in the affinity mask)")
     return "\n".join(lines) + "\n"

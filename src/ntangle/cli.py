@@ -62,13 +62,16 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=None, help="tolerance override")
     v.add_argument("--format", choices=("text", "json"), default="text")
 
-    b = sub.add_parser("bench", help="time the quadratic and odd measures, R and the quartic oracle")
+    b = sub.add_parser("bench", help="time the quadratic and odd measures, R, the quartic oracle"
+                                      " and the qsv reader")
     b.add_argument("--n-min", type=int, default=4, help="smallest qubit count")
     b.add_argument("--n-max", type=int, default=16, help="largest qubit count")
-    b.add_argument("--measure", choices=("quadratic", "quartic", "both", "r", "odd", "residual"),
+    b.add_argument("--measure",
+                   choices=("quadratic", "quartic", "both", "r", "odd", "residual", "read"),
                    default="quadratic",
                    help="quadratic and quartic time the even sizes of the range, r, odd and "
-                        "residual (qubits 1 and n-1) the odd ones")
+                        "residual (qubits 1 and n-1) the odd ones, read (read_qsv of a "
+                        "temporary file) every size")
     b.add_argument("--repetitions", type=int, default=5)
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--oracle-cap", type=int, default=DEFAULT_WONG_CAP)

@@ -25,5 +25,6 @@ class ParseError(NTangleError, ValueError):
         if line is not None:
             loc = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.column = column

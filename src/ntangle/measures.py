@@ -42,6 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import state
 from .bitops import parity_signs, sgn_star_table, sgn_table
 from .errors import DomainError
 from .state import StateVector
@@ -185,12 +186,11 @@ def _marginal_signs(bits: int) -> np.ndarray:
 # fan-out: independent parts of one large state's kernel on every CPU
 # ---------------------------------------------------------------------------
 
-# one worker per CPU this process may run on (`taskset -c 0` gives one); numpy's
-# einsum releases the GIL, so the workers do run at once
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# work on a state block of at least this many amplitudes (8 MB) fans out: on a
-# 2-vCPU Xeon a split of a smaller block costs more in dispatch than it saves.
-# The size of one state decides, never the batch, so suite batches stay serial.
+# The pool has one thread per CPU (state._WORKERS); numpy's einsum releases the
+# GIL, so the threads do run at once. Work on a state block of at least this
+# many amplitudes (8 MB) fans out: on a 2-vCPU Xeon a split of a smaller block
+# costs more in dispatch than it saves. The size of one state decides, never
+# the batch, so suite batches stay serial.
 _SPLIT_MIN = 1 << 19
 _pool = None  # the ThreadPoolExecutor, made at first use
 _pool_lock = threading.Lock()
@@ -211,19 +211,19 @@ if hasattr(os, "register_at_fork"):
 
 
 def _fan_out(fn, items) -> list:
-    """[fn(item) for item in items], on a pool of _WORKERS threads made at first use.
+    """[fn(item) for item in items], on a pool of state._WORKERS threads made at first use.
 
     Serial with one CPU, one item, or when called from a pool worker: a task
     never waits on the pool it runs in, so nested calls cannot deadlock.
     """
     global _pool
-    if _WORKERS < 2 or len(items) < 2 or getattr(_in_pool, "worker", False):
+    if state._WORKERS < 2 or len(items) < 2 or getattr(_in_pool, "worker", False):
         return [fn(item) for item in items]
     with _pool_lock:
         if _pool is None:
             # imported at first use: a process that never fans out saves its 0.8 MB
             from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ntangle",
+            _pool = ThreadPoolExecutor(state._WORKERS, thread_name_prefix="ntangle",
                                        initializer=_mark_worker)
         pool = _pool
     futures = [pool.submit(fn, item) for item in items]
@@ -242,7 +242,7 @@ def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = y[..., ::-1, ::-1, ::-1]
     axis = -1 if x.shape[-1] > x.shape[-3] and x.strides[-1] != x.itemsize else -3
     length = x.shape[axis]
-    ways = min(_WORKERS, length) if x.shape[-3] * x.shape[-2] * x.shape[-1] >= _SPLIT_MIN else 1
+    ways = min(state._WORKERS, length) if x.shape[-3] * x.shape[-2] * x.shape[-1] >= _SPLIT_MIN else 1
     step = -(-length // ways)
     cuts = [(Ellipsis, slice(k, k + step)) + (slice(None),) * (-1 - axis)
             for k in range(0, length, step)]

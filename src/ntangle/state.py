@@ -15,8 +15,11 @@ generator, so there is no hidden global RNG state.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
+import signal
 import warnings
 from dataclasses import dataclass
 
@@ -47,6 +50,10 @@ __all__ = [
 # 2**26 complex amplitudes keep the quadratic even-n measure interactive on
 # desktop hardware; every capacity check reads this value at call time.
 DEFAULT_MAX_QUBITS = 26
+
+# one worker per CPU this process may run on (`taskset -c 0` gives one): the qsv
+# reader's processes and the measure kernels' threads
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +371,12 @@ def _parse_factor(tok: str, col: int) -> ProductFactor:
         elif kind == "basis" and len(parts) == 3:
             state = named_state("basis", integer(parts[1]), extra=integer(parts[2]))
         elif kind == "file" and len(parts) >= 2:
-            state = read_qsv(":".join(parts[1:]))
+            path = ":".join(parts[1:])
+            try:
+                state = read_qsv(path)
+            except ParseError as exc:  # a position in the file, not in the expression
+                raise ParseError(f"invalid factor {tok!r}: {path}:{exc.line}:{exc.column}: "
+                                 f"{exc.message}", line=1, column=col) from None
         else:
             raise ParseError(f"unknown factor kind {head!r}", line=1, column=col)
     except CapacityError:
@@ -468,6 +480,12 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 
 _QSV_BLOCK = 1 << 15  # amplitudes formatted per '%' operation when writing
 _QSV_CHUNK_BYTES = 1 << 20  # amplitude text per numpy parse when reading; bounds the check temporaries
+_QSV_HEAD_BYTES = 1 << 8  # a longer header line is read in text mode
+_QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
+# amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon a
+# forked child costs about 5 ms, and two processes read 2**13 amplitudes in
+# 14.7 ms against 14.0 ms for one, 2**14 in 23 ms against 29 ms
+_QSV_RANGE_MIN = 1 << 13
 
 
 def write_qsv(psi: StateVector, target) -> None:
@@ -492,7 +510,13 @@ def read_qsv(source) -> StateVector:
     """Read a state from a path or text file object in qsv format."""
     if hasattr(source, "read"):
         return _read_qsv_stream(source)
-    # non-ASCII bytes decode to lone surrogates, one per byte, for the scanner to report
+    # bytes skip a decode and a re-encode of the whole block
+    with open(source, "rb") as fh:
+        head = fh.readline(_QSV_HEAD_BYTES), fh.readline(_QSV_HEAD_BYTES)
+        if all(line.endswith(b"\n") and line.isascii() and b"\r" not in line for line in head):
+            return _read_qsv_stream(fh, [line.decode("ascii") for line in head])
+    # text mode turns '\r\n' and '\r' into '\n', and each non-ASCII byte into a
+    # lone surrogate for the scanner to report
     with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
         return _read_qsv_stream(fh)
 
@@ -501,25 +525,36 @@ _COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
-def _read_qsv_stream(fh) -> StateVector:
+def _read_qsv_stream(fh, head=None) -> StateVector:
+    """Read a text stream, or a byte stream whose two header lines were read into ``head``."""
     # refuse an over-capacity header before the amplitude block is even read
-    header, count = fh.readline(), fh.readline()
+    header, count = head or (fh.readline(), fh.readline())
     m = _COUNT_RE.match(count)
     n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
     if n > DEFAULT_MAX_QUBITS:
         raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
     block = fh.read()
+    if isinstance(block, str):
+        data = block.encode("ascii") if block.isascii() else None
+    elif b"\r" in block:  # the newlines of text mode
+        data = block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    else:
+        data = block
     # the fast path needs the same two header lines the scanner splits off and accepts
-    if n >= 1 and header.endswith("\n") and count.endswith("\n") and (header + count).isascii():
-        flat = _parse_amplitude_block(block, n)
+    if (data is not None and n >= 1 and header.endswith("\n") and count.endswith("\n")
+            and (header + count).isascii()):
+        flat = _parse_amplitude_block(data, n)
         if flat is not None:
             return StateVector(n, _readonly(flat).view(np.complex128))
+    del data
+    if isinstance(block, bytes):
+        block = block.decode("ascii", "surrogateescape")
     text = header + count + block
     del block  # hold one copy of the text while the scanner splits it into lines
     return _scan_qsv(text)
 
 
-def _parse_amplitude_block(block: str, n: int) -> np.ndarray | None:
+def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
     """The 2 * 2**n doubles of a well-formed amplitude block, else None.
 
     Accepts a subset of what ``_scan_qsv`` accepts: tokens of ASCII digits,
@@ -527,48 +562,131 @@ def _parse_amplitude_block(block: str, n: int) -> np.ndarray | None:
     tabs and newlines. numpy parses them with the correctly rounded strtod
     behind ``float()``, so the bits agree. Anything else, including values
     that parse to nan or inf, returns None and is left to the scanner.
+
+    The conversion holds the GIL, so a large block is cut into one range of
+    whole lines per CPU. This process parses the first range; a forked child
+    parses each other one and sends its doubles back through a pipe. A range
+    holds the same tokens as in one serial pass, so the bits do not depend on
+    the number of ranges. A refused range, a child that fails or sends too
+    few or too many bytes, or a failed fork returns None as well.
     """
-    if not block.isascii():
-        return None
-    data = block.encode("ascii")
-    if data.translate(None, b"0123456789.eE+- \t\n"):
-        return None
     end = len(data)
     while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
         end -= 1
     dim = 1 << n
-    if data.count(b"\n", 0, end) + 1 != dim:
-        return None
-    buf = np.frombuffer(data, dtype=np.uint8, count=end)
+    ways = max(1, min(_WORKERS, dim // _QSV_RANGE_MIN)) if hasattr(os, "fork") else 1
+    starts = [0]  # each range starts a line and ends before the newline that starts the next
+    for k in range(1, ways):
+        cut = data.find(b"\n", max(end * k // ways, starts[-1]), end)
+        if cut < 0:
+            break
+        starts.append(cut + 1)
+    ranges = list(zip(starts, [s - 1 for s in starts[1:]] + [end]))
     out = np.empty(2 * dim)
-    done = lo = 0  # lines parsed, offset of the next one
+    children, reaped = [], set()  # (pid, read end) of every range after the first
+    try:
+        for lo, hi in ranges[1:]:
+            children.append(_fork_range(data, lo, hi))
+        done = _parse_lines(data, *ranges[0], out)
+        if done is None:
+            return None
+        for pid, fd in children:
+            got = _read_to_end(fd, memoryview(out[2 * done:]).cast("B"))
+            if got is None or got % 16:
+                return None
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            if status:
+                return None
+            done += got // 16
+    except OSError:  # no pipe or no process to be had
+        return None
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            if pid not in reaped:  # still parsing, or blocked on a full pipe
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    if done != dim or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _parse_lines(data: bytes, lo: int, end: int, out: np.ndarray) -> int | None:
+    """Parse the lines of data[lo:end] into out, two doubles each.
+
+    Returns the number of lines, or None if a line is refused or out is too short.
+    """
+    done = 0  # lines parsed
     with warnings.catch_warnings():
         # older numpy only warns when a token is not read to its end
         warnings.simplefilter("error", DeprecationWarning)
-        while lo < end:
+        while True:
             hi = data.find(b"\n", min(lo + _QSV_CHUNK_BYTES, end), end)
             hi = end if hi < 0 else hi
-            chunk = buf[lo:hi]
+            text = data[lo:hi]
+            if text.translate(None, _QSV_TOKEN_BYTES):
+                return None
+            chunk = np.frombuffer(text, dtype=np.uint8)
             newlines = np.flatnonzero(chunk == 10)
             lines = newlines.size + 1
             # tokens are runs of bytes above ' '; tokens 2j and 2j+1 must start
             # on line j, after newline j-1 and before newline j
             starts = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))[::2]
             if (starts.size != 2 * lines or (starts[2::2] < newlines).any()
-                    or (starts[1:-1:2] > newlines).any()):
+                    or (starts[1:-1:2] > newlines).any() or 2 * (done + lines) > out.size):
                 return None
             try:
-                values = np.fromstring(data[lo:hi], dtype=np.float64, sep=" ")
+                values = np.fromstring(text, dtype=np.float64, sep=" ")
             except (ValueError, DeprecationWarning):
                 return None
             if values.size != 2 * lines:  # a token such as '1-2' read as two numbers
                 return None
             out[2 * done:2 * (done + lines)] = values
             done += lines
+            if hi == end:
+                return done
             lo = hi + 1
-    if not np.isfinite(out).all():
-        return None
-    return out
+
+
+def _fork_range(data: bytes, lo: int, end: int) -> tuple[int, int]:
+    """(pid, read end of a pipe) of a child that sends the doubles of data[lo:end] through it.
+
+    The child exits 0 once every double is written and 1 on a refused line or
+    any exception; it never returns into the caller's code.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            values = np.empty(2 * (data.count(b"\n", lo, end) + 1))
+            if _parse_lines(data, lo, end, values) is not None:
+                view = memoryview(values).cast("B")
+                while view:
+                    view = view[os.write(w, view):]
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_end(fd: int, view: memoryview) -> int | None:
+    """Bytes read from fd into view until end of file; None if there are more than it holds."""
+    got = 0
+    while got < len(view):
+        k = os.readv(fd, [view[got:]])
+        if not k:
+            return got
+        got += k
+    return None if os.read(fd, 1) else got
 
 
 def _scan_qsv(text: str) -> StateVector:

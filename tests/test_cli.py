@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ntangle import bench, cli, measures
+import ntangle
+from ntangle import bench, cli, state
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.errors import DomainError
@@ -141,6 +146,17 @@ def test_compute_invalid_factor_exit_2(capsys, expr):
     assert f"invalid factor '{expr}': " in err and "bad integer" not in err
 
 
+def test_compute_bad_qsv_factor_names_the_factor_and_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.qsv"
+    path.write_text("qsv 1\nn 1\n0 0\nx 0\n")
+    expr = f"bell@2,3 x file:{path}@1"
+    code, out, err = run_cli(capsys, "compute", "--expr", expr)
+    assert code == 2 and out == ""
+    # the qsv position reads as one in the file; the trailing one is the factor's in the expression
+    assert err == (f"error: invalid factor 'file:{path}@1': {path}:4:1: bad real part 'x'"
+                   f" (line 1, column 12)\n")
+
+
 def test_compute_factor_over_capacity_exit_3(capsys):
     labels = ",".join(str(j) for j in range(1, 31))
     code, out, err = run_cli(capsys, "compute", "--expr", f"ghz:30@{labels}")
@@ -271,13 +287,34 @@ def test_bench_odd_and_residual_rows(capsys):
     assert "odd size" in err
 
 
+def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
+    read, writes = [], []
+    time_call, write_qsv_ = bench._time_call, state.write_qsv
+
+    def timed(call, repetitions):
+        before = len(writes)
+        read.append(call())
+        assert len(writes) == before  # the file was written before the timing
+        return time_call(call, repetitions)
+
+    monkeypatch.setattr(bench, "_time_call", timed)
+    monkeypatch.setattr(state, "write_qsv", lambda *args: (writes.append(args), write_qsv_(*args)))
+    code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "5", "--measure", "read")
+    assert code == 0
+    assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
+        (3, "read", 8), (4, "read", 16), (5, "read", 32)]
+    assert [psi.amps.tolist() for psi in read] == [
+        state.random_state(n, cli.DEFAULT_SEED + n).amps.tolist() for n in (3, 4, 5)]
+    assert not any(os.path.exists(path) for _, path in writes)  # the temporary files are gone
+
+
 def test_bench_text_names_the_worker_count(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-min", "3", "--n-max", "3",
                            "--measure", "residual", "--repetitions", "1")
     assert code == 0
     lines = out.splitlines()
     assert [line.split()[1] for line in lines[1:3]] == ["residual:1", "residual:2"]
-    assert lines[-1] == f"workers: {measures._WORKERS} (one per CPU in the affinity mask)"
+    assert lines[-1] == f"workers: {state._WORKERS} (one per CPU in the affinity mask)"
 
 
 def test_bench_quartic_op_count(capsys):
@@ -334,19 +371,36 @@ def test_verify_rejects_bad_trials(capsys):
     assert code == 2
 
 
-def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ntangle
-
+def _run_module(*args, env=(), **kwargs):
     # the child must import the same package as this process, installed or not
     src = str(Path(ntangle.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "ntangle", "compute",
-                           "--expr", "bell@1,2", "--measure", "concurrence"],
-                          capture_output=True, text=True, env=env)
+    env = dict(os.environ, **dict(env),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ntangle", *args],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
+def test_module_entry_point():
+    proc = _run_module("compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert proc.returncode == 0
     assert "value 1" in proc.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_compute_file_on_one_cpu_gives_the_same_values(tmp_path):
+    n = 15  # a block the reader splits over two CPUs, or over one
+    assert 1 << n >= 2 * state._QSV_RANGE_MIN
+    path = tmp_path / "state.qsv"
+    write_qsv(state.random_state(n, 15), path)
+    cpu = min(os.sched_getaffinity(0))
+    # np.linalg.norm runs in BLAS, whose threads follow the CPU count and change
+    # the norm's last bits; one BLAS thread in both runs leaves ntangle's own
+    # workers (the reader's processes, the kernels' threads) as the difference
+    one_blas_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                              "MKL_NUM_THREADS")}
+    runs = [_run_module("compute", "--file", str(path), "--format", "json", env=one_blas_thread,
+                        **kwargs)
+            for kwargs in ({}, {"preexec_fn": lambda: os.sched_setaffinity(0, {cpu})})]
+    assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
+    full, one = (json.loads(proc.stdout) for proc in runs)
+    assert full["value"] == one["value"] and full["norm"] == one["norm"]

@@ -324,7 +324,7 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
         return out + [_tau_odd(amps, n), _residuals(amps, n)]
 
     serial = values()
-    monkeypatch.setattr(measures, "_WORKERS", workers)
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
     monkeypatch.setattr(measures, "_SPLIT_MIN", 1)  # every block splits
     monkeypatch.setattr(measures, "_pool", None)
     try:
@@ -344,13 +344,13 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
     even, odd = rand(16, 8181), rand(15, 8282)
     assert 1 << (odd.n - 3) >= measures._SPLIT_MIN  # R's self forms split too
     with monkeypatch.context() as serial:
-        serial.setattr(measures, "_WORKERS", 1)
+        serial.setattr(state_module, "_WORKERS", 1)
         want = (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
 
     def call():
         return (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
 
-    monkeypatch.setattr(measures, "_WORKERS", max(2, measures._WORKERS))  # a pool, even on one CPU
+    monkeypatch.setattr(state_module, "_WORKERS", max(2, state_module._WORKERS))  # a pool, even on one CPU
     measures._block_signs.cache_clear()  # the threads race to fill the sign tables
     measures._marginal_signs.cache_clear()
     interval = sys.getswitchinterval()

@@ -1,5 +1,6 @@
 import io
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -601,6 +602,119 @@ def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
         path = tmp_path / f"table{i}.qsv"
         path.write_bytes(text.encode("ascii"))
         assert _outcome(read_qsv, path) == _outcome(_scan_qsv, text.replace("\r", ""))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork_range = state_module._fork_range
+
+    def spy(*args):
+        forks.append(args[1:])
+        return fork_range(*args)
+
+    monkeypatch.setattr(state_module, "_fork_range", spy)
+    return forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("workers", (1, 2, 3, 5))
+def test_split_qsv_read_is_bit_identical_to_one_worker(tmp_path, monkeypatch, workers):
+    n = 16
+    assert 1 << n >= 5 * state_module._QSV_RANGE_MIN  # five ranges at most
+    monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", 1 << 14)  # every range crosses chunks
+    rng = np.random.default_rng(16)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps *= 10.0 ** rng.integers(-300, 300, size=1 << n)
+    path = tmp_path / "state.qsv"
+    write_qsv(StateVector(n, amps), path)
+    assert path.stat().st_size > 8 * workers * state_module._QSV_CHUNK_BYTES
+    with monkeypatch.context() as serial:
+        serial.setattr(state_module, "_WORKERS", 1)
+        want = read_qsv(path).amps.view(np.uint64)
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    forks = _count_forks(monkeypatch)
+    got = read_qsv(path).amps.view(np.uint64)
+    _no_child_left()
+    assert len(forks) == workers - 1
+    assert (got == want).all() and (got == amps.view(np.uint64)).all()
+
+
+def _in_a_large_block(text, n=12):
+    """(file text, good bytes): a QSV_TABLE entry's amplitude lines after good ones, n qubits."""
+    header, count, block = text.split("\n", 2)
+    good = "0.5 -0.25\n" * ((1 << n) - (1 << int(count.split()[1])))
+    return f"qsv 1\nn {n}\n" + good + block, len(good)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("text", QSV_TABLE)
+def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text):
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    path = tmp_path / "state.qsv"
+    big, good = _in_a_large_block(text)
+    path.write_bytes(big.encode("utf-8"))
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        want = _outcome(_scan_qsv, fh.read())  # the text that text mode reads
+    forks = _count_forks(monkeypatch)
+    assert _outcome(read_qsv, path) == want
+    _no_child_left()
+    assert len(forks) == 2 and forks[-1][0] <= good  # the last range holds the entry
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("fault", ("exits 7 after sending", "raises before sending"))
+def test_failed_child_falls_back_to_the_scanner(tmp_path, monkeypatch, fault):
+    psi = random_state(12, 12)
+    path = tmp_path / "state.qsv"
+    write_qsv(psi, path)
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    parent, scans = os.getpid(), []
+    scan, parse_lines, exit_ = state_module._scan_qsv, state_module._parse_lines, os._exit
+
+    def scanner(text):
+        scans.append(text)
+        return scan(text)
+
+    def failing_parse(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("a failing child")
+        return parse_lines(*args)
+
+    monkeypatch.setattr(state_module, "_scan_qsv", scanner)
+    if fault == "exits 7 after sending":
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
+    else:
+        monkeypatch.setattr(state_module, "_parse_lines", failing_parse)
+    got = read_qsv(path)
+    _no_child_left()
+    assert len(scans) == 1
+    assert np.array_equal(got.amps.view(np.uint64), psi.amps.view(np.uint64))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_interrupted_split_read_reaps_every_child(tmp_path, monkeypatch):
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(12, 13), path)
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    parent, parse_lines = os.getpid(), state_module._parse_lines
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return parse_lines(*args)
+
+    monkeypatch.setattr(state_module, "_parse_lines", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        read_qsv(path)
+    _no_child_left()
 
 
 def test_qsv_roundtrip_bit_exact_n1_to_12(tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ntangle import bitops, measures
+from ntangle import bitops, measures, state
 from ntangle.errors import DomainError
 from ntangle.locc import PovmPair, _completion, branch, monotone_average
 from ntangle.measures import r_tangle, tau, tau_even, tau_odd, tau_residual
@@ -147,7 +147,7 @@ def test_batched_monotone_matches_the_per_trial_oracle():
 def test_no_suite_batch_reaches_the_thread_pool(monkeypatch):
     # suite states are small, so every pair form stays one serial slice even
     # with a pool at hand: a fan-out would start threads and raise verify's RSS
-    monkeypatch.setattr(measures, "_WORKERS", 2)
+    monkeypatch.setattr(state, "_WORKERS", 2)
     fan_out, sizes = measures._fan_out, []
 
     def spy(fn, items):
