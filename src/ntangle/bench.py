@@ -8,10 +8,12 @@ each of the n splits adds two half-length self forms of 2**(n-2) products.
 The odd measure tau_odd and each residual (timed at qubits 1 and n-1, one row
 each) need 2**n: the cross form's 2**(n-1) and two self forms of 2**(n-2).
 The read row times ``read_qsv`` of a seeded state written to a temporary file
-before the timing starts; its count is the 2**n amplitudes parsed. The
-quadratic and quartic rows take the even sizes of a range, the odd, R and
-residual rows the odd ones, and the read row every size. The text output
-names the worker count of the kernels and the reader. Nothing here asserts
+before the timing starts; its count is the 2**n amplitudes parsed. The write
+row times ``write_qsv`` of the same state to a file in that temporary
+directory; its count is the 2**n amplitudes formatted. The quadratic and
+quartic rows take the even sizes of a range, the odd, R and residual rows the
+odd ones, and the read and write rows every size. The text output names the
+worker count of the kernels, the reader and the writer. Nothing here asserts
 absolute speed.
 """
 
@@ -34,7 +36,7 @@ CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    measure: str  # quadratic | quartic | r | odd | residual:<i> | read
+    measure: str  # quadratic | quartic | r | odd | residual:<i> | read | write
     median_ns: int
     min_ns: int
     op_count: int
@@ -43,7 +45,8 @@ class BenchRecord:
 _KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle, "odd": _tau_odd,
             "residual": _residual}
 # the parity of the sizes each measure takes; None takes every size
-_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1, "read": None}
+_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1, "read": None,
+           "write": None}
 
 
 def _rows(measure: str, psi: state.StateVector, tmp: str) -> list:
@@ -53,6 +56,9 @@ def _rows(measure: str, psi: state.StateVector, tmp: str) -> list:
         path = os.path.join(tmp, f"state{n}.qsv")
         state.write_qsv(psi, path)
         return [("read", lambda: state.read_qsv(path))]
+    if measure == "write":
+        path = os.path.join(tmp, f"state{n}.qsv")
+        return [("write", lambda: state.write_qsv(psi, path))]
     kernel = _KERNELS[measure]
     if measure == "residual":
         return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in (1, n - 1)]
@@ -66,7 +72,7 @@ def op_count(measure: str, n: int) -> int:
         return 3 * (1 << (4 * n))
     if measure == "r":
         return (n + 2) << (n - 1)
-    if measure in ("odd", "residual", "read"):
+    if measure in ("odd", "residual", "read", "write"):
         return 1 << n
     raise DomainError(f"unknown bench measure {measure!r}")
 
@@ -139,5 +145,6 @@ def records_to_text(records) -> str:
         if {"quadratic", "quartic"} <= kinds.keys():
             lines.append(f"op-count ratio at n={n}: quartic/quadratic ="
                          f" {kinds['quartic'] // kinds['quadratic']}")
-    lines.append(f"workers: {state._WORKERS} (one per CPU in the affinity mask)")
+    lines.append(f"workers: {state._WORKERS} (one per CPU in the affinity mask: kernels, qsv reader"
+                 f" and writer)")
     return "\n".join(lines) + "\n"

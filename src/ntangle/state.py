@@ -20,6 +20,7 @@ import math
 import os
 import re
 import signal
+import tempfile
 import warnings
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ __all__ = [
 DEFAULT_MAX_QUBITS = 26
 
 # one worker per CPU this process may run on (`taskset -c 0` gives one): the qsv
-# reader's processes and the measure kernels' threads
+# reader's and writer's processes and the measure kernels' threads
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -479,13 +480,86 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _QSV_BLOCK = 1 << 15  # amplitudes formatted per '%' operation when writing
-_QSV_CHUNK_BYTES = 1 << 20  # amplitude text per numpy parse when reading; bounds the check temporaries
+# amplitude text per numpy parse when reading, and per copy of a child's text
+# when writing; bounds the temporaries of both
+_QSV_CHUNK_BYTES = 1 << 20
 _QSV_HEAD_BYTES = 1 << 8  # a longer header line is read in text mode
 _QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
 # amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon a
 # forked child costs about 5 ms, and two processes read 2**13 amplitudes in
 # 14.7 ms against 14.0 ms for one, 2**14 in 23 ms against 29 ms
 _QSV_RANGE_MIN = 1 << 13
+_QSV_ROUND = 1 << 17  # amplitudes per process and round when writing; bounds each child's text
+
+
+def _ways(dim: int) -> int:
+    """The number of processes that read or write a block of dim amplitudes.
+
+    One per CPU, each with at least _QSV_RANGE_MIN amplitudes. One where
+    children cannot be forked, or where an ignored SIGCHLD has the kernel reap
+    them so that their exit status is lost.
+    """
+    if not hasattr(os, "fork") or signal.getsignal(signal.SIGCHLD) is signal.SIG_IGN:
+        return 1
+    return max(1, min(_WORKERS, dim // _QSV_RANGE_MIN))
+
+
+class _Children:
+    """Forked children and the fds this process holds for them.
+
+    Leaving the with block closes every fd and reaps every child, killing
+    first any that was not waited for, also when the block is left by an
+    exception or KeyboardInterrupt.
+    """
+
+    def __init__(self):
+        self.fds, self.pids = [], []
+
+    def __enter__(self):
+        return self
+
+    def add(self, pid: int, fd: int) -> None:
+        self.pids.append(pid)
+        self.fds.append(fd)
+
+    def wait(self, pid: int) -> int:
+        """The child's exit status; -1 if it was reaped elsewhere."""
+        try:
+            status = os.waitpid(pid, 0)[1]
+        except ChildProcessError:  # its pid may name another process by now: never kill it
+            status = -1
+        self.pids.remove(pid)
+        return status
+
+    def __exit__(self, *exc):
+        for fd in self.fds:
+            os.close(fd)
+        for pid in self.pids:  # still working, or blocked on a full pipe
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(work) -> int:
+    """pid of a forked child that runs work() and leaves with os._exit.
+
+    The exit status is 0 if work returns True, and 1 if it returns False or
+    raises; the child never returns into the caller's code.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if work() else 1
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def write_qsv(psi: StateVector, target) -> None:
@@ -498,12 +572,89 @@ def write_qsv(psi: StateVector, target) -> None:
 
 
 def _write_qsv_stream(psi: StateVector, fh) -> None:
+    """Write the text of psi to fh, formatting one range of amplitudes per CPU.
+
+    The formatting holds the GIL, so the amplitudes are written in rounds of
+    one range of at most _QSV_ROUND amplitudes per process. This process
+    formats the first range of a round straight into fh; a forked child
+    formats each other one into an anonymous file, which this process then
+    copies to fh in order. A child that cannot be forked, fails, or leaves
+    other than one ASCII line per amplitude has its range formatted here, so
+    the text is the same at any number of ranges and rounds.
+    """
     fh.write("qsv 1\n")
     fh.write(f"n {psi.n}\n")
     flat = psi.amps.view(np.float64)
-    for start in range(0, flat.size, 2 * _QSV_BLOCK):
-        part = flat[start:start + 2 * _QSV_BLOCK].tolist()
-        fh.write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
+    dim = 1 << psi.n
+    ways = _ways(dim)
+    step = min(-(-dim // ways), _QSV_ROUND)
+    for first in range(0, dim, ways * step):
+        cuts = [min(first + k * step, dim) for k in range(ways + 1)]
+        with _Children() as children:
+            spooled = []  # (lo, hi, pid, fd) of every range after the first; pid None if unforked
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                if lo < hi:
+                    try:
+                        pid, fd = _fork_format(flat, lo, hi)
+                        children.add(pid, fd)
+                    except OSError:  # no file or no process to be had
+                        pid = fd = None
+                    spooled.append((lo, hi, pid, fd))
+            _format_lines(flat, cuts[0], cuts[1], fh.write)
+            for lo, hi, pid, fd in spooled:
+                if pid is None or children.wait(pid) or not _copy_lines(fd, hi - lo, fh.write):
+                    _format_lines(flat, lo, hi, fh.write)
+
+
+def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> None:
+    """Pass the qsv lines of amplitudes lo..hi-1 to write, one _QSV_BLOCK at a time."""
+    for start in range(lo, hi, _QSV_BLOCK):
+        part = flat[2 * start:2 * min(start + _QSV_BLOCK, hi)].tolist()
+        write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
+
+
+def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """(pid, anonymous file) of a child that writes the lines of amplitudes lo..hi-1 into it."""
+    if hasattr(os, "memfd_create"):
+        fd = os.memfd_create("qsv")
+    else:
+        with tempfile.TemporaryFile() as spool:  # unlinked already
+            fd = os.dup(spool.fileno())
+
+    def work():
+        _format_lines(flat, lo, hi, lambda text: _write_all(fd, text.encode("ascii")))
+        return True
+
+    try:
+        pid = _fork(work)
+    except OSError:
+        os.close(fd)
+        raise
+    return pid, fd
+
+
+def _copy_lines(fd: int, lines: int, write) -> bool:
+    """Pass the text in file fd to write, a block at a time, if it is exactly ``lines`` ASCII lines.
+
+    Otherwise nothing is written and the result is False.
+    """
+    def blocks():
+        off = 0
+        while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
+            yield block
+            off += len(block)
+
+    count, last = 0, b""
+    for block in blocks():
+        if not block.isascii():
+            return False
+        count += block.count(b"\n")
+        last = block
+    if count != lines or not last.endswith(b"\n"):
+        return False
+    for block in blocks():
+        write(block.decode("ascii"))
+    return True
 
 
 def read_qsv(source) -> StateVector:
@@ -574,7 +725,7 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
     while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
         end -= 1
     dim = 1 << n
-    ways = max(1, min(_WORKERS, dim // _QSV_RANGE_MIN)) if hasattr(os, "fork") else 1
+    ways = _ways(dim)
     starts = [0]  # each range starts a line and ends before the newline that starts the next
     for k in range(1, ways):
         cut = data.find(b"\n", max(end * k // ways, starts[-1]), end)
@@ -583,31 +734,20 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
         starts.append(cut + 1)
     ranges = list(zip(starts, [s - 1 for s in starts[1:]] + [end]))
     out = np.empty(2 * dim)
-    children, reaped = [], set()  # (pid, read end) of every range after the first
     try:
-        for lo, hi in ranges[1:]:
-            children.append(_fork_range(data, lo, hi))
-        done = _parse_lines(data, *ranges[0], out)
-        if done is None:
-            return None
-        for pid, fd in children:
-            got = _read_to_end(fd, memoryview(out[2 * done:]).cast("B"))
-            if got is None or got % 16:
+        with _Children() as children:
+            for lo, hi in ranges[1:]:
+                children.add(*_fork_range(data, lo, hi))
+            done = _parse_lines(data, *ranges[0], out)
+            if done is None:
                 return None
-            status = os.waitpid(pid, 0)[1]
-            reaped.add(pid)
-            if status:
-                return None
-            done += got // 16
+            for pid, fd in list(zip(children.pids, children.fds)):
+                got = _read_to_end(fd, memoryview(out[2 * done:]).cast("B"))
+                if got is None or got % 16 or children.wait(pid):
+                    return None
+                done += got // 16
     except OSError:  # no pipe or no process to be had
         return None
-    finally:
-        for pid, fd in children:
-            os.close(fd)
-            if pid not in reaped:  # still parsing, or blocked on a full pipe
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
     if done != dim or not np.isfinite(out).all():
         return None
     return out
@@ -653,28 +793,23 @@ def _parse_lines(data: bytes, lo: int, end: int, out: np.ndarray) -> int | None:
 def _fork_range(data: bytes, lo: int, end: int) -> tuple[int, int]:
     """(pid, read end of a pipe) of a child that sends the doubles of data[lo:end] through it.
 
-    The child exits 0 once every double is written and 1 on a refused line or
-    any exception; it never returns into the caller's code.
+    The child fails on a refused line.
     """
+    def work():
+        values = np.empty(2 * (data.count(b"\n", lo, end) + 1))
+        if _parse_lines(data, lo, end, values) is None:
+            return False
+        _write_all(w, values)
+        return True
+
     r, w = os.pipe()
     try:
-        pid = os.fork()
+        pid = _fork(work)
     except OSError:
         os.close(r)
-        os.close(w)
         raise
-    if pid == 0:
-        code = 1
-        try:
-            values = np.empty(2 * (data.count(b"\n", lo, end) + 1))
-            if _parse_lines(data, lo, end, values) is not None:
-                view = memoryview(values).cast("B")
-                while view:
-                    view = view[os.write(w, view):]
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
+    finally:
+        os.close(w)
     return pid, r
 
 

@@ -308,13 +308,31 @@ def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
     assert not any(os.path.exists(path) for _, path in writes)  # the temporary files are gone
 
 
+def test_bench_write_times_write_qsv_of_the_seeded_state(capsys, monkeypatch):
+    written, write_qsv_ = [], state.write_qsv
+
+    def spy(psi, path):
+        write_qsv_(psi, path)
+        written.append((path, state.read_qsv(path)))
+
+    monkeypatch.setattr(state, "write_qsv", spy)
+    code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "5", "--measure", "write")
+    assert code == 0
+    assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
+        (3, "write", 8), (4, "write", 16), (5, "write", 32)]
+    assert [back.amps.tolist() for _, back in written] == [
+        state.random_state(n, cli.DEFAULT_SEED + n).amps.tolist() for n in (3, 4, 5)]
+    assert not any(os.path.exists(path) for path, _ in written)  # the temporary files are gone
+
+
 def test_bench_text_names_the_worker_count(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-min", "3", "--n-max", "3",
                            "--measure", "residual", "--repetitions", "1")
     assert code == 0
     lines = out.splitlines()
     assert [line.split()[1] for line in lines[1:3]] == ["residual:1", "residual:2"]
-    assert lines[-1] == f"workers: {state._WORKERS} (one per CPU in the affinity mask)"
+    assert lines[-1] == (f"workers: {state._WORKERS} (one per CPU in the affinity mask: kernels,"
+                         f" qsv reader and writer)")
 
 
 def test_bench_quartic_op_count(capsys):

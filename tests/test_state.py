@@ -1,6 +1,7 @@
 import io
 import math
 import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -609,16 +610,24 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _count_forks(monkeypatch):
+def _count_forks(monkeypatch, name="_fork_range"):
+    """The (lo, hi) of every range the reader's, or the named function's, children get."""
     forks = []
-    fork_range = state_module._fork_range
+    fork = getattr(state_module, name)
 
     def spy(*args):
         forks.append(args[1:])
-        return fork_range(*args)
+        return fork(*args)
 
-    monkeypatch.setattr(state_module, "_fork_range", spy)
+    monkeypatch.setattr(state_module, name, spy)
     return forks
+
+
+def _wide_amplitudes(n, seed):
+    """Gaussian amplitudes scaled by powers of ten from 1e-300 to 1e299."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    return amps * 10.0 ** rng.integers(-300, 300, size=1 << n)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
@@ -627,9 +636,7 @@ def test_split_qsv_read_is_bit_identical_to_one_worker(tmp_path, monkeypatch, wo
     n = 16
     assert 1 << n >= 5 * state_module._QSV_RANGE_MIN  # five ranges at most
     monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", 1 << 14)  # every range crosses chunks
-    rng = np.random.default_rng(16)
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    amps *= 10.0 ** rng.integers(-300, 300, size=1 << n)
+    amps = _wide_amplitudes(n, 16)
     path = tmp_path / "state.qsv"
     write_qsv(StateVector(n, amps), path)
     assert path.stat().st_size > 8 * workers * state_module._QSV_CHUNK_BYTES
@@ -715,6 +722,143 @@ def test_interrupted_split_read_reaps_every_child(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         read_qsv(path)
     _no_child_left()
+
+
+def _serial_text(psi, monkeypatch):
+    with monkeypatch.context() as serial:
+        serial.setattr(state_module, "_WORKERS", 1)
+        buf = io.StringIO()
+        write_qsv(psi, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("workers", (1, 2, 3, 5))
+def test_split_qsv_write_is_byte_identical_to_one_worker(tmp_path, monkeypatch, workers):
+    n, size = 16, 1 << 12
+    monkeypatch.setattr(state_module, "_QSV_ROUND", size)  # 16 ranges, `workers` per round
+    psi = StateVector(n, _wide_amplitudes(n, 61))
+    want = _serial_text(psi, monkeypatch)
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    forks = _count_forks(monkeypatch, "_fork_format")
+    path, buf = tmp_path / "state.qsv", io.StringIO()
+    write_qsv(psi, path)
+    _no_child_left()
+    write_qsv(psi, buf)
+    _no_child_left()
+    assert path.read_bytes() == want.encode("ascii")
+    assert buf.getvalue() == want
+    # the first range of each round stays in this process
+    assert forks == 2 * [(k * size, (k + 1) * size) for k in range(16) if k % workers]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("fault", (
+    "exits 7 after writing part of its text", "exits 7 after writing all of its text",
+    "raises before writing", "exits 0 after writing part of its text",
+    "exits 0 after its text and a stray byte", "exits 0 after a non-ASCII byte in its text",
+    "cannot fork"))
+def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
+    psi = random_state(14, 14)
+    want = _serial_text(psi, monkeypatch)
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    parent, mine = os.getpid(), []
+    write_all, format_lines, exit_ = state_module._write_all, state_module._format_lines, os._exit
+
+    def failing_write(fd, data):  # a child's one block of text
+        if fault == "raises before writing":
+            raise RuntimeError("a failing child")
+        if "part" in fault:
+            data = data[:data.index(b"\n", len(data) // 2) + 1]  # whole lines
+        elif "stray" in fault:
+            data += b"1"
+        else:
+            data = b"\xff" + data[1:]
+        write_all(fd, data)
+        os._exit(7 if "7" in fault else 0)
+
+    def no_fork():
+        raise OSError("no process to be had")
+
+    def spy(flat, lo, hi, write):
+        if os.getpid() == parent:
+            mine.append((lo, hi))
+        return format_lines(flat, lo, hi, write)
+
+    if fault == "cannot fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif fault == "exits 7 after writing all of its text":
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
+    else:
+        monkeypatch.setattr(state_module, "_write_all", failing_write)
+    monkeypatch.setattr(state_module, "_format_lines", spy)
+    forks = _count_forks(monkeypatch, "_fork_format")
+    buf = io.StringIO()
+    write_qsv(psi, buf)
+    _no_child_left()
+    assert len(forks) == 2
+    assert mine[1:] == forks  # this process formatted every child's range itself
+    assert buf.getvalue() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("where", ("_format_lines", "_copy_lines"))
+def test_interrupted_split_write_reaps_every_child(tmp_path, monkeypatch, where):
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    parent, work = os.getpid(), getattr(state_module, where)
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return work(*args)
+
+    monkeypatch.setattr(state_module, where, interrupted)
+    forks = _count_forks(monkeypatch, "_fork_format")
+    with pytest.raises(KeyboardInterrupt):
+        write_qsv(random_state(12, 13), tmp_path / "state.qsv")
+    _no_child_left()
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("spool", ("memfd", "temporary file"))
+def test_split_write_reads_back_bit_exact(tmp_path, monkeypatch, spool):
+    n = 15
+    assert 1 << n >= 3 * state_module._QSV_RANGE_MIN
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    if spool == "temporary file":
+        monkeypatch.delattr(os, "memfd_create", raising=False)
+    amps = _wide_amplitudes(n, 15)
+    path = tmp_path / "state.qsv"
+    writes, reads = _count_forks(monkeypatch, "_fork_format"), _count_forks(monkeypatch)
+    write_qsv(StateVector(n, amps), path)
+    assert np.array_equal(read_qsv(path).amps.view(np.uint64), amps.view(np.uint64))
+    _no_child_left()
+    assert len(writes) == len(reads) == 2
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD to ignore")
+def test_ignored_sigchld_reads_and_writes_in_one_process(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a process was forked or the line scanner ran")
+
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    psi = random_state(16, 16)
+    path, again = tmp_path / "state.qsv", tmp_path / "again.qsv"
+    write_qsv(psi, path)
+    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    # the kernel reaps the children itself, so their exit status is lost
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        got = read_qsv(path).amps.view(np.uint64)
+        write_qsv(psi, again)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert (got == psi.amps.view(np.uint64)).all()
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_qsv_roundtrip_bit_exact_n1_to_12(tmp_path):
