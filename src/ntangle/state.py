@@ -577,10 +577,11 @@ def _write_qsv_stream(psi: StateVector, fh) -> None:
     The formatting holds the GIL, so the amplitudes are written in rounds of
     one range of at most _QSV_ROUND amplitudes per process. This process
     formats the first range of a round straight into fh; a forked child
-    formats each other one into an anonymous file, which this process then
-    copies to fh in order. A child that cannot be forked, fails, or leaves
-    other than one ASCII line per amplitude has its range formatted here, so
-    the text is the same at any number of ranges and rounds.
+    formats each other one into an unlinked temporary file, which this
+    process then copies to fh in order. A child exits 0 only once all of its
+    text is written, so a range whose child cannot be forked or exits
+    otherwise is formatted here, and the text is the same at any number of
+    ranges and rounds.
     """
     fh.write("qsv 1\n")
     fh.write(f"n {psi.n}\n")
@@ -602,8 +603,10 @@ def _write_qsv_stream(psi: StateVector, fh) -> None:
                     spooled.append((lo, hi, pid, fd))
             _format_lines(flat, cuts[0], cuts[1], fh.write)
             for lo, hi, pid, fd in spooled:
-                if pid is None or children.wait(pid) or not _copy_lines(fd, hi - lo, fh.write):
+                if pid is None or children.wait(pid):
                     _format_lines(flat, lo, hi, fh.write)
+                else:
+                    _copy_text(fd, fh.write)
 
 
 def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> None:
@@ -614,12 +617,9 @@ def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> None:
 
 
 def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """(pid, anonymous file) of a child that writes the lines of amplitudes lo..hi-1 into it."""
-    if hasattr(os, "memfd_create"):
-        fd = os.memfd_create("qsv")
-    else:
-        with tempfile.TemporaryFile() as spool:  # unlinked already
-            fd = os.dup(spool.fileno())
+    """(pid, unlinked file) of a child that writes the lines of amplitudes lo..hi-1 into it."""
+    with tempfile.TemporaryFile() as spool:
+        fd = os.dup(spool.fileno())
 
     def work():
         _format_lines(flat, lo, hi, lambda text: _write_all(fd, text.encode("ascii")))
@@ -633,28 +633,12 @@ def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     return pid, fd
 
 
-def _copy_lines(fd: int, lines: int, write) -> bool:
-    """Pass the text in file fd to write, a block at a time, if it is exactly ``lines`` ASCII lines.
-
-    Otherwise nothing is written and the result is False.
-    """
-    def blocks():
-        off = 0
-        while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
-            yield block
-            off += len(block)
-
-    count, last = 0, b""
-    for block in blocks():
-        if not block.isascii():
-            return False
-        count += block.count(b"\n")
-        last = block
-    if count != lines or not last.endswith(b"\n"):
-        return False
-    for block in blocks():
+def _copy_text(fd: int, write) -> None:
+    """Pass the text in file fd to write, _QSV_CHUNK_BYTES at a time."""
+    off = 0
+    while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
         write(block.decode("ascii"))
-    return True
+        off += len(block)
 
 
 def read_qsv(source) -> StateVector:
