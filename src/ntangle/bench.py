@@ -13,24 +13,33 @@ row times ``write_qsv`` of the same state to a file in that temporary
 directory; its count is the 2**n amplitudes formatted. The quadratic and
 quartic rows take the even sizes of a range, the odd, R and residual rows the
 odd ones, and the read and write rows every size. The text output names the
-worker count of the kernels, the reader and the writer. Nothing here asserts
+worker count of the kernels, the reader and the writer; the JSON output
+carries the environment the rows were timed in. Nothing here asserts
 absolute speed.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import state
 from .errors import DomainError
 from .measures import DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_even, _tau_odd, _wong_tangle
 
-__all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "CSV_HEADER"]
+__all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "records_to_json",
+           "CSV_HEADER"]
 
 CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
+# thread counts a BLAS library reads at start; the kernels make no BLAS call,
+# but other numpy calls in the process (random states) do
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -129,6 +138,14 @@ def records_to_csv(records) -> str:
     for r in records:
         lines.append(f"{r.n},{r.measure},{r.median_ns},{r.min_ns},{r.op_count}")
     return "\n".join(lines) + "\n"
+
+
+def records_to_json(records) -> str:
+    """Schema 1: an ``env`` block and one row per record, as one JSON object."""
+    env = {"numpy": np.__version__, "workers": state._WORKERS, "cpu_count": os.cpu_count(),
+           "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+    rows = [dataclasses.asdict(r) for r in records]
+    return json.dumps({"schema": 1, "env": env, "rows": rows}, sort_keys=True) + "\n"
 
 
 def records_to_text(records) -> str:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bench import records_to_csv, records_to_text, run_bench
+from .bench import records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError
 from .measures import (
     DEFAULT_WONG_CAP,
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repetitions", type=int, default=5)
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--oracle-cap", type=int, default=DEFAULT_WONG_CAP)
-    b.add_argument("--format", choices=("text", "csv"), default="text")
+    b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 
 
@@ -181,6 +181,8 @@ def _cmd_bench(args) -> int:
                         seed=args.seed, oracle_cap=args.oracle_cap)
     if args.format == "csv":
         print(records_to_csv(records), end="")
+    elif args.format == "json":
+        print(records_to_json(records), end="")
     else:
         print(records_to_text(records), end="")
     return EXIT_OK

@@ -19,9 +19,10 @@ parities to its partial sums: tables and temporaries stay at O(2**(n/2)).
 
 Large states use every CPU in the process's affinity mask (`taskset -c 0`
 gives one thread): a pair form cuts its partial sums into one slice per CPU,
-and R runs one task per residual. Each partial sum is the same reduction over
-q at any cut, so every value is bit-identical at any CPU count. The norm in a
-report is StateVector.norm(), computed once per state and then memoized.
+and R runs its row and column sums as two tasks, then one task per residual.
+Each partial sum is the same reduction over q at any cut, so every value is
+bit-identical at any CPU count. The norm in a report is StateVector.norm(),
+computed once per state and then memoized.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the quartic Wong-Christensen tangle (even n,
@@ -187,10 +188,14 @@ def _marginal_signs(bits: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # The pool has one thread per CPU (state._WORKERS); numpy's einsum releases the
-# GIL, so the threads do run at once. Work on a state block of at least this
-# many amplitudes (8 MB) fans out: on a 2-vCPU Xeon a split of a smaller block
-# costs more in dispatch than it saves. The size of one state decides, never
-# the batch, so suite batches stay serial.
+# GIL, so the threads do run at once. The pair-form kernels make no BLAS call:
+# every contraction, down to the last one with the sign tables, is an einsum on
+# numpy's own loops. Even a 1024 x 11 product at n=21 wakes OpenBLAS's threads,
+# which then spin on the CPUs for ~0.1 s after it returns, in the way of these
+# threads and of whatever the process runs next. Work on a state block of at
+# least this many amplitudes (8 MB) fans out: on a 2-vCPU Xeon a split of a
+# smaller block costs more in dispatch than it saves. The size of one state
+# decides, never the batch, so suite batches stay serial.
 _SPLIT_MIN = 1 << 19
 _pool = None  # the ThreadPoolExecutor, made at first use
 _pool_lock = threading.Lock()
@@ -248,7 +253,7 @@ def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             for k in range(0, length, step)]
     parts = _fan_out(lambda cut: np.einsum("...pqr,q,...pqr->...pr", x[cut], q, y[cut]), cuts)
     partial = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1 if axis == -1 else -2)
-    return p @ partial @ r
+    return np.einsum("p,...pr,r->...", p, partial, r)
 
 
 def _self_pair(x: np.ndarray) -> np.ndarray:
@@ -289,16 +294,22 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     x = amps[..., :half].reshape(lead + (1 << h, 1 << h))
     y = amps[..., ::-1][..., :half].reshape(lead + (1 << h, 1 << h))    # y[r, c] = a_~(r, c)
     signs = _marginal_signs(h)
-    rows = np.einsum("...rc,c,...rc->...r", x, signs[0], y) @ signs.T      # qubits 1..h+1
-    cols = np.einsum("...rc,r,...rc->...c", x, signs[0], y) @ signs[1:].T  # qubits h+2..n
+
+    def each(fn, items):
+        # a large state fans out: the row and column sums as two tasks, then
+        # one task per split; each einsum and each residual stays whole
+        return _fan_out(fn, items) if half >= _SPLIT_MIN else [fn(item) for item in items]
+
+    row_sums, col_sums = each(lambda spec: np.einsum(spec, x, signs[0], y),
+                              ("...rc,c,...rc->...r", "...rc,r,...rc->...c"))
+    rows = np.einsum("...r,kr->...k", row_sums, signs)        # qubits 1..h+1
+    cols = np.einsum("...c,kc->...k", col_sums, signs[1:])    # qubits h+2..n
     cross = np.moveaxis(np.concatenate([rows, cols], axis=-1), -1, 0)
 
     def residual(i):
         return _odd_measure(cross[i - 1], *_halves(amps, n, i))
 
-    # a large state fans out one task per split; each residual stays whole
-    splits = range(1, n + 1)
-    return np.stack(_fan_out(residual, splits) if half >= _SPLIT_MIN else [residual(i) for i in splits])
+    return np.stack(each(residual, range(1, n + 1)))
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:

@@ -88,7 +88,7 @@ class StateVector:
         """The 2-norm, computed once: the amplitudes cannot change after construction."""
         nrm = self.__dict__.get("_norm")
         if nrm is None:
-            nrm = float(np.linalg.norm(self.amps))
+            nrm = _norm(self.amps)
             object.__setattr__(self, "_norm", nrm)
         return nrm
 
@@ -100,6 +100,28 @@ class StateVector:
 
     def allclose(self, other: "StateVector") -> bool:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=1e-12, atol=1e-12))
+
+
+# slices of the float view whose sums of squares math.fsum adds exactly
+_NORM_SLICE = 1 << 16
+
+
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm on numpy's own loops, at any CPU count.
+
+    np.linalg.norm goes to a threaded BLAS: its last bits follow the thread
+    count, and its threads keep spinning on the CPUs for ~0.1 s after a large
+    call, in the way of the measure kernels' own threads.
+    """
+    flat = amps.view(np.float64)
+    sums = []
+    for k in range(0, flat.size, _NORM_SLICE):
+        part = flat[k:k + _NORM_SLICE]
+        sums.append(np.einsum("i,i->", part, part))
+    try:
+        return math.sqrt(math.fsum(sums))
+    except OverflowError:  # finite slice sums whose total passes the float range
+        return math.inf
 
 
 @dataclass(frozen=True)

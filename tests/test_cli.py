@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ntangle
@@ -241,6 +242,28 @@ def test_bench_csv_roundtrip(capsys):
         assert int(r[2]) >= int(r[3]) >= 0  # median >= min
 
 
+def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    code, out, _ = run_cli(capsys, "bench", "--n-min", "3", "--n-max", "5", "--measure", "residual",
+                           "--repetitions", "2", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["schema"] == 1
+    env = payload["env"]
+    assert env["numpy"] == np.__version__
+    assert (env["workers"], env["cpu_count"]) == (state._WORKERS, os.cpu_count())
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    rows = payload["rows"]
+    assert [(r["n"], r["measure"]) for r in rows] == [(3, "residual:1"), (3, "residual:2"),
+                                                       (5, "residual:1"), (5, "residual:4")]
+    for r in rows:
+        assert set(r) == {"n", "measure", "median_ns", "min_ns", "op_count"}
+        assert r["op_count"] == 2 ** r["n"]
+        assert r["median_ns"] >= r["min_ns"] >= 0
+
+
 def _bench_rows(capsys, *args):
     code, out, err = run_cli(capsys, "bench", *args, "--repetitions", "1", "--format", "csv")
     return code, [line.split(",") for line in out.strip().splitlines()[1:]], err
@@ -389,10 +412,10 @@ def test_verify_rejects_bad_trials(capsys):
     assert code == 2
 
 
-def _run_module(*args, env=(), **kwargs):
+def _run_module(*args, **kwargs):
     # the child must import the same package as this process, installed or not
     src = str(Path(ntangle.__file__).resolve().parent.parent)
-    env = dict(os.environ, **dict(env),
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "ntangle", *args],
                           capture_output=True, text=True, env=env, **kwargs)
@@ -411,13 +434,8 @@ def test_compute_file_on_one_cpu_gives_the_same_values(tmp_path):
     path = tmp_path / "state.qsv"
     write_qsv(state.random_state(n, 15), path)
     cpu = min(os.sched_getaffinity(0))
-    # np.linalg.norm runs in BLAS, whose threads follow the CPU count and change
-    # the norm's last bits; one BLAS thread in both runs leaves ntangle's own
-    # workers (the reader's processes, the kernels' threads) as the difference
-    one_blas_thread = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                              "MKL_NUM_THREADS")}
-    runs = [_run_module("compute", "--file", str(path), "--format", "json", env=one_blas_thread,
-                        **kwargs)
+    # the norm and the kernels make no BLAS call, so no BLAS thread count needs pinning
+    runs = [_run_module("compute", "--file", str(path), "--format", "json", **kwargs)
             for kwargs in ({}, {"preexec_fn": lambda: os.sched_setaffinity(0, {cpu})})]
     assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
     full, one = (json.loads(proc.stdout) for proc in runs)

@@ -1,9 +1,12 @@
 import gc
 import inspect
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor, wait
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,20 +369,61 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
         users.shutdown(wait=False, cancel_futures=True)
 
 
+# A BLAS call above OpenBLAS's threading threshold leaves its threads spinning
+# on the CPUs for ~0.1 s after it returns. R at n=19 ends well within that
+# window on any host; n=21 also takes the fan-out path.
+_SPINNER_PROBE = """
+import resource, time
+from ntangle import measures, state
+
+def cpu_ms():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return 1e3 * (usage.ru_utime + usage.ru_stime)
+
+for n in (19, 21):
+    amps = state.random_state(n, n).amps
+    time.sleep(0.3)  # whatever building the state started goes quiet
+    measures._r_tangle(amps, n)
+    measures._r_tangle(amps, n)
+    start = cpu_ms()
+    time.sleep(0.3)
+    print(n, cpu_ms() - start)
+"""
+
+
+@pytest.mark.skipif(state_module._WORKERS < 2, reason="needs two CPUs")
+def test_r_tangle_leaves_no_thread_spinning():
+    src = str(Path(ntangle.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()  # BLAS at its default thread count
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SPINNER_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    busy = dict(line.split() for line in proc.stdout.splitlines())
+    assert busy.keys() == {"19", "21"}
+    for n, busy_ms in busy.items():
+        assert float(busy_ms) < 20, f"{busy_ms} ms of CPU in a 300 ms sleep after R at n={n}"
+
+
 def test_report_norm_is_computed_once_per_state(monkeypatch):
-    psi = StateVector(7, 3.0 * rand(7, 8383).amps)
-    want = float(np.linalg.norm(psi.amps))
+    psi = StateVector(17, 3.0 * rand(17, 8383).amps)  # four slices of the norm's sum
+    # each square rounds by at most half an ulp and fsum adds them exactly, so
+    # this reference lies within about 2e-16 of the exact norm
+    flat = psi.amps.view(np.float64)
+    want = math.sqrt(math.fsum((flat * flat).tolist()))
     calls = []
-    norm = np.linalg.norm
+    norm = state_module._norm
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return norm(*args, **kwargs)
+    def counted(amps):
+        calls.append(amps)
+        return norm(amps)
 
-    monkeypatch.setattr(np.linalg, "norm", counted)
-    assert tau_odd(psi).norm == want  # bit for bit
-    assert r_tangle(psi).norm == want
-    assert tau_residual(psi, 3).norm == want
+    monkeypatch.setattr(state_module, "_norm", counted)
+    got = tau_odd(psi).norm
+    assert abs(got - want) <= 1e-15 * want
+    assert r_tangle(psi).norm == got
+    assert tau_residual(psi, 3).norm == got
     assert len(calls) == 1
     zero = StateVector(3, np.zeros(8))
     for _ in range(2):  # the memoized zero is refused as the computed one was

@@ -394,6 +394,14 @@ def test_random_state_normalized_and_deterministic():
         assert np.array_equal(psi.amps, again.amps)
 
 
+def test_norm_past_the_float_range_is_infinite():
+    # each of the two slices of the squares' sum is finite; their total is not
+    amps = np.full(1 << 16, 6e151)
+    half = state_module._NORM_SLICE // 2
+    assert math.isfinite(np.einsum("i,i->", amps[:half], amps[:half]))
+    assert StateVector(16, amps).norm() == math.inf
+
+
 def test_random_operator_kinds():
     sl = random_operator("special_linear", 1)
     assert abs(np.linalg.det(sl) - 1.0) < 1e-9
