@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import platform
 import tempfile
 import time
 from dataclasses import dataclass
@@ -140,9 +141,23 @@ def records_to_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cpu_model():
+    """The CPU's model name: from /proc/cpuinfo where it has one, else from platform; or None."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                key, _, value = line.partition(":")
+                if key.strip() == "model name":
+                    return value.strip()
+    except OSError:  # no /proc here
+        pass
+    return platform.processor() or None
+
+
 def records_to_json(records) -> str:
     """Schema 1: an ``env`` block and one row per record, as one JSON object."""
     env = {"numpy": np.__version__, "workers": state._WORKERS, "cpu_count": os.cpu_count(),
+           "cpu_model": cpu_model(),
            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
     rows = [dataclasses.asdict(r) for r in records]
     return json.dumps({"schema": 1, "env": env, "rows": rows}, sort_keys=True) + "\n"

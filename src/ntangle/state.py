@@ -16,6 +16,8 @@ generator, so there is no hidden global RNG state.
 from __future__ import annotations
 
 import contextlib
+import fractions
+import functools
 import math
 import os
 import re
@@ -501,7 +503,7 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 # round trip is bit-exact for doubles.
 # ---------------------------------------------------------------------------
 
-_QSV_BLOCK = 1 << 15  # amplitudes formatted per '%' operation when writing
+_QSV_BLOCK = 1 << 12  # amplitudes formatted per numpy pass when writing; ~2.4 MB of temporaries
 # amplitude text per numpy parse when reading, and per copy of a child's text
 # when writing; bounds the temporaries of both
 _QSV_CHUNK_BYTES = 1 << 20
@@ -585,28 +587,33 @@ def _write_all(fd: int, data) -> None:
 
 
 def write_qsv(psi: StateVector, target) -> None:
-    """Write a state to a path or text file object in qsv format."""
+    """Write a state to a path or text file object in qsv format.
+
+    The text is made as ASCII bytes: a path is written in binary mode, so its
+    lines end in ``\\n`` on every platform, and a text file object gets each
+    block decoded once.
+    """
     if hasattr(target, "write"):
-        _write_qsv_stream(psi, target)
+        _write_qsv_stream(psi, lambda data: target.write(data.decode("ascii")))
     else:
-        with open(target, "w", encoding="ascii") as fh:
-            _write_qsv_stream(psi, fh)
+        with open(target, "wb") as fh:
+            _write_qsv_stream(psi, fh.write)
 
 
-def _write_qsv_stream(psi: StateVector, fh) -> None:
-    """Write the text of psi to fh, formatting one range of amplitudes per CPU.
+def _write_qsv_stream(psi: StateVector, write) -> None:
+    """Pass the qsv bytes of psi to write, formatting one range of amplitudes per CPU.
 
     The formatting holds the GIL, so the amplitudes are written in rounds of
     one range of at most _QSV_ROUND amplitudes per process. This process
-    formats the first range of a round straight into fh; a forked child
+    formats the first range of a round straight into write; a forked child
     formats each other one into an unlinked temporary file, which this
-    process then copies to fh in order. A child exits 0 only once all of its
-    text is written, so a range whose child cannot be forked or exits
+    process then copies to write in order. A child exits 0 only once all of
+    its text is written, so a range whose child cannot be forked or exits
     otherwise is formatted here, and the text is the same at any number of
     ranges and rounds.
     """
-    fh.write("qsv 1\n")
-    fh.write(f"n {psi.n}\n")
+    write(b"qsv 1\nn %d\n" % psi.n)
+    _format_tables()  # built before any fork, so that every child inherits them
     flat = psi.amps.view(np.float64)
     dim = 1 << psi.n
     ways = _ways(dim)
@@ -623,19 +630,18 @@ def _write_qsv_stream(psi: StateVector, fh) -> None:
                     except OSError:  # no file or no process to be had
                         pid = fd = None
                     spooled.append((lo, hi, pid, fd))
-            _format_lines(flat, cuts[0], cuts[1], fh.write)
+            _format_lines(flat, cuts[0], cuts[1], write)
             for lo, hi, pid, fd in spooled:
                 if pid is None or children.wait(pid):
-                    _format_lines(flat, lo, hi, fh.write)
+                    _format_lines(flat, lo, hi, write)
                 else:
-                    _copy_text(fd, fh.write)
+                    _copy_text(fd, write)
 
 
 def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> None:
-    """Pass the qsv lines of amplitudes lo..hi-1 to write, one _QSV_BLOCK at a time."""
+    """Pass the qsv bytes of amplitudes lo..hi-1 to write, one _QSV_BLOCK at a time."""
     for start in range(lo, hi, _QSV_BLOCK):
-        part = flat[2 * start:2 * min(start + _QSV_BLOCK, hi)].tolist()
-        write(("%.17g %.17g\n" * (len(part) // 2)) % tuple(part))
+        write(_qsv_lines(flat[2 * start:2 * min(start + _QSV_BLOCK, hi)]))
 
 
 def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
@@ -644,7 +650,7 @@ def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
         fd = os.dup(spool.fileno())
 
     def work():
-        _format_lines(flat, lo, hi, lambda text: _write_all(fd, text.encode("ascii")))
+        _format_lines(flat, lo, hi, lambda data: _write_all(fd, data))
         return True
 
     try:
@@ -656,11 +662,160 @@ def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
 
 
 def _copy_text(fd: int, write) -> None:
-    """Pass the text in file fd to write, _QSV_CHUNK_BYTES at a time."""
+    """Pass the bytes in file fd to write, _QSV_CHUNK_BYTES at a time."""
     off = 0
     while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
-        write(block.decode("ascii"))
+        write(block)
         off += len(block)
+
+
+# The writer's "%.17g", vectorized. Each float x with |x| in (1e-280, 1e280)
+# has X = floor(log10|x|) and S = |x| * 10**(16 - X) in [1e16, 1e17); its 17
+# digits are the integer D nearest to S, and the text lays them out by the
+# rules of "%g". S is formed exactly enough to round it: 10**k is a pair of
+# doubles (hi, lo) with hi + lo within 2**-106 of it, and |x| * hi is split
+# exactly by Dekker's two-product. Zeros are written "0" and "-0". Every other
+# float whose digits this cannot prove (a tie or near-tie, a misjudged X, a
+# non-finite or extreme value) is formatted by Python's own "%.17g".
+_POW_MIN, _POW_MAX = -265, 297  # the k of every 10**k a float in range scales by
+_SPLITTER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves (Veltkamp)
+_FIXED_MIN = -4  # "%g" writes exponents -4..16 in fixed notation, others as d.ddde±XX
+_EXP_MAX = 300  # above |X| of every float in range (at most 281)
+# A token's source row, 32 bytes: "000" and its 17 digits, 3 exponent digits
+# and a NUL, then the characters below; a layout row lists the bytes of the
+# token's text in order, NUL-padded to _TOKEN_WIDTH
+_DIGIT0, _EXP_DIGIT0 = 3, 20
+_CHARS = b"-.0e+ \n\0"
+_MINUS, _DOT, _ZERO, _E, _PLUS, _SPACE, _NEWLINE, _NUL = range(24, 32)
+_TOKEN_WIDTH = 25  # "-d." 16 digits "e-XXX" and the separator
+# layout classes: fixed notation at exponent X is class X - _FIXED_MIN; then
+# e+XX, e+XXX, e-XX, e-XXX, a zero, and a token formatted by "%.17g"
+_SCI = 17 - _FIXED_MIN
+_ZERO_CLASS, _PY_CLASS = _SCI + 4, _SCI + 5
+
+
+def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A high and a low half of v of at most 26 significant bits each; their sum is exactly v."""
+    c = _SPLITTER * v
+    high = c - (c - v)
+    return high, v - high
+
+
+def _token_layout(cls: int, tz: int, negative: bool, newline: bool) -> list:
+    """Source-row positions of the text of one token with digits of tz trailing zeros."""
+    if cls == _PY_CLASS:
+        out = []
+    elif cls == _ZERO_CLASS:
+        out = [_ZERO]
+    elif cls < _SCI:
+        x = cls + _FIXED_MIN
+        digits = [_DIGIT0 + j for j in range(17 - tz)]
+        if x < 0:
+            out = [_ZERO, _DOT] + [_ZERO] * (-x - 1) + digits
+        else:
+            whole = [_DIGIT0 + j for j in range(x + 1)]
+            out = whole + ([_DOT] + digits[x + 1:] if len(digits) > x + 1 else [])
+    else:
+        sign, wide = divmod(cls - _SCI, 2)
+        out = [_DIGIT0] + ([_DOT] + [_DIGIT0 + j for j in range(1, 17 - tz)] if tz < 16 else [])
+        out += [_E, _MINUS if sign else _PLUS] + [_EXP_DIGIT0 + j for j in range(1 - wide, 3)]
+    if negative and cls != _PY_CLASS:
+        out.insert(0, _MINUS)
+    out.append(_NEWLINE if newline else _SPACE)
+    return out + [_NUL] * (_TOKEN_WIDTH - len(out))
+
+
+@functools.cache
+def _format_tables() -> dict:
+    """Exact powers of ten and the digit and layout tables of _qsv_lines.
+
+    Built on the first write, not at import: the exact powers take ~15 ms.
+    """
+    hi, lo = [], []
+    for k in range(_POW_MIN, _POW_MAX + 1):
+        power = fractions.Fraction(10) ** k
+        hi.append(float(power))
+        lo.append(float(power - fractions.Fraction(hi[-1])))
+    hi = np.array(hi)
+    # class of each exponent X, indexed by X + _EXP_MAX
+    exps = np.arange(-_EXP_MAX, _EXP_MAX)
+    cls = np.where(exps >= 17, _SCI + (exps >= 100),
+                   np.where(exps < _FIXED_MIN, _SCI + 2 + (exps <= -100), exps - _FIXED_MIN))
+    layouts = [_token_layout(c, tz, negative, newline) for newline in (False, True)
+               for negative in (False, True) for c in range(_PY_CLASS + 1) for tz in range(17)]
+    quads = [b"%04d" % i for i in range(10 ** 4)]
+    return {
+        "hi": hi, "hi_halves": _split(hi), "lo": np.array(lo), "cls": cls,
+        "layout": np.array(layouts, dtype=np.intp),
+        "quad": np.frombuffer(b"".join(quads), dtype=np.uint32),  # 4 ASCII digits per word
+        "exp": np.frombuffer(b"".join(b"%03d\0" % e for e in range(_EXP_MAX)), dtype=np.uint32),
+        "chars": np.frombuffer(_CHARS, dtype=np.uint32),
+        # trailing zero digits of each 4-digit group; 4 for 0000
+        "quad_tz": np.array([len(q) - len(q.rstrip(b"0")) for q in quads], dtype=np.intp),
+    }
+
+
+def _decimal(x: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, X, proven) per float: |x| rounds to D * 10**(X - 16), D of 17 digits, where proven."""
+    a = np.abs(x)
+    proven = (a > 1e-280) & (a < 1e280)
+    a = np.where(proven, a, 1.0)
+    exp = np.floor(np.log10(a)).astype(np.intp)
+    k = 16 - _POW_MIN - exp
+    hi, lo = tables["hi"][k], tables["lo"][k]
+    hi_high, hi_low = (half[k] for half in tables["hi_halves"])
+    # S = p + t: p = fl(a * hi) and t its exact error (Dekker), plus a * lo
+    p = a * hi
+    a_high, a_low = _split(a)
+    t = ((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low + a * lo
+    r = np.rint(t)
+    digits = p.astype(np.int64) + r.astype(np.int64)  # p is an integer wherever S >= 2**53
+    proven &= np.abs(np.abs(t - r) - 0.5) > 1e-6  # away from a tie, by far more than t's error
+    # D = 10**16 from S just below it would need X - 1: accept it only when S is exact
+    proven &= (((digits > 10 ** 16) & (digits < 10 ** 17))
+               | ((digits == 10 ** 16) & (t == 0) & (lo == 0)))
+    return digits, exp, proven
+
+
+def _source_rows(digits: np.ndarray, exp: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 8) uint32 source rows of the tokens, and the trailing zeros of each D."""
+    high8 = digits // 10 ** 8
+    low8 = digits - high8 * 10 ** 8
+    first = high8 // 10 ** 8
+    mid8 = high8 - first * 10 ** 8
+    quad1, quad3 = mid8 // 10 ** 4, low8 // 10 ** 4  # numpy's // by a scalar is fast; % is not
+    groups = [first, quad1, mid8 - quad1 * 10 ** 4, quad3, low8 - quad3 * 10 ** 4]
+    src = np.empty((len(digits), 8), dtype=np.uint32)
+    for col, group in enumerate(groups):
+        src[:, col] = tables["quad"][group]
+    src[:, 5] = tables["exp"][np.abs(exp)]
+    src[:, 6:] = tables["chars"]
+    tz = 0
+    for group in groups[1:]:
+        tz = tables["quad_tz"][group] + (group == 0) * tz
+    return src, tz
+
+
+def _qsv_lines(x: np.ndarray) -> bytes:
+    """The qsv lines of the float pairs x (re, im, re, im, ...), as ASCII bytes.
+
+    Byte-identical to ``b"%.17g %.17g\\n"`` per pair; see the comment above
+    _POW_MIN for the method.
+    """
+    tables = _format_tables()
+    digits, exp, proven = _decimal(x, tables)
+    src, tz = _source_rows(digits, exp, tables)
+    cls = np.where(proven, tables["cls"][exp + _EXP_MAX], np.where(x == 0, _ZERO_CLASS, _PY_CLASS))
+    index = np.arange(len(x))
+    variant = (index & 1) * 2 + np.signbit(x)  # newline after odd tokens, and sign
+    idx = tables["layout"][(variant * (_PY_CLASS + 1) + cls) * 17 + tz]
+    idx += (index * 32)[:, None]
+    rows = src.view(np.uint8).ravel()[idx]
+    del idx  # the largest temporary, 200 bytes a float
+    tokens = rows.view(f"S{_TOKEN_WIDTH}").ravel().tolist()  # NUL padding dropped
+    for i in np.flatnonzero(cls == _PY_CLASS).tolist():
+        tokens[i] = b"%.17g" % x[i].item() + tokens[i]
+    return b"".join(tokens)
 
 
 def read_qsv(source) -> StateVector:

@@ -255,6 +255,8 @@ def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
     assert (env["workers"], env["cpu_count"]) == (state._WORKERS, os.cpu_count())
     assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "2"
     assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert env["cpu_model"] == bench.cpu_model()
+    assert env["cpu_model"] is None or (isinstance(env["cpu_model"], str) and env["cpu_model"])
     rows = payload["rows"]
     assert [(r["n"], r["measure"]) for r in rows] == [(3, "residual:1"), (3, "residual:2"),
                                                        (5, "residual:1"), (5, "residual:4")]
@@ -262,6 +264,29 @@ def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
         assert set(r) == {"n", "measure", "median_ns", "min_ns", "op_count"}
         assert r["op_count"] == 2 ** r["n"]
         assert r["median_ns"] >= r["min_ns"] >= 0
+
+
+def test_cpu_model_reads_cpuinfo_then_platform_then_none(monkeypatch, tmp_path):
+    cpuinfo, no_model = tmp_path / "cpuinfo", tmp_path / "no_model"
+    cpuinfo.write_text("processor\t: 0\nmodel name\t: Some CPU @ 2.00GHz\n\nmodel name\t: other\n")
+    no_model.write_text("processor\t: 0\nHardware\t: some board\n")
+    real_open = open
+
+    def reading(path):
+        return lambda name, *args, **kwargs: real_open(path, *args, **kwargs)
+
+    def missing(*args, **kwargs):
+        raise FileNotFoundError("no /proc")
+
+    monkeypatch.setattr(bench.platform, "processor", lambda: "x86_64")
+    monkeypatch.setattr(bench, "open", reading(cpuinfo), raising=False)
+    assert bench.cpu_model() == "Some CPU @ 2.00GHz"
+    monkeypatch.setattr(bench, "open", reading(no_model), raising=False)
+    assert bench.cpu_model() == "x86_64"
+    monkeypatch.setattr(bench, "open", missing, raising=False)
+    assert bench.cpu_model() == "x86_64"
+    monkeypatch.setattr(bench.platform, "processor", lambda: "")
+    assert bench.cpu_model() is None
 
 
 def _bench_rows(capsys, *args):

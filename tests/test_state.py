@@ -868,7 +868,8 @@ def test_qsv_roundtrip_bit_exact_n1_to_12(tmp_path):
         assert np.array_equal(read_qsv(path).amps.view(np.uint64), amps.view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [3, _QSV_BLOCK.bit_length() - 1, _QSV_BLOCK.bit_length()])
+# one block, two blocks, and (n = 15, 16) ranges of many blocks, forked with two CPUs or more
+@pytest.mark.parametrize("n", [3, _QSV_BLOCK.bit_length() - 1, _QSV_BLOCK.bit_length(), 15, 16])
 def test_qsv_writer_matches_per_amplitude_formatting(n):
     rng = np.random.default_rng(n)
     amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
@@ -880,6 +881,110 @@ def test_qsv_writer_matches_per_amplitude_formatting(n):
     write_qsv(StateVector(n, amps), buf)
     expected = f"qsv 1\nn {n}\n" + "".join(f"{a.real:.17g} {a.imag:.17g}\n" for a in amps)
     assert buf.getvalue() == expected
+
+
+def _per_pair(x):
+    """The reference text: Python's own "%.17g" of every float, two to a line."""
+    return (("%.17g %.17g\n" * (len(x) // 2)) % tuple(x.tolist())).encode("ascii")
+
+
+def _random_patterns(count, seed):
+    """count finite doubles of uniformly random 64-bit patterns."""
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=count + count // 64,
+                                                dtype=np.uint64, endpoint=False)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)][:count]
+
+
+def _powers_of_ten():
+    """Every double 10**k, k = -323..308, its negative and three neighbours on each side."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    near = [powers]
+    for direction in (0.0, math.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    x = np.concatenate(near)
+    return np.concatenate([x, -x])
+
+
+def _ties():
+    """Exact ties at the 17th digit, which round half to even, and their neighbours."""
+    quarters = np.arange(-1024, 1024) * 0.5 + 0.25  # odd quarters: (2j + 1) / 4
+    x = np.concatenate([2.0 ** 50 + quarters, 2.0 ** 50 - 512 + quarters, 2.0 ** 49 + quarters / 2,
+                        [1234567890123456.75, 1234567890123456.25]])
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)])
+    return np.concatenate([x, -x])
+
+
+def _edges():
+    rng = np.random.default_rng(7)
+    tiny = 2.2250738585072014e-308
+    values = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0.0), 1.7976931348623157e308,
+              -1.7976931348623157e308, math.inf, -math.inf, math.nan, 1e-280, 1e280,
+              np.nextafter(1e-280, 0.0), np.nextafter(1e280, math.inf), 1e-4, 9.9999999999999991e-5,
+              1e16, 9999999999999998.0, 1e17, 99999999999999984.0, 0.5, 1.0, 2.0 ** 53 + 2]
+    subnormals = rng.integers(1, 2 ** 52, size=1000, dtype=np.uint64).view(np.float64)
+    x = np.concatenate([values, subnormals, -subnormals])
+    return np.append(x, 0.0) if x.size % 2 else x
+
+
+def _transformed_product():
+    psi = build_product(parse_product_expression("ghz:5@1,3,5,7,9 x w:4@2,4,6,8 x bell@10,11"))
+    ops = [random_operator("unitary", seed) for seed in range(psi.n)]
+    return apply_local(psi, ops).amps.view(np.float64)
+
+
+FORMAT_CASES = {
+    "random 64-bit patterns": lambda: _random_patterns(1 << 20, 20),
+    "gaussian scale 1": lambda: np.random.default_rng(1).standard_normal(1 << 17),
+    "gaussian scale 2**-10": lambda: np.random.default_rng(10).standard_normal(1 << 17) * 2.0 ** -10,
+    "gaussian scale 2**-20": lambda: np.random.default_rng(20).standard_normal(1 << 17) * 2.0 ** -20,
+    "transformed product state": _transformed_product,
+    "powers of ten and their neighbours": _powers_of_ten,
+    "exact ties": _ties,
+    "zeros, subnormals, extremes and non-finite values": _edges,
+}
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_qsv_formatter_matches_percent_17g(case):
+    x = FORMAT_CASES[case]()
+    assert x.size % 2 == 0
+    got, want = state_module._qsv_lines(x).split(b"\n"), _per_pair(x).split(b"\n")
+    assert len(got) == len(want)
+    bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_qsv_formatter_splices_unproven_tokens_mid_block():
+    x = np.random.default_rng(3).standard_normal(2 * _QSV_BLOCK) * 2.0 ** -9
+    special = {101: math.nan, 2000: -math.inf, 2001: math.inf, 4097: 1e-300, 5000: -1e300,
+               6002: 1234567890123456.75, 6003: -(2.0 ** 50 + 0.25), 7000: -0.0, 7001: 0.0}
+    for i, v in special.items():
+        x[i] = v
+    digits, exp, proven = state_module._decimal(x, state_module._format_tables())
+    assert np.flatnonzero(~proven).tolist() == sorted(special)  # zeros have no digits either
+    assert state_module._qsv_lines(x) == _per_pair(x)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+@pytest.mark.parametrize("workers", (1, 2))
+def test_qsv_path_and_text_file_get_the_same_bytes(tmp_path, monkeypatch, workers):
+    n = 15
+    assert 1 << n >= 2 * state_module._QSV_RANGE_MIN
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    psi = StateVector(n, _wide_amplitudes(n, 150))
+    forks = _count_forks(monkeypatch, "_fork_format")
+    path, buf = tmp_path / "state.qsv", io.StringIO()
+    write_qsv(psi, path)
+    _no_child_left()
+    write_qsv(psi, buf)
+    _no_child_left()
+    assert len(forks) == 2 * (workers - 1)
+    assert path.read_bytes() == buf.getvalue().encode("ascii")
+    assert path.read_bytes() == b"qsv 1\nn 15\n" + _per_pair(psi.amps.view(np.float64))
 
 
 def test_state_vector_adopts_frozen_arrays_and_copies_writable_ones():
