@@ -34,8 +34,8 @@ from . import state
 from .errors import DomainError
 from .measures import DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_even, _tau_odd, _wong_tangle
 
-__all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv", "records_to_json",
-           "CSV_HEADER"]
+__all__ = ["BenchRecord", "op_count", "check_sizes", "run_bench", "records_to_csv",
+           "records_to_json", "CSV_HEADER"]
 
 CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
 # thread counts a BLAS library reads at start; the kernels make no BLAS call,
@@ -97,19 +97,10 @@ def _time_call(fn, repetitions: int) -> tuple[int, int]:
     return samples[len(samples) // 2], samples[0]
 
 
-def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
-              oracle_cap: int = DEFAULT_WONG_CAP) -> list:
-    """Time each requested measure on seeded random states of the sizes of its parity.
-
-    Every size is checked before the first kernel is timed.
-    """
-    ns = list(ns)
-    for measure in measures:
-        if measure not in _PARITY:
-            raise DomainError(f"unknown bench measure {measure!r}")
-        if _PARITY[measure] is not None and not any(n % 2 == _PARITY[measure] for n in ns):
-            parity = "odd" if _PARITY[measure] else "even"
-            raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
+def check_sizes(ns, measures, oracle_cap: int = DEFAULT_WONG_CAP) -> None:
+    """Raise DomainError unless ns is a non-empty list of sizes every measure can time."""
+    if not ns:
+        raise DomainError("bench needs at least one size")
     for n in ns:
         if n < 2:
             raise DomainError(f"bench sizes must be >= 2, got n={n}")
@@ -119,6 +110,22 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
             raise DomainError(
                 f"quartic bench at n={n} exceeds the oracle cap of {oracle_cap}"
             )
+
+
+def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
+              oracle_cap: int = DEFAULT_WONG_CAP) -> list:
+    """Time each requested measure on seeded random states of the sizes of its parity.
+
+    Every size is checked, by check_sizes, before the first kernel is timed.
+    """
+    ns = list(ns)
+    check_sizes(ns, measures, oracle_cap)
+    for measure in measures:
+        if measure not in _PARITY:
+            raise DomainError(f"unknown bench measure {measure!r}")
+        if _PARITY[measure] is not None and not any(n % 2 == _PARITY[measure] for n in ns):
+            parity = "odd" if _PARITY[measure] else "even"
+            raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
     records = []
     with tempfile.TemporaryDirectory(prefix="ntangle-bench-") as tmp:
         for n in ns:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .bench import records_to_csv, records_to_json, records_to_text, run_bench
+from .bench import check_sizes, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError
 from .measures import (
     DEFAULT_WONG_CAP,
@@ -24,7 +24,7 @@ from .measures import (
     three_tangle,
     wong_tangle,
 )
-from .state import DEFAULT_MAX_QUBITS, parse_product_expression, build_product, read_qsv
+from .state import parse_product_expression, build_product, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -164,18 +164,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.n_min < 2 or args.n_max < args.n_min:
-        print(f"error: bad bench range {args.n_min}..{args.n_max}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.n_max > DEFAULT_MAX_QUBITS:
-        print(f"error: bench range exceeds the {DEFAULT_MAX_QUBITS}-qubit capacity",
-              file=sys.stderr)
-        return EXIT_USAGE
     measures = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
     ns = list(range(args.n_min, args.n_max + 1))
-    if "quartic" in measures and max((n for n in ns if n % 2 == 0), default=0) > args.oracle_cap:
-        print(f"error: quartic bench beyond n={args.oracle_cap} is off by default; "
-              f"raise --oracle-cap explicitly to allow it", file=sys.stderr)
+    try:  # a bad size range is a usage error; a range without a measure's parity exits 3
+        check_sizes(ns, measures, args.oracle_cap)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     records = run_bench(ns, measures=measures, repetitions=args.repetitions,
                         seed=args.seed, oracle_cap=args.oracle_cap)

@@ -504,8 +504,8 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _QSV_BLOCK = 1 << 12  # amplitudes formatted per numpy pass when writing; ~2.4 MB of temporaries
-# amplitude text per numpy parse when reading, and per copy of a child's text
-# when writing; bounds the temporaries of both
+# amplitude text per numpy parse when reading, and bytes per copy of a child's
+# spool; bounds the temporaries of both
 _QSV_CHUNK_BYTES = 1 << 20
 _QSV_HEAD_BYTES = 1 << 8  # a longer header line is read in text mode
 _QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
@@ -513,7 +513,7 @@ _QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
 # forked child costs about 5 ms, and two processes read 2**13 amplitudes in
 # 14.7 ms against 14.0 ms for one, 2**14 in 23 ms against 29 ms
 _QSV_RANGE_MIN = 1 << 13
-_QSV_ROUND = 1 << 17  # amplitudes per process and round when writing; bounds each child's text
+_QSV_ROUND = 1 << 17  # amplitudes per process and round when writing; bounds each child's spool
 
 
 def _ways(dim: int) -> int:
@@ -558,7 +558,7 @@ class _Children:
     def __exit__(self, *exc):
         for fd in self.fds:
             os.close(fd)
-        for pid in self.pids:  # still working, or blocked on a full pipe
+        for pid in self.pids:  # still working
             with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -586,6 +586,58 @@ def _write_all(fd: int, data) -> None:
         view = view[os.write(fd, view):]
 
 
+def _in_ranges(ranges, work, take) -> bool:
+    """Pass the bytes of every (lo, hi) range to take, in order; False if work refuses one.
+
+    work(lo, hi, emit) passes the bytes of a range to emit and returns False to
+    refuse it. This process works the first range straight into take; a
+    forked child works each other non-empty one into an unlinked temporary
+    file, which this process then copies to take. A child exits 0 only once
+    all of its bytes are written, so a range whose child cannot be forked or
+    exits otherwise is worked here, and take gets the same bytes at any number
+    of ranges. A pipe would not do: a child blocked on a full one never exits,
+    and its exit status is needed before any of its bytes reach take.
+    """
+    with _Children() as children:
+        spooled = []  # (lo, hi, pid, fd) of every range after the first; pid None if unforked
+        for lo, hi in ranges[1:]:
+            pid = fd = None
+            if lo < hi:
+                with contextlib.suppress(OSError):  # no file or no process to be had
+                    pid, fd = _fork_spool(work, lo, hi)
+                    children.add(pid, fd)
+            spooled.append((lo, hi, pid, fd))
+        if not work(*ranges[0], take):
+            return False
+        for lo, hi, pid, fd in spooled:
+            if pid is None or children.wait(pid):
+                if not work(lo, hi, take):
+                    return False
+            else:
+                _copy_spool(fd, take)
+    return True
+
+
+def _fork_spool(work, lo: int, hi: int) -> tuple[int, int]:
+    """(pid, unlinked file) of a child that runs work(lo, hi, emit), emit writing into the file."""
+    with tempfile.TemporaryFile() as spool:
+        fd = os.dup(spool.fileno())
+    try:
+        pid = _fork(lambda: work(lo, hi, lambda data: _write_all(fd, data)))
+    except OSError:
+        os.close(fd)
+        raise
+    return pid, fd
+
+
+def _copy_spool(fd: int, take) -> None:
+    """Pass the bytes in file fd to take, _QSV_CHUNK_BYTES at a time."""
+    off = 0
+    while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
+        take(block)
+        off += len(block)
+
+
 def write_qsv(psi: StateVector, target) -> None:
     """Write a state to a path or text file object in qsv format.
 
@@ -604,13 +656,8 @@ def _write_qsv_stream(psi: StateVector, write) -> None:
     """Pass the qsv bytes of psi to write, formatting one range of amplitudes per CPU.
 
     The formatting holds the GIL, so the amplitudes are written in rounds of
-    one range of at most _QSV_ROUND amplitudes per process. This process
-    formats the first range of a round straight into write; a forked child
-    formats each other one into an unlinked temporary file, which this
-    process then copies to write in order. A child exits 0 only once all of
-    its text is written, so a range whose child cannot be forked or exits
-    otherwise is formatted here, and the text is the same at any number of
-    ranges and rounds.
+    one range of at most _QSV_ROUND amplitudes per process, each round through
+    _in_ranges. The text is the same at any number of ranges and rounds.
     """
     write(b"qsv 1\nn %d\n" % psi.n)
     _format_tables()  # built before any fork, so that every child inherits them
@@ -618,55 +665,17 @@ def _write_qsv_stream(psi: StateVector, write) -> None:
     dim = 1 << psi.n
     ways = _ways(dim)
     step = min(-(-dim // ways), _QSV_ROUND)
+    work = functools.partial(_format_lines, flat)
     for first in range(0, dim, ways * step):
-        cuts = [min(first + k * step, dim) for k in range(ways + 1)]
-        with _Children() as children:
-            spooled = []  # (lo, hi, pid, fd) of every range after the first; pid None if unforked
-            for lo, hi in zip(cuts[1:], cuts[2:]):
-                if lo < hi:
-                    try:
-                        pid, fd = _fork_format(flat, lo, hi)
-                        children.add(pid, fd)
-                    except OSError:  # no file or no process to be had
-                        pid = fd = None
-                    spooled.append((lo, hi, pid, fd))
-            _format_lines(flat, cuts[0], cuts[1], write)
-            for lo, hi, pid, fd in spooled:
-                if pid is None or children.wait(pid):
-                    _format_lines(flat, lo, hi, write)
-                else:
-                    _copy_text(fd, write)
+        last = min(first + ways * step, dim)
+        _in_ranges([(lo, min(lo + step, dim)) for lo in range(first, last, step)], work, write)
 
 
-def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> None:
-    """Pass the qsv bytes of amplitudes lo..hi-1 to write, one _QSV_BLOCK at a time."""
+def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> bool:
+    """Pass the qsv bytes of amplitudes lo..hi-1 to write, one _QSV_BLOCK at a time; True."""
     for start in range(lo, hi, _QSV_BLOCK):
         write(_qsv_lines(flat[2 * start:2 * min(start + _QSV_BLOCK, hi)]))
-
-
-def _fork_format(flat: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    """(pid, unlinked file) of a child that writes the lines of amplitudes lo..hi-1 into it."""
-    with tempfile.TemporaryFile() as spool:
-        fd = os.dup(spool.fileno())
-
-    def work():
-        _format_lines(flat, lo, hi, lambda data: _write_all(fd, data))
-        return True
-
-    try:
-        pid = _fork(work)
-    except OSError:
-        os.close(fd)
-        raise
-    return pid, fd
-
-
-def _copy_text(fd: int, write) -> None:
-    """Pass the bytes in file fd to write, _QSV_CHUNK_BYTES at a time."""
-    off = 0
-    while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
-        write(block)
-        off += len(block)
+    return True
 
 
 # The writer's "%.17g", vectorized. Each float x with |x| in (1e-280, 1e280)
@@ -876,11 +885,11 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
     that parse to nan or inf, returns None and is left to the scanner.
 
     The conversion holds the GIL, so a large block is cut into one range of
-    whole lines per CPU. This process parses the first range; a forked child
-    parses each other one and sends its doubles back through a pipe. A range
-    holds the same tokens as in one serial pass, so the bits do not depend on
-    the number of ranges. A refused range, a child that fails or sends too
-    few or too many bytes, or a failed fork returns None as well.
+    whole lines per CPU and parsed through _in_ranges: forked children spool
+    their doubles, and this process parses the range of a child that fails. A
+    range holds the same tokens as in one serial pass, so the bits do not
+    depend on the number of ranges. A refused range, or too few or too many
+    doubles, returns None as well.
     """
     end = len(data)
     while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
@@ -895,31 +904,26 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
         starts.append(cut + 1)
     ranges = list(zip(starts, [s - 1 for s in starts[1:]] + [end]))
     out = np.empty(2 * dim)
+    view, done = memoryview(out).cast("B"), 0
+
+    def take(values):
+        nonlocal done
+        values = memoryview(values).cast("B")
+        view[done:done + len(values)] = values  # a surplus raises ValueError
+        done += len(values)
+
     try:
-        with _Children() as children:
-            for lo, hi in ranges[1:]:
-                children.add(*_fork_range(data, lo, hi))
-            done = _parse_lines(data, *ranges[0], out)
-            if done is None:
-                return None
-            for pid, fd in list(zip(children.pids, children.fds)):
-                got = _read_to_end(fd, memoryview(out[2 * done:]).cast("B"))
-                if got is None or got % 16 or children.wait(pid):
-                    return None
-                done += got // 16
-    except OSError:  # no pipe or no process to be had
+        if not _in_ranges(ranges, functools.partial(_parse_lines, data), take):
+            return None
+    except ValueError:  # more doubles than the state holds
         return None
-    if done != dim or not np.isfinite(out).all():
+    if done != out.nbytes or not np.isfinite(out).all():
         return None
     return out
 
 
-def _parse_lines(data: bytes, lo: int, end: int, out: np.ndarray) -> int | None:
-    """Parse the lines of data[lo:end] into out, two doubles each.
-
-    Returns the number of lines, or None if a line is refused or out is too short.
-    """
-    done = 0  # lines parsed
+def _parse_lines(data: bytes, lo: int, end: int, emit) -> bool:
+    """Pass the doubles of the lines of data[lo:end] to emit, two a line; False if a line is refused."""
     with warnings.catch_warnings():
         # older numpy only warns when a token is not read to its end
         warnings.simplefilter("error", DeprecationWarning)
@@ -928,7 +932,7 @@ def _parse_lines(data: bytes, lo: int, end: int, out: np.ndarray) -> int | None:
             hi = end if hi < 0 else hi
             text = data[lo:hi]
             if text.translate(None, _QSV_TOKEN_BYTES):
-                return None
+                return False
             chunk = np.frombuffer(text, dtype=np.uint8)
             newlines = np.flatnonzero(chunk == 10)
             lines = newlines.size + 1
@@ -936,53 +940,18 @@ def _parse_lines(data: bytes, lo: int, end: int, out: np.ndarray) -> int | None:
             # on line j, after newline j-1 and before newline j
             starts = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))[::2]
             if (starts.size != 2 * lines or (starts[2::2] < newlines).any()
-                    or (starts[1:-1:2] > newlines).any() or 2 * (done + lines) > out.size):
-                return None
+                    or (starts[1:-1:2] > newlines).any()):
+                return False
             try:
                 values = np.fromstring(text, dtype=np.float64, sep=" ")
             except (ValueError, DeprecationWarning):
-                return None
+                return False
             if values.size != 2 * lines:  # a token such as '1-2' read as two numbers
-                return None
-            out[2 * done:2 * (done + lines)] = values
-            done += lines
+                return False
+            emit(values)
             if hi == end:
-                return done
+                return True
             lo = hi + 1
-
-
-def _fork_range(data: bytes, lo: int, end: int) -> tuple[int, int]:
-    """(pid, read end of a pipe) of a child that sends the doubles of data[lo:end] through it.
-
-    The child fails on a refused line.
-    """
-    def work():
-        values = np.empty(2 * (data.count(b"\n", lo, end) + 1))
-        if _parse_lines(data, lo, end, values) is None:
-            return False
-        _write_all(w, values)
-        return True
-
-    r, w = os.pipe()
-    try:
-        pid = _fork(work)
-    except OSError:
-        os.close(r)
-        raise
-    finally:
-        os.close(w)
-    return pid, r
-
-
-def _read_to_end(fd: int, view: memoryview) -> int | None:
-    """Bytes read from fd into view until end of file; None if there are more than it holds."""
-    got = 0
-    while got < len(view):
-        k = os.readv(fd, [view[got:]])
-        if not k:
-            return got
-        got += k
-    return None if os.read(fd, 1) else got
 
 
 def _scan_qsv(text: str) -> StateVector:

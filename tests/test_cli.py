@@ -405,8 +405,14 @@ def test_bench_range_over_capacity(capsys):
     assert "capacity" in err
 
 
+def test_bench_empty_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "bench", "--n-min", "5", "--n-max", "4", "--measure", "read")
+    assert code == 2 and not out
+    assert "at least one size" in err
+
+
 @pytest.mark.parametrize("ns, kinds", (([5, 1], ("odd",)), ([5, 27], ("odd",)),
-                                       ([4, 6], ("quartic",))))
+                                       ([4, 6], ("quartic",)), ([], ("read",))))
 def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
     def refuse(fn, repetitions):
         raise AssertionError("a kernel was timed before every size was checked")

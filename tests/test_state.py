@@ -1,6 +1,8 @@
+import ast
 import io
 import math
 import os
+import pathlib
 import signal
 import tracemalloc
 
@@ -618,16 +620,16 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _count_forks(monkeypatch, name="_fork_range"):
-    """The (lo, hi) of every range the reader's, or the named function's, children get."""
+def _count_forks(monkeypatch):
+    """The (lo, hi) of every range a forked child of the reader or the writer gets."""
     forks = []
-    fork = getattr(state_module, name)
+    fork = state_module._fork_spool
 
     def spy(*args):
         forks.append(args[1:])
         return fork(*args)
 
-    monkeypatch.setattr(state_module, name, spy)
+    monkeypatch.setattr(state_module, "_fork_spool", spy)
     return forks
 
 
@@ -683,33 +685,48 @@ def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
-@pytest.mark.parametrize("fault", ("exits 7 after sending", "raises before sending"))
-def test_failed_child_falls_back_to_the_scanner(tmp_path, monkeypatch, fault):
+@pytest.mark.parametrize("fault", (
+    "exits 7 after writing part of its doubles", "exits 7 after writing all of its doubles",
+    "raises before writing", "cannot fork"))
+def test_failed_child_range_is_parsed_by_the_reader(tmp_path, monkeypatch, fault):
     psi = random_state(12, 12)
     path = tmp_path / "state.qsv"
     write_qsv(psi, path)
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
-    parent, scans = os.getpid(), []
-    scan, parse_lines, exit_ = state_module._scan_qsv, state_module._parse_lines, os._exit
+    parent, mine = os.getpid(), []
+    write_all, parse_lines, exit_ = state_module._write_all, state_module._parse_lines, os._exit
 
-    def scanner(text):
-        scans.append(text)
-        return scan(text)
+    def refuse(text):
+        raise AssertionError("the line scanner ran")
 
-    def failing_parse(*args):
-        if os.getpid() != parent:
+    def failing_write(fd, values):  # a child's one chunk of doubles
+        if fault == "raises before writing":
             raise RuntimeError("a failing child")
-        return parse_lines(*args)
+        write_all(fd, values[:len(values) // 2])
+        os._exit(7)
 
-    monkeypatch.setattr(state_module, "_scan_qsv", scanner)
-    if fault == "exits 7 after sending":
+    def no_fork():
+        raise OSError("no process to be had")
+
+    def spy(data, lo, hi, emit):
+        if os.getpid() == parent:
+            mine.append((lo, hi))
+        return parse_lines(data, lo, hi, emit)
+
+    if fault == "cannot fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    elif fault == "exits 7 after writing all of its doubles":
         monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
     else:
-        monkeypatch.setattr(state_module, "_parse_lines", failing_parse)
+        monkeypatch.setattr(state_module, "_write_all", failing_write)
+    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
+    monkeypatch.setattr(state_module, "_parse_lines", spy)
+    forks = _count_forks(monkeypatch)
     got = read_qsv(path)
     _no_child_left()
-    assert len(scans) == 1
+    assert len(forks) == 2
+    assert mine[1:] == forks  # this process parsed every child's range itself
     assert np.array_equal(got.amps.view(np.uint64), psi.amps.view(np.uint64))
 
 
@@ -748,7 +765,7 @@ def test_split_qsv_write_is_byte_identical_to_one_worker(tmp_path, monkeypatch, 
     psi = StateVector(n, _wide_amplitudes(n, 61))
     want = _serial_text(psi, monkeypatch)
     monkeypatch.setattr(state_module, "_WORKERS", workers)
-    forks = _count_forks(monkeypatch, "_fork_format")
+    forks = _count_forks(monkeypatch)
     path, buf = tmp_path / "state.qsv", io.StringIO()
     write_qsv(psi, path)
     _no_child_left()
@@ -793,7 +810,7 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
     else:
         monkeypatch.setattr(state_module, "_write_all", failing_write)
     monkeypatch.setattr(state_module, "_format_lines", spy)
-    forks = _count_forks(monkeypatch, "_fork_format")
+    forks = _count_forks(monkeypatch)
     buf = io.StringIO()
     write_qsv(psi, buf)
     _no_child_left()
@@ -803,7 +820,7 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
-@pytest.mark.parametrize("where", ("_format_lines", "_copy_text"))
+@pytest.mark.parametrize("where", ("_format_lines", "_copy_spool"))
 def test_interrupted_split_write_reaps_every_child(tmp_path, monkeypatch, where):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
@@ -815,7 +832,7 @@ def test_interrupted_split_write_reaps_every_child(tmp_path, monkeypatch, where)
         return work(*args)
 
     monkeypatch.setattr(state_module, where, interrupted)
-    forks = _count_forks(monkeypatch, "_fork_format")
+    forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         write_qsv(random_state(12, 13), tmp_path / "state.qsv")
     _no_child_left()
@@ -829,11 +846,12 @@ def test_split_write_reads_back_bit_exact(tmp_path, monkeypatch):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     amps = _wide_amplitudes(n, 15)
     path = tmp_path / "state.qsv"
-    writes, reads = _count_forks(monkeypatch, "_fork_format"), _count_forks(monkeypatch)
+    forks = _count_forks(monkeypatch)
     write_qsv(StateVector(n, amps), path)
+    writes = len(forks)
     assert np.array_equal(read_qsv(path).amps.view(np.uint64), amps.view(np.uint64))
     _no_child_left()
-    assert len(writes) == len(reads) == 2
+    assert writes == len(forks) - writes == 2
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGCHLD"), reason="no SIGCHLD to ignore")
@@ -856,6 +874,33 @@ def test_ignored_sigchld_reads_and_writes_in_one_process(tmp_path, monkeypatch):
         signal.signal(signal.SIGCHLD, previous)
     assert (got == psi.amps.view(np.uint64)).all()
     assert again.read_bytes() == path.read_bytes()
+
+
+def _os_references(name):
+    """(module, innermost enclosing function) of every os.<name> in src/ntangle, imports included."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append((module, function))
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                alias.name == name for alias in node.names):
+            found.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(pathlib.Path(state_module.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_one_fork_and_no_pipe_in_the_package():
+    # the qsv reader and writer fan out through one runner, _in_ranges
+    assert _os_references("fork") == [("state", "_fork")]
+    assert _os_references("pipe") == []
 
 
 def test_qsv_roundtrip_bit_exact_n1_to_12(tmp_path):
@@ -976,7 +1021,7 @@ def test_qsv_path_and_text_file_get_the_same_bytes(tmp_path, monkeypatch, worker
     assert 1 << n >= 2 * state_module._QSV_RANGE_MIN
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     psi = StateVector(n, _wide_amplitudes(n, 150))
-    forks = _count_forks(monkeypatch, "_fork_format")
+    forks = _count_forks(monkeypatch)
     path, buf = tmp_path / "state.qsv", io.StringIO()
     write_qsv(psi, path)
     _no_child_left()
