@@ -97,7 +97,7 @@ def _time_call(fn, repetitions: int) -> tuple[int, int]:
     return samples[len(samples) // 2], samples[0]
 
 
-def check_sizes(ns, measures, oracle_cap: int = DEFAULT_WONG_CAP) -> None:
+def check_sizes(ns, measures) -> None:
     """Raise DomainError unless ns is a non-empty list of sizes every measure can time."""
     if not ns:
         raise DomainError("bench needs at least one size")
@@ -106,20 +106,17 @@ def check_sizes(ns, measures, oracle_cap: int = DEFAULT_WONG_CAP) -> None:
             raise DomainError(f"bench sizes must be >= 2, got n={n}")
         if n > state.DEFAULT_MAX_QUBITS:
             raise DomainError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
-        if "quartic" in measures and n % 2 == 0 and n > oracle_cap:
-            raise DomainError(
-                f"quartic bench at n={n} exceeds the oracle cap of {oracle_cap}"
-            )
+        if "quartic" in measures and n % 2 == 0 and n > DEFAULT_WONG_CAP:
+            raise DomainError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
 
 
-def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7,
-              oracle_cap: int = DEFAULT_WONG_CAP) -> list:
+def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) -> list:
     """Time each requested measure on seeded random states of the sizes of its parity.
 
     Every size is checked, by check_sizes, before the first kernel is timed.
     """
     ns = list(ns)
-    check_sizes(ns, measures, oracle_cap)
+    check_sizes(ns, measures)
     for measure in measures:
         if measure not in _PARITY:
             raise DomainError(f"unknown bench measure {measure!r}")

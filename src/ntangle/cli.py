@@ -14,7 +14,6 @@ import sys
 from .bench import check_sizes, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError
 from .measures import (
-    DEFAULT_WONG_CAP,
     concurrence,
     r_tangle,
     tau,
@@ -49,8 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         " | wong | three-tangle (default: tau)")
     c.add_argument("--no-normalize", action="store_true",
                    help="evaluate on the raw amplitudes instead of normalizing first")
-    c.add_argument("--oracle-cap", type=int, default=DEFAULT_WONG_CAP,
-                   help="qubit cap for the quartic cross-reference measure")
     c.add_argument("--format", choices=("text", "json"), default="text")
 
     v = sub.add_parser("verify", help="run a named verification suite")
@@ -75,7 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         "temporary file) and write (write_qsv to one) every size")
     b.add_argument("--repetitions", type=int, default=5)
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    b.add_argument("--oracle-cap", type=int, default=DEFAULT_WONG_CAP)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
 
@@ -104,7 +100,7 @@ def _cmd_compute(args) -> int:
     if name in _MEASURES:
         report = _MEASURES[name](psi)
     elif name == "wong":
-        report = wong_tangle(psi, cap=args.oracle_cap)
+        report = wong_tangle(psi)
     elif name.startswith("residual:"):
         try:
             i = int(name.split(":", 1)[1])
@@ -167,12 +163,11 @@ def _cmd_bench(args) -> int:
     measures = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
     ns = list(range(args.n_min, args.n_max + 1))
     try:  # a bad size range is a usage error; a range without a measure's parity exits 3
-        check_sizes(ns, measures, args.oracle_cap)
+        check_sizes(ns, measures)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = run_bench(ns, measures=measures, repetitions=args.repetitions,
-                        seed=args.seed, oracle_cap=args.oracle_cap)
+    records = run_bench(ns, measures=measures, repetitions=args.repetitions, seed=args.seed)
     if args.format == "csv":
         print(records_to_csv(records), end="")
     elif args.format == "json":

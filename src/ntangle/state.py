@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import fractions
 import functools
+import io
 import math
 import os
 import re
@@ -427,11 +428,14 @@ def random_state(n: int, seed) -> StateVector:
 
 
 def random_state_batch(n: int, count: int, seed) -> np.ndarray:
-    """A (count, 2**n) array of independent Haar-uniform amplitude rows."""
+    """A (count, 2**n) array of independent Haar-uniform amplitude rows; 2**DEFAULT_MAX_QUBITS at most."""
     if n < 1:
         raise DomainError(f"random state needs n >= 1, got n={n}")
     if n > DEFAULT_MAX_QUBITS:
         raise CapacityError(f"random state needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+    if count << n > 1 << DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"{count} random states of {n} qubits hold more amplitudes than one "
+                            f"state at the capacity of {DEFAULT_MAX_QUBITS} qubits")
     rng = _rng(seed)
     dim = 1 << n
     z = np.empty((count, dim), dtype=np.complex128)
@@ -507,7 +511,9 @@ _QSV_BLOCK = 1 << 12  # amplitudes formatted per numpy pass when writing; ~2.4 M
 # amplitude text per numpy parse when reading, and bytes per copy of a child's
 # spool; bounds the temporaries of both
 _QSV_CHUNK_BYTES = 1 << 20
-_QSV_HEAD_BYTES = 1 << 8  # a longer header line is read in text mode
+# bytes of the first read of the header lines; each next read takes as many more
+# as all reads before it
+_QSV_HEAD_BYTES = 1 << 8
 _QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
 # amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon a
 # forked child costs about 5 ms, and two processes read 2**13 amplitudes in
@@ -639,36 +645,27 @@ def _copy_spool(fd: int, take) -> None:
 
 
 def write_qsv(psi: StateVector, target) -> None:
-    """Write a state to a path or text file object in qsv format.
+    """Write a state in qsv format to a path or a binary or text file object.
 
-    The text is made as ASCII bytes: a path is written in binary mode, so its
-    lines end in ``\\n`` on every platform, and a text file object gets each
-    block decoded once.
+    The text is made as ASCII bytes: a path is opened in binary mode, so its
+    lines end in ``\\n`` on every platform, and a text file object
+    (``io.TextIOBase``) gets each block decoded once. The formatting holds the
+    GIL, so it runs in rounds of one range of at most _QSV_ROUND amplitudes per
+    process, each through _in_ranges; the text is the same at any number of them.
     """
-    if hasattr(target, "write"):
-        _write_qsv_stream(psi, lambda data: target.write(data.decode("ascii")))
-    else:
-        with open(target, "wb") as fh:
-            _write_qsv_stream(psi, fh.write)
-
-
-def _write_qsv_stream(psi: StateVector, write) -> None:
-    """Pass the qsv bytes of psi to write, formatting one range of amplitudes per CPU.
-
-    The formatting holds the GIL, so the amplitudes are written in rounds of
-    one range of at most _QSV_ROUND amplitudes per process, each round through
-    _in_ranges. The text is the same at any number of ranges and rounds.
-    """
-    write(b"qsv 1\nn %d\n" % psi.n)
-    _format_tables()  # built before any fork, so that every child inherits them
-    flat = psi.amps.view(np.float64)
-    dim = 1 << psi.n
-    ways = _ways(dim)
-    step = min(-(-dim // ways), _QSV_ROUND)
-    work = functools.partial(_format_lines, flat)
-    for first in range(0, dim, ways * step):
-        last = min(first + ways * step, dim)
-        _in_ranges([(lo, min(lo + step, dim)) for lo in range(first, last, step)], work, write)
+    with (contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "wb")) as fh:
+        text = isinstance(fh, io.TextIOBase)
+        write = (lambda data: fh.write(data.decode("ascii"))) if text else fh.write
+        write(b"qsv 1\nn %d\n" % psi.n)
+        _format_tables()  # built before any fork, so that every child inherits them
+        flat = psi.amps.view(np.float64)
+        dim = 1 << psi.n
+        ways = _ways(dim)
+        step = min(-(-dim // ways), _QSV_ROUND)
+        work = functools.partial(_format_lines, flat)
+        for first in range(0, dim, ways * step):
+            last = min(first + ways * step, dim)
+            _in_ranges([(lo, min(lo + step, dim)) for lo in range(first, last, step)], work, write)
 
 
 def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> bool:
@@ -828,51 +825,53 @@ def _qsv_lines(x: np.ndarray) -> bytes:
 
 
 def read_qsv(source) -> StateVector:
-    """Read a state from a path or text file object in qsv format."""
-    if hasattr(source, "read"):
-        return _read_qsv_stream(source)
-    # bytes skip a decode and a re-encode of the whole block
-    with open(source, "rb") as fh:
-        head = fh.readline(_QSV_HEAD_BYTES), fh.readline(_QSV_HEAD_BYTES)
-        if all(line.endswith(b"\n") and line.isascii() and b"\r" not in line for line in head):
-            return _read_qsv_stream(fh, [line.decode("ascii") for line in head])
-    # text mode turns '\r\n' and '\r' into '\n', and each non-ASCII byte into a
-    # lone surrogate for the scanner to report
-    with open(source, "r", encoding="ascii", errors="surrogateescape") as fh:
-        return _read_qsv_stream(fh)
+    """Read a state in qsv format from a path or a binary or text file object.
+
+    Every source is read as bytes: a path is opened in binary mode, and the
+    strings of a text file object are encoded back to the bytes they were
+    decoded from. The bytes get text mode's newlines: ``\\r\\n`` and a lone
+    ``\\r`` become ``\\n``.
+    """
+    with (contextlib.nullcontext(source) if hasattr(source, "read") else open(source, "rb")) as fh:
+        # refuse an over-capacity header before the amplitude block is even read: the
+        # head holds both header lines, and does not end in a '\r' that a '\n' may follow
+        head = b""
+        while ((len(lines := _newlines(head).split(b"\n", 2)) < 3 or head.endswith(b"\r"))
+               and (line := _as_bytes(fh.readline(len(head) + _QSV_HEAD_BYTES)))):
+            head += line
+        header, count = (part.decode("ascii", "surrogateescape") for part in (lines + [b""])[:2])
+        m = _COUNT_RE.match(count)
+        n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
+        if n > DEFAULT_MAX_QUBITS:
+            raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+        if len(lines) < 3:  # the source ended within its first two lines
+            return _scan_qsv(_newlines(head).decode("ascii", "surrogateescape"))
+        block = _as_bytes(fh.read())
+    if lines[2]:  # the head's reads passed a lone '\r'
+        block = lines[2] + block
+    block = _newlines(block)
+    if n >= 1 and (header + count).isascii():
+        flat = _parse_amplitude_block(block, n)
+        if flat is not None:
+            return StateVector(n, _readonly(flat).view(np.complex128))
+    block = block.decode("ascii", "surrogateescape")
+    text = f"{header}\n{count}\n{block}"
+    del block  # hold one copy of the text while the scanner splits it into lines
+    return _scan_qsv(text)
+
+
+def _as_bytes(data) -> bytes:
+    """A text file object's string as the bytes it was decoded from; bytes as they are."""
+    return data.encode("utf-8", "surrogateescape") if isinstance(data, str) else data
+
+
+def _newlines(data: bytes) -> bytes:
+    """data with text mode's newlines: '\\r\\n' and a lone '\\r' become '\\n'."""
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 _COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
-
-
-def _read_qsv_stream(fh, head=None) -> StateVector:
-    """Read a text stream, or a byte stream whose two header lines were read into ``head``."""
-    # refuse an over-capacity header before the amplitude block is even read
-    header, count = head or (fh.readline(), fh.readline())
-    m = _COUNT_RE.match(count)
-    n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
-    if n > DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
-    block = fh.read()
-    if isinstance(block, str):
-        data = block.encode("ascii") if block.isascii() else None
-    elif b"\r" in block:  # the newlines of text mode
-        data = block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    else:
-        data = block
-    # the fast path needs the same two header lines the scanner splits off and accepts
-    if (data is not None and n >= 1 and header.endswith("\n") and count.endswith("\n")
-            and (header + count).isascii()):
-        flat = _parse_amplitude_block(data, n)
-        if flat is not None:
-            return StateVector(n, _readonly(flat).view(np.complex128))
-    del data
-    if isinstance(block, bytes):
-        block = block.decode("ascii", "surrogateescape")
-    text = header + count + block
-    del block  # hold one copy of the text while the scanner splits it into lines
-    return _scan_qsv(text)
 
 
 def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:

@@ -44,6 +44,19 @@ def test_compute_expr_r_tangle(capsys):
     assert "residuals" in out
 
 
+def test_compute_wong_up_to_the_fixed_cap(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--expr", "ghz:6@1,2,3,4,5,6", "--measure", "wong")
+    assert code == 0
+    assert abs(value_of(out) - 1.0) < 1e-9
+    code, out, err = run_cli(capsys, "compute", "--expr", "ghz:12@" + ",".join(map(str, range(1, 13))),
+                             "--measure", "wong")
+    assert code == 3 and out == ""
+    assert "cap of 10" in err
+    with pytest.raises(SystemExit) as exc:  # the cap is not an option
+        main(["compute", "--expr", "ghz:4@1,2,3,4", "--measure", "wong", "--oracle-cap", "6"])
+    assert exc.value.code == 2
+
+
 def test_compute_file_concurrence(capsys, tmp_path):
     path = tmp_path / "bell.qsv"
     write_qsv(named_state("bell", 2), path)
@@ -394,7 +407,7 @@ def test_bench_quartic_op_count(capsys):
 
 
 def test_bench_quartic_beyond_cap(capsys):
-    code, _, err = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "8",
+    code, _, err = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "12",
                            "--measure", "quartic")
     assert code == 2
 
@@ -412,7 +425,7 @@ def test_bench_empty_range_exit_2(capsys):
 
 
 @pytest.mark.parametrize("ns, kinds", (([5, 1], ("odd",)), ([5, 27], ("odd",)),
-                                       ([4, 6], ("quartic",)), ([], ("read",))))
+                                       ([4, 12], ("quartic",)), ([], ("read",))))
 def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
     def refuse(fn, repetitions):
         raise AssertionError("a kernel was timed before every size was checked")
@@ -434,6 +447,14 @@ def test_bench_text_reports_op_count_ratio(capsys):
                            "--measure", "both", "--repetitions", "2")
     assert code == 0
     assert "quartic/quadratic = 24576" in out
+
+
+def test_verify_batch_over_capacity_exit_3(capsys, monkeypatch):
+    # closed-form draws 1000 states a size: 4000 amplitudes at n=2, 8000 at n=3
+    monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 12)
+    code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--n-max", "3")
+    assert code == 3 and out == ""
+    assert "1000 random states of 3 qubits hold more amplitudes" in err
 
 
 def test_verify_rejects_bad_trials(capsys):

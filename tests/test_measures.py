@@ -465,12 +465,12 @@ def test_wong_tangle_takes_batches():
 
 
 def test_wong_tangle_cap():
+    with pytest.raises(DomainError, match="cap of 10"):
+        wong_tangle(ghz(12))
+    # below the cap, a ghz state keeps value 1 at any even size
+    assert abs(wong_tangle(ghz(6)).value - 1.0) < 1e-9
     with pytest.raises(DomainError):
-        wong_tangle(ghz(6))
-    # opting in works; a ghz state keeps value 1 at any even size
-    assert abs(wong_tangle(ghz(6), cap=6).value - 1.0) < 1e-9
-    with pytest.raises(DomainError):
-        wong_tangle(ghz(5), cap=6)
+        wong_tangle(ghz(5))
 
 
 # --- independent three-qubit oracle -----------------------------------------

@@ -33,6 +33,7 @@ from ntangle.state import (
     permute,
     random_operator,
     random_state,
+    random_state_batch,
     read_qsv,
     tensor,
     write_qsv,
@@ -396,6 +397,16 @@ def test_random_state_normalized_and_deterministic():
         assert np.array_equal(psi.amps, again.amps)
 
 
+def test_random_batch_over_capacity_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 10)
+    assert random_state_batch(4, 64, 1).shape == (64, 16)  # exactly 2**10 amplitudes
+    monkeypatch.setattr(np, "empty", None)  # any allocation would raise TypeError
+    with pytest.raises(CapacityError):
+        random_state_batch(4, 65, 1)
+    with pytest.raises(CapacityError):
+        random_state_batch(11, 1, 1)
+
+
 def test_norm_past_the_float_range_is_infinite():
     # each of the two slices of the squares' sum is finite; their total is not
     amps = np.full(1 << 16, 6e151)
@@ -536,15 +547,21 @@ def test_qsv_rejects_non_finite_amplitudes():
 
 
 def test_qsv_capacity_checked_before_the_amplitude_block(monkeypatch):
-    class HeaderOnly(io.StringIO):
-        def read(self, *args):
-            raise AssertionError("the amplitude block was read")
+    def header_only(kind, text):
+        class HeaderOnly(kind):
+            def read(self, *args):
+                raise AssertionError("the amplitude block was read")
 
-    with pytest.raises(CapacityError):
-        read_qsv(HeaderOnly("qsv 1\nn 27\n"))
-    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 2)
-    with pytest.raises(CapacityError):
-        read_qsv(HeaderOnly("qsv 1\nn 3\n"))
+        return HeaderOnly(text if kind is io.StringIO else text.encode("ascii"))
+
+    for kind in (io.StringIO, io.BytesIO):
+        for header in ("qsv 1\nn 27\n", "qsv 1\rn 27\r0 1\r", "qsv 1\r\nn 27\r\n"):
+            with pytest.raises(CapacityError):
+                read_qsv(header_only(kind, header))
+        with monkeypatch.context() as small:
+            small.setattr(state_module, "DEFAULT_MAX_QUBITS", 2)
+            with pytest.raises(CapacityError):
+                read_qsv(header_only(kind, "qsv 1\nn 3\n"))
     monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 3)
     buf = io.StringIO()
     write_qsv(ghz(3), buf)
@@ -600,6 +617,36 @@ def test_qsv_reader_agrees_with_the_line_scanner(text):
     assert _outcome(read_qsv, io.StringIO(text)) == _outcome(_scan_qsv, text)
 
 
+_HEAD = state_module._QSV_HEAD_BYTES
+# lone '\r' and '\r\n' where the reads of the header lines end
+NEWLINE_TABLE = {
+    "lone CR, a header line longer than the first read":
+        "qsv 1" + " " * _HEAD + "\rn 1\r0 1\r1 0\r",
+    "lone CR, the first read passes the header lines": "qsv 1\rn 7\r" + "0.5 -0.25\r" * 128,
+    "lone CR, a bad token": "qsv 1\rn 1\r0 1\r1 x\r",
+    "the first read ends inside the header's CRLF":
+        "qsv 1" + " " * (_HEAD - 6) + "\r\nn 1\r\n0 1\r\n1 0\r\n",
+    "the second read ends inside the count line's CRLF":
+        "qsv 1\r\nn 1" + " " * (_HEAD + 3) + "\r\n0 1\r\n1 0\r\n",
+    "the first read ends inside an amplitude line's CRLF":  # its byte _HEAD - 1 is that '\r'
+        "qsv 1" + " " * (_HEAD - 250) + "\rn 7\r" + "0.5 -0.25\r" * 23 + "0.5 -0.25\r\n"
+        + "0.5 -0.25\r" * 104,
+}
+
+
+@pytest.mark.parametrize("text", list(QSV_TABLE) + [
+    pytest.param(text, id=name) for name, text in NEWLINE_TABLE.items()])
+def test_qsv_path_bytes_and_text_mode_agree(tmp_path, text):
+    path = tmp_path / "state.qsv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        want = _outcome(_scan_qsv, fh.read())  # the text that text mode reads
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
+        assert _outcome(read_qsv, fh) == want
+    assert _outcome(read_qsv, path) == want
+    assert _outcome(read_qsv, io.BytesIO(path.read_bytes())) == want
+
+
 def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
     def refuse(text):
         raise AssertionError("the line scanner ran")
@@ -609,10 +656,12 @@ def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
     path = tmp_path / "big.qsv"
     write_qsv(psi, path)
     assert np.array_equal(read_qsv(path).amps, psi.amps)
-    for i, text in enumerate(QSV_TABLE[:6]):  # the well-formed entries; CRLF too, from a path
+    well_formed = QSV_TABLE[:6] + tuple(text for name, text in NEWLINE_TABLE.items() if "bad" not in name)
+    for i, text in enumerate(well_formed):  # CR and CRLF too, from a path and from bytes
         path = tmp_path / f"table{i}.qsv"
         path.write_bytes(text.encode("ascii"))
-        assert _outcome(read_qsv, path) == _outcome(_scan_qsv, text.replace("\r", ""))
+        want = _outcome(_scan_qsv, text.replace("\r\n", "\n").replace("\r", "\n"))
+        assert _outcome(read_qsv, path) == _outcome(read_qsv, io.BytesIO(path.read_bytes())) == want
 
 
 def _no_child_left():
@@ -1022,13 +1071,12 @@ def test_qsv_path_and_text_file_get_the_same_bytes(tmp_path, monkeypatch, worker
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     psi = StateVector(n, _wide_amplitudes(n, 150))
     forks = _count_forks(monkeypatch)
-    path, buf = tmp_path / "state.qsv", io.StringIO()
-    write_qsv(psi, path)
-    _no_child_left()
-    write_qsv(psi, buf)
-    _no_child_left()
-    assert len(forks) == 2 * (workers - 1)
-    assert path.read_bytes() == buf.getvalue().encode("ascii")
+    path, text, data = tmp_path / "state.qsv", io.StringIO(), io.BytesIO()
+    for target in (path, text, data):
+        write_qsv(psi, target)
+        _no_child_left()
+    assert len(forks) == 3 * (workers - 1)
+    assert path.read_bytes() == text.getvalue().encode("ascii") == data.getvalue()
     assert path.read_bytes() == b"qsv 1\nn 15\n" + _per_pair(psi.amps.view(np.float64))
 
 

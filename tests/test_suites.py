@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -34,6 +35,15 @@ QUICK = {
 
 def test_registry_matches_quick_configs():
     assert set(QUICK) == set(SUITES)
+
+
+def test_benchmark_repeats_every_suite_in_run_order():
+    # perfbench/metrics.py keeps its own tuple of the suites its verify workload runs
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "metrics.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    listed = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+              and [getattr(t, "id", None) for t in node.targets] == ["SUITES"]]
+    assert listed == [tuple(SUITES)]
 
 
 @pytest.mark.parametrize("name", sorted(QUICK))
