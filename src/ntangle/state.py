@@ -20,6 +20,7 @@ import fractions
 import functools
 import io
 import math
+import mmap
 import os
 import re
 import signal
@@ -186,12 +187,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _immutable(a: np.ndarray) -> bool:
-    """True when neither ``a`` nor any array it views can be written."""
+    """True when neither ``a`` nor any array it views can be written.
+
+    The reader's map is the one base besides an array's own data that counts:
+    nothing else holds it once the reader returns.
+    """
     while isinstance(a, np.ndarray):
         if a.flags.writeable:
             return False
         a = a.base
-    return a is None
+    return a is None or type(a) is _AmplitudeMap
 
 
 def tensor(phi: StateVector, omega: StateVector) -> StateVector:
@@ -508,8 +513,8 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _QSV_BLOCK = 1 << 12  # amplitudes formatted per numpy pass when writing; ~2.4 MB of temporaries
-# amplitude text per numpy parse when reading, and bytes per copy of a child's
-# spool; bounds the temporaries of both
+# amplitude text per numpy parse when reading, and bytes per copy of one of the
+# writer's spools; bounds the temporaries of both
 _QSV_CHUNK_BYTES = 1 << 20
 # bytes of the first read of the header lines; each next read takes as many more
 # as all reads before it
@@ -534,44 +539,8 @@ def _ways(dim: int) -> int:
     return max(1, min(_WORKERS, dim // _QSV_RANGE_MIN))
 
 
-class _Children:
-    """Forked children and the fds this process holds for them.
-
-    Leaving the with block closes every fd and reaps every child, killing
-    first any that was not waited for, also when the block is left by an
-    exception or KeyboardInterrupt.
-    """
-
-    def __init__(self):
-        self.fds, self.pids = [], []
-
-    def __enter__(self):
-        return self
-
-    def add(self, pid: int, fd: int) -> None:
-        self.pids.append(pid)
-        self.fds.append(fd)
-
-    def wait(self, pid: int) -> int:
-        """The child's exit status; -1 if it was reaped elsewhere."""
-        try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # its pid may name another process by now: never kill it
-            status = -1
-        self.pids.remove(pid)
-        return status
-
-    def __exit__(self, *exc):
-        for fd in self.fds:
-            os.close(fd)
-        for pid in self.pids:  # still working
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-
-
-def _fork(work) -> int:
-    """pid of a forked child that runs work() and leaves with os._exit.
+def _fork(work, *args) -> int:
+    """pid of a forked child that runs work(*args) and leaves with os._exit.
 
     The exit status is 0 if work returns True, and 1 if it returns False or
     raises; the child never returns into the caller's code.
@@ -580,68 +549,44 @@ def _fork(work) -> int:
     if pid == 0:
         code = 1
         try:
-            code = 0 if work() else 1
+            code = 0 if work(*args) else 1
         finally:
             os._exit(code)
     return pid
 
 
-def _write_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
+def _in_ranges(ranges, work) -> bool:
+    """Run work(*r) on every range r; False if work refuses one in this process.
 
-
-def _in_ranges(ranges, work, take) -> bool:
-    """Pass the bytes of every (lo, hi) range to take, in order; False if work refuses one.
-
-    work(lo, hi, emit) passes the bytes of a range to emit and returns False to
-    refuse it. This process works the first range straight into take; a
-    forked child works each other non-empty one into an unlinked temporary
-    file, which this process then copies to take. A child exits 0 only once
-    all of its bytes are written, so a range whose child cannot be forked or
-    exits otherwise is worked here, and take gets the same bytes at any number
-    of ranges. A pipe would not do: a child blocked on a full one never exits,
-    and its exit status is needed before any of its bytes reach take.
+    This process works the first range and a forked child each other one; a
+    range's output goes wherever work puts it, so this moves no bytes. A
+    child exits 0 only once work returns True, so a range whose child cannot
+    be forked or exits otherwise is worked here: every range is done the
+    same way at any number of them. Every child is waited for, in order, or
+    killed and reaped on the way out, also when an exception or
+    KeyboardInterrupt leaves this.
     """
-    with _Children() as children:
-        spooled = []  # (lo, hi, pid, fd) of every range after the first; pid None if unforked
-        for lo, hi in ranges[1:]:
-            pid = fd = None
-            if lo < hi:
-                with contextlib.suppress(OSError):  # no file or no process to be had
-                    pid, fd = _fork_spool(work, lo, hi)
-                    children.add(pid, fd)
-            spooled.append((lo, hi, pid, fd))
-        if not work(*ranges[0], take):
-            return False
-        for lo, hi, pid, fd in spooled:
-            if pid is None or children.wait(pid):
-                if not work(lo, hi, take):
-                    return False
-            else:
-                _copy_spool(fd, take)
-    return True
-
-
-def _fork_spool(work, lo: int, hi: int) -> tuple[int, int]:
-    """(pid, unlinked file) of a child that runs work(lo, hi, emit), emit writing into the file."""
-    with tempfile.TemporaryFile() as spool:
-        fd = os.dup(spool.fileno())
+    pids = [None] * len(ranges)  # a child not yet waited for, by range
     try:
-        pid = _fork(lambda: work(lo, hi, lambda data: _write_all(fd, data)))
-    except OSError:
-        os.close(fd)
-        raise
-    return pid, fd
-
-
-def _copy_spool(fd: int, take) -> None:
-    """Pass the bytes in file fd to take, _QSV_CHUNK_BYTES at a time."""
-    off = 0
-    while block := os.pread(fd, _QSV_CHUNK_BYTES, off):
-        take(block)
-        off += len(block)
+        for k, r in enumerate(ranges[1:], 1):
+            with contextlib.suppress(OSError):  # no process to be had
+                pids[k] = _fork(work, *r)
+        if not work(*ranges[0]):
+            return False
+        for k, r in enumerate(ranges[1:], 1):
+            status = -1
+            if pids[k] is not None:
+                with contextlib.suppress(ChildProcessError):  # reaped elsewhere
+                    status = os.waitpid(pids[k], 0)[1]
+                pids[k] = None  # its pid may name another process by now: never kill it
+            if status and not work(*r):
+                return False
+        return True
+    finally:
+        for pid in filter(None, pids):  # still working
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def write_qsv(psi: StateVector, target) -> None:
@@ -651,7 +596,10 @@ def write_qsv(psi: StateVector, target) -> None:
     lines end in ``\\n`` on every platform, and a text file object
     (``io.TextIOBase``) gets each block decoded once. The formatting holds the
     GIL, so it runs in rounds of one range of at most _QSV_ROUND amplitudes per
-    process, each through _in_ranges; the text is the same at any number of them.
+    process, each through _in_ranges. This process formats the first range of
+    a round straight into the target, and each other range goes into an
+    unlinked file of its own, which is copied to the target in order once the
+    round is done; the text is the same at any number of ranges.
     """
     with (contextlib.nullcontext(target) if hasattr(target, "write") else open(target, "wb")) as fh:
         text = isinstance(fh, io.TextIOBase)
@@ -662,10 +610,29 @@ def write_qsv(psi: StateVector, target) -> None:
         dim = 1 << psi.n
         ways = _ways(dim)
         step = min(-(-dim // ways), _QSV_ROUND)
-        work = functools.partial(_format_lines, flat)
         for first in range(0, dim, ways * step):
             last = min(first + ways * step, dim)
-            _in_ranges([(lo, min(lo + step, dim)) for lo in range(first, last, step)], work, write)
+            ranges = [(lo, min(lo + step, dim)) for lo in range(first, last, step)]
+            with contextlib.ExitStack() as stack:
+                try:
+                    spools = {lo: stack.enter_context(tempfile.TemporaryFile()) for lo, _ in ranges[1:]}
+                except OSError:  # no file to be had: this process formats the round alone
+                    spools, ranges = {}, [(first, last)]
+
+                def work(lo, hi):
+                    spool = spools.get(lo)
+                    if spool is None:
+                        return _format_lines(flat, lo, hi, write)
+                    spool.seek(0)  # over a failed child's part: a prefix of the same text
+                    _format_lines(flat, lo, hi, spool.write)
+                    spool.flush()
+                    return True
+
+                _in_ranges(ranges, work)
+                for spool in spools.values():
+                    spool.seek(0)
+                    while data := spool.read(_QSV_CHUNK_BYTES):
+                        write(data)
 
 
 def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> bool:
@@ -884,45 +851,52 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
     that parse to nan or inf, returns None and is left to the scanner.
 
     The conversion holds the GIL, so a large block is cut into one range of
-    whole lines per CPU and parsed through _in_ranges: forked children spool
-    their doubles, and this process parses the range of a child that fails. A
-    range holds the same tokens as in one serial pass, so the bits do not
-    depend on the number of ranges. A refused range, or too few or too many
-    doubles, returns None as well.
+    whole lines per CPU and parsed through _in_ranges. The doubles go into one
+    shared anonymous map, which a forked child's writes reach: each range's
+    first line is counted before any fork, and this process or a child parses
+    the range's lines in place. A range holds the same tokens as in one serial
+    pass, so the bits do not depend on the number of ranges. A refused range,
+    or one whose lines do not end where the next range's (or the state)
+    begins, returns None as well.
     """
     end = len(data)
     while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
         end -= 1
     dim = 1 << n
     ways = _ways(dim)
-    starts = [0]  # each range starts a line and ends before the newline that starts the next
+    # (first byte, end byte, first line, end line) of each range: whole lines,
+    # each ending before the newline that starts the next
+    ranges = []
+    lo = line = 0
+    octets = np.frombuffer(data, dtype=np.uint8)
     for k in range(1, ways):
-        cut = data.find(b"\n", max(end * k // ways, starts[-1]), end)
+        cut = data.find(b"\n", max(end * k // ways, lo), end)
         if cut < 0:
             break
-        starts.append(cut + 1)
-    ranges = list(zip(starts, [s - 1 for s in starts[1:]] + [end]))
-    out = np.empty(2 * dim)
-    view, done = memoryview(out).cast("B"), 0
-
-    def take(values):
-        nonlocal done
-        values = memoryview(values).cast("B")
-        view[done:done + len(values)] = values  # a surplus raises ValueError
-        done += len(values)
-
-    try:
-        if not _in_ranges(ranges, functools.partial(_parse_lines, data), take):
-            return None
-    except ValueError:  # more doubles than the state holds
+        # numpy counts a chunk in half the time of bytes.count
+        lines = 1 + sum(int(np.count_nonzero(octets[i:min(i + _QSV_CHUNK_BYTES, cut)] == 10))
+                        for i in range(lo, cut, _QSV_CHUNK_BYTES))
+        ranges.append((lo, cut, line, line + lines))
+        lo, line = cut + 1, line + lines
+    if line > dim:  # more lines than the state holds before the last range
         return None
-    if done != out.nbytes or not np.isfinite(out).all():
+    ranges.append((lo, end, line, dim))
+    flat = np.ndarray(2 * dim, np.float64, buffer=_AmplitudeMap(-1, 16 << n))
+    if not _in_ranges(ranges, functools.partial(_parse_lines, data, flat)):
         return None
-    return out
+    return flat
 
 
-def _parse_lines(data: bytes, lo: int, end: int, emit) -> bool:
-    """Pass the doubles of the lines of data[lo:end] to emit, two a line; False if a line is refused."""
+class _AmplitudeMap(mmap.mmap):
+    """The reader's shared anonymous map of doubles, which StateVector adopts without a copy."""
+
+
+def _parse_lines(data: bytes, flat: np.ndarray, lo: int, end: int, line: int, stop: int) -> bool:
+    """Parse the lines of data[lo:end] into amplitudes line..stop-1 of flat, two doubles a line.
+
+    False if a line is refused, a value is not finite, or the range does not
+    hold exactly stop - line lines.
+    """
     with warnings.catch_warnings():
         # older numpy only warns when a token is not read to its end
         warnings.simplefilter("error", DeprecationWarning)
@@ -938,18 +912,20 @@ def _parse_lines(data: bytes, lo: int, end: int, emit) -> bool:
             # tokens are runs of bytes above ' '; tokens 2j and 2j+1 must start
             # on line j, after newline j-1 and before newline j
             starts = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))[::2]
-            if (starts.size != 2 * lines or (starts[2::2] < newlines).any()
+            if (line + lines > stop or starts.size != 2 * lines or (starts[2::2] < newlines).any()
                     or (starts[1:-1:2] > newlines).any()):
                 return False
             try:
                 values = np.fromstring(text, dtype=np.float64, sep=" ")
             except (ValueError, DeprecationWarning):
                 return False
-            if values.size != 2 * lines:  # a token such as '1-2' read as two numbers
+            # a token such as '1-2' is read as two numbers
+            if values.size != 2 * lines or not np.isfinite(values).all():
                 return False
-            emit(values)
+            flat[2 * line:2 * (line + lines)] = values
+            line += lines
             if hi == end:
-                return True
+                return line == stop
             lo = hi + 1
 
 

@@ -1,9 +1,12 @@
 import ast
 import io
 import math
+import mmap
 import os
 import pathlib
 import signal
+import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -670,15 +673,15 @@ def _no_child_left():
 
 
 def _count_forks(monkeypatch):
-    """The (lo, hi) of every range a forked child of the reader or the writer gets."""
+    """The range of every forked child: (lo, hi) of the writer, (lo, end, line, stop) of the reader."""
     forks = []
-    fork = state_module._fork_spool
+    fork = state_module._fork
 
-    def spy(*args):
-        forks.append(args[1:])
-        return fork(*args)
+    def spy(work, *args):
+        forks.append(args)
+        return fork(work, *args)
 
-    monkeypatch.setattr(state_module, "_fork_spool", spy)
+    monkeypatch.setattr(state_module, "_fork", spy)
     return forks
 
 
@@ -710,6 +713,44 @@ def test_split_qsv_read_is_bit_identical_to_one_worker(tmp_path, monkeypatch, wo
     assert (got == want).all() and (got == amps.view(np.uint64)).all()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_split_read_makes_no_temporary_file(tmp_path, monkeypatch):
+    psi = StateVector(14, _wide_amplitudes(14, 14))
+    path = tmp_path / "state.qsv"
+    write_qsv(psi, path)
+
+    def no_file(*args, **kwargs):
+        raise OSError("no file to be had")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    forks = _count_forks(monkeypatch)
+    got = read_qsv(path)
+    _no_child_left()
+    assert len(forks) == 2
+    assert np.array_equal(got.amps.view(np.uint64), psi.amps.view(np.uint64))
+    # the writer without its spools formats each round in this process
+    buf = io.BytesIO()
+    write_qsv(psi, buf)
+    assert len(forks) == 2
+    assert buf.getvalue() == path.read_bytes()
+
+
+def test_read_state_adopts_the_readers_map(tmp_path):
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(14, 4), path)
+    amps = read_qsv(path).amps
+    base = amps
+    while isinstance(base, np.ndarray):
+        base = base.base
+    assert type(base) is state_module._AmplitudeMap
+    assert np.shares_memory(amps, np.frombuffer(base, dtype=np.uint8))
+    assert not amps.flags.writeable
+    with pytest.raises(ValueError):
+        amps[0] = 1.0
+
+
 def _in_a_large_block(text, n=12):
     """(file text, good bytes): a QSV_TABLE entry's amplitude lines after good ones, n qubits."""
     header, count, block = text.split("\n", 2)
@@ -734,6 +775,17 @@ def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_split_read_of_surplus_lines_goes_to_the_scanner(tmp_path, monkeypatch):
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    text = "qsv 1\nn 12\n" + "0.5 -0.25\n" * (2 << 12)  # the first two ranges hold 5461 lines
+    path = tmp_path / "state.qsv"
+    path.write_text(text)
+    assert _outcome(read_qsv, path) == _outcome(_scan_qsv, text)
+    _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 @pytest.mark.parametrize("fault", (
     "exits 7 after writing part of its doubles", "exits 7 after writing all of its doubles",
     "raises before writing", "cannot fork"))
@@ -744,31 +796,28 @@ def test_failed_child_range_is_parsed_by_the_reader(tmp_path, monkeypatch, fault
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
     parent, mine = os.getpid(), []
-    write_all, parse_lines, exit_ = state_module._write_all, state_module._parse_lines, os._exit
+    parse_lines, exit_ = state_module._parse_lines, os._exit
 
     def refuse(text):
         raise AssertionError("the line scanner ran")
 
-    def failing_write(fd, values):  # a child's one chunk of doubles
-        if fault == "raises before writing":
-            raise RuntimeError("a failing child")
-        write_all(fd, values[:len(values) // 2])
-        os._exit(7)
-
     def no_fork():
         raise OSError("no process to be had")
 
-    def spy(data, lo, hi, emit):
+    def spy(data, flat, lo, end, line, stop):
         if os.getpid() == parent:
-            mine.append((lo, hi))
-        return parse_lines(data, lo, hi, emit)
+            mine.append((lo, end, line, stop))
+        elif fault == "raises before writing":
+            raise RuntimeError("a failing child")
+        elif fault == "exits 7 after writing part of its doubles":
+            flat[2 * line:line + stop] = -1.0  # the first half of its doubles, wrong
+            os._exit(7)
+        return parse_lines(data, flat, lo, end, line, stop)
 
     if fault == "cannot fork":
         monkeypatch.setattr(os, "fork", no_fork)
     elif fault == "exits 7 after writing all of its doubles":
         monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
-    else:
-        monkeypatch.setattr(state_module, "_write_all", failing_write)
     monkeypatch.setattr(state_module, "_scan_qsv", refuse)
     monkeypatch.setattr(state_module, "_parse_lines", spy)
     forks = _count_forks(monkeypatch)
@@ -796,6 +845,27 @@ def test_interrupted_split_read_reaps_every_child(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         read_qsv(path)
     _no_child_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_interrupted_split_read_kills_a_working_child(tmp_path, monkeypatch):
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(12, 14), path)
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    parent = os.getpid()
+
+    def stuck(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child still at work
+
+    monkeypatch.setattr(state_module, "_parse_lines", stuck)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        read_qsv(path)
+    _no_child_left()
+    assert time.monotonic() - start < 30  # killed, not waited for
 
 
 def _serial_text(psi, monkeypatch):
@@ -836,13 +906,7 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
     parent, mine = os.getpid(), []
-    write_all, format_lines, exit_ = state_module._write_all, state_module._format_lines, os._exit
-
-    def failing_write(fd, data):  # a child's one block of text
-        if fault == "raises before writing":
-            raise RuntimeError("a failing child")
-        write_all(fd, data[:data.index(b"\n", len(data) // 2) + 1])  # whole lines
-        os._exit(7)
+    format_lines, exit_ = state_module._format_lines, os._exit
 
     def no_fork():
         raise OSError("no process to be had")
@@ -850,14 +914,18 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
     def spy(flat, lo, hi, write):
         if os.getpid() == parent:
             mine.append((lo, hi))
+        elif fault == "raises before writing":
+            raise RuntimeError("a failing child")
+        elif fault == "exits 7 after writing part of its text":
+            format_lines(flat, lo, (lo + hi) // 2, write)  # whole lines, into its spool
+            write.__self__.flush()
+            os._exit(7)
         return format_lines(flat, lo, hi, write)
 
     if fault == "cannot fork":
         monkeypatch.setattr(os, "fork", no_fork)
     elif fault == "exits 7 after writing all of its text":
         monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
-    else:
-        monkeypatch.setattr(state_module, "_write_all", failing_write)
     monkeypatch.setattr(state_module, "_format_lines", spy)
     forks = _count_forks(monkeypatch)
     buf = io.StringIO()
@@ -869,23 +937,54 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
-@pytest.mark.parametrize("where", ("_format_lines", "_copy_spool"))
-def test_interrupted_split_write_reaps_every_child(tmp_path, monkeypatch, where):
+@pytest.mark.parametrize("where", ("_format_lines", "spool copy"))
+def test_interrupted_split_write_reaps_every_child(monkeypatch, where):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
-    parent, work = os.getpid(), getattr(state_module, where)
+    parent, format_lines, make_spool = os.getpid(), state_module._format_lines, tempfile.TemporaryFile
+    spools, mine = [], []
 
-    def interrupted(*args):
-        if os.getpid() == parent:
+    def spool(*args, **kwargs):
+        spools.append(make_spool(*args, **kwargs))
+        return spools[-1]
+
+    def interrupted(flat, lo, hi, write):
+        if os.getpid() != parent:
+            return format_lines(flat, lo, hi, write)
+        if where == "_format_lines":
             raise KeyboardInterrupt
-        return work(*args)
+        format_lines(flat, lo, hi, write)
+        mine.append((lo, hi))
+        return True
 
-    monkeypatch.setattr(state_module, where, interrupted)
+    class Target(io.BytesIO):
+        def write(self, data):  # every write after this process's own range copies a spool
+            if where == "spool copy" and mine:
+                raise KeyboardInterrupt
+            return super().write(data)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+    monkeypatch.setattr(state_module, "_format_lines", interrupted)
     forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
-        write_qsv(random_state(12, 13), tmp_path / "state.qsv")
+        write_qsv(random_state(12, 13), Target())
+    _no_child_left()
+    assert len(forks) == len(spools) == 2
+    assert all(spool.closed for spool in spools)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_split_write_of_small_blocks_reaches_the_target(monkeypatch):
+    monkeypatch.setattr(state_module, "_QSV_BLOCK", 16)  # each block's text fits in a file's buffer
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    psi = random_state(12, 21)
+    forks = _count_forks(monkeypatch)
+    buf = io.BytesIO()
+    write_qsv(psi, buf)
     _no_child_left()
     assert len(forks) == 2
+    assert buf.getvalue() == b"qsv 1\nn 12\n" + _per_pair(psi.amps.view(np.float64))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
@@ -1093,6 +1192,14 @@ def test_state_vector_adopts_frozen_arrays_and_copies_writable_ones():
         source[0] = 1.0
         assert psi.amps[0] == 0.0
         source[0] = 0.0
+
+    own_map = mmap.mmap(-1, 64)  # a caller's map, writable through the map itself
+    mapped = np.ndarray(4, np.complex128, buffer=own_map)
+    mapped.flags.writeable = False
+    psi = StateVector(2, mapped)
+    assert not np.shares_memory(psi.amps, mapped)
+    own_map[:8] = np.float64(1.0).tobytes()
+    assert psi.amps[0] == 0.0
 
 
 def test_state_vector_validation():
