@@ -32,6 +32,17 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 
+_MEASURES = {
+    "tau": tau,
+    "tau-even": tau_even,
+    "tau-odd": tau_odd,
+    "r": r_tangle,
+    "concurrence": concurrence,
+    "three-tangle": three_tangle,
+    "wong": wong_tangle,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ntangle",
@@ -44,8 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="qsv state file to read")
     src.add_argument("--expr", help="product expression, e.g. 'ghz:3@1,2,3 x bell@4,5'")
     c.add_argument("--measure", default="tau",
-                   help="tau | tau-even | tau-odd | residual:<i> | r | concurrence"
-                        " | wong | three-tangle (default: tau)")
+                   help=" | ".join([*_MEASURES, "residual:<i>"]) + " (default: tau)")
     c.add_argument("--no-normalize", action="store_true",
                    help="evaluate on the raw amplitudes instead of normalizing first")
     c.add_argument("--format", choices=("text", "json"), default="text")
@@ -76,16 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_MEASURES = {
-    "tau": tau,
-    "tau-even": tau_even,
-    "tau-odd": tau_odd,
-    "r": r_tangle,
-    "concurrence": concurrence,
-    "three-tangle": three_tangle,
-}
-
-
 def _cmd_compute(args) -> int:
     if args.file is not None:
         psi = read_qsv(args.file)
@@ -99,8 +99,6 @@ def _cmd_compute(args) -> int:
     name = args.measure
     if name in _MEASURES:
         report = _MEASURES[name](psi)
-    elif name == "wong":
-        report = wong_tangle(psi)
     elif name.startswith("residual:"):
         try:
             i = int(name.split(":", 1)[1])
@@ -185,9 +183,7 @@ def main(argv=None) -> int:
             return _cmd_compute(args)
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_bench(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -203,7 +199,6 @@ def main(argv=None) -> int:
     except MemoryError:
         print("error: out of memory: the state exceeds this machine's capacity", file=sys.stderr)
         return EXIT_DOMAIN
-    return EXIT_OK
 
 
 if __name__ == "__main__":

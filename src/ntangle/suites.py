@@ -20,7 +20,7 @@ covariance-even, covariance-odd, permutation, product, monotone, range.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -114,26 +114,8 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "suite": self.suite,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "trials": self.trials,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "worst": c.worst,
-                    "count": c.count,
-                    "tol": c.tol,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"schema": 1, **asdict(self), "passed": self.passed,
+                "checks": [asdict(c) for c in self.checks]}
 
 
 def _rng(seed: int, *key) -> np.random.Generator:
@@ -147,7 +129,14 @@ def _check(name: str, worst, tol: float, count: int, detail: str = "") -> CheckR
                        tol=tol, detail=detail)
 
 
-def _report(cfg: SuiteConfig, checks, n_max: int, trials: int, tol: float) -> SuiteReport:
+def _settings(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> tuple[int, int, float]:
+    """cfg's trials, n_max and tol, each falling back to the suite's default where unset."""
+    return (trials if cfg.trials is None else cfg.trials,
+            n_max if cfg.n_max is None else cfg.n_max,
+            tol if cfg.tol is None else cfg.tol)
+
+
+def _report(cfg: SuiteConfig, checks, trials: int, n_max: int, tol: float) -> SuiteReport:
     return SuiteReport(suite=cfg.suite, seed=cfg.seed, n_max=n_max, trials=trials,
                        tolerance=tol, checks=tuple(checks))
 
@@ -161,7 +150,7 @@ def _product(*factors) -> StateVector:
 
 
 def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
+    _, _, tol = _settings(cfg, 1, 6, TOL_NUMERIC)  # one fixed set of states: trials 1, n_max 6
     ghz3 = named_state("ghz", 3)
     ghz4 = named_state("ghz", 4)
     bell = named_state("bell", 2)
@@ -193,7 +182,7 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
     checks.append(_check("ghz125-bell34-and-bell15-ghz234", max(abs(ta - 1.0), abs(tb)), tol, 2,
                          detail=f"tau={ta:.12g} and {tb:.3g}"))
 
-    return _report(cfg, checks, n_max=6, trials=1, tol=tol)
+    return _report(cfg, checks, 1, 6, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +191,7 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_ALGEBRAIC
-    trials = cfg.trials if cfg.trials is not None else 1000
-    n_max = cfg.n_max if cfg.n_max is not None else 12
+    trials, n_max, tol = _settings(cfg, 1000, 12, TOL_ALGEBRAIC)
     checks = []
     for n in range(2, n_max + 1):
         amps = random_state_batch(n, trials, _rng(cfg.seed, 1, n))
@@ -218,7 +205,7 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
     direct = 2.0 * np.abs(amps2[:, 0] * amps2[:, 3] - amps2[:, 1] * amps2[:, 2])
     dev = np.abs(_tau_even(amps2, 2) - direct).max()
     checks.append(_check("concurrence-reduction-n2", dev, tol, trials))
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +214,7 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 1000
+    trials, _, tol = _settings(cfg, 1000, 3, TOL_NUMERIC)  # n_max is fixed at 3
     amps = random_state_batch(3, trials, _rng(cfg.seed, 3))
     t = _tau_odd(amps, 3)
     oracle = _three_tangle(amps)
@@ -247,7 +233,7 @@ def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
         abs(float(_tau_odd(w3.amps, 3))),
     )
     checks.append(_check("ghz-w-anchors", anchor_dev, tol, 4, detail="ghz -> 1, w -> 0"))
-    return _report(cfg, checks, n_max=3, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, 3, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +258,7 @@ _COVARIANCE = (
 def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
     sizes, default_n_max, invariant, measure, invariant_name, tau_name = _COVARIANCE[parity]
     power = 1 + parity
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 100
-    n_max = cfg.n_max if cfg.n_max is not None else default_n_max
+    trials, n_max, tol = _settings(cfg, 100, default_n_max, TOL_NUMERIC)
     quarter = max(1, trials // 4)
     checks = []
     for n in [x for x in sizes if x <= n_max]:
@@ -299,7 +283,7 @@ def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
         checks.append(_check(f"{invariant_name}-n{n}", inv_dev.max(), tol, trials))
         checks.append(_check(f"{tau_name}-n{n}", tau_dev.max(), tol, trials))
         checks.append(_check(f"sl-invariance-n{n}", sl_dev.max(), tol, quarter))
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +341,7 @@ def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
 
 
 def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 200
-    n_max = cfg.n_max if cfg.n_max is not None else 9
+    trials, n_max, tol = _settings(cfg, 200, 9, TOL_NUMERIC)
     checks = []
 
     # even n=4: every one of the 24 permutations, complex invariant included
@@ -412,7 +394,7 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         checks.append(_check("quartic-permutation-n4", np.abs(wong[1] - wong[0]).max(), tol, 50,
                              detail=pair))
 
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +427,7 @@ def _factor_residuals(amps: np.ndarray, size: int, other_tau: np.ndarray) -> lis
 
 
 def suite_product(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 50
-    n_max = cfg.n_max if cfg.n_max is not None else 8
+    trials, n_max, tol = _settings(cfg, 50, 8, TOL_NUMERIC)
     checks = []
 
     for n in [x for x in (4, 5, 6, 7, 8) if x <= n_max]:
@@ -503,7 +483,7 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
         checks.append(_check(f"nonreachability-from-ghz-n{n}", worst, tol, reach_trials + 1,
                              detail="images of GHZ under singular tuples stay at 0"))
 
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +512,7 @@ def _excess(p: np.ndarray, values: np.ndarray, base: np.ndarray, eta) -> float:
 
 
 def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 2000
-    n_max = cfg.n_max if cfg.n_max is not None else 6
+    trials, n_max, tol = _settings(cfg, 2000, 6, TOL_NUMERIC)
     checks = []
 
     for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
@@ -601,7 +579,7 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
         worst = np.abs((p * _tau_even(phi, 4)).sum(0) - closed).max()
         checks.append(_check("diagonal-closed-form-ghz4", worst, tol, a.size))
 
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +587,7 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_range(cfg: SuiteConfig) -> SuiteReport:
-    tol = cfg.tol if cfg.tol is not None else TOL_NUMERIC
-    trials = cfg.trials if cfg.trials is not None else 10_000
-    n_max = cfg.n_max if cfg.n_max is not None else 9
+    trials, n_max, tol = _settings(cfg, 10_000, 9, TOL_NUMERIC)
     checks = []
     for n in range(2, n_max + 1):
         amps = random_state_batch(n, trials, _rng(cfg.seed, 17, n))
@@ -624,7 +600,7 @@ def suite_range(cfg: SuiteConfig) -> SuiteReport:
             rdev = max(float(rvals.max()) - 1.0, -float(rvals.min()), 0.0)
             checks.append(_check(f"r-range-n{n}", rdev, tol, trials,
                                  detail=f"observed [{rvals.min():.3g}, {rvals.max():.3g}]"))
-    return _report(cfg, checks, n_max=n_max, trials=trials, tol=tol)
+    return _report(cfg, checks, trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +631,9 @@ def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
 
 
 def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
-    n_max = cfg.n_max if cfg.n_max is not None else 12
-    tol = 0.0  # exact integer identities: zero violations allowed
+    # exact integer identities, each checked once: trials 1, zero violations allowed
+    _, n_max, _ = _settings(cfg, 1, 12, 0.0)
+    tol = 0.0
     sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []
 
@@ -677,6 +654,9 @@ def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
 
     def parity_match(n, l):
         return n % 2 == l % 2
+
+    def parity_sign(k):
+        return np.where(_pc(k) & 1, -1, 1)
 
     run("count-split-high-block", grid(2, lambda n, l, j, k: (
         _pc(k + (j << (n - l - 1))) == _pc(j) + _pc(k),)))
@@ -704,16 +684,17 @@ def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     run("sgn-star-reflection-degenerate", grid(2, star_reflection(-1), lambda n, l: l == 2 and n % 2 == 0),
         detail="even width, l=2: arguments straddle the sign branch, factor flips")
     run("sgn-star-parity-collapse", grid(3, lambda n, l, t, k: (
-        star(n - l)[k] == np.where(_pc(k) & 1, -1, 1),), parity_match))
+        star(n - l)[k] == parity_sign(k),), parity_match))
     run("sgn-split-factorization", grid(3, lambda n, l, t, k: (
         sgn(n)[k + (t << (n - l))] == star(n - l)[k] * sgn(l)[t],), parity_match))
     run("sgn-star-split-factorization", grid(3, lambda n, l, t, k: (
         star(n - 1)[k + (t << (n - l))] == star(n - l)[k] * star(l - 1)[t],), parity_match))
     run("complement-counts", _complement_counts(max(n_max, 16)),
         detail="N(k)+N(2^n-1-k)=n and starred variant")
-    run("even-width-collapse", _even_collapse(n_max),
+    run("even-width-collapse", grid(0, lambda n, l, j, k: (star(n)[k] == parity_sign(k),),
+                                    lambda n, l: l == 0 and n % 2 == 0),
         detail="sgn_star with even first argument is the plain parity sign")
-    return _report(cfg, checks, n_max=n_max, trials=1, tol=tol)
+    return _report(cfg, checks, 1, n_max, tol)
 
 
 def _complement_counts(n_top):
@@ -727,16 +708,6 @@ def _complement_counts(n_top):
         combos += 2 * k.size
     return bad, combos
 
-
-def _even_collapse(n_max):
-    bad = combos = 0
-    for m in range(2, n_max + 1, 2):
-        i = np.arange(1 << (m - 2), dtype=np.int64)
-        lhs = bitops.sgn_star_table(m)[i]
-        rhs = np.where(_pc(i) & 1, -1, 1)
-        bad += int((lhs != rhs).sum())
-        combos += i.size
-    return bad, combos
 
 
 SUITES = {  # in run order

@@ -57,6 +57,14 @@ def test_domain_errors():
         sgn_star(2, 1)
     with pytest.raises(DomainError):
         sgn_star(4, 4)
+    with pytest.raises(DomainError):
+        count_ones(0, 0)
+    with pytest.raises(DomainError):
+        sgn_star(1, 0)
+    with pytest.raises(DomainError):
+        sgn_table(2)
+    with pytest.raises(DomainError):
+        sgn_star_table(1)
 
 
 @given(st.integers(min_value=2, max_value=16), st.data())

@@ -42,6 +42,11 @@ def test_compute_expr_r_tangle(capsys):
     assert code == 0
     assert abs(value_of(out) - 0.6) < 1e-9
     assert "residuals" in out
+    code, out, _ = run_cli(capsys, "compute", "--expr", "bell@1,2 x ghz:3@3,4,5",
+                           "--measure", "r", "--format", "json")
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    assert len(residuals) == 5 and np.allclose(residuals, [0, 0, 1, 1, 1], atol=1e-9)
 
 
 def test_compute_wong_up_to_the_fixed_cap(capsys):
@@ -192,8 +197,23 @@ def test_compute_residual_measure(capsys):
 
 
 def test_compute_unknown_measure(capsys):
-    code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "purity")
-    assert code == 2
+    for measure in ("purity", "residual:x"):
+        code, out, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", measure)
+        assert code == 2 and out == ""
+        assert repr(measure) in err
+
+
+def test_compute_measure_help_lists_every_measure(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit):
+        main(["compute", "--help"])
+    assert " | ".join([*cli._MEASURES, "residual:<i>"]) in capsys.readouterr().out
+
+
+def test_compute_missing_file_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "compute", "--file", str(tmp_path / "absent.qsv"))
+    assert code == 2 and out == ""
+    assert "absent.qsv" in err
 
 
 def test_verify_golden_examples(capsys):
@@ -425,7 +445,8 @@ def test_bench_empty_range_exit_2(capsys):
 
 
 @pytest.mark.parametrize("ns, kinds", (([5, 1], ("odd",)), ([5, 27], ("odd",)),
-                                       ([4, 12], ("quartic",)), ([], ("read",))))
+                                       ([4, 12], ("quartic",)), ([], ("read",)),
+                                       ([4], ("cubic",))))
 def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
     def refuse(fn, repetitions):
         raise AssertionError("a kernel was timed before every size was checked")
@@ -433,6 +454,11 @@ def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
     monkeypatch.setattr(bench, "_time_call", refuse)
     with pytest.raises(DomainError):
         bench.run_bench(ns, kinds)
+
+
+def test_op_count_of_an_unknown_measure():
+    with pytest.raises(DomainError, match="unknown bench measure 'cubic'"):
+        bench.op_count("cubic", 4)
 
 
 def test_compute_deterministic_output(capsys):

@@ -1,5 +1,7 @@
-"""The ten suites at their defaults, at seeds 7, 123 and 2024, against pinned reports.
+"""The ten suites at seeds 7, 123 and 2024, against pinned reports.
 
+Each seed is pinned twice: at the suites' defaults (keyed by the seed) and at
+the settings of ``scripts/run_all_suites.py --quick`` (keyed ``quick-<seed>``).
 ``golden_reports.json`` holds every report as ``SuiteReport.to_json_dict``
 gives it. Names, counts, tolerances, details and status must match exactly,
 and every ``worst`` within WORST_ABS. The file is rewritten only on purpose,
@@ -20,10 +22,17 @@ SEEDS = (7, 123, 2024)
 WORST_ABS = 1e-14
 
 
+def _config(name: str, seed: int, quick: bool) -> SuiteConfig:
+    if not quick:
+        return SuiteConfig(name, seed=seed)
+    # the --quick settings: 25 trials, and n_max 6 for every suite but bitops
+    return SuiteConfig(name, seed=seed, trials=25, n_max=None if name == "bitops" else 6)
+
+
 def _reports() -> dict:
-    return {str(seed): {name: run_suite(SuiteConfig(name, seed=seed)).to_json_dict()
-                        for name in SUITES}
-            for seed in SEEDS}
+    return {("quick-" if quick else "") + str(seed):
+            {name: run_suite(_config(name, seed, quick)).to_json_dict() for name in SUITES}
+            for quick in (False, True) for seed in SEEDS}
 
 
 def _mismatches(pinned: dict, got: dict) -> list:

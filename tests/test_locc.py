@@ -48,6 +48,8 @@ def test_make_povm_completeness_seeded():
 def test_make_povm_rejects_expansions():
     with pytest.raises(DomainError):
         make_povm(2.0 * np.eye(2), seed=3)
+    with pytest.raises(DomainError, match="must be 2x2"):
+        make_povm(0.5 * np.eye(3), seed=3)
 
 
 def test_branch_scalar_povm_keeps_state():

@@ -2,8 +2,10 @@ import gc
 import inspect
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
@@ -154,6 +156,8 @@ def test_tau_dispatch():
 def test_tau_parity_errors():
     with pytest.raises(DomainError):
         tau_even(ghz(3))
+    with pytest.raises(DomainError, match="at least 2 qubits"):
+        tau_even(named_state("basis", 1, extra=0))
     with pytest.raises(DomainError):
         tau_odd(ghz(4))
 
@@ -369,6 +373,35 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
         users.shutdown(wait=False, cancel_futures=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
+def test_forked_child_fans_out_on_a_pool_of_its_own(monkeypatch):
+    monkeypatch.setattr(state_module, "_WORKERS", 2)
+    monkeypatch.setattr(measures, "_pool", None)
+    psi = rand(20, 20)
+    assert 1 << (psi.n - 1) >= measures._SPLIT_MIN  # tau's half splits over the pool
+    try:
+        tau(psi)
+        assert measures._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the parent's pool threads are not in this process
+            code = 1
+            try:
+                code = 0 if measures._fan_out(abs, [-1, -2]) == [1, 2] else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while not (reaped := os.waitpid(pid, os.WNOHANG))[0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not reaped[0]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the child's fan-out waited on the parent's pool")
+        assert os.waitstatus_to_exitcode(reaped[1]) == 0
+    finally:
+        if measures._pool is not None:
+            measures._pool.shutdown()
 
 
 # A BLAS call above OpenBLAS's threading threshold leaves its threads spinning

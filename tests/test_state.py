@@ -117,6 +117,10 @@ def test_permutation_validation():
     assert repr(swap) == "QubitPermutation(mapping=(5, 2, 3, 4, 1))"
     with pytest.raises(AttributeError):
         swap.mapping = (1, 2, 3, 4, 5)
+    with pytest.raises(DomainError):
+        QubitPermutation.transposition(3, 0, 2)
+    with pytest.raises(DomainError):
+        swap.compose(QubitPermutation.identity(4))
 
 
 def test_permute_identity_and_inverse():
@@ -324,6 +328,8 @@ def test_unitary_preserves_norm():
 def test_apply_local_wrong_count():
     with pytest.raises(DomainError):
         apply_local(ghz(3), [np.eye(2)] * 2)
+    with pytest.raises(DomainError):
+        apply_single(ghz(3), 1, np.eye(3))
 
 
 # --- named states and products ----------------------------------------------
@@ -341,6 +347,10 @@ def test_named_states():
         named_state("bell", 3)
     with pytest.raises(DomainError):
         named_state("fancy", 3)
+    with pytest.raises(DomainError):
+        named_state("ghz", 0)
+    with pytest.raises(DomainError):
+        named_state("w", 1)
 
 
 def test_build_product_single_factor_identity():
@@ -352,16 +362,25 @@ def test_build_product_matches_tensor_plus_permutation():
     expr = ProductExpression((ProductFactor(ghz(4), (1, 4, 5, 6)),
                               ProductFactor(bell(), (2, 3))))
     psi = build_product(expr)
+    assert expr.n == psi.n == 6
     manual = permute(tensor(ghz(4), bell()), QubitPermutation((1, 4, 5, 6, 2, 3)))
     assert np.array_equal(psi.amps, manual.amps)
 
 
-def test_build_product_label_errors():
+def test_build_product_label_errors(monkeypatch):
     with pytest.raises(DomainError):
         build_product(ProductExpression((ProductFactor(bell(), (1, 2)),
                                          ProductFactor(bell(), (2, 3)))))
     with pytest.raises(DomainError):
         build_product(ProductExpression((ProductFactor(bell(), (1, 4)),)))
+    with pytest.raises(DomainError, match="no factors"):
+        build_product(ProductExpression(()))
+    with pytest.raises(DomainError, match="carries 3 labels"):
+        build_product(ProductExpression((ProductFactor(bell(), (1, 2, 3)),)))
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 3)
+    with pytest.raises(CapacityError):
+        build_product(ProductExpression((ProductFactor(bell(), (1, 2)),
+                                         ProductFactor(bell(), (3, 4)))))
 
 
 def test_parse_product_expression():
@@ -388,6 +407,15 @@ def test_parse_product_expression_errors():
         parse_product_expression("bell@1,2 x")
     with pytest.raises(ParseError):
         parse_product_expression("blub:3@1,2,3")
+    with pytest.raises(ParseError, match="found separator 'x'"):
+        parse_product_expression("x bell@1,2")
+    with pytest.raises(ParseError, match="malformed factor"):
+        parse_product_expression("ghz3")
+    with pytest.raises(ParseError, match="has no labels"):
+        parse_product_expression("ghz:3@,")
+    # past int()'s digit limit a label is a ValueError, not a huge number
+    with pytest.raises(ParseError, match="bad label list"):
+        parse_product_expression("bell@1," + "9" * 5000)
 
 
 # --- random generation ------------------------------------------------------
@@ -408,6 +436,8 @@ def test_random_batch_over_capacity_is_refused_before_allocating(monkeypatch):
         random_state_batch(4, 65, 1)
     with pytest.raises(CapacityError):
         random_state_batch(11, 1, 1)
+    with pytest.raises(DomainError):
+        random_state_batch(0, 1, 1)
 
 
 def test_norm_past_the_float_range_is_infinite():
@@ -533,6 +563,12 @@ def test_qsv_parse_errors():
         read_qsv(io.StringIO("qsv 1\nn 1\n0 0\n1 oops\n"))
     assert exc.value.line == 4
     assert exc.value.column == 3
+
+    for data, message, line in ((b"", "empty qsv file", 1), (b"qsv 1\n", "missing 'n <int>'", 2),
+                                (b"qsv 1\nn 0\n1 0\n", "must be >= 1", 2)):
+        with pytest.raises(ParseError, match=message) as exc:
+            read_qsv(io.BytesIO(data))
+        assert exc.value.line == line
 
 
 def test_qsv_rejects_non_finite_amplitudes():
@@ -772,6 +808,22 @@ def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text
     assert _outcome(read_qsv, path) == want
     _no_child_left()
     assert len(forks) == 2 and forks[-1][0] <= good  # the last range holds the entry
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
+def test_split_read_ends_its_ranges_at_a_last_line_longer_than_a_range(tmp_path, monkeypatch):
+    monkeypatch.setattr(state_module, "_WORKERS", 3)
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    lines = "0.5 -0.25\n" * ((1 << 12) - 1)
+    # the last line is half the block: no newline follows the second of three cuts
+    text = "qsv 1\nn 12\n" + lines + " " * len(lines) + "1 0\n"
+    path = tmp_path / "state.qsv"
+    path.write_text(text)
+    forks = _count_forks(monkeypatch)
+    got = read_qsv(path)
+    _no_child_left()
+    assert len(forks) == 1  # two ranges, not three
+    assert got.amps.view(np.uint64).tolist() == _outcome(_scan_qsv, text)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
