@@ -10,9 +10,13 @@ each) need 2**n: the cross form's 2**(n-1) and two self forms of 2**(n-2).
 The read row times ``read_qsv`` of a seeded state written to a temporary file
 before the timing starts; its count is the 2**n amplitudes parsed. The write
 row times ``write_qsv`` of the same state to a file in that temporary
-directory; its count is the 2**n amplitudes formatted. The quadratic and
-quartic rows take the even sizes of a range, the odd, R and residual rows the
-odd ones, and the read and write rows every size. The text output names the
+directory; its count is the 2**n amplitudes formatted. The batch rows time
+the kernels as the suites call them, on a seeded (2**(22-n), 2**n) batch of
+2**22 amplitudes: ``batch:tau`` (tau_even or tau_odd by parity) at every
+size, ``batch:r`` at the odd ones; each counts its single-state products once
+per state. The quadratic and quartic rows take the even sizes of a range, the
+odd, R and residual rows the odd ones, the read and write rows every size,
+and the batch rows every size up to 22. The text output names the
 worker count of the kernels, the reader and the writer; the JSON output
 carries the environment the rows were timed in. Nothing here asserts
 absolute speed.
@@ -32,7 +36,8 @@ import numpy as np
 
 from . import state
 from .errors import DomainError
-from .measures import DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_even, _tau_odd, _wong_tangle
+from .measures import (DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_any, _tau_even, _tau_odd,
+                       _wong_tangle)
 
 __all__ = ["BenchRecord", "op_count", "check_sizes", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
@@ -46,7 +51,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 @dataclass(frozen=True)
 class BenchRecord:
     n: int
-    measure: str  # quadratic | quartic | r | odd | residual:<i> | read | write
+    measure: str  # quadratic | quartic | r | odd | residual:<i> | read | write | batch:tau | batch:r
     median_ns: int
     min_ns: int
     op_count: int
@@ -56,12 +61,17 @@ _KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle, "od
             "residual": _residual}
 # the parity of the sizes each measure takes; None takes every size
 _PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1, "read": None,
-           "write": None}
+           "write": None, "batch": None}
+BATCH_BITS = 22  # a batch row's states hold 2**22 amplitudes (64 MiB) in all
 
 
-def _rows(measure: str, psi: state.StateVector, tmp: str) -> list:
-    """(label, timed call) of each row a measure times on psi."""
+def _rows(measure: str, psi: state.StateVector, tmp: str, seed: int) -> list:
+    """(label, timed call) of each row a measure times on psi, or on a batch drawn from seed."""
     n = psi.n
+    if measure == "batch":
+        amps = state.random_state_batch(n, 1 << (BATCH_BITS - n), seed)
+        rows = [("batch:tau", lambda: _tau_any(amps, n))]
+        return rows + [("batch:r", lambda: _r_tangle(amps, n))] if n % 2 else rows
     if measure == "read":
         path = os.path.join(tmp, f"state{n}.qsv")
         state.write_qsv(psi, path)
@@ -76,6 +86,11 @@ def _rows(measure: str, psi: state.StateVector, tmp: str) -> list:
 
 
 def op_count(measure: str, n: int) -> int:
+    """Exact product (or amplitude) count of a measure or a row label at n qubits."""
+    if measure.startswith("batch"):
+        kernel = "r" if measure == "batch:r" else "odd" if n % 2 else "quadratic"
+        return op_count(kernel, n) << (BATCH_BITS - n)
+    measure = measure.split(":")[0]
     if measure == "quadratic":
         return 1 << (n - 1)
     if measure == "quartic":
@@ -108,6 +123,8 @@ def check_sizes(ns, measures) -> None:
             raise DomainError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
         if "quartic" in measures and n % 2 == 0 and n > DEFAULT_WONG_CAP:
             raise DomainError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
+        if "batch" in measures and n > BATCH_BITS:
+            raise DomainError(f"batch bench at n={n} exceeds the batch of 2**{BATCH_BITS} amplitudes")
 
 
 def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) -> list:
@@ -131,10 +148,10 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) 
                 continue
             psi = state.random_state(n, seed + n)
             for measure in todo:
-                for label, call in _rows(measure, psi, tmp):
+                for label, call in _rows(measure, psi, tmp, seed + n):
                     median_ns, min_ns = _time_call(call, repetitions)
                     records.append(BenchRecord(n=n, measure=label, median_ns=median_ns,
-                                               min_ns=min_ns, op_count=op_count(measure, n)))
+                                               min_ns=min_ns, op_count=op_count(label, n)))
     return records
 
 

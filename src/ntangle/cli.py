@@ -69,17 +69,18 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tol", type=float, default=None, help="tolerance override")
     v.add_argument("--format", choices=("text", "json"), default="text")
 
-    b = sub.add_parser("bench", help="time the quadratic and odd measures, R, the quartic oracle"
-                                      " and the qsv reader and writer")
+    b = sub.add_parser("bench", help="time the quadratic and odd measures, R, the quartic oracle,"
+                                      " suite-sized batches and the qsv reader and writer")
     b.add_argument("--n-min", type=int, default=4, help="smallest qubit count")
     b.add_argument("--n-max", type=int, default=16, help="largest qubit count")
     b.add_argument("--measure",
                    choices=("quadratic", "quartic", "both", "r", "odd", "residual", "read",
-                            "write"),
+                            "write", "batch"),
                    default="quadratic",
                    help="quadratic and quartic time the even sizes of the range, r, odd and "
                         "residual (qubits 1 and n-1) the odd ones, read (read_qsv of a "
-                        "temporary file) and write (write_qsv to one) every size")
+                        "temporary file) and write (write_qsv to one) every size, batch (tau, "
+                        "and R at odd n, on 2**(22-n) states) every size up to 22")
     b.add_argument("--repetitions", type=int, default=5)
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")

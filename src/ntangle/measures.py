@@ -3,7 +3,7 @@
 Every production measure is built from one bilinear pair form over m = n-1
 qubits, P(x, y) = sum_k (-1)^N(k) x_k y_{2^m-1-k}, of the halves lo and hi
 (qubit i = 0 and = 1) of the amplitudes split on a qubit i by a strided view,
-reshape(..., 2**(i-1), 2, 2**(n-i)): nothing is copied or permuted. The even
+reshape(2**(i-1), 2, 2**(n-i), ...): nothing is copied or permuted. The even
 measure 2|E|, E = P(lo, hi) split on qubit 1, costs exactly 2**(n-1) complex
 products. The odd measure 4|B^2 - 4 L H|, with B = P(lo, hi), L = P(lo, lo)/2
 and H = P(hi, hi)/2, is 4|P(lo,hi)^2 - P(lo,lo) P(hi,hi)|. For odd n, m is
@@ -17,29 +17,38 @@ products instead of the 3n * 2**(n-1) of 3n pair forms. Sign and complement
 act bit by bit, so P contracts a ceil(m/2)-bit block and applies the other
 parities to its partial sums: tables and temporaries stay at O(2**(n/2)).
 
-Large states use every CPU in the process's affinity mask (`taskset -c 0`
-gives one thread): a pair form cuts its partial sums into one slice per CPU,
-and R runs its row and column sums as two tasks, then one task per residual.
-Each partial sum is the same reduction over q at any cut, so every value is
-bit-identical at any CPU count. The norm in a report is StateVector.norm(),
-computed once per state and then memoized.
+The pair-form kernels take amplitudes on axis 0 with any batch axes
+trailing, so their einsum inner loops run along the batch. Their entry points
+(_tau_even, _tau_odd, _tau_any, _residual, _residuals, _r_tangle) take
+(..., 2**n) amplitudes: one state runs as it is, and a batch runs in chunks
+of rows whose size depends on n alone, each seen as a transposed (2**n, rows)
+view; R copies its chunk first, so that its passes run along the rows.
+
+Kernels use every CPU in the process's affinity mask (`taskset -c 0` gives
+one thread). The chunks of a batch run as one task each. A large state's pair
+form cuts its partial sums into one slice per CPU, and its R runs the row and
+column sums as two tasks, then one task per residual. Each partial sum is the
+same reduction over q at any cut, and no chunk depends on the CPU count, so
+every value is bit-identical at any CPU count. A batched row may differ from
+the same state alone in the last bits: the sums run in another order. The
+norm in a report is StateVector.norm(), computed once per state and then
+memoized.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the quartic Wong-Christensen tangle (even n,
 capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement, the
 only formula sourced outside the quadratic-form family.
 
-Kernels (underscore-prefixed) take raw amplitude arrays with any leading batch
-axes; the public operations take a StateVector and return an InvariantValue
-or MeasureReport.
+Kernels (underscore-prefixed) take raw amplitude arrays: the oracles and the
+entry points above with any leading batch axes, _halves, _pair and _self_pair
+in the layout above. The public operations take a StateVector and return an
+InvariantValue or MeasureReport.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -101,7 +110,7 @@ class MeasureReport:
 
 
 # ---------------------------------------------------------------------------
-# kernels on raw amplitude arrays, batch axes allowed
+# oracles on (..., 2**n) amplitudes, and the pair form's views and sign tables
 # ---------------------------------------------------------------------------
 
 def _even_invariant(amps: np.ndarray, n: int) -> np.ndarray:
@@ -157,13 +166,16 @@ def _high_half_invariant(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def _halves(amps: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit-i = 0 and = 1 halves as (..., p, q, r) views; q is the longer side's ceil(m/2) bits."""
-    lead, above, below, q = amps.shape[:-1], i - 1, n - i, n // 2
+    """Qubit-i = 0 and = 1 halves of (2**n, ...) amplitudes as (p, q, r, ...) views.
+
+    q is the longer side's ceil(m/2) bits; any batch axes trail.
+    """
+    tail, above, below, q = amps.shape[1:], i - 1, n - i, n // 2
     if below >= above:
-        v = amps.reshape(lead + (1 << above, 2, 1 << (below - q), 1 << q)).swapaxes(-1, -2)
-        return v[..., 0, :, :], v[..., 1, :, :]
-    v = amps.reshape(lead + (1 << (above - q), 1 << q, 2, 1 << below))
-    return v[..., 0, :], v[..., 1, :]
+        v = amps.reshape((1 << above, 2, 1 << (below - q), 1 << q) + tail).swapaxes(2, 3)
+        return v[:, 0], v[:, 1]
+    v = amps.reshape((1 << (above - q), 1 << q, 2, 1 << below) + tail)
+    return v[:, :, 0], v[:, :, 1]
 
 
 @lru_cache(maxsize=None)
@@ -186,76 +198,42 @@ def _marginal_signs(bits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fan-out: independent parts of one large state's kernel on every CPU
+# the pair form, on every CPU
 # ---------------------------------------------------------------------------
 
-# The pool has one thread per CPU (state._WORKERS); numpy's einsum releases the
-# GIL, so the threads do run at once. The pair-form kernels make no BLAS call:
-# every contraction, down to the last one with the sign tables, is an einsum on
-# numpy's own loops. Even a 1024 x 11 product at n=21 wakes OpenBLAS's threads,
-# which then spin on the CPUs for ~0.1 s after it returns, in the way of these
-# threads and of whatever the process runs next. Work on a state block of at
-# least this many amplitudes (8 MB) fans out: on a 2-vCPU Xeon a split of a
-# smaller block costs more in dispatch than it saves. The size of one state
-# decides, never the batch, so suite batches stay serial.
+# Kernels fan out on state's thread pool, one thread per CPU (state._WORKERS);
+# numpy's einsum releases the GIL, so the threads do run at once. The pair-form
+# kernels make no BLAS call: every contraction, down to the last one with the
+# sign tables, is an einsum on numpy's own loops. Even a 1024 x 11 product at
+# n=21 wakes OpenBLAS's threads, which then spin on the CPUs for ~0.1 s after
+# it returns, in the way of the pool's threads and of whatever the process runs
+# next. Work on a state block of at least this many amplitudes (8 MB) fans out:
+# on a 2-vCPU Xeon a split of a smaller block costs more in dispatch than it
+# saves. The size of one state decides, never the batch: a batch fans out by
+# chunks of rows (_on_rows).
 _SPLIT_MIN = 1 << 19
-_pool = None  # the ThreadPoolExecutor, made at first use
-_pool_lock = threading.Lock()
-_in_pool = threading.local()
-
-
-def _mark_worker() -> None:
-    _in_pool.worker = True
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)  # a forked child has none of the threads
-
-
-def _fan_out(fn, items) -> list:
-    """[fn(item) for item in items], on a pool of state._WORKERS threads made at first use.
-
-    Serial with one CPU, one item, or when called from a pool worker: a task
-    never waits on the pool it runs in, so nested calls cannot deadlock.
-    """
-    global _pool
-    if state._WORKERS < 2 or len(items) < 2 or getattr(_in_pool, "worker", False):
-        return [fn(item) for item in items]
-    with _pool_lock:
-        if _pool is None:
-            # imported at first use: a process that never fans out saves its 0.8 MB
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(state._WORKERS, thread_name_prefix="ntangle",
-                                       initializer=_mark_worker)
-        pool = _pool
-    futures = [pool.submit(fn, item) for item in items]
-    return [future.result() for future in futures]
 
 
 def _pair(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """P(x, y) on (..., p, q, r) block views; the sign is s(p) s(q) s(r).
+    """P(x, y) on (p, q, r, ...) block views; the sign is s(p) s(q) s(r).
 
-    A large block cuts its (..., p, r) partial sums into one slice per worker
+    A large block cuts its (p, r, ...) partial sums into one slice per worker
     along the longer strided axis: p, or r unless r is the unit-stride one.
     Every partial sum is the same reduction over q at any cut, so the value
     is bit-identical to the uncut one.
     """
-    p, q, r = (_block_signs(size) for size in x.shape[-3:])
-    y = y[..., ::-1, ::-1, ::-1]
-    axis = -1 if x.shape[-1] > x.shape[-3] and x.strides[-1] != x.itemsize else -3
+    p, q, r = (_block_signs(size) for size in x.shape[:3])
+    y = y[::-1, ::-1, ::-1]
+    axis = 2 if x.shape[2] > x.shape[0] and x.strides[2] != x.itemsize else 0
     length = x.shape[axis]
-    ways = min(state._WORKERS, length) if x.shape[-3] * x.shape[-2] * x.shape[-1] >= _SPLIT_MIN else 1
+    ways = min(state._WORKERS, length) if x.shape[0] * x.shape[1] * x.shape[2] >= _SPLIT_MIN else 1
     step = -(-length // ways)
-    cuts = [(Ellipsis, slice(k, k + step)) + (slice(None),) * (-1 - axis)
-            for k in range(0, length, step)]
-    parts = _fan_out(lambda cut: np.einsum("...pqr,q,...pqr->...pr", x[cut], q, y[cut]), cuts)
-    partial = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1 if axis == -1 else -2)
-    return np.einsum("p,...pr,r->...", p, partial, r)
+    cuts = [(slice(None),) * axis + (slice(k, k + step),) for k in range(0, length, step)]
+    # C-order partial sums: the last einsum adds them in one order, cut or not
+    parts = state._fan_out(
+        lambda cut: np.einsum("pqr...,q,pqr...->pr...", x[cut], q, y[cut], order="C"), cuts)
+    partial = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=min(axis, 1))
+    return np.einsum("p,pr...,r->...", p, partial, r)
 
 
 def _self_pair(x: np.ndarray) -> np.ndarray:
@@ -264,24 +242,68 @@ def _self_pair(x: np.ndarray) -> np.ndarray:
     The complement of a q < Q/2 index lies in the upper half, and the sign
     table of the lower half is that of Q/2 entries, so the half is a pair form.
     """
-    half = x.shape[-2] // 2
-    return 2.0 * _pair(x[..., :half, :], x[..., half:, :])
+    half = x.shape[1] // 2
+    return 2.0 * _pair(x[:, :half], x[:, half:])
 
 
-def _tau_even(amps: np.ndarray, n: int) -> np.ndarray:
-    lo, hi = _halves(amps, n, 1)
-    return 2.0 * np.abs(_pair(lo, hi))
+# Input with leading batch axes runs in chunks of rows whose count depends on
+# n alone, never on the CPU count, so every value is the same at any count.
+# Below n = 20 each chunk is one task on the pool; from n = 20 a chunk is one
+# state, whose own kernel fans out, and the chunks run in turn. A kernel sees
+# its chunk as a transposed (2**n, rows) view. R, which reads it in n + 1
+# passes, copies it first: every pass then runs its einsum inner loops along
+# the rows at unit stride, not along a q block of 2**(n//2) amplitudes at
+# most, with the whole chunk in one core's 2 MiB share of L2. On a 2-vCPU
+# Xeon, R at n=9 levels off from 256 rows (2 MiB) up, and at n=7 is best at
+# 256-1024 rows. tau reads its chunk once (even n) or three times (odd n), and
+# a copy cost it more than it saved at every n.
+_CHUNK_BYTES = 1 << 21
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_BYTES >> (n + 4))
+
+
+def _on_rows(kernel):
+    """The kernel of (2**n, ...) amplitudes as one of (..., 2**n) amplitudes."""
+
+    @wraps(kernel)
+    def entry(amps: np.ndarray, n: int, *args) -> np.ndarray:
+        if amps.ndim == 1:
+            return kernel(amps, n, *args)
+        lead, rows, step = amps.shape[:-1], amps.reshape(-1, amps.shape[-1]), _chunk_rows(n)
+        starts = range(0, max(len(rows), 1), step)  # an empty batch: one empty chunk
+
+        def chunk(k):
+            return kernel(rows[k:k + step].T, n, *args)
+
+        if 1 << (n - 1) < _SPLIT_MIN:
+            parts = state._fan_out(chunk, starts)
+        else:  # the state's own kernel fans out
+            parts = [chunk(k) for k in starts]
+        out = np.concatenate(parts, axis=-1)
+        return out.reshape(out.shape[:-1] + lead)
+
+    return entry
 
 
 def _odd_measure(cross: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(cross ** 2 - _self_pair(lo) * _self_pair(hi))
 
 
+@_on_rows
+def _tau_even(amps: np.ndarray, n: int) -> np.ndarray:
+    lo, hi = _halves(amps, n, 1)
+    return 2.0 * np.abs(_pair(lo, hi))
+
+
+@_on_rows
 def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     lo, hi = _halves(amps, n, i)
     return _odd_measure(_pair(lo, hi), lo, hi)
 
 
+@_on_rows
 def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     """Every residual of an odd-n state, stacked as (n, ...).
 
@@ -291,22 +313,23 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     qubits 2..h+1; one einsum sums its rows and one its columns, and every
     B_i is a signed sum of one of the two short vectors.
     """
+    amps = np.ascontiguousarray(amps)  # a batch chunk: rows at unit stride (_on_rows)
     h = (n - 1) // 2
-    lead, half = amps.shape[:-1], 1 << (n - 1)
-    x = amps[..., :half].reshape(lead + (1 << h, 1 << h))
-    y = amps[..., ::-1][..., :half].reshape(lead + (1 << h, 1 << h))    # y[r, c] = a_~(r, c)
+    tail, half = amps.shape[1:], 1 << (n - 1)
+    x = amps[:half].reshape((1 << h, 1 << h) + tail)
+    y = amps[::-1][:half].reshape((1 << h, 1 << h) + tail)    # y[r, c] = a_~(r, c)
     signs = _marginal_signs(h)
 
     def each(fn, items):
         # a large state fans out: the row and column sums as two tasks, then
         # one task per split; each einsum and each residual stays whole
-        return _fan_out(fn, items) if half >= _SPLIT_MIN else [fn(item) for item in items]
+        return state._fan_out(fn, items) if half >= _SPLIT_MIN else [fn(item) for item in items]
 
     row_sums, col_sums = each(lambda spec: np.einsum(spec, x, signs[0], y),
-                              ("...rc,c,...rc->...r", "...rc,r,...rc->...c"))
-    rows = np.einsum("...r,kr->...k", row_sums, signs)        # qubits 1..h+1
-    cols = np.einsum("...c,kc->...k", col_sums, signs[1:])    # qubits h+2..n
-    cross = np.moveaxis(np.concatenate([rows, cols], axis=-1), -1, 0)
+                              ("rc...,c,rc...->r...", "rc...,r,rc...->c..."))
+    rows = np.einsum("r...,kr->k...", row_sums, signs)        # qubits 1..h+1
+    cols = np.einsum("c...,kc->k...", col_sums, signs[1:])    # qubits h+2..n
+    cross = np.concatenate([rows, cols])
 
     def residual(i):
         return _odd_measure(cross[i - 1], *_halves(amps, n, i))

@@ -368,6 +368,26 @@ def test_bench_odd_and_residual_rows(capsys):
     assert "odd size" in err
 
 
+def test_bench_batch_times_the_suite_kernels_on_a_seeded_batch(capsys, monkeypatch):
+    monkeypatch.setattr(bench, "BATCH_BITS", 10)  # 2**(10-n) states of n qubits
+    shapes, tau_any = [], bench._tau_any
+
+    def spy(amps, n):
+        shapes.append(amps.shape)
+        return tau_any(amps, n)
+
+    monkeypatch.setattr(bench, "_tau_any", spy)
+    code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "4", "--measure", "batch")
+    assert code == 0
+    # each state counts its single-state products: tau_odd 2**n, R (n+2) 2**(n-1), tau_even 2**(n-1)
+    assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
+        (3, "batch:tau", 2**7 * 8), (3, "batch:r", 2**7 * 20), (4, "batch:tau", 2**6 * 8)]
+    assert shapes == [(2**7, 8), (2**6, 16)]
+    code, rows, err = _bench_rows(capsys, "--n-min", "10", "--n-max", "11", "--measure", "batch")
+    assert code == 2 and not rows
+    assert "batch" in err
+
+
 def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
     read, writes = [], []
     time_call, write_qsv_ = bench._time_call, state.write_qsv

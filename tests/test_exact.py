@@ -10,33 +10,50 @@ a wrong index cannot hide under roundoff.
 import numpy as np
 import pytest
 
-from ntangle import measures
-from ntangle.measures import _halves, _pair, _residuals, _self_pair
+from ntangle import measures, state
+from ntangle.measures import (
+    _halves,
+    _on_rows,
+    _pair,
+    _r_tangle,
+    _residual,
+    _residuals,
+    _self_pair,
+    _tau_any,
+    _tau_even,
+    _tau_odd,
+)
 
 BOUND = 3  # |re|, |im| of every amplitude
 
 
-def gaussian_integer_state(n: int, seed: int) -> np.ndarray:
-    re, im = np.random.default_rng(seed).integers(-BOUND, BOUND + 1, size=(2, 1 << n))
+def gaussian_integer_state(n: int, seed: int, rows: tuple = ()) -> np.ndarray:
+    re, im = np.random.default_rng(seed).integers(-BOUND, BOUND + 1, size=(2, *rows, 1 << n))
     return re + 1j * im
 
 
-def pair_oracle(x: np.ndarray, y: np.ndarray) -> complex:
-    """sum_k (-1)^popcount(k) x_k y_{2^m-1-k} in int64 over integer-valued vectors."""
-    m = x.size.bit_length() - 1
+def chunked_rows(n: int) -> int:
+    """Rows filling three chunks of the batched path and part of a fourth."""
+    return 3 * measures._chunk_rows(n) + 5
+
+
+def pair_oracle(x: np.ndarray, y: np.ndarray):
+    """sum_k (-1)^popcount(k) x_k y_{2^m-1-k} in int64, along the last axis of integer arrays."""
+    m = x.shape[-1].bit_length() - 1
     # every term is at most 2 * BOUND**2 in each part: the sum fits int64 and is exact in float64
     assert (2 * BOUND**2) << m < 1 << 53
     signs = 1 - 2 * (np.bitwise_count(np.arange(1 << m, dtype=np.uint64)) & 1).astype(np.int64)
     xr, xi = x.real.astype(np.int64), x.imag.astype(np.int64)
-    yr, yi = y.real[::-1].astype(np.int64), y.imag[::-1].astype(np.int64)
-    return complex(int(np.sum(signs * (xr * yr - xi * yi))), int(np.sum(signs * (xr * yi + xi * yr))))
+    yr, yi = y.real[..., ::-1].astype(np.int64), y.imag[..., ::-1].astype(np.int64)
+    re, im = signs * (xr * yr - xi * yi), signs * (xr * yi + xi * yr)
+    return np.sum(re, axis=-1) + 1j * np.sum(im, axis=-1)
 
 
 def split(amps: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """The qubit-i = 0 and = 1 halves in index order (qubit 1 is the most significant bit)."""
     index = np.arange(1 << n)
     lo = index[(index >> (n - i)) & 1 == 0]
-    return amps[lo], amps[lo | (1 << (n - i))]
+    return amps[..., lo], amps[..., lo | (1 << (n - i))]
 
 
 def cross_forms(amps: np.ndarray, n: int, monkeypatch) -> np.ndarray:
@@ -76,3 +93,70 @@ def test_shared_cross_pass_equals_each_split(n, monkeypatch):
     cross = cross_forms(amps, n, monkeypatch)
     for i in range(1, n + 1):
         assert cross[i - 1] == _pair(*_halves(amps, n, i)) == pair_oracle(*split(amps, n, i)), i
+
+
+# --- the batched path: chunks of rows, transposed, on the pool ---------------
+
+# every split's pair and self forms of (2**n, rows) chunks, through the entry
+# points' own adapter
+_pairs = _on_rows(lambda amps, n, i: _pair(*_halves(amps, n, i)))
+_self_pairs = _on_rows(lambda amps, n, i: np.stack([_self_pair(x) for x in _halves(amps, n, i)]))
+
+
+@pytest.mark.parametrize("n", (4, 5, 8, 9))
+def test_batched_pair_forms_are_exact_in_chunks(n):
+    amps = gaussian_integer_state(n, 700 + n, (chunked_rows(n),))
+    assert len(amps) > 3 * measures._chunk_rows(n) and len(amps) % measures._chunk_rows(n)
+    for i in range(1, n + 1):
+        lo, hi = split(amps, n, i)
+        assert (_pairs(amps, n, i) == pair_oracle(lo, hi)).all(), i
+        if n % 2:
+            want = np.stack([pair_oracle(lo, lo), pair_oracle(hi, hi)])
+            assert (_self_pairs(amps, n, i) == want).all(), i
+
+
+@pytest.mark.parametrize("n", (5, 9))
+def test_batched_cross_forms_are_exact_in_chunks(n, monkeypatch):
+    amps = gaussian_integer_state(n, 800 + n, (chunked_rows(n),))
+    cross = cross_forms(amps, n, monkeypatch)
+    assert cross.shape == (n, len(amps))
+    for i in range(1, n + 1):
+        assert (cross[i - 1] == pair_oracle(*split(amps, n, i))).all(), i
+
+
+@pytest.mark.parametrize("n", (4, 5, 8, 9))
+def test_batched_tau_is_exact_in_chunks(n):
+    # every B, L and H is an integer, and so is B^2 - L H: only the modulus rounds
+    amps = gaussian_integer_state(n, 900 + n, (chunked_rows(n),))
+    lo, hi = split(amps, n, 1)
+    cross = pair_oracle(lo, hi)
+    if n % 2 == 0:
+        assert (_tau_even(amps, n) == 2.0 * np.abs(cross)).all()
+    else:
+        want = 4.0 * np.abs(cross ** 2 - pair_oracle(lo, lo) * pair_oracle(hi, hi))
+        assert (_tau_odd(amps, n) == want).all()
+
+
+@pytest.mark.parametrize("n", (4, 5, 8, 9))
+def test_batched_values_are_the_same_on_one_and_two_workers(n, monkeypatch):
+    amps = state.random_state_batch(n, chunked_rows(n), 1000 + n).reshape(1, -1, 1 << n)
+
+    def values():
+        out = [_tau_any(amps, n)]
+        if n % 2:
+            out += [_residuals(amps, n), _r_tangle(amps, n), _residual(amps, n, n - 1)]
+        return out
+
+    monkeypatch.setattr(state, "_WORKERS", 1)
+    serial = values()
+    monkeypatch.setattr(state, "_WORKERS", 2)
+    monkeypatch.setattr(state, "_pool", None)
+    try:
+        pooled = values()
+        assert state._pool is not None  # the chunks did run on the pool
+    finally:
+        if state._pool is not None:
+            state._pool.shutdown()
+    for want, got in zip(serial, pooled, strict=True):
+        assert got.shape == want.shape and got.shape[-2:] == amps.shape[:-1]
+        assert got.tobytes() == want.tobytes()

@@ -241,8 +241,9 @@ def test_pair_kernel_matches_staggered_oracles_with_batch_axes(n):
     rng = np.random.default_rng(900 + n)
     amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
     amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    rows = np.moveaxis(amps, -1, 0)  # the kernels' own layout: amplitudes first, batch trailing
     for i in range(1, n + 1):
-        lo, hi = _halves(amps, n, i)
+        lo, hi = _halves(rows, n, i)
         assert np.shares_memory(lo, amps) and np.shares_memory(hi, amps)  # strided, no copy
     if n % 2 == 0:
         got = _tau_even(amps, n)
@@ -270,7 +271,7 @@ def test_pair_kernel_matches_staggered_oracles_with_batch_axes(n):
 @pytest.mark.parametrize("n", (3, 5, 7, 9))
 def test_self_pair_is_the_full_pair_form(n):
     rng = np.random.default_rng(950 + n)
-    amps = rng.standard_normal((4, 1 << n)) + 1j * rng.standard_normal((4, 1 << n))
+    amps = rng.standard_normal((1 << n, 4)) + 1j * rng.standard_normal((1 << n, 4))
     for i in range(1, n + 1):
         for x in _halves(amps, n, i):
             np.testing.assert_allclose(_self_pair(x), _pair(x, x), rtol=0, atol=1e-12)
@@ -281,6 +282,8 @@ def test_tau_even_kernel_is_the_concurrence_at_n2():
     amps = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
     inline = 2.0 * np.abs(amps[:, 0] * amps[:, 3] - amps[:, 1] * amps[:, 2])
     np.testing.assert_allclose(_tau_even(amps, 2), inline, rtol=1e-15, atol=0)
+    assert _tau_even(amps[:0], 2).shape == (0,)  # an empty batch keeps its shape
+    assert _residuals(np.zeros((2, 0, 8), dtype=complex), 3).shape == (3, 2, 0)
 
 
 def test_residuals_keep_no_permutation_cache():
@@ -326,7 +329,7 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
     def values():
         out = []
         for i in range(1, n + 1):
-            lo, hi = _halves(amps, n, i)
+            lo, hi = _halves(np.moveaxis(amps, -1, 0), n, i)
             out += [_pair(lo, hi), _pair(hi, lo), _pair(lo, lo)]
         if n % 2 == 0:
             return out + [_tau_even(amps, n)]
@@ -335,13 +338,13 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
     serial = values()
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     monkeypatch.setattr(measures, "_SPLIT_MIN", 1)  # every block splits
-    monkeypatch.setattr(measures, "_pool", None)
+    monkeypatch.setattr(state_module, "_pool", None)
     try:
         split = values()
-        assert (measures._pool is not None) == (workers > 1)  # the slices did run on the pool
+        assert (state_module._pool is not None) == (workers > 1)  # the slices did run on the pool
     finally:
-        if measures._pool is not None:
-            measures._pool.shutdown()
+        if state_module._pool is not None:
+            state_module._pool.shutdown()
     for want, got in zip(serial, split, strict=True):
         assert got.shape == want.shape
         assert (got == want).all()  # the same reductions: equal, not close
@@ -352,12 +355,16 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
     monkeypatch.setattr(measures, "_SPLIT_MIN", 1 << 12)
     even, odd = rand(16, 8181), rand(15, 8282)
     assert 1 << (odd.n - 3) >= measures._SPLIT_MIN  # R's self forms split too
-    with monkeypatch.context() as serial:
-        serial.setattr(state_module, "_WORKERS", 1)
-        want = (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
 
     def call():
-        return (tau(even).value, tau(odd).value, r_tangle(odd).residuals)
+        # a batch drawn in blocks and measured in chunks, both on the pool
+        batch = state_module.random_state_batch(11, 300, 8383)
+        return (tau(even).value, tau(odd).value, r_tangle(odd).residuals, batch.tobytes(),
+                _r_tangle(batch, 11).tobytes())
+
+    with monkeypatch.context() as serial:
+        serial.setattr(state_module, "_WORKERS", 1)
+        want = call()
 
     monkeypatch.setattr(state_module, "_WORKERS", max(2, state_module._WORKERS))  # a pool, even on one CPU
     measures._block_signs.cache_clear()  # the threads race to fill the sign tables
@@ -378,17 +385,17 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
 def test_forked_child_fans_out_on_a_pool_of_its_own(monkeypatch):
     monkeypatch.setattr(state_module, "_WORKERS", 2)
-    monkeypatch.setattr(measures, "_pool", None)
+    monkeypatch.setattr(state_module, "_pool", None)
     psi = rand(20, 20)
     assert 1 << (psi.n - 1) >= measures._SPLIT_MIN  # tau's half splits over the pool
     try:
         tau(psi)
-        assert measures._pool is not None
+        assert state_module._pool is not None
         pid = os.fork()
         if pid == 0:  # the parent's pool threads are not in this process
             code = 1
             try:
-                code = 0 if measures._fan_out(abs, [-1, -2]) == [1, 2] else 1
+                code = 0 if state_module._fan_out(abs, [-1, -2]) == [1, 2] else 1
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 30
@@ -400,13 +407,14 @@ def test_forked_child_fans_out_on_a_pool_of_its_own(monkeypatch):
             pytest.fail("the child's fan-out waited on the parent's pool")
         assert os.waitstatus_to_exitcode(reaped[1]) == 0
     finally:
-        if measures._pool is not None:
-            measures._pool.shutdown()
+        if state_module._pool is not None:
+            state_module._pool.shutdown()
 
 
 # A BLAS call above OpenBLAS's threading threshold leaves its threads spinning
 # on the CPUs for ~0.1 s after it returns. R at n=19 ends well within that
-# window on any host; n=21 also takes the fan-out path.
+# window on any host; n=21 also takes the fan-out path, and the suite-sized
+# batch of 10000 states at n=9 fans out by chunks of rows.
 _SPINNER_PROBE = """
 import resource, time
 from ntangle import measures, state
@@ -415,14 +423,15 @@ def cpu_ms():
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return 1e3 * (usage.ru_utime + usage.ru_stime)
 
-for n in (19, 21):
-    amps = state.random_state(n, n).amps
+for label, n, amps in ((19, 19, state.random_state(19, 19).amps),
+                       (21, 21, state.random_state(21, 21).amps),
+                       ("batch9", 9, state.random_state_batch(9, 10_000, 9))):
     time.sleep(0.3)  # whatever building the state started goes quiet
     measures._r_tangle(amps, n)
     measures._r_tangle(amps, n)
     start = cpu_ms()
     time.sleep(0.3)
-    print(n, cpu_ms() - start)
+    print(label, cpu_ms() - start)
 """
 
 
@@ -436,9 +445,9 @@ def test_r_tangle_leaves_no_thread_spinning():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     busy = dict(line.split() for line in proc.stdout.splitlines())
-    assert busy.keys() == {"19", "21"}
-    for n, busy_ms in busy.items():
-        assert float(busy_ms) < 20, f"{busy_ms} ms of CPU in a 300 ms sleep after R at n={n}"
+    assert busy.keys() == {"19", "21", "batch9"}
+    for label, busy_ms in busy.items():
+        assert float(busy_ms) < 20, f"{busy_ms} ms of CPU in a 300 ms sleep after R on {label}"
 
 
 def test_report_norm_is_computed_once_per_state(monkeypatch):

@@ -428,6 +428,24 @@ def test_random_state_normalized_and_deterministic():
         assert np.array_equal(psi.amps, again.amps)
 
 
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("n, count", [(1, 3), (2, 1000), (3, 1000), (5, 300), (9, 2000), (12, 100),
+                                      (20, 1), (3, 0)])
+def test_random_batch_keeps_the_bits_of_complex_division(n, count, workers, monkeypatch):
+    # the formula the batch is pinned to: both draws whole, then a complex
+    # division by each row's norm; the batch draws in blocks, rows spanning
+    # them at n=20, and copies them on the pool with two workers
+    monkeypatch.setattr(state_module, "_WORKERS", workers)
+    for seed in (7, 123, 2024):
+        rng = np.random.default_rng(seed)
+        want = np.empty((count, 1 << n), dtype=np.complex128)
+        want.real = rng.standard_normal((count, 1 << n))
+        want.imag = rng.standard_normal((count, 1 << n))
+        flat = want.view(np.float64)
+        want /= np.sqrt(np.vecdot(flat, flat))[:, None]
+        assert random_state_batch(n, count, seed).tobytes() == want.tobytes(), seed
+
+
 def test_random_batch_over_capacity_is_refused_before_allocating(monkeypatch):
     monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 10)
     assert random_state_batch(4, 64, 1).shape == (64, 16)  # exactly 2**10 amplitudes

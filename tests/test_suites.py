@@ -154,20 +154,23 @@ def test_batched_monotone_matches_the_per_trial_oracle():
         assert abs(got.worst - want.worst) <= 1e-14, (got.name, got.worst, want.worst)
 
 
-def test_no_suite_batch_reaches_the_thread_pool(monkeypatch):
-    # suite states are small, so every pair form stays one serial slice even
-    # with a pool at hand: a fan-out would start threads and raise verify's RSS
+def test_suite_batches_fan_out_to_the_serial_reports(monkeypatch):
+    # suite batches run in chunks of rows on the pool; the chunks depend on n
+    # alone, so every report, each worst value included, is the serial one
+    monkeypatch.setattr(state, "_WORKERS", 1)
+    serial = [run_suite(SuiteConfig(name, seed=7)) for name in SUITES]
     monkeypatch.setattr(state, "_WORKERS", 2)
-    fan_out, sizes = measures._fan_out, []
+    fan_out, sizes = state._fan_out, []
 
     def spy(fn, items):
         sizes.append(len(items))
         return fan_out(fn, items)
 
-    monkeypatch.setattr(measures, "_fan_out", spy)
-    for name in SUITES:
-        assert run_suite(SuiteConfig(name, seed=7)).passed, name
-    assert sizes and max(sizes) == 1
+    monkeypatch.setattr(state, "_fan_out", spy)
+    for want in serial:
+        assert want.passed, want.suite
+        assert run_suite(SuiteConfig(want.suite, seed=7)) == want, want.suite
+    assert max(sizes) > 1  # range's n=9 batch is 40 chunks
 
 
 def test_run_all_suites_script_runs_from_an_uninstalled_checkout(tmp_path):
