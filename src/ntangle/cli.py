@@ -133,23 +133,12 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; available: {', '.join(sorted(SUITES))}",
-              file=sys.stderr)
+    try:  # a request the config refuses is a usage error
+        cfg = SuiteConfig(suite=args.suite, trials=args.trials, n_max=args.n_max,
+                          seed=args.seed, tol=args.tol)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.trials is not None and args.trials < 1:
-        print("error: --trials must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.tol is not None and args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = SuiteConfig(
-        suite=args.suite,
-        trials=args.trials,
-        n_max=args.n_max,
-        seed=args.seed,
-        tol=args.tol,
-    )
     report = run_suite(cfg)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))

@@ -26,8 +26,9 @@ view; R copies its chunk first, so that its passes run along the rows.
 
 Kernels use every CPU in the process's affinity mask (`taskset -c 0` gives
 one thread). The chunks of a batch run as one task each. A large state's pair
-form cuts its partial sums into one slice per CPU, and its R runs the row and
-column sums as two tasks, then one task per residual. Each partial sum is the
+form cuts its partial sums into one slice per CPU. R hands the pool its row
+and column sums as two tasks, then one task per residual, at any size; inside
+a pool thread (a chunk of a batch) they run in turn. Each partial sum is the
 same reduction over q at any cut, and no chunk depends on the CPU count, so
 every value is bit-identical at any CPU count. A batched row may differ from
 the same state alone in the last bits: the sums run in another order. The
@@ -47,6 +48,7 @@ InvariantValue or MeasureReport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -207,10 +209,11 @@ def _marginal_signs(bits: int) -> np.ndarray:
 # sign tables, is an einsum on numpy's own loops. Even a 1024 x 11 product at
 # n=21 wakes OpenBLAS's threads, which then spin on the CPUs for ~0.1 s after
 # it returns, in the way of the pool's threads and of whatever the process runs
-# next. Work on a state block of at least this many amplitudes (8 MB) fans out:
-# on a 2-vCPU Xeon a split of a smaller block costs more in dispatch than it
-# saves. The size of one state decides, never the batch: a batch fans out by
-# chunks of rows (_on_rows).
+# next. A pair form over a block of at least this many amplitudes (8 MB) cuts
+# its partial sums over the pool: on a 2-vCPU Xeon a split of a smaller block
+# costs more in dispatch than it saves. The size of one state decides, never
+# the batch: a batch below it fans out by chunks of rows (_on_rows). Only _pair
+# and _on_rows read it; R's tasks go to the pool at any size.
 _SPLIT_MIN = 1 << 19
 
 
@@ -249,7 +252,9 @@ def _self_pair(x: np.ndarray) -> np.ndarray:
 # Input with leading batch axes runs in chunks of rows whose count depends on
 # n alone, never on the CPU count, so every value is the same at any count.
 # Below n = 20 each chunk is one task on the pool; from n = 20 a chunk is one
-# state, whose own kernel fans out, and the chunks run in turn. A kernel sees
+# state, whose own kernel fans out, and the chunks run in turn. Putting those
+# states on the pool as well was slower on a 2-vCPU Xeon: R on a (2, 2**21)
+# batch went from 135-147 to 171-184 ms in two rounds. A kernel sees
 # its chunk as a transposed (2**n, rows) view. R, which reads it in n + 1
 # passes, copies it first: every pass then runs its einsum inner loops along
 # the rows at unit stride, not along a q block of 2**(n//2) amplitudes at
@@ -319,14 +324,10 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     x = amps[:half].reshape((1 << h, 1 << h) + tail)
     y = amps[::-1][:half].reshape((1 << h, 1 << h) + tail)    # y[r, c] = a_~(r, c)
     signs = _marginal_signs(h)
-
-    def each(fn, items):
-        # a large state fans out: the row and column sums as two tasks, then
-        # one task per split; each einsum and each residual stays whole
-        return state._fan_out(fn, items) if half >= _SPLIT_MIN else [fn(item) for item in items]
-
-    row_sums, col_sums = each(lambda spec: np.einsum(spec, x, signs[0], y),
-                              ("rc...,c,rc...->r...", "rc...,r,rc...->c..."))
+    # the row and column sums as two tasks, then one task per split; each
+    # einsum and each residual stays whole
+    row_sums, col_sums = state._fan_out(lambda spec: np.einsum(spec, x, signs[0], y),
+                                        ("rc...,c,rc...->r...", "rc...,r,rc...->c..."))
     rows = np.einsum("r...,kr->k...", row_sums, signs)        # qubits 1..h+1
     cols = np.einsum("c...,kc->k...", col_sums, signs[1:])    # qubits h+2..n
     cross = np.concatenate([rows, cols])
@@ -334,7 +335,7 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     def residual(i):
         return _odd_measure(cross[i - 1], *_halves(amps, n, i))
 
-    return np.stack(each(residual, range(1, n + 1)))
+    return np.stack(state._fan_out(residual, range(1, n + 1)))
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:
@@ -435,7 +436,11 @@ def high_half_invariant(psi: StateVector) -> InvariantValue:
 
 
 def _report(kind: str, value: float, psi: StateVector, residuals=None) -> MeasureReport:
-    return MeasureReport(kind=kind, value=float(value), n=psi.n, norm=psi.norm(), residuals=residuals)
+    value, norm = float(value), psi.norm()
+    if not all(map(math.isfinite, (value, norm, *(residuals or ())))):
+        raise DomainError(f"{kind} of these raw amplitudes overflows the float range (value "
+                          f"{value:g}, norm {norm:g}); normalize the state first")
+    return MeasureReport(kind=kind, value=value, n=psi.n, norm=norm, residuals=residuals)
 
 
 def tau_even(psi: StateVector) -> MeasureReport:

@@ -24,6 +24,7 @@ import mmap
 import os
 import re
 import signal
+import sys
 import tempfile
 import threading
 import warnings
@@ -143,7 +144,14 @@ class StateVector:
         nrm = self.norm()
         if nrm == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return StateVector(self.n, _readonly(self.amps / nrm))
+        amps = self.amps
+        # numpy divides a complex by nrm through 1 / nrm: where either leaves
+        # the normal range, scale by a power of two first
+        if not _NORMAL_MIN <= nrm <= 1 / _NORMAL_MIN:
+            flat = amps.view(np.float64)
+            amps = np.ldexp(flat, -_peak_exponent(flat)).view(np.complex128)
+            nrm = _norm(amps)
+        return StateVector(self.n, _readonly(amps / nrm))
 
     def allclose(self, other: "StateVector") -> bool:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=1e-12, atol=1e-12))
@@ -151,6 +159,7 @@ class StateVector:
 
 # slices of the float view whose sums of squares math.fsum adds exactly
 _NORM_SLICE = 1 << 16
+_NORMAL_MIN = sys.float_info.min  # the least positive normal float, 2**-1022
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -159,16 +168,33 @@ def _norm(amps: np.ndarray) -> float:
     np.linalg.norm goes to a threaded BLAS: its last bits follow the thread
     count, and its threads keep spinning on the CPUs for ~0.1 s after a large
     call, in the way of the measure kernels' own threads.
+
+    A sum of squares that is zero, infinite or below the normal range is
+    summed again, every float scaled by the power of two that brings the
+    largest into [1/2, 1), so only a state whose squares leave the float range
+    takes that path. Its slices are summed pairwise, whose error, unlike
+    einsum's running sum, stays a few ulp on equal amplitudes.
     """
     flat = amps.view(np.float64)
-    sums = []
-    for k in range(0, flat.size, _NORM_SLICE):
-        part = flat[k:k + _NORM_SLICE]
-        sums.append(np.einsum("i,i->", part, part))
+    slices = [flat[k:k + _NORM_SLICE] for k in range(0, flat.size, _NORM_SLICE)]
     try:
-        return math.sqrt(math.fsum(sums))
+        total = math.fsum(np.einsum("i,i->", part, part) for part in slices)
     except OverflowError:  # finite slice sums whose total passes the float range
+        total = math.inf
+    e = 0 if _NORMAL_MIN <= total < math.inf else _peak_exponent(flat)
+    if not e:  # an ordinary state, zero, or a float that is not finite
+        return math.sqrt(total)
+    scaled = math.fsum(np.square(np.ldexp(part, -e)).sum() for part in slices)
+    try:
+        return math.ldexp(math.sqrt(scaled), e)
+    except OverflowError:  # the norm itself passes the float range
         return math.inf
+
+
+def _peak_exponent(flat: np.ndarray) -> int:
+    """e with the largest |flat| in [2**(e-1), 2**e); 0 when that is zero or not finite."""
+    peak = max(float(flat.max()), -float(flat.min()))
+    return math.frexp(peak)[1] if 0 < peak < math.inf else 0
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import bitops
-from .errors import DomainError
+from . import bitops, state
+from .errors import CapacityError, DomainError
 from .locc import _branches, _completion
 from .measures import (
     _even_invariant,
@@ -69,11 +69,21 @@ TOL_NUMERIC = 1e-9
 
 @dataclass(frozen=True)
 class SuiteConfig:
+    """A suite request, checked when it is made: every config names a suite it can run."""
+
     suite: str
     trials: int | None = None     # per-unit trial count; None = suite default
     n_max: int | None = None      # upper qubit bound; None = suite default
     seed: int = DEFAULT_SEED
     tol: float | None = None      # None = suite default
+
+    def __post_init__(self):
+        if self.suite not in SUITES:
+            raise DomainError(f"unknown suite {self.suite!r}; available: {', '.join(sorted(SUITES))}")
+        if self.trials is not None and self.trials < 1:
+            raise DomainError(f"trials must be at least 1, got {self.trials}")
+        if self.tol is not None and not self.tol > 0:  # nan too
+            raise DomainError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -633,6 +643,9 @@ def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
 def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     # exact integer identities, each checked once: trials 1, zero violations allowed
     _, n_max, _ = _settings(cfg, 1, 12, 0.0)
+    if n_max > state.DEFAULT_MAX_QUBITS:  # the grids hold ~40 bytes per index of 2**n_max
+        raise CapacityError(f"bitops up to n={n_max} exceeds the capacity of "
+                            f"{state.DEFAULT_MAX_QUBITS} qubits")
     tol = 0.0
     sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []
@@ -725,12 +738,4 @@ SUITES = {  # in run order
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    try:
-        fn = SUITES[cfg.suite]
-    except KeyError:
-        raise DomainError(
-            f"unknown suite {cfg.suite!r}; available: {', '.join(sorted(SUITES))}"
-        ) from None
-    if cfg.trials is not None and cfg.trials < 1:
-        raise DomainError(f"trials must be at least 1, got {cfg.trials}")
-    return fn(cfg)
+    return SUITES[cfg.suite](cfg)

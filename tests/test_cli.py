@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ntangle
-from ntangle import bench, cli, state
+from ntangle import bench, cli, state, suites
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.errors import DomainError
@@ -506,8 +506,37 @@ def test_verify_batch_over_capacity_exit_3(capsys, monkeypatch):
 def test_verify_rejects_bad_trials(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "range", "--trials", "0")
     assert code == 2
-    code, _, err = run_cli(capsys, "verify", "--suite", "range", "--tol", "-1")
-    assert code == 2
+    assert "trials must be at least 1, got 0" in err
+    for tol in ("-1", "0", "nan"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "range", "--tol", tol)
+        assert code == 2 and out == ""
+        assert "tol must be positive" in err
+
+
+def test_verify_bitops_past_capacity_exits_3(capsys, monkeypatch):
+    def spy(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(suites, "_violations", spy)
+    monkeypatch.setattr(suites, "_complement_counts", spy)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bitops", "--n-max", "27")
+    assert code == 3 and out == ""
+    assert "capacity of 26 qubits" in err
+
+
+@pytest.mark.parametrize("scale, raw_code", [("1e200", 3), ("1e-200", 0), ("1e308", 3)])
+def test_compute_bell_at_the_edges_of_the_float_range(capsys, tmp_path, scale, raw_code):
+    path = tmp_path / "bell.qsv"
+    path.write_text(f"qsv 1\nn 2\n{scale} 0\n0 0\n0 0\n{scale} 0\n")
+    code, out, _ = run_cli(capsys, "compute", "--file", str(path))
+    assert code == 0
+    assert "value 1\n" in out and "norm 1\n" in out
+    # the raw value: 2e400 overflows, 2e-400 is 0 in floats
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--no-normalize")
+    assert code == raw_code
+    if raw_code:
+        assert out == ""
+        assert "tau_even of these raw amplitudes overflows the float range" in err
 
 
 def _run_module(*args, **kwargs):

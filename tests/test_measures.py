@@ -326,16 +326,23 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
     rng = np.random.default_rng(970 + n)
     amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
 
+    one = rand(15, 975).amps  # R's tasks fan out at any size, below _SPLIT_MIN too
+    assert 1 << 14 < measures._SPLIT_MIN
+
     def values():
         out = []
         for i in range(1, n + 1):
             lo, hi = _halves(np.moveaxis(amps, -1, 0), n, i)
             out += [_pair(lo, hi), _pair(hi, lo), _pair(lo, lo)]
+        out.append(_residuals(one, 15))
         if n % 2 == 0:
             return out + [_tau_even(amps, n)]
-        return out + [_tau_odd(amps, n), _residuals(amps, n)]
+        assert amps[0].shape[0] <= measures._chunk_rows(n)  # a batch of one chunk
+        return out + [_tau_odd(amps, n), _residuals(amps, n), _residuals(amps[0], n)]
 
-    serial = values()
+    with monkeypatch.context() as serial_pass:
+        serial_pass.setattr(state_module, "_WORKERS", 1)  # no pool at all
+        serial = values()
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     monkeypatch.setattr(measures, "_SPLIT_MIN", 1)  # every block splits
     monkeypatch.setattr(state_module, "_pool", None)
@@ -413,8 +420,9 @@ def test_forked_child_fans_out_on_a_pool_of_its_own(monkeypatch):
 
 # A BLAS call above OpenBLAS's threading threshold leaves its threads spinning
 # on the CPUs for ~0.1 s after it returns. R at n=19 ends well within that
-# window on any host; n=21 also takes the fan-out path, and the suite-sized
-# batch of 10000 states at n=9 fans out by chunks of rows.
+# window on any host; R's tasks go to the pool at n=19 as at n=21, public call
+# or not, and the suite-sized batch of 10000 states at n=9 fans out by chunks
+# of rows.
 _SPINNER_PROBE = """
 import resource, time
 from ntangle import measures, state
@@ -423,12 +431,15 @@ def cpu_ms():
     usage = resource.getrusage(resource.RUSAGE_SELF)
     return 1e3 * (usage.ru_utime + usage.ru_stime)
 
-for label, n, amps in ((19, 19, state.random_state(19, 19).amps),
-                       (21, 21, state.random_state(21, 21).amps),
-                       ("batch9", 9, state.random_state_batch(9, 10_000, 9))):
+a19, a21 = state.random_state(19, 19).amps, state.random_state(21, 21).amps
+batch9, psi19 = state.random_state_batch(9, 10_000, 9), state.random_state(19, 1919)
+for label, call in ((19, lambda: measures._r_tangle(a19, 19)),
+                    (21, lambda: measures._r_tangle(a21, 21)),
+                    ("batch9", lambda: measures._r_tangle(batch9, 9)),
+                    ("public19", lambda: measures.r_tangle(psi19))):
     time.sleep(0.3)  # whatever building the state started goes quiet
-    measures._r_tangle(amps, n)
-    measures._r_tangle(amps, n)
+    call()
+    call()
     start = cpu_ms()
     time.sleep(0.3)
     print(label, cpu_ms() - start)
@@ -445,9 +456,20 @@ def test_r_tangle_leaves_no_thread_spinning():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     busy = dict(line.split() for line in proc.stdout.splitlines())
-    assert busy.keys() == {"19", "21", "batch9"}
+    assert busy.keys() == {"19", "21", "batch9", "public19"}
     for label, busy_ms in busy.items():
         assert float(busy_ms) < 20, f"{busy_ms} ms of CPU in a 300 ms sleep after R on {label}"
+
+
+def test_a_raw_value_past_the_float_range_is_refused():
+    raw = StateVector(2, 1e200 * bell().amps)
+    with pytest.raises(DomainError, match="tau_even of these raw amplitudes overflows"):
+        tau_even(raw)
+    assert tau_even(raw.normalized()).value == pytest.approx(1.0, rel=1e-15)
+    with pytest.raises(DomainError, match="r_tangle of these raw amplitudes overflows"):
+        r_tangle(StateVector(3, 1e100 * ghz(3).amps))  # degree 4: 1e400 per residual
+    with pytest.raises(DomainError, match="overflows"):  # a norm past the float range
+        tau_even(StateVector(2, np.array([1.7e308, 1.7e308, 0, 0])))
 
 
 def test_report_norm_is_computed_once_per_state(monkeypatch):

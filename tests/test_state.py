@@ -458,12 +458,42 @@ def test_random_batch_over_capacity_is_refused_before_allocating(monkeypatch):
         random_state_batch(0, 1, 1)
 
 
-def test_norm_past_the_float_range_is_infinite():
+def test_norm_past_the_float_range_is_the_true_norm():
     # each of the two slices of the squares' sum is finite; their total is not
     amps = np.full(1 << 16, 6e151)
     half = state_module._NORM_SLICE // 2
     assert math.isfinite(np.einsum("i,i->", amps[:half], amps[:half]))
-    assert StateVector(16, amps).norm() == math.inf
+    psi = StateVector(16, amps)
+    assert math.isclose(psi.norm(), 6e151 * 256, rel_tol=4 * 2.0 ** -52)  # 6e151 * 256 is exact
+    assert math.isclose(psi.normalized().norm(), 1.0, rel_tol=4 * 2.0 ** -52)
+    assert StateVector(1, np.zeros(2)).norm() == 0.0
+    assert StateVector(1, np.array([math.inf, 1])).norm() == math.inf
+    assert math.isnan(StateVector(1, np.array([math.nan, 1])).norm())
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e308, 1.7e308, 2.0 ** 1022, 2.0 ** -1030])
+def test_norm_and_normalized_at_the_edges_of_the_float_range(scale):
+    psi = StateVector(2, np.array([scale, 0, 0, scale]))
+    # at 1.7e308 both sides are inf: the norm itself passes the float range
+    assert math.isclose(psi.norm(), math.sqrt(2) * scale, rel_tol=4 * 2.0 ** -52)
+    assert np.allclose(psi.normalized().amps, [2 ** -0.5, 0, 0, 2 ** -0.5], rtol=2e-16, atol=0)
+
+
+def test_norm_of_ordinary_states_keeps_its_bits():
+    # the sum of squares before the edge cases were handled: einsum slices, added by fsum
+    def plain(amps):
+        flat = amps.view(np.float64)
+        step = state_module._NORM_SLICE
+        return math.sqrt(math.fsum(np.einsum("i,i->", flat[k:k + step], flat[k:k + step])
+                                   for k in range(0, flat.size, step)))
+
+    for n in (1, 2, 5, 15, 17, 18):
+        for seed in range(3):
+            amps = random_state(n, seed).amps
+            for scale in (1.0, 3.7, 1e-120, 1e120):
+                assert state_module._norm(amps * scale) == plain(amps * scale), (n, seed, scale)
+    for row in random_state_batch(6, 40, 11):
+        assert state_module._norm(row) == plain(row)
 
 
 def test_random_operator_kinds():

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ntangle import bitops, measures, state
-from ntangle.errors import DomainError
+from ntangle import bitops, measures, state, suites
+from ntangle.errors import CapacityError, DomainError
 from ntangle.locc import PovmPair, _completion, branch, monotone_average
 from ntangle.measures import r_tangle, tau, tau_even, tau_odd, tau_residual
 from ntangle.state import (QubitPermutation, StateVector, _contraction, _ginibre, _unitary,
@@ -199,8 +199,8 @@ def test_failure_is_reported_not_raised():
 
 
 def test_unknown_suite():
-    with pytest.raises(DomainError):
-        run_suite(SuiteConfig("nonsense"))
+    with pytest.raises(DomainError, match="unknown suite 'nonsense'"):
+        SuiteConfig("nonsense")  # the config refuses it before any suite can run
 
 
 @pytest.mark.parametrize("name, n_max", [("covariance-even", 2), ("covariance-odd", 2),
@@ -218,7 +218,26 @@ def test_a_suite_that_checks_nothing_fails(name, n_max):
 @pytest.mark.parametrize("trials", [0, -1])
 def test_trials_below_one_are_refused(name, trials):
     with pytest.raises(DomainError, match="trials must be at least 1"):
-        run_suite(SuiteConfig(name, trials=trials))
+        SuiteConfig(name, trials=trials)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_tolerances_not_above_zero_are_refused(tol):
+    with pytest.raises(DomainError, match="tol must be positive"):
+        SuiteConfig("range", tol=tol)
+
+
+def test_bitops_past_capacity_builds_no_grid(monkeypatch):
+    monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 8)
+    assert run_suite(SuiteConfig("bitops", n_max=8)).passed  # the capacity itself still runs
+
+    def spy(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(suites, "_violations", spy)
+    monkeypatch.setattr(suites, "_complement_counts", spy)
+    with pytest.raises(CapacityError, match="bitops up to n=9 exceeds the capacity of 8 qubits"):
+        run_suite(SuiteConfig("bitops", n_max=9))
 
 
 @pytest.mark.parametrize("n", range(2, 8))
