@@ -207,7 +207,55 @@ def test_compute_measure_help_lists_every_measure(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps help to the terminal width
     with pytest.raises(SystemExit):
         main(["compute", "--help"])
-    assert " | ".join([*cli._MEASURES, "residual:<i>"]) in capsys.readouterr().out
+    assert ("tau | tau-even | tau-odd | r | concurrence | three-tangle | wong | residual:<i>"
+            in capsys.readouterr().out)
+
+
+def _two(kind):
+    return f"{kind} needs at least 2 qubits, got n=1"
+
+
+def _parity(kind, parity, n):
+    return f"{kind} is defined for {parity} n only, got n={n}"
+
+
+def _only(kind, size, n):
+    return f"{kind} is defined for n={size} only, got n={n}"
+
+
+_WONG_CAP = ("wong_tangle at n=12 exceeds the cap of 10: the dense contraction holds several"
+             " (2**n, 2**n) complex arrays of 256 MiB each")
+# the error line of each --measure name at n = 1, 2, 3, 4, 12, or None where it computes
+_FRONT_DOOR = {
+    "tau": (_two("tau"), None, None, None, None),
+    "tau-even": (_two("tau_even"), None, _parity("tau_even", "even", 3), None, None),
+    "tau-odd": (_two("tau_odd"), _parity("tau_odd", "odd", 2), None, _parity("tau_odd", "odd", 4),
+                _parity("tau_odd", "odd", 12)),
+    "r": (_two("r_tangle"), _parity("r_tangle", "odd", 2), None, _parity("r_tangle", "odd", 4),
+          _parity("r_tangle", "odd", 12)),
+    "concurrence": tuple(None if n == 2 else _only("concurrence", 2, n) for n in (1, 2, 3, 4, 12)),
+    "three-tangle": tuple(None if n == 3 else _only("three_tangle", 3, n) for n in (1, 2, 3, 4, 12)),
+    "wong": (_two("wong_tangle"), None, _parity("wong_tangle", "even", 3), None, _WONG_CAP),
+    "residual:1": (_two("tau_residual"), _parity("tau_residual", "odd", 2), None,
+                   _parity("tau_residual", "odd", 4), _parity("tau_residual", "odd", 12)),
+    "residual:4": (_two("tau_residual"), _parity("tau_residual", "odd", 2),
+                   "qubit label 4 out of range 1..3", _parity("tau_residual", "odd", 4),
+                   _parity("tau_residual", "odd", 12)),
+}
+
+
+@pytest.mark.parametrize("name", _FRONT_DOOR)
+@pytest.mark.parametrize("index, n", enumerate((1, 2, 3, 4, 12)))
+def test_compute_refuses_each_size_a_measure_is_not_defined_for(capsys, name, index, n):
+    labels = ",".join(map(str, range(1, n + 1)))
+    code, out, err = run_cli(capsys, "compute", "--expr", f"basis:{n}:0@{labels}",
+                             "--measure", name)
+    error = _FRONT_DOOR[name][index]
+    if error is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("value 0\nmeasure ")
+    else:
+        assert (code, out, err) == (3, "", f"error: {error}\n")
 
 
 def test_compute_missing_file_exit_2(capsys, tmp_path):
@@ -474,6 +522,17 @@ def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
     monkeypatch.setattr(bench, "_time_call", refuse)
     with pytest.raises(DomainError):
         bench.run_bench(ns, kinds)
+
+
+def test_op_count_of_every_bench_label():
+    for n in range(2, 27):
+        counts = {"quadratic": 2 ** (n - 1), "quartic": 3 * 2 ** (4 * n), "r": (n + 2) * 2 ** (n - 1),
+                  "odd": 2 ** n, "residual:1": 2 ** n, f"residual:{n - 1}": 2 ** n, "read": 2 ** n,
+                  "write": 2 ** n}
+        if n <= bench.BATCH_BITS:
+            counts["batch:tau"] = 2 ** (n - 1 + n % 2) * 2 ** (22 - n)
+            counts["batch:r"] = (n + 2) * 2 ** (n - 1) * 2 ** (22 - n)
+        assert {label: bench.op_count(label, n) for label in counts} == counts, n
 
 
 def test_op_count_of_an_unknown_measure():
