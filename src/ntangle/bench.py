@@ -1,25 +1,16 @@
-"""Timing and operation-count records for the tangles and the quartic oracle.
+"""Timing and operation-count records for the measures' kernels and the qsv reader and writer.
 
-Wall times are environment noise; the operation counts are exact numbers of
-amplitude products: the quadratic even measure needs 2**(n-1), the quartic
-contraction 3 * 2**(4n), and R at odd n (n + 2) * 2**(n-1): its cross pass
-sums the 2**(n-1) products a_j a_~j once by rows and once by columns, and
-each of the n splits adds two half-length self forms of 2**(n-2) products.
-The odd measure tau_odd and each residual (timed at qubits 1 and n-1, one row
-each) need 2**n: the cross form's 2**(n-1) and two self forms of 2**(n-2).
-The read row times ``read_qsv`` of a seeded state written to a temporary file
-before the timing starts; its count is the 2**n amplitudes parsed. The write
-row times ``write_qsv`` of the same state to a file in that temporary
-directory; its count is the 2**n amplitudes formatted. The batch rows time
-the kernels as the suites call them, on a seeded (2**(22-n), 2**n) batch of
-2**22 amplitudes: ``batch:tau`` (tau_even or tau_odd by parity) at every
-size, ``batch:r`` at the odd ones; each counts its single-state products once
-per state. The quadratic and quartic rows take the even sizes of a range, the
-odd, R and residual rows the odd ones, the read and write rows every size,
-and the batch rows every size up to 22. The text output names the
-worker count of the kernels, the reader and the writer; the JSON output
-carries the environment the rows were timed in. Nothing here asserts
-absolute speed.
+Wall times are environment noise; operation counts are exact. Each measure row
+(quadratic, odd, r, quartic; residual at qubits 1 and n-1) times the kernel of
+its row of ``measures.MEASURES`` at the sizes that row takes, and counts its
+``products``. The read and write rows time ``read_qsv`` and ``write_qsv`` of a
+seeded state in a temporary directory, written before the read is timed, and
+count its 2**n amplitudes. The batch rows time the kernels as the suites call
+them, on a seeded batch of 2**(22-n) states at every size up to 22: ``batch:tau``
+(tau_even or tau_odd by parity), and ``batch:r`` at odd n; each counts its
+single-state products once per state. The text output names the worker count of
+the kernels, the reader and the writer; the JSON output carries the environment
+the rows were timed in. Nothing here asserts absolute speed.
 """
 
 from __future__ import annotations
@@ -36,8 +27,7 @@ import numpy as np
 
 from . import state
 from .errors import DomainError
-from .measures import (DEFAULT_WONG_CAP, _r_tangle, _residual, _tau_any, _tau_even, _tau_odd,
-                       _wong_tangle)
+from .measures import DEFAULT_WONG_CAP, MEASURES, _r_tangle, _tau_any
 
 __all__ = ["BenchRecord", "op_count", "check_sizes", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
@@ -57,11 +47,9 @@ class BenchRecord:
     op_count: int
 
 
-_KERNELS = {"quadratic": _tau_even, "quartic": _wong_tangle, "r": _r_tangle, "odd": _tau_odd,
-            "residual": _residual}
-# the parity of the sizes each measure takes; None takes every size
-_PARITY = {"quadratic": 0, "quartic": 0, "r": 1, "odd": 1, "residual": 1, "read": None,
-           "write": None, "batch": None}
+# each measure label's row of MEASURES, and the sizes each label takes (None: every size)
+_TIMED = {row.bench: row for row in MEASURES.values() if row.bench}
+_PARITY = dict.fromkeys(("read", "write", "batch")) | {k: row.sizes for k, row in _TIMED.items()}
 BATCH_BITS = 22  # a batch row's states hold 2**22 amplitudes (64 MiB) in all
 
 
@@ -79,27 +67,27 @@ def _rows(measure: str, psi: state.StateVector, tmp: str, seed: int) -> list:
     if measure == "write":
         path = os.path.join(tmp, f"state{n}.qsv")
         return [("write", lambda: state.write_qsv(psi, path))]
-    kernel = _KERNELS[measure]
+    kernel = _TIMED[measure].kernel
     if measure == "residual":
         return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in (1, n - 1)]
     return [(measure, lambda: kernel(psi.amps, n))]
 
 
+def _takes(measure: str, n: int) -> bool:
+    return _PARITY[measure] in (None, "odd n" if n % 2 else "even n")
+
+
 def op_count(measure: str, n: int) -> int:
     """Exact product (or amplitude) count of a measure or a row label at n qubits."""
     if measure.startswith("batch"):
-        kernel = "r" if measure == "batch:r" else "odd" if n % 2 else "quadratic"
-        return op_count(kernel, n) << (BATCH_BITS - n)
+        kind = "r_tangle" if measure == "batch:r" else "tau_odd" if n % 2 else "tau_even"
+        return MEASURES[kind].products(n) << (BATCH_BITS - n)
     measure = measure.split(":")[0]
-    if measure == "quadratic":
-        return 1 << (n - 1)
-    if measure == "quartic":
-        return 3 * (1 << (4 * n))
-    if measure == "r":
-        return (n + 2) << (n - 1)
-    if measure in ("odd", "residual", "read", "write"):
+    if measure in ("read", "write"):
         return 1 << n
-    raise DomainError(f"unknown bench measure {measure!r}")
+    if measure not in _TIMED:
+        raise DomainError(f"unknown bench measure {measure!r}")
+    return _TIMED[measure].products(n)
 
 
 def _time_call(fn, repetitions: int) -> tuple[int, int]:
@@ -121,7 +109,7 @@ def check_sizes(ns, measures) -> None:
             raise DomainError(f"bench sizes must be >= 2, got n={n}")
         if n > state.DEFAULT_MAX_QUBITS:
             raise DomainError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
-        if "quartic" in measures and n % 2 == 0 and n > DEFAULT_WONG_CAP:
+        if "quartic" in measures and _takes("quartic", n) and n > DEFAULT_WONG_CAP:
             raise DomainError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
         if "batch" in measures and n > BATCH_BITS:
             raise DomainError(f"batch bench at n={n} exceeds the batch of 2**{BATCH_BITS} amplitudes")
@@ -137,13 +125,13 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) 
     for measure in measures:
         if measure not in _PARITY:
             raise DomainError(f"unknown bench measure {measure!r}")
-        if _PARITY[measure] is not None and not any(n % 2 == _PARITY[measure] for n in ns):
-            parity = "odd" if _PARITY[measure] else "even"
+        if not any(_takes(measure, n) for n in ns):
+            parity = _PARITY[measure].removesuffix(" n")
             raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")
     records = []
     with tempfile.TemporaryDirectory(prefix="ntangle-bench-") as tmp:
         for n in ns:
-            todo = [m for m in measures if _PARITY[m] in (None, n % 2)]
+            todo = [m for m in measures if _takes(m, n)]
             if not todo:
                 continue
             psi = state.random_state(n, seed + n)

@@ -11,18 +11,9 @@ import argparse
 import json
 import sys
 
+from . import measures
 from .bench import check_sizes, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError
-from .measures import (
-    concurrence,
-    r_tangle,
-    tau,
-    tau_even,
-    tau_odd,
-    tau_residual,
-    three_tangle,
-    wong_tangle,
-)
 from .state import parse_product_expression, build_product, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
@@ -30,17 +21,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-
-_MEASURES = {
-    "tau": tau,
-    "tau-even": tau_even,
-    "tau-odd": tau_odd,
-    "r": r_tangle,
-    "concurrence": concurrence,
-    "three-tangle": three_tangle,
-    "wong": wong_tangle,
-}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="qsv state file to read")
     src.add_argument("--expr", help="product expression, e.g. 'ghz:3@1,2,3 x bell@4,5'")
     c.add_argument("--measure", default="tau",
-                   help=" | ".join([*_MEASURES, "residual:<i>"]) + " (default: tau)")
+                   help=" | ".join(["tau", *(row.cli for row in measures.MEASURES.values())])
+                   + " (default: tau)")
     c.add_argument("--no-normalize", action="store_true",
                    help="evaluate on the raw amplitudes instead of normalizing first")
     c.add_argument("--format", choices=("text", "json"), default="text")
@@ -88,26 +69,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> int:
+    # the public function a --measure names (tau: the parity dispatch) and its arguments
+    name = args.measure
+    kinds = {"tau": "tau"} | {row.cli: kind for kind, row in measures.MEASURES.items()}
+    if name.startswith("residual:"):
+        try:
+            function, extra = "tau_residual", (int(name.split(":", 1)[1]),)
+        except ValueError:
+            raise ParseError(f"bad residual qubit in measure {name!r}", line=1, column=1) from None
+    elif name in kinds:
+        function, extra = kinds[name], ()
+    else:
+        raise ParseError(f"unknown measure {name!r}", line=1, column=1)
     if args.file is not None:
         psi = read_qsv(args.file)
         label = f"file:{args.file}"
     else:
         psi = build_product(parse_product_expression(args.expr))
         label = args.expr
+    if function in measures.MEASURES:  # refuse a size before normalizing; tau takes n >= 2
+        measures._row(function, psi.n)
     if not args.no_normalize:
         psi = psi.normalized()
-
-    name = args.measure
-    if name in _MEASURES:
-        report = _MEASURES[name](psi)
-    elif name.startswith("residual:"):
-        try:
-            i = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ParseError(f"bad residual qubit in measure {name!r}", line=1, column=1) from None
-        report = tau_residual(psi, i)
-    else:
-        raise ParseError(f"unknown measure {name!r}", line=1, column=1)
+    report = getattr(measures, function)(psi, *extra)
 
     if args.format == "json":
         payload = {
@@ -148,14 +132,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    measures = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
+    timed = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
     ns = list(range(args.n_min, args.n_max + 1))
     try:  # a bad size range is a usage error; a range without a measure's parity exits 3
-        check_sizes(ns, measures)
+        check_sizes(ns, timed)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = run_bench(ns, measures=measures, repetitions=args.repetitions, seed=args.seed)
+    records = run_bench(ns, measures=timed, repetitions=args.repetitions, seed=args.seed)
     if args.format == "csv":
         print(records_to_csv(records), end="")
     elif args.format == "json":

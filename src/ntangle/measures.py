@@ -51,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,6 +78,7 @@ __all__ = [
     "wong_tangle",
     "three_tangle",
     "DEFAULT_WONG_CAP",
+    "MEASURES",
 ]
 
 # The dense quartic contraction holds several (2**n, 2**n) complex arrays: it
@@ -292,6 +294,8 @@ def _on_rows(kernel):
     return entry
 
 
+# _report refuses an overflow's inf or nan; errstate holds per thread, so each kernel holds it
+@np.errstate(over="ignore", invalid="ignore")
 def _odd_measure(cross: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(cross ** 2 - _self_pair(lo) * _self_pair(hi))
 
@@ -350,6 +354,7 @@ def _r_tangle(amps: np.ndarray, n: int) -> np.ndarray:
     return _residuals(amps, n).mean(axis=0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _three_tangle(amps: np.ndarray) -> np.ndarray:
     """Coffman-Kundu-Wootters residual entanglement, 4|d1 - 2 d2 + 4 d3|.
 
@@ -366,6 +371,7 @@ def _three_tangle(amps: np.ndarray) -> np.ndarray:
     return 4.0 * np.abs(d1 - 2.0 * d2 + 4.0 * d3)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _wong_tangle(amps: np.ndarray, n: int) -> np.ndarray:
     """Quartic epsilon-contraction over four amplitude copies of (..., 2**n) amplitudes.
 
@@ -387,51 +393,77 @@ def _wong_tangle(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# the table of measures, and the public operations
 # ---------------------------------------------------------------------------
 
-def _require_parity(psi: StateVector, parity: str, what: str) -> None:
-    if psi.n < 2:
-        raise DomainError(f"{what} needs at least 2 qubits, got n={psi.n}")
-    if parity == "even" and psi.n % 2 != 0:
-        raise DomainError(f"{what} is defined for even n only, got n={psi.n}")
-    if parity == "odd" and psi.n % 2 != 1:
-        raise DomainError(f"{what} is defined for odd n only, got n={psi.n}")
+class _Measure(NamedTuple):
+    cli: str                        # the `ntangle compute --measure` name
+    kernel: Callable                # (amps, n, *args) -> values, as the entry points above
+    sizes: str                      # "even n" or "odd n" (n >= 2), or "n=<k>", as errors name them
+    degree: int                     # scaling the amplitudes by c scales the value by |c|**degree
+    bench: str | None               # the `ntangle bench` row that times the kernel, if one does
+    products: Callable[[int], int]  # complex amplitude products at n qubits
+
+
+# Every measure, keyed by the kind of its report, which is also the name of its public
+# function (tau reports as tau_even or tau_odd), in the order the CLI lists them.
+MEASURES = {
+    "tau_even": _Measure("tau-even", _tau_even, "even n", 2, "quadratic", lambda n: 1 << (n - 1)),
+    "tau_odd": _Measure("tau-odd", _tau_odd, "odd n", 4, "odd", lambda n: 1 << n),
+    "r_tangle": _Measure("r", _r_tangle, "odd n", 4, "r", lambda n: (n + 2) << (n - 1)),
+    "concurrence": _Measure("concurrence", _tau_even, "n=2", 2, None, lambda n: 1 << (n - 1)),
+    # products as coded: d1, d2 and d3 take 4 x 2, 6 x 3 and 2 x 3; wong's are the dense contraction's
+    "three_tangle": _Measure("three-tangle", lambda amps, n: _three_tangle(amps), "n=3", 4, None,
+                             lambda n: 32),
+    "wong_tangle": _Measure("wong", _wong_tangle, "even n", 4, "quartic", lambda n: 3 << (4 * n)),
+    "tau_residual": _Measure("residual:<i>", _residual, "odd n", 4, "residual", lambda n: 1 << n),
+}
+
+
+def _row(kind: str, n: int, what: str = "") -> _Measure:
+    """The row of a measure once n is a size it takes; an error names what, else the kind.
+    An invariant takes the sizes of the measure it builds: E tau_even's, B, L and H tau_odd's."""
+    row, what = MEASURES[kind], what or kind
+    if n < 2 and row.sizes.endswith(" n"):
+        raise DomainError(f"{what} needs at least 2 qubits, got n={n}")
+    if row.sizes not in (f"n={n}", "odd n" if n % 2 else "even n"):
+        raise DomainError(f"{what} is defined for {row.sizes} only, got n={n}")
+    return row
 
 
 def even_invariant(psi: StateVector) -> InvariantValue:
     """The degree-2 invariant of an even-n state (the staggered defining sum)."""
-    _require_parity(psi, "even", "even_invariant")
+    _row("tau_even", psi.n, "even_invariant")
     return InvariantValue(complex(_even_invariant(psi.amps, psi.n)), "even")
 
 
 def even_invariant_pairs(psi: StateVector) -> InvariantValue:
     """Same invariant written as a sum over complementary index pairs."""
-    _require_parity(psi, "even", "even_invariant_pairs")
+    _row("tau_even", psi.n, "even_invariant_pairs")
     return InvariantValue(complex(_invariant_pairs(psi.amps, psi.n)), "even")
 
 
 def odd_invariant(psi: StateVector) -> InvariantValue:
     """The degree-2 full-range invariant of an odd-n state (four-term defining sum)."""
-    _require_parity(psi, "odd", "odd_invariant")
+    _row("tau_odd", psi.n, "odd_invariant")
     return InvariantValue(complex(_odd_invariant(psi.amps, psi.n)), "odd")
 
 
 def odd_invariant_pairs(psi: StateVector) -> InvariantValue:
     """Same invariant written as a sum over complementary index pairs."""
-    _require_parity(psi, "odd", "odd_invariant_pairs")
+    _row("tau_odd", psi.n, "odd_invariant_pairs")
     return InvariantValue(complex(_invariant_pairs(psi.amps, psi.n)), "odd")
 
 
 def low_half_invariant(psi: StateVector) -> InvariantValue:
     """Quadratic form pairing indices inside the top-bit-0 half (odd n)."""
-    _require_parity(psi, "odd", "low_half_invariant")
+    _row("tau_odd", psi.n, "low_half_invariant")
     return InvariantValue(complex(_low_half_invariant(psi.amps, psi.n)), "low")
 
 
 def high_half_invariant(psi: StateVector) -> InvariantValue:
     """Quadratic form pairing top-bit-1 indices across the halves (odd n)."""
-    _require_parity(psi, "odd", "high_half_invariant")
+    _row("tau_odd", psi.n, "high_half_invariant")
     return InvariantValue(complex(_high_half_invariant(psi.amps, psi.n)), "high")
 
 
@@ -444,59 +476,52 @@ def _report(kind: str, value: float, psi: StateVector, residuals=None) -> Measur
 
 
 def tau_even(psi: StateVector) -> MeasureReport:
-    """Even-n measure 2|E|; degree 2: scaling amplitudes by c scales it by |c|^2."""
-    _require_parity(psi, "even", "tau_even")
-    return _report("tau_even", _tau_even(psi.amps, psi.n), psi)
+    """Even-n measure 2|E|."""
+    return _report("tau_even", _row("tau_even", psi.n).kernel(psi.amps, psi.n), psi)
 
 
 def tau_odd(psi: StateVector) -> MeasureReport:
-    """Odd-n measure 4|B^2 - 4 L H|; degree 4: scales by |c|^4."""
-    _require_parity(psi, "odd", "tau_odd")
-    return _report("tau_odd", _tau_odd(psi.amps, psi.n), psi)
+    """Odd-n measure 4|B^2 - 4 L H|."""
+    return _report("tau_odd", _row("tau_odd", psi.n).kernel(psi.amps, psi.n), psi)
 
 
 def tau(psi: StateVector) -> MeasureReport:
     """Parity dispatch: the even measure for even n, the odd measure for odd n."""
-    if psi.n < 2:
-        raise DomainError(f"tau needs at least 2 qubits, got n={psi.n}")
-    return tau_even(psi) if psi.n % 2 == 0 else tau_odd(psi)
+    kind = "tau_odd" if psi.n % 2 else "tau_even"
+    return _report(kind, _row(kind, psi.n, "tau").kernel(psi.amps, psi.n), psi)
 
 
 def tau_residual(psi: StateVector, i: int) -> MeasureReport:
     """Residual measure with respect to qubit i: the odd measure after swapping 1 and i."""
-    _require_parity(psi, "odd", "tau_residual")
+    kernel = _row("tau_residual", psi.n).kernel
     if not 1 <= i <= psi.n:
         raise DomainError(f"qubit label {i} out of range 1..{psi.n}")
-    return _report("tau_residual", _residual(psi.amps, psi.n, i), psi)
+    return _report("tau_residual", kernel(psi.amps, psi.n, i), psi)
 
 
 def r_tangle(psi: StateVector) -> MeasureReport:
-    """Arithmetic mean of the per-qubit residual measures (odd n)."""
-    _require_parity(psi, "odd", "r_tangle")
+    """Arithmetic mean of the per-qubit residual measures (odd n), with the residuals."""
+    _row("r_tangle", psi.n)
     residuals = tuple(map(float, _residuals(psi.amps, psi.n)))
     return _report("r_tangle", sum(residuals) / psi.n, psi, residuals=residuals)
 
 
 def concurrence(psi: StateVector) -> MeasureReport:
     """Two-qubit concurrence 2|a0 a3 - a1 a2|: the even measure's kernel at n=2."""
-    if psi.n != 2:
-        raise DomainError(f"concurrence is defined for n=2 only, got n={psi.n}")
-    return _report("concurrence", _tau_even(psi.amps, 2), psi)
+    return _report("concurrence", _row("concurrence", psi.n).kernel(psi.amps, psi.n), psi)
 
 
 def wong_tangle(psi: StateVector) -> MeasureReport:
     """Quartic even-n tangle of Wong and Christensen (expensive cross-reference), n <= DEFAULT_WONG_CAP."""
-    _require_parity(psi, "even", "wong_tangle")
+    kernel = _row("wong_tangle", psi.n).kernel
     if psi.n > DEFAULT_WONG_CAP:
         raise DomainError(
             f"wong_tangle at n={psi.n} exceeds the cap of {DEFAULT_WONG_CAP}: the dense contraction "
             f"holds several (2**n, 2**n) complex arrays of {16 << (2 * psi.n) >> 20} MiB each"
         )
-    return _report("wong_tangle", _wong_tangle(psi.amps, psi.n), psi)
+    return _report("wong_tangle", kernel(psi.amps, psi.n), psi)
 
 
 def three_tangle(psi: StateVector) -> MeasureReport:
     """Independent three-qubit residual-entanglement oracle (external construction)."""
-    if psi.n != 3:
-        raise DomainError(f"three_tangle is defined for n=3 only, got n={psi.n}")
-    return _report("three_tangle", _three_tangle(psi.amps), psi)
+    return _report("three_tangle", _row("three_tangle", psi.n).kernel(psi.amps, psi.n), psi)

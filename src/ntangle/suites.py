@@ -28,6 +28,7 @@ from . import bitops, state
 from .errors import CapacityError, DomainError
 from .locc import _branches, _completion
 from .measures import (
+    MEASURES,
     _even_invariant,
     _high_half_invariant,
     _invariant_pairs,
@@ -256,18 +257,18 @@ def _odd_combination(amps: np.ndarray, n: int) -> np.ndarray:
             - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n))
 
 
-# by parity of n: qubit counts, default n_max, invariant, measure and check
-# names. The invariant picks up the determinant product to the power
-# 1 + parity, and has twice that degree in the amplitudes.
+# by parity of n: qubit counts, default n_max, invariant, the measure's row of
+# MEASURES and check names. The invariant has the measure's degree in the
+# amplitudes, and both pick up the determinant product to half that power.
 _COVARIANCE = (
-    ((4, 6, 8, 10), 10, _even_invariant, _tau_even, "invariant-det-product", "tau-abs-det-product"),
-    ((5, 7, 9), 9, _odd_combination, _tau_odd, "combo-det-squared", "tau-abs-det-squared"),
+    ((4, 6, 8, 10), 10, _even_invariant, "tau_even", "invariant-det-product", "tau-abs-det-product"),
+    ((5, 7, 9), 9, _odd_combination, "tau_odd", "combo-det-squared", "tau-abs-det-squared"),
 )
 
 
 def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
-    sizes, default_n_max, invariant, measure, invariant_name, tau_name = _COVARIANCE[parity]
-    power = 1 + parity
+    sizes, default_n_max, invariant, kind, invariant_name, tau_name = _COVARIANCE[parity]
+    measure, power = MEASURES[kind].kernel, MEASURES[kind].degree // 2
     trials, n_max, tol = _settings(cfg, 100, default_n_max, TOL_NUMERIC)
     quarter = max(1, trials // 4)
     checks = []
@@ -445,9 +446,10 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
         for l in range(1, n):
             rng, phi, omega, psi = _product_block(cfg.seed, (11, n, l), trials, n, l)
             axes = _random_axes(rng, n, trials, fix_first=n % 2 == 1)
-            # the measure factorizes, omega's factor squared for odd n, when
-            # l has the parity of n; otherwise it vanishes
-            expected = (_factor_tau(phi, l) * _factor_tau(omega, n - l) ** (1 + n % 2)
+            # the measure factorizes when l has the parity of n, omega's factor
+            # to half the measure's degree; otherwise it vanishes
+            power = MEASURES["tau_odd" if n % 2 else "tau_even"].degree // 2
+            expected = (_factor_tau(phi, l) * _factor_tau(omega, n - l) ** power
                         if l % 2 == n % 2 else 0.0)
             worst_plain = max(worst_plain, np.abs(_tau_any(psi, n) - expected).max())
             moved = _gather(psi, n, axes)
@@ -553,8 +555,8 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
                              1e-10, trials))
 
         # raw branches transform with |det|, normalized branches divide
-        # out the probability to the homogeneity degree
-        degree = 1 if even else 2
+        # out the probability, each to half the measure's degree
+        degree = MEASURES["tau_even" if even else "tau_odd"].degree // 2
         det = np.stack([(a * b) ** degree, ((1.0 - a ** 2) * (1.0 - b ** 2)) ** (degree / 2.0)])
         raw_val = _tau_any(raw, n)
         covariance = np.abs(raw_val - base * det)

@@ -598,6 +598,35 @@ def test_compute_bell_at_the_edges_of_the_float_range(capsys, tmp_path, scale, r
         assert "tau_even of these raw amplitudes overflows the float range" in err
 
 
+def test_compute_resolves_the_measure_before_it_reads_or_normalizes(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("read or normalized a state for a measure that refuses it")
+
+    path = tmp_path / "bell.qsv"
+    write_qsv(named_state("bell", 2), path)
+    monkeypatch.setattr(state.StateVector, "normalized", refuse)
+    code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau-odd")
+    assert (code, out, err) == (3, "", "error: tau_odd is defined for odd n only, got n=2\n")
+    monkeypatch.setattr(cli, "read_qsv", refuse)
+    for measure, error in (("foo", "unknown measure 'foo'"),
+                           ("residual:x", "bad residual qubit in measure 'residual:x'")):
+        code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", measure)
+        assert (code, out, err) == (2, "", f"error: {error} (line 1, column 1)\n")
+
+
+@pytest.mark.parametrize("n, measure", [(3, "r"), (3, "tau"), (3, "residual:2"),
+                                        (3, "three-tangle"), (4, "wong")])
+def test_compute_raw_overflow_prints_only_the_error_line(tmp_path, n, measure):
+    path = tmp_path / "ghz.qsv"
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = amps[-1] = 1e100
+    write_qsv(state.StateVector(n, amps), path)
+    proc = _run_module("compute", "--file", str(path), "--measure", measure, "--no-normalize")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0], lines
+
+
 def _run_module(*args, **kwargs):
     # the child must import the same package as this process, installed or not
     src = str(Path(ntangle.__file__).resolve().parent.parent)
