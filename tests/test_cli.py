@@ -655,3 +655,46 @@ def test_compute_file_on_one_cpu_gives_the_same_values(tmp_path):
     assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
     full, one = (json.loads(proc.stdout) for proc in runs)
     assert full["value"] == one["value"] and full["norm"] == one["norm"]
+
+
+REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
+    "compute-unknown-name": ("compute --expr bell@1,2 --measure foo", 2,
+                             "error: unknown measure 'foo' (line 1, column 1)\n"),
+    "compute-residual-x": ("compute --expr bell@1,2 --measure residual:x", 2,
+                           "error: bad residual qubit in measure 'residual:x' (line 1, column 1)\n"),
+    "compute-bad-expression": ("compute --expr foo@1", 2,
+                               "error: unknown factor kind 'foo' (line 1, column 1)\n"),
+    "compute-missing-file": ("compute --file {tmp}/absent.qsv", 2,
+                             "error: [Errno 2] No such file or directory: '{tmp}/absent.qsv'\n"),
+    "compute-header-past-capacity": ("compute --file {tmp}/huge.qsv", 3,
+                                     "error: qsv file declares 27 qubits, capacity is 26\n"),
+    "compute-size-refused": ("compute --expr bell@1,2 --measure r", 3,
+                             "error: r_tangle is defined for odd n only, got n=2\n"),
+    "verify-unknown-suite": ("verify --suite nope", 2,
+                             "error: unknown suite 'nope'; available: bitops, closed-form,"
+                             " covariance-even, covariance-odd, golden-examples, monotone,"
+                             " oracle-n3, permutation, product, range\n"),
+    "verify-trials-0": ("verify --suite range --trials 0", 2,
+                        "error: trials must be at least 1, got 0\n"),
+    "verify-tol-0": ("verify --suite range --tol 0", 2, "error: tol must be positive, got 0.0\n"),
+    "verify-tol-nan": ("verify --suite range --tol nan", 2, "error: tol must be positive, got nan\n"),
+    "verify-bitops-past-capacity": ("verify --suite bitops --n-max 27", 3,
+                                    "error: bitops up to n=27 exceeds the capacity of 26 qubits\n"),
+    "bench-empty-range": ("bench --n-min 5 --n-max 4", 2, "error: bench needs at least one size\n"),
+    "bench-n-min-1": ("bench --n-min 1 --n-max 4", 2, "error: bench sizes must be >= 2, got n=1\n"),
+    "bench-n-max-40": ("bench --n-min 4 --n-max 40", 2,
+                       "error: bench size n=27 exceeds capacity 26\n"),
+    "bench-quartic-past-cap": ("bench --n-min 4 --n-max 12 --measure quartic", 2,
+                               "error: quartic bench at n=12 exceeds the oracle cap of 10\n"),
+    "bench-batch-past-22": ("bench --n-min 22 --n-max 23 --measure batch", 2,
+                            "error: batch bench at n=23 exceeds the batch of 2**22 amplitudes\n"),
+    "bench-r-even-only": ("bench --n-min 4 --n-max 4 --measure r", 3,
+                          "error: bench measure 'r' needs an odd size in the range\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, err", REFUSALS.values(), ids=REFUSALS.keys())
+def test_every_refusal_keeps_its_exit_code_and_message(capsys, tmp_path, argv, code, err):
+    (tmp_path / "huge.qsv").write_text("qsv 1\nn 27\n")
+    got = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    assert got == (code, "", err.format(tmp=tmp_path))
