@@ -7,7 +7,7 @@ numerically at desk scale.
 """
 
 from .bitops import count_ones, count_ones_star, sgn, sgn_star
-from .errors import CapacityError, DomainError, NTangleError, ParseError
+from .errors import CapacityError, DomainError, NTangleError, ParseError, UsageError
 from .locc import BranchOutcome, PovmPair, branch, make_povm, monotone_average
 from .measures import (
     DEFAULT_WONG_CAP,
@@ -102,6 +102,7 @@ __all__ = [
     "tau_residual",
     "tensor",
     "three_tangle",
+    "UsageError",
     "wong_tangle",
     "write_qsv",
 ]

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import state
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .measures import DEFAULT_WONG_CAP, MEASURES, _r_tangle, _tau_any
 
-__all__ = ["BenchRecord", "op_count", "check_sizes", "run_bench", "records_to_csv",
+__all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
 
 CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
@@ -77,17 +77,18 @@ def _takes(measure: str, n: int) -> bool:
     return _PARITY[measure] in (None, "odd n" if n % 2 else "even n")
 
 
-def op_count(measure: str, n: int) -> int:
-    """Exact product (or amplitude) count of a measure or a row label at n qubits."""
-    if measure.startswith("batch"):
-        kind = "r_tangle" if measure == "batch:r" else "tau_odd" if n % 2 else "tau_even"
-        return MEASURES[kind].products(n) << (BATCH_BITS - n)
-    measure = measure.split(":")[0]
-    if measure in ("read", "write"):
+def op_count(label: str, n: int) -> int:
+    """Exact product (or amplitude) count of a row label run_bench writes, at n qubits."""
+    kind, _, qubit = label.partition(":")
+    if label in ("read", "write"):
         return 1 << n
-    if measure not in _TIMED:
-        raise DomainError(f"unknown bench measure {measure!r}")
-    return _TIMED[measure].products(n)
+    if label in ("batch:tau", "batch:r"):
+        kind = "r_tangle" if qubit == "r" else "tau_odd" if n % 2 else "tau_even"
+        return MEASURES[kind].products(n) << (BATCH_BITS - n)
+    residual = kind == "residual" and qubit.isascii() and qubit.isdigit()
+    if residual or label in _TIMED.keys() - {"residual"}:
+        return _TIMED[kind].products(n)
+    raise DomainError(f"unknown bench measure {label!r}")
 
 
 def _time_call(fn, repetitions: int) -> tuple[int, int]:
@@ -100,31 +101,30 @@ def _time_call(fn, repetitions: int) -> tuple[int, int]:
     return samples[len(samples) // 2], samples[0]
 
 
-def check_sizes(ns, measures) -> None:
-    """Raise DomainError unless ns is a non-empty list of sizes every measure can time."""
-    if not ns:
-        raise DomainError("bench needs at least one size")
-    for n in ns:
-        if n < 2:
-            raise DomainError(f"bench sizes must be >= 2, got n={n}")
-        if n > state.DEFAULT_MAX_QUBITS:
-            raise DomainError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
-        if "quartic" in measures and _takes("quartic", n) and n > DEFAULT_WONG_CAP:
-            raise DomainError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
-        if "batch" in measures and n > BATCH_BITS:
-            raise DomainError(f"batch bench at n={n} exceeds the batch of 2**{BATCH_BITS} amplitudes")
-
-
 def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) -> list:
     """Time each requested measure on seeded random states of the sizes of its parity.
 
-    Every size is checked, by check_sizes, before the first kernel is timed.
+    The whole request is checked before the first state is drawn: a size,
+    measure or repetition count it cannot time raises UsageError, and a
+    measure with no size of its parity in the range raises DomainError.
     """
     ns = list(ns)
-    check_sizes(ns, measures)
+    if not ns:
+        raise UsageError("bench needs at least one size")
+    if repetitions < 1:
+        raise UsageError(f"bench repetitions must be at least 1, got {repetitions}")
+    for n in ns:
+        if n < 2:
+            raise UsageError(f"bench sizes must be >= 2, got n={n}")
+        if n > state.DEFAULT_MAX_QUBITS:
+            raise UsageError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
+        if "quartic" in measures and _takes("quartic", n) and n > DEFAULT_WONG_CAP:
+            raise UsageError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
+        if "batch" in measures and n > BATCH_BITS:
+            raise UsageError(f"batch bench at n={n} exceeds the batch of 2**{BATCH_BITS} amplitudes")
     for measure in measures:
         if measure not in _PARITY:
-            raise DomainError(f"unknown bench measure {measure!r}")
+            raise UsageError(f"unknown bench measure {measure!r}")
         if not any(_takes(measure, n) for n in ns):
             parity = _PARITY[measure].removesuffix(" n")
             raise DomainError(f"bench measure {measure!r} needs an {parity} size in the range")

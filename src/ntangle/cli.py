@@ -2,7 +2,9 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error, 3 domain, parity or capacity error (running out of memory counts
-as a capacity error).
+as a capacity error). Only ``main`` maps an error to its code, by its type: a
+``UsageError``, ``ParseError`` or unreadable file exits 2, any other ``DomainError``
+3 (every suite's ``--n-max`` past ``DEFAULT_MAX_QUBITS`` among them, before any draw).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ import json
 import sys
 
 from . import measures
-from .bench import check_sizes, records_to_csv, records_to_json, records_to_text, run_bench
-from .errors import DomainError, NTangleError, ParseError
+from .bench import records_to_csv, records_to_json, records_to_text, run_bench
+from .errors import DomainError, NTangleError, ParseError, UsageError
 from .state import parse_product_expression, build_product, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
@@ -62,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "residual (qubits 1 and n-1) the odd ones, read (read_qsv of a "
                         "temporary file) and write (write_qsv to one) every size, batch (tau, "
                         "and R at odd n, on 2**(22-n) states) every size up to 22")
-    b.add_argument("--repetitions", type=int, default=5)
+    b.add_argument("--repetitions", type=int, default=5, help="timed calls a row, at least 1")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
     return parser
@@ -117,13 +119,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:  # a request the config refuses is a usage error
-        cfg = SuiteConfig(suite=args.suite, trials=args.trials, n_max=args.n_max,
-                          seed=args.seed, tol=args.tol)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    report = run_suite(cfg)
+    report = run_suite(SuiteConfig(suite=args.suite, trials=args.trials, n_max=args.n_max,
+                                   seed=args.seed, tol=args.tol))
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True))
     else:
@@ -133,13 +130,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bench(args) -> int:
     timed = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
-    ns = list(range(args.n_min, args.n_max + 1))
-    try:  # a bad size range is a usage error; a range without a measure's parity exits 3
-        check_sizes(ns, timed)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = run_bench(ns, measures=timed, repetitions=args.repetitions, seed=args.seed)
+    records = run_bench(range(args.n_min, args.n_max + 1), measures=timed,
+                        repetitions=args.repetitions, seed=args.seed)
     if args.format == "csv":
         print(records_to_csv(records), end="")
     elif args.format == "json":
@@ -158,18 +150,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_bench(args)
-    except ParseError as exc:
+    except (NTangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except NTangleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        domain = isinstance(exc, DomainError) and not isinstance(exc, UsageError)
+        return EXIT_DOMAIN if domain else EXIT_USAGE
     except MemoryError:
         print("error: out of memory: the state exceeds this machine's capacity", file=sys.stderr)
         return EXIT_DOMAIN

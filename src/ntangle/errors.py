@@ -17,6 +17,10 @@ class CapacityError(DomainError):
     """A requested state would exceed the configured qubit capacity."""
 
 
+class UsageError(DomainError):
+    """A request names no valid run: an unknown suite or bench measure, or a bad setting."""
+
+
 class ParseError(NTangleError, ValueError):
     """A state file or product expression could not be parsed."""
 

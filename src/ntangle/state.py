@@ -169,24 +169,28 @@ def _norm(amps: np.ndarray) -> float:
     count, and its threads keep spinning on the CPUs for ~0.1 s after a large
     call, in the way of the measure kernels' own threads.
 
-    A sum of squares that is zero, infinite or below the normal range is
-    summed again, every float scaled by the power of two that brings the
-    largest into [1/2, 1), so only a state whose squares leave the float range
-    takes that path. Its slices are summed pairwise, whose error, unlike
-    einsum's running sum, stays a few ulp on equal amplitudes.
+    Each slice's squares are summed pairwise, whose error, unlike a running
+    sum's, stays a few ulp on equal amplitudes; math.fsum adds the slices. A
+    sum that is zero, infinite or below the normal range is taken again, every
+    float scaled by the power of two that brings the largest into [1/2, 1), so
+    only a state whose squares leave the float range takes that path.
     """
     flat = amps.view(np.float64)
     slices = [flat[k:k + _NORM_SLICE] for k in range(0, flat.size, _NORM_SLICE)]
-    try:
-        total = math.fsum(np.einsum("i,i->", part, part) for part in slices)
-    except OverflowError:  # finite slice sums whose total passes the float range
-        total = math.inf
+
+    @np.errstate(over="ignore")  # a square past the float range is inf, and is taken again
+    def sum_of_squares(e: int) -> float:
+        try:
+            return math.fsum(np.square(np.ldexp(part, -e) if e else part).sum() for part in slices)
+        except OverflowError:  # finite slice sums whose total passes the float range
+            return math.inf
+
+    total = sum_of_squares(0)
     e = 0 if _NORMAL_MIN <= total < math.inf else _peak_exponent(flat)
     if not e:  # an ordinary state, zero, or a float that is not finite
         return math.sqrt(total)
-    scaled = math.fsum(np.square(np.ldexp(part, -e)).sum() for part in slices)
     try:
-        return math.ldexp(math.sqrt(scaled), e)
+        return math.ldexp(math.sqrt(sum_of_squares(e)), e)
     except OverflowError:  # the norm itself passes the float range
         return math.inf
 
@@ -920,16 +924,21 @@ def read_qsv(source) -> StateVector:
         n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
         if n > DEFAULT_MAX_QUBITS:
             raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
-        if len(lines) < 3:  # the source ended within its first two lines
+        if n < 1 or len(lines) < 3:
+            # a refused header, or a source that ended within its first two lines: the
+            # scanner reports it from the head, read on only past blank lines, which it drops
+            blank = not _newlines(head).partition(b"\n")[2].decode("ascii", "surrogateescape").strip()
+            while blank and (line := _as_bytes(fh.readline(len(head) + _QSV_HEAD_BYTES))):
+                head += line
+                blank = not line.decode("ascii", "surrogateescape").strip()
             return _scan_qsv(_newlines(head).decode("ascii", "surrogateescape"))
         block = _as_bytes(fh.read())
     if lines[2]:  # the head's reads passed a lone '\r'
         block = lines[2] + block
     block = _newlines(block)
-    if n >= 1 and (header + count).isascii():
-        flat = _parse_amplitude_block(block, n)
-        if flat is not None:
-            return StateVector(n, _readonly(flat).view(np.complex128))
+    flat = _parse_amplitude_block(block, n)
+    if flat is not None:
+        return StateVector(n, _readonly(flat).view(np.complex128))
     block = block.decode("ascii", "surrogateescape")
     text = f"{header}\n{count}\n{block}"
     del block  # hold one copy of the text while the scanner splits it into lines

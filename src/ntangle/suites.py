@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bitops, state
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, UsageError
 from .locc import _branches, _completion
 from .measures import (
     MEASURES,
@@ -70,7 +70,7 @@ TOL_NUMERIC = 1e-9
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """A suite request, checked when it is made: every config names a suite it can run."""
+    """A suite request, checked when it is made: every config names a run within capacity."""
 
     suite: str
     trials: int | None = None     # per-unit trial count; None = suite default
@@ -80,11 +80,14 @@ class SuiteConfig:
 
     def __post_init__(self):
         if self.suite not in SUITES:
-            raise DomainError(f"unknown suite {self.suite!r}; available: {', '.join(sorted(SUITES))}")
+            raise UsageError(f"unknown suite {self.suite!r}; available: {', '.join(sorted(SUITES))}")
         if self.trials is not None and self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
+            raise UsageError(f"trials must be at least 1, got {self.trials}")
         if self.tol is not None and not self.tol > 0:  # nan too
-            raise DomainError(f"tol must be positive, got {self.tol}")
+            raise UsageError(f"tol must be positive, got {self.tol}")
+        if self.n_max is not None and self.n_max > state.DEFAULT_MAX_QUBITS:
+            raise CapacityError(f"{self.suite} up to n={self.n_max} exceeds the capacity of "
+                                f"{state.DEFAULT_MAX_QUBITS} qubits")
 
 
 @dataclass(frozen=True)
@@ -645,9 +648,6 @@ def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
 def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     # exact integer identities, each checked once: trials 1, zero violations allowed
     _, n_max, _ = _settings(cfg, 1, 12, 0.0)
-    if n_max > state.DEFAULT_MAX_QUBITS:  # the grids hold ~40 bytes per index of 2**n_max
-        raise CapacityError(f"bitops up to n={n_max} exceeds the capacity of "
-                            f"{state.DEFAULT_MAX_QUBITS} qubits")
     tol = 0.0
     sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []

@@ -536,8 +536,11 @@ def test_op_count_of_every_bench_label():
 
 
 def test_op_count_of_an_unknown_measure():
-    with pytest.raises(DomainError, match="unknown bench measure 'cubic'"):
-        bench.op_count("cubic", 4)
+    # only the labels run_bench writes have a count
+    for label in ("cubic", "batchfoo", "batch", "batch:odd", "quadratic:9", "read:1", "residual",
+                  "residual:", "residual:x", "residual:-1"):
+        with pytest.raises(DomainError, match=f"unknown bench measure '{label}'"):
+            bench.op_count(label, 4)
 
 
 def test_compute_deterministic_output(capsys):
@@ -581,6 +584,28 @@ def test_verify_bitops_past_capacity_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "bitops", "--n-max", "27")
     assert code == 3 and out == ""
     assert "capacity of 26 qubits" in err
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_verify_past_capacity_exits_3_before_any_work(capsys, monkeypatch, name):
+    def spy(*args):
+        raise AssertionError("a state was drawn or a grid was built")
+
+    for work in ("random_state_batch", "_violations", "_complement_counts"):
+        monkeypatch.setattr(suites, work, spy)
+    got = run_cli(capsys, "verify", "--suite", name, "--n-max", "27")
+    assert got == (3, "", f"error: {name} up to n=27 exceeds the capacity of 26 qubits\n")
+
+
+@pytest.mark.parametrize("repetitions", ["0", "-3"])
+def test_bench_refuses_repetitions_below_one_before_any_draw(capsys, monkeypatch, repetitions):
+    def spy(*args):
+        raise AssertionError("a state was drawn or a kernel timed")
+
+    monkeypatch.setattr(state, "random_state", spy)
+    monkeypatch.setattr(bench, "_time_call", spy)
+    got = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "4", "--repetitions", repetitions)
+    assert got == (2, "", f"error: bench repetitions must be at least 1, got {repetitions}\n")
 
 
 @pytest.mark.parametrize("scale, raw_code", [("1e200", 3), ("1e-200", 0), ("1e308", 3)])

@@ -479,21 +479,26 @@ def test_norm_and_normalized_at_the_edges_of_the_float_range(scale):
     assert np.allclose(psi.normalized().amps, [2 ** -0.5, 0, 0, 2 ** -0.5], rtol=2e-16, atol=0)
 
 
-def test_norm_of_ordinary_states_keeps_its_bits():
-    # the sum of squares before the edge cases were handled: einsum slices, added by fsum
-    def plain(amps):
+def test_norm_sums_each_slice_pairwise():
+    # numpy sums a slice's squares pairwise; fsum adds the slices
+    def pairwise(amps):
         flat = amps.view(np.float64)
         step = state_module._NORM_SLICE
-        return math.sqrt(math.fsum(np.einsum("i,i->", flat[k:k + step], flat[k:k + step])
+        return math.sqrt(math.fsum(np.square(flat[k:k + step]).sum()
                                    for k in range(0, flat.size, step)))
 
     for n in (1, 2, 5, 15, 17, 18):
         for seed in range(3):
             amps = random_state(n, seed).amps
             for scale in (1.0, 3.7, 1e-120, 1e120):
-                assert state_module._norm(amps * scale) == plain(amps * scale), (n, seed, scale)
+                assert state_module._norm(amps * scale) == pairwise(amps * scale), (n, seed, scale)
     for row in random_state_batch(6, 40, 11):
-        assert state_module._norm(row) == plain(row)
+        assert state_module._norm(row) == pairwise(row)
+    # equal amplitudes, where a running sum drifts: 161 ulp at 6e100, 37 at 0.1
+    for value, ulps in ((6e100, 0), (6e200, 0), (0.1, 2), (0.3, 2)):
+        for n, norm in ((16, value * 256), (17, value * 512)):
+            amps = np.full(1 << n, value if n == 16 else complex(value, value))
+            assert abs(StateVector(n, amps).norm() - norm) <= ulps * np.spacing(norm), (value, n)
 
 
 def test_random_operator_kinds():
@@ -633,27 +638,50 @@ def test_qsv_rejects_non_finite_amplitudes():
         assert f"non-finite {part} part" in str(exc.value)
 
 
+def _header_only(kind, text):
+    """A source whose lines may be read one at a time, but never its whole block."""
+    class HeaderOnly(kind):
+        def read(self, *args):
+            raise AssertionError("the amplitude block was read")
+
+    return HeaderOnly(text if kind is io.StringIO else text.encode("ascii"))
+
+
 def test_qsv_capacity_checked_before_the_amplitude_block(monkeypatch):
-    def header_only(kind, text):
-        class HeaderOnly(kind):
-            def read(self, *args):
-                raise AssertionError("the amplitude block was read")
-
-        return HeaderOnly(text if kind is io.StringIO else text.encode("ascii"))
-
     for kind in (io.StringIO, io.BytesIO):
         for header in ("qsv 1\nn 27\n", "qsv 1\rn 27\r0 1\r", "qsv 1\r\nn 27\r\n"):
             with pytest.raises(CapacityError):
-                read_qsv(header_only(kind, header))
+                read_qsv(_header_only(kind, header))
         with monkeypatch.context() as small:
             small.setattr(state_module, "DEFAULT_MAX_QUBITS", 2)
             with pytest.raises(CapacityError):
-                read_qsv(header_only(kind, "qsv 1\nn 3\n"))
+                read_qsv(_header_only(kind, "qsv 1\nn 3\n"))
     monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 3)
     buf = io.StringIO()
     write_qsv(ghz(3), buf)
     buf.seek(0)
     assert read_qsv(buf).allclose(ghz(3))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("text", ["qsv 2\nn 1\n0 1\n1 0\n", "qsv 1\nqubits 1\n0 1\n1 0\n",
+                                  "qsv 1\nn 0\n1 0\n", "qsv 1\n\n \n\n0 1\n1 0\n",
+                                  "\n\t\nqsv 1\nn 1\n0 1\n1 0\n"])
+@pytest.mark.parametrize("kind", [io.StringIO, io.BytesIO])
+def test_a_refused_qsv_header_is_refused_from_its_first_lines(kind, text, newline):
+    # blank lines after a refused header are read on, one at a time, as the scanner drops them
+    text = text.replace("\n", newline)
+    want = _outcome(_scan_qsv, text.replace("\r\n", "\n").replace("\r", "\n"))
+    assert want[0].startswith(("bad qsv header", "bad qubit-count line", "qubit count must be"))
+    assert _outcome(read_qsv, _header_only(kind, text)) == want
+
+
+def test_a_refused_qsv_header_is_reported_before_a_later_non_ascii_byte():
+    # the one kind of file whose message differs from a scan of the whole text: two faults
+    text = "qsv 2\nn 1\n0 \u00e9\n1 0\n"
+    assert _outcome(_scan_qsv, text)[0].startswith("non-ASCII byte 0xc3")
+    assert _outcome(read_qsv, io.StringIO(text)) == (
+        "bad qsv header 'qsv 2', expected 'qsv 1' (line 1, column 1)", 1, 1)
 
 
 def test_qsv_non_ascii_byte_names_line_and_column(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ntangle import bitops, measures, state, suites
-from ntangle.errors import CapacityError, DomainError
+from ntangle.errors import CapacityError, DomainError, UsageError
 from ntangle.locc import PovmPair, _completion, branch, monotone_average
 from ntangle.measures import r_tangle, tau, tau_even, tau_odd, tau_residual
 from ntangle.state import (QubitPermutation, StateVector, _contraction, _ginibre, _unitary,
@@ -238,6 +238,27 @@ def test_bitops_past_capacity_builds_no_grid(monkeypatch):
     monkeypatch.setattr(suites, "_complement_counts", spy)
     with pytest.raises(CapacityError, match="bitops up to n=9 exceeds the capacity of 8 qubits"):
         run_suite(SuiteConfig("bitops", n_max=9))
+
+
+@pytest.mark.parametrize("name", list(SUITES))
+def test_every_suite_past_capacity_is_refused_when_its_config_is_built(monkeypatch, name):
+    def spy(*args):
+        raise AssertionError("work started past the capacity")
+
+    for work in ("random_state_batch", "_violations", "_complement_counts"):
+        monkeypatch.setattr(suites, work, spy)
+    monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 8)  # read when the config is built
+    SuiteConfig(name, n_max=8)
+    with pytest.raises(CapacityError, match=f"^{name} up to n=9 exceeds the capacity of 8 qubits$"):
+        SuiteConfig(name, n_max=9)
+
+
+@pytest.mark.parametrize("request_", [{"suite": "nope"}, {"suite": "range", "trials": 0},
+                                      {"suite": "range", "tol": 0.0}])
+def test_a_request_that_names_no_run_is_a_usage_error(request_):
+    with pytest.raises(UsageError) as exc:
+        SuiteConfig(**request_)
+    assert isinstance(exc.value, DomainError)  # library callers still catch DomainError
 
 
 @pytest.mark.parametrize("n", range(2, 8))
