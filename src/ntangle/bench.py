@@ -27,7 +27,7 @@ import numpy as np
 
 from . import state
 from .errors import DomainError, UsageError
-from .measures import DEFAULT_WONG_CAP, MEASURES, _r_tangle, _tau_any
+from .measures import MEASURES, _check_wong_cap, _r_tangle, _tau_any, _tau_kind
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
@@ -49,7 +49,7 @@ class BenchRecord:
 
 # each measure label's row of MEASURES, and the sizes each label takes (None: every size)
 _TIMED = {row.bench: row for row in MEASURES.values() if row.bench}
-_PARITY = dict.fromkeys(("read", "write", "batch")) | {k: row.sizes for k, row in _TIMED.items()}
+_PARITY = {k: row.sizes for k, row in _TIMED.items()} | dict.fromkeys(("read", "write", "batch"))
 BATCH_BITS = 22  # a batch row's states hold 2**22 amplitudes (64 MiB) in all
 
 
@@ -83,7 +83,7 @@ def op_count(label: str, n: int) -> int:
     if label in ("read", "write"):
         return 1 << n
     if label in ("batch:tau", "batch:r"):
-        kind = "r_tangle" if qubit == "r" else "tau_odd" if n % 2 else "tau_even"
+        kind = "r_tangle" if qubit == "r" else _tau_kind(n)
         return MEASURES[kind].products(n) << (BATCH_BITS - n)
     residual = kind == "residual" and qubit.isascii() and qubit.isdigit()
     if residual or label in _TIMED.keys() - {"residual"}:
@@ -105,8 +105,9 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) 
     """Time each requested measure on seeded random states of the sizes of its parity.
 
     The whole request is checked before the first state is drawn: a size,
-    measure or repetition count it cannot time raises UsageError, and a
-    measure with no size of its parity in the range raises DomainError.
+    measure or repetition count it cannot time raises UsageError, a size past
+    the qubit capacity CapacityError, and a quartic size past its cap or a
+    measure with no size of its parity in the range DomainError.
     """
     ns = list(ns)
     if not ns:
@@ -116,10 +117,9 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) 
     for n in ns:
         if n < 2:
             raise UsageError(f"bench sizes must be >= 2, got n={n}")
-        if n > state.DEFAULT_MAX_QUBITS:
-            raise UsageError(f"bench size n={n} exceeds capacity {state.DEFAULT_MAX_QUBITS}")
-        if "quartic" in measures and _takes("quartic", n) and n > DEFAULT_WONG_CAP:
-            raise UsageError(f"quartic bench at n={n} exceeds the oracle cap of {DEFAULT_WONG_CAP}")
+        state._check_capacity(f"bench size n={n}", n)
+        if "quartic" in measures and _takes("quartic", n):
+            _check_wong_cap(n)
         if "batch" in measures and n > BATCH_BITS:
             raise UsageError(f"batch bench at n={n} exceeds the batch of 2**{BATCH_BITS} amplitudes")
     for measure in measures:

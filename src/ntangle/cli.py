@@ -4,7 +4,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error, 3 domain, parity or capacity error (running out of memory counts
 as a capacity error). Only ``main`` maps an error to its code, by its type: a
 ``UsageError``, ``ParseError`` or unreadable file exits 2, any other ``DomainError``
-3 (every suite's ``--n-max`` past ``DEFAULT_MAX_QUBITS`` among them, before any draw).
+3: among them, before any draw, every size past ``DEFAULT_MAX_QUBITS`` (one message form,
+``<what> exceeds the capacity of 26 qubits``) and a ``bench`` quartic size past its cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import measures
-from .bench import records_to_csv, records_to_json, records_to_text, run_bench
+from .bench import BATCH_BITS, _PARITY, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError, UsageError
 from .state import parse_product_expression, build_product, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
@@ -56,14 +57,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                       " suite-sized batches and the qsv reader and writer")
     b.add_argument("--n-min", type=int, default=4, help="smallest qubit count")
     b.add_argument("--n-max", type=int, default=16, help="largest qubit count")
-    b.add_argument("--measure",
-                   choices=("quadratic", "quartic", "both", "r", "odd", "residual", "read",
-                            "write", "batch"),
-                   default="quadratic",
-                   help="quadratic and quartic time the even sizes of the range, r, odd and "
-                        "residual (qubits 1 and n-1) the odd ones, read (read_qsv of a "
-                        "temporary file) and write (write_qsv to one) every size, batch (tau, "
-                        "and R at odd n, on 2**(22-n) states) every size up to 22")
+    sizes = ", ".join(f"{label} ({rule or 'every n'})" for label, rule in _PARITY.items())
+    b.add_argument("--measure", choices=[*_PARITY, "both"], default="quadratic",
+                   help=f"the sizes of the range each times: {sizes}, quartic up to "
+                        f"n={measures.DEFAULT_WONG_CAP} and batch up to n={BATCH_BITS}; both times "
+                        "quadratic and quartic")
     b.add_argument("--repetitions", type=int, default=5, help="timed calls a row, at least 1")
     b.add_argument("--seed", type=int, default=DEFAULT_SEED)
     b.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -95,26 +93,17 @@ def _cmd_compute(args) -> int:
         psi = psi.normalized()
     report = getattr(measures, function)(psi, *extra)
 
+    # one payload, in the text lines' order; JSON sorts its keys
+    payload = {"value": report.value, "measure": report.kind, "n": report.n, "norm": report.norm}
+    if report.residuals is not None:
+        payload["residuals"] = list(report.residuals)
+    payload["state"] = label
     if args.format == "json":
-        payload = {
-            "schema": 1,
-            "measure": report.kind,
-            "value": report.value,
-            "n": report.n,
-            "norm": report.norm,
-            "state": label,
-        }
-        if report.residuals is not None:
-            payload["residuals"] = list(report.residuals)
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({"schema": 1} | payload, sort_keys=True))
     else:
-        print(f"value {report.value:.15g}")
-        print(f"measure {report.kind}")
-        print(f"n {report.n}")
-        print(f"norm {report.norm:.15g}")
-        if report.residuals is not None:
-            print("residuals " + " ".join(f"{r:.15g}" for r in report.residuals))
-        print(f"state {label}")
+        for key, value in payload.items():
+            values = value if isinstance(value, list) else [value]
+            print(key, *(f"{v:.15g}" if isinstance(v, float) else v for v in values))
     return EXIT_OK
 
 

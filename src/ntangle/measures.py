@@ -347,7 +347,7 @@ def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def _tau_any(amps: np.ndarray, n: int) -> np.ndarray:
-    return _tau_even(amps, n) if n % 2 == 0 else _tau_odd(amps, n)
+    return MEASURES[_tau_kind(n)].kernel(amps, n)
 
 
 def _r_tangle(amps: np.ndarray, n: int) -> np.ndarray:
@@ -420,6 +420,20 @@ MEASURES = {
 }
 
 
+def _tau_kind(n: int) -> str:
+    """tau's row of MEASURES at n qubits: tau_even for even n, tau_odd for odd n."""
+    return "tau_odd" if n % 2 else "tau_even"
+
+
+def _check_wong_cap(n: int) -> None:
+    """Refuse the dense quartic contraction past DEFAULT_WONG_CAP qubits."""
+    if n > DEFAULT_WONG_CAP:
+        raise DomainError(
+            f"wong_tangle at n={n} exceeds the cap of {DEFAULT_WONG_CAP}: the dense contraction "
+            f"holds several (2**n, 2**n) complex arrays of {16 << (2 * n) >> 20} MiB each"
+        )
+
+
 def _row(kind: str, n: int, what: str = "") -> _Measure:
     """The row of a measure once n is a size it takes; an error names what, else the kind.
     An invariant takes the sizes of the measure it builds: E tau_even's, B, L and H tau_odd's."""
@@ -487,7 +501,7 @@ def tau_odd(psi: StateVector) -> MeasureReport:
 
 def tau(psi: StateVector) -> MeasureReport:
     """Parity dispatch: the even measure for even n, the odd measure for odd n."""
-    kind = "tau_odd" if psi.n % 2 else "tau_even"
+    kind = _tau_kind(psi.n)
     return _report(kind, _row(kind, psi.n, "tau").kernel(psi.amps, psi.n), psi)
 
 
@@ -514,11 +528,7 @@ def concurrence(psi: StateVector) -> MeasureReport:
 def wong_tangle(psi: StateVector) -> MeasureReport:
     """Quartic even-n tangle of Wong and Christensen (expensive cross-reference), n <= DEFAULT_WONG_CAP."""
     kernel = _row("wong_tangle", psi.n).kernel
-    if psi.n > DEFAULT_WONG_CAP:
-        raise DomainError(
-            f"wong_tangle at n={psi.n} exceeds the cap of {DEFAULT_WONG_CAP}: the dense contraction "
-            f"holds several (2**n, 2**n) complex arrays of {16 << (2 * psi.n) >> 20} MiB each"
-        )
+    _check_wong_cap(psi.n)
     return _report("wong_tangle", kernel(psi.amps, psi.n), psi)
 
 

@@ -55,8 +55,15 @@ __all__ = [
 ]
 
 # 2**26 complex amplitudes keep the quadratic even-n measure interactive on
-# desktop hardware; every capacity check reads this value at call time.
+# desktop hardware; _check_capacity, the one capacity check, reads it at call time.
 DEFAULT_MAX_QUBITS = 26
+
+
+def _check_capacity(what: str, n: int, count: int = 1) -> None:
+    """Refuse count states of n qubits past 2**DEFAULT_MAX_QUBITS amplitudes; the error names what."""
+    if n > DEFAULT_MAX_QUBITS or count << max(n, 0) > 1 << DEFAULT_MAX_QUBITS:
+        raise CapacityError(f"{what} exceeds the capacity of {DEFAULT_MAX_QUBITS} qubits")
+
 
 # one worker per CPU this process may run on (`taskset -c 0` gives one): the qsv
 # reader's and writer's processes, and the threads of the pool below
@@ -275,8 +282,7 @@ def _immutable(a: np.ndarray) -> bool:
 def tensor(phi: StateVector, omega: StateVector) -> StateVector:
     """Tensor product with ``phi`` on the high bits of the index."""
     n = phi.n + omega.n
-    if n > DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"tensor product needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+    _check_capacity(f"tensor product of {n} qubits", n)
     return StateVector(n, _readonly(np.outer(phi.amps, omega.amps)).ravel())
 
 
@@ -343,8 +349,7 @@ def named_state(kind: str, n: int, extra: int | None = None) -> StateVector:
     """Construct one of the named states: ghz, w, bell or a basis state."""
     if n < 1:
         raise DomainError(f"named state needs n >= 1, got n={n}")
-    if n > DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"named state needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+    _check_capacity(f"named state of {n} qubits", n)
     dim = 1 << n
     amps = np.zeros(dim, dtype=np.complex128)
     if kind == "ghz":
@@ -400,8 +405,7 @@ def build_product(expr: ProductExpression) -> StateVector:
     n = len(labels)
     if sorted(labels) != list(range(1, n + 1)):
         raise DomainError(f"factor labels {labels} do not partition 1..{n}")
-    if n > DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"product needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+    _check_capacity(f"product of {n} qubits", n)
     psi = expr.factors[0].state
     for f in expr.factors[1:]:
         psi = tensor(psi, f.state)
@@ -521,11 +525,7 @@ def random_state_batch(n: int, count: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"random state needs n >= 1, got n={n}")
-    if n > DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"random state needs {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
-    if count << n > 1 << DEFAULT_MAX_QUBITS:
-        raise CapacityError(f"{count} random states of {n} qubits hold more amplitudes than one "
-                            f"state at the capacity of {DEFAULT_MAX_QUBITS} qubits")
+    _check_capacity(f"a draw of {count} random state{'s' * (count != 1)} of {n} qubits", n, count)
     rng = _rng(seed)
     z = np.empty((count, 1 << n), dtype=np.complex128)
     flat = z.view(np.float64)
@@ -922,8 +922,7 @@ def read_qsv(source) -> StateVector:
         header, count = (part.decode("ascii", "surrogateescape") for part in (lines + [b""])[:2])
         m = _COUNT_RE.match(count)
         n = int(m.group(1)) if header.strip() == "qsv 1" and m is not None else 0
-        if n > DEFAULT_MAX_QUBITS:
-            raise CapacityError(f"qsv file declares {n} qubits, capacity is {DEFAULT_MAX_QUBITS}")
+        _check_capacity(f"qsv file of {n} qubits", n)
         if n < 1 or len(lines) < 3:
             # a refused header, or a source that ended within its first two lines: the
             # scanner reports it from the head, read on only past blank lines, which it drops

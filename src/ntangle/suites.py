@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bitops, state
-from .errors import CapacityError, UsageError
+from .errors import UsageError
 from .locc import _branches, _completion
 from .measures import (
     MEASURES,
@@ -38,6 +38,7 @@ from .measures import (
     _residuals,
     _tau_any,
     _tau_even,
+    _tau_kind,
     _tau_odd,
     _three_tangle,
     _wong_tangle,
@@ -85,9 +86,8 @@ class SuiteConfig:
             raise UsageError(f"trials must be at least 1, got {self.trials}")
         if self.tol is not None and not self.tol > 0:  # nan too
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.n_max is not None and self.n_max > state.DEFAULT_MAX_QUBITS:
-            raise CapacityError(f"{self.suite} up to n={self.n_max} exceeds the capacity of "
-                                f"{state.DEFAULT_MAX_QUBITS} qubits")
+        if self.n_max is not None:
+            state._check_capacity(f"{self.suite} up to n={self.n_max}", self.n_max)
 
 
 @dataclass(frozen=True)
@@ -451,7 +451,7 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
             axes = _random_axes(rng, n, trials, fix_first=n % 2 == 1)
             # the measure factorizes when l has the parity of n, omega's factor
             # to half the measure's degree; otherwise it vanishes
-            power = MEASURES["tau_odd" if n % 2 else "tau_even"].degree // 2
+            power = MEASURES[_tau_kind(n)].degree // 2
             expected = (_factor_tau(phi, l) * _factor_tau(omega, n - l) ** power
                         if l % 2 == n % 2 else 0.0)
             worst_plain = max(worst_plain, np.abs(_tau_any(psi, n) - expected).max())
@@ -559,7 +559,7 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 
         # raw branches transform with |det|, normalized branches divide
         # out the probability, each to half the measure's degree
-        degree = MEASURES["tau_even" if even else "tau_odd"].degree // 2
+        degree = MEASURES[_tau_kind(n)].degree // 2
         det = np.stack([(a * b) ** degree, ((1.0 - a ** 2) * (1.0 - b ** 2)) ** (degree / 2.0)])
         raw_val = _tau_any(raw, n)
         covariance = np.abs(raw_val - base * det)

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -127,8 +128,7 @@ def test_compute_qsv_over_capacity_exit_3(capsys, tmp_path):
     path = tmp_path / "huge.qsv"
     path.write_text("qsv 1\nn 27\n0 0\n")
     code, _, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau")
-    assert code == 3
-    assert "capacity" in err
+    assert (code, err) == (3, "error: qsv file of 27 qubits exceeds the capacity of 26 qubits\n")
 
 
 def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
@@ -179,8 +179,8 @@ def test_compute_bad_qsv_factor_names_the_factor_and_the_file(capsys, tmp_path):
 def test_compute_factor_over_capacity_exit_3(capsys):
     labels = ",".join(str(j) for j in range(1, 31))
     code, out, err = run_cli(capsys, "compute", "--expr", f"ghz:30@{labels}")
-    assert code == 3 and out == ""
-    assert "needs 30 qubits, capacity is 26" in err
+    assert (code, out, err) == (3, "", "error: named state of 30 qubits exceeds the capacity of 26 "
+                                       "qubits\n")
 
 
 def test_compute_parity_error_exit_3(capsys):
@@ -209,6 +209,32 @@ def test_compute_measure_help_lists_every_measure(capsys, monkeypatch):
         main(["compute", "--help"])
     assert ("tau | tau-even | tau-odd | r | concurrence | three-tangle | wong | residual:<i>"
             in capsys.readouterr().out)
+
+
+def test_bench_measure_help_gives_the_sizes_of_every_label(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    out = capsys.readouterr().out
+    assert "{quadratic,odd,r,quartic,residual,read,write,batch,both}" in out
+    assert ("quadratic (even n), odd (odd n), r (odd n), quartic (even n), residual (odd n), read "
+            "(every n), write (every n), batch (every n), quartic up to n=10 and batch up to n=22; "
+            "both times quadratic and quartic") in out
+
+
+def test_readme_cli_examples_parse_and_print_their_values(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ntangle ")]
+    assert len(lines) == 18
+    parser, checked = cli._build_parser(), []
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)  # a line argparse refuses exits 2 here
+        if "--expr" in argv and "# -> " in line:
+            code, out, _ = run_cli(capsys, *argv)
+            checked.append((code, out.splitlines()[0]))
+    assert checked == [(0, "value 1"), (0, "value 0.6")]
 
 
 def _two(kind):
@@ -497,13 +523,12 @@ def test_bench_quartic_op_count(capsys):
 def test_bench_quartic_beyond_cap(capsys):
     code, _, err = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "12",
                            "--measure", "quartic")
-    assert code == 2
+    assert (code, err) == (3, f"error: {_WONG_CAP}\n")
 
 
 def test_bench_range_over_capacity(capsys):
     code, _, err = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "40")
-    assert code == 2
-    assert "capacity" in err
+    assert (code, err) == (3, "error: bench size n=27 exceeds the capacity of 26 qubits\n")
 
 
 def test_bench_empty_range_exit_2(capsys):
@@ -561,8 +586,8 @@ def test_verify_batch_over_capacity_exit_3(capsys, monkeypatch):
     # closed-form draws 1000 states a size: 4000 amplitudes at n=2, 8000 at n=3
     monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 12)
     code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--n-max", "3")
-    assert code == 3 and out == ""
-    assert "1000 random states of 3 qubits hold more amplitudes" in err
+    assert (code, out, err) == (3, "", "error: a draw of 1000 random states of 3 qubits exceeds the "
+                                       "capacity of 12 qubits\n")
 
 
 def test_verify_rejects_bad_trials(capsys):
@@ -692,7 +717,7 @@ REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
     "compute-missing-file": ("compute --file {tmp}/absent.qsv", 2,
                              "error: [Errno 2] No such file or directory: '{tmp}/absent.qsv'\n"),
     "compute-header-past-capacity": ("compute --file {tmp}/huge.qsv", 3,
-                                     "error: qsv file declares 27 qubits, capacity is 26\n"),
+                                     "error: qsv file of 27 qubits exceeds the capacity of 26 qubits\n"),
     "compute-size-refused": ("compute --expr bell@1,2 --measure r", 3,
                              "error: r_tangle is defined for odd n only, got n=2\n"),
     "verify-unknown-suite": ("verify --suite nope", 2,
@@ -707,10 +732,9 @@ REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
                                     "error: bitops up to n=27 exceeds the capacity of 26 qubits\n"),
     "bench-empty-range": ("bench --n-min 5 --n-max 4", 2, "error: bench needs at least one size\n"),
     "bench-n-min-1": ("bench --n-min 1 --n-max 4", 2, "error: bench sizes must be >= 2, got n=1\n"),
-    "bench-n-max-40": ("bench --n-min 4 --n-max 40", 2,
-                       "error: bench size n=27 exceeds capacity 26\n"),
-    "bench-quartic-past-cap": ("bench --n-min 4 --n-max 12 --measure quartic", 2,
-                               "error: quartic bench at n=12 exceeds the oracle cap of 10\n"),
+    "bench-n-max-40": ("bench --n-min 4 --n-max 40", 3,
+                       "error: bench size n=27 exceeds the capacity of 26 qubits\n"),
+    "bench-quartic-past-cap": ("bench --n-min 4 --n-max 12 --measure quartic", 3, f"error: {_WONG_CAP}\n"),
     "bench-batch-past-22": ("bench --n-min 22 --n-max 23 --measure batch", 2,
                             "error: batch bench at n=23 exceeds the batch of 2**22 amplitudes\n"),
     "bench-r-even-only": ("bench --n-min 4 --n-max 4 --measure r", 3,

@@ -103,6 +103,25 @@ def test_tensor_capacity(monkeypatch):
         tensor(ghz(3), ghz(3))
 
 
+def test_every_capacity_refusal_has_one_form(monkeypatch):
+    product = ProductExpression((ProductFactor(ghz(3), (1, 2, 3)), ProductFactor(ghz(3), (4, 5, 6))))
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 5)  # read when each check runs
+    refusals = {"tensor product of 6 qubits": lambda: tensor(ghz(3), ghz(3)),
+                "named state of 6 qubits": lambda: named_state("w", 6),
+                "product of 6 qubits": lambda: build_product(product),
+                "a draw of 1 random state of 6 qubits": lambda: random_state(6, 1),
+                "a draw of 5 random states of 3 qubits": lambda: random_state_batch(3, 5, 1),
+                "qsv file of 6 qubits": lambda: read_qsv(io.StringIO("qsv 1\nn 6\n"))}
+    for what, call in refusals.items():
+        with pytest.raises(CapacityError) as info:
+            call()
+        assert str(info.value) == f"{what} exceeds the capacity of 5 qubits"
+    # a header of 10**40 qubits is refused without building 2**(10**40)
+    with pytest.raises(CapacityError, match="^qsv file of 1{40} qubits exceeds"):
+        read_qsv(io.StringIO("qsv 1\nn " + "1" * 40 + "\n"))
+    state_module._check_capacity("no state", -3)  # below the range is another check's to refuse
+
+
 # --- permutation ------------------------------------------------------------
 
 def test_permutation_validation():
@@ -430,11 +449,11 @@ def test_random_state_normalized_and_deterministic():
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("n, count", [(1, 3), (2, 1000), (3, 1000), (5, 300), (9, 2000), (12, 100),
-                                      (20, 1), (3, 0)])
+                                      (20, 1), (18, 5), (19, 3), (3, 0)])
 def test_random_batch_keeps_the_bits_of_complex_division(n, count, workers, monkeypatch):
     # the formula the batch is pinned to: both draws whole, then a complex
-    # division by each row's norm; the batch draws in blocks, rows spanning
-    # them at n=20, and copies them on the pool with two workers
+    # division by each row's norm; the batch draws in blocks, every row
+    # spanning several of them at n >= 18, and copies them on the pool with two workers
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     for seed in (7, 123, 2024):
         rng = np.random.default_rng(seed)
