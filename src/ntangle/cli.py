@@ -2,16 +2,18 @@
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error, 3 domain, parity or capacity error (running out of memory counts
-as a capacity error). Only ``main`` maps an error to its code, by its type: a
-``UsageError``, ``ParseError`` or unreadable file exits 2, any other ``DomainError``
-3: among them, before any draw, every size past ``DEFAULT_MAX_QUBITS`` (one message form,
-``<what> exceeds the capacity of 26 qubits``) and a ``bench`` quartic size past its cap.
+as a capacity error), 141 a reader that closed stdout early (no message). Only
+``main`` maps an error to its code, by its type: a ``UsageError``, ``ParseError``
+or unreadable file exits 2, any other ``DomainError`` 3: among them, before any
+draw, every size past ``DEFAULT_MAX_QUBITS`` (one message form, ``<what> exceeds
+the capacity of 26 qubits``) and a ``bench`` quartic size past its cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import measures
@@ -24,6 +26,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_CLOSED_READER = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe killed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,12 +136,18 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    commands = {"compute": _cmd_compute, "verify": _cmd_verify, "bench": _cmd_bench}
     try:
-        if args.command == "compute":
-            return _cmd_compute(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_bench(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed reader shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (`| head`): no error of the request. Later
+        # writes, the exit flush among them, go to os.devnull instead of raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_READER
     except (NTangleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         domain = isinstance(exc, DomainError) and not isinstance(exc, UsageError)

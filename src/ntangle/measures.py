@@ -10,30 +10,31 @@ and H = P(hi, hi)/2, is 4|P(lo,hi)^2 - P(lo,lo) P(hi,hi)|. For odd n, m is
 even, so the terms k and ~k of a self form P(x, x) are equal and half of them,
 doubled, give it: one residual costs 2**n products, not three pair forms'
 3 * 2**(n-1). The residual tau^(i) takes the split on qubit i; R is the
-residuals' mean. Every cross form B_i is a signed marginal of the same
-products a_j a_~j, j < 2**(n-1), so one cross pass yields all n of them, and
-R costs that pass plus n pairs of half-length self forms: (n + 2) * 2**(n-1)
-products instead of the 3n * 2**(n-1) of 3n pair forms. Sign and complement
-act bit by bit, so P contracts a ceil(m/2)-bit block and applies the other
-parities to its partial sums: tables and temporaries stay at O(2**(n/2)).
+residuals' mean. R takes every form of every split in one pass over j <
+2**(n-1) (_residuals): with the signs applied once, Z_j = (-1)^N(j) a_j, each
+form is a two-operand sum of Z against a view of the reversed amplitudes,
+(n + 1) * 2**(n-1) products in all instead of the 3n * 2**(n-1) of 3n pair
+forms. Sign and complement act bit by bit, so P contracts a ceil(m/2)-bit
+block and applies the other parities to its partial sums: its tables and
+temporaries stay at O(2**(n/2)). R's are two chunks of 512 KiB a worker.
 
 The pair-form kernels take amplitudes on axis 0 with any batch axes
 trailing, so their einsum inner loops run along the batch. Their entry points
 (_tau_even, _tau_odd, _tau_any, _residual, _residuals, _r_tangle) take
 (..., 2**n) amplitudes: one state runs as it is, and a batch runs in chunks
 of rows whose size depends on n alone, each seen as a transposed (2**n, rows)
-view; R copies its chunk first, so that its passes run along the rows.
+view; R copies its chunk first, so that its einsums run along the rows.
 
 Kernels use every CPU in the process's affinity mask (`taskset -c 0` gives
 one thread). The chunks of a batch run as one task each. A large state's pair
-form cuts its partial sums into one slice per CPU. R hands the pool its row
-and column sums as two tasks, then one task per residual, at any size; inside
-a pool thread (a chunk of a batch) they run in turn. Each partial sum is the
-same reduction over q at any cut, and no chunk depends on the CPU count, so
-every value is bit-identical at any CPU count. A batched row may differ from
-the same state alone in the last bits: the sums run in another order. The
-norm in a report is StateVector.norm(), computed once per state and then
-memoized.
+form cuts its partial sums into one slice per CPU. R gives each CPU one range
+of its chunks, at any size; inside a pool thread (a chunk of a batch) the
+ranges run in turn. Each partial sum is the same reduction over q at any cut,
+R adds its chunks' partial sums in chunk order, and no chunk depends on the
+CPU count, so every value is bit-identical at any CPU count. A batched row
+may differ from the same state alone in the last bits: the sums run in
+another order. The norm in a report is StateVector.norm(), computed once per
+state and then memoized.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the quartic Wong-Christensen tangle (even n,
@@ -190,17 +191,6 @@ def _block_signs(size: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=None)
-def _marginal_signs(bits: int) -> np.ndarray:
-    """Read-only complex (bits + 1, 2**bits) table: row 0 is (-1)^N(k), row t
-    is (-1)^N(k) (-1)^(bit t of k), bits counted from the most significant."""
-    k = np.arange(1 << bits)
-    flips = 1 - 2 * ((k >> np.arange(bits - 1, -1, -1)[:, None]) & 1)
-    signs = (parity_signs(bits) * np.vstack([np.ones_like(k), flips])).astype(np.complex128)
-    signs.flags.writeable = False
-    return signs
-
-
 # ---------------------------------------------------------------------------
 # the pair form, on every CPU
 # ---------------------------------------------------------------------------
@@ -215,7 +205,7 @@ def _marginal_signs(bits: int) -> np.ndarray:
 # its partial sums over the pool: on a 2-vCPU Xeon a split of a smaller block
 # costs more in dispatch than it saves. The size of one state decides, never
 # the batch: a batch below it fans out by chunks of rows (_on_rows). Only _pair
-# and _on_rows read it; R's tasks go to the pool at any size.
+# and _on_rows read it; R's ranges of chunks go to the pool at any size.
 _SPLIT_MIN = 1 << 19
 
 
@@ -257,13 +247,10 @@ def _self_pair(x: np.ndarray) -> np.ndarray:
 # state, whose own kernel fans out, and the chunks run in turn. Putting those
 # states on the pool as well was slower on a 2-vCPU Xeon: R on a (2, 2**21)
 # batch went from 135-147 to 171-184 ms in two rounds. A kernel sees
-# its chunk as a transposed (2**n, rows) view. R, which reads it in n + 1
-# passes, copies it first: every pass then runs its einsum inner loops along
-# the rows at unit stride, not along a q block of 2**(n//2) amplitudes at
-# most, with the whole chunk in one core's 2 MiB share of L2. On a 2-vCPU
-# Xeon, R at n=9 levels off from 256 rows (2 MiB) up, and at n=7 is best at
-# 256-1024 rows. tau reads its chunk once (even n) or three times (odd n), and
-# a copy cost it more than it saved at every n.
+# its chunk as a transposed (2**n, rows) view. R copies it first: its einsums
+# then run their inner loops along the rows at unit stride, with the whole
+# chunk in one core's 2 MiB share of L2. tau reads its chunk once (even n) or
+# three times (odd n), and a copy cost it more than it saved at every n.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -296,8 +283,9 @@ def _on_rows(kernel):
 
 # _report refuses an overflow's inf or nan; errstate holds per thread, so each kernel holds it
 @np.errstate(over="ignore", invalid="ignore")
-def _odd_measure(cross: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    return 4.0 * np.abs(cross ** 2 - _self_pair(lo) * _self_pair(hi))
+def _odd_measure(cross: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """4|B^2 - L H| of a split's cross form B = P(lo, hi) and self forms L = P(lo, lo), H = P(hi, hi)."""
+    return 4.0 * np.abs(cross ** 2 - low * high)
 
 
 @_on_rows
@@ -309,37 +297,112 @@ def _tau_even(amps: np.ndarray, n: int) -> np.ndarray:
 @_on_rows
 def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
     lo, hi = _halves(amps, n, i)
-    return _odd_measure(_pair(lo, hi), lo, hi)
+    return _odd_measure(_pair(lo, hi), _self_pair(lo), _self_pair(hi))
+
+
+# R runs over chunks of this many indices j < 2**(n-1) (two chunks of half of them up
+# to n = 17): 512 KiB of one state, in one core's 2 MiB of L2 with two chunk buffers.
+# Batch axes trail, so einsum's inner loops run along them; under 16 rows that loop
+# costs more than each state alone (2-vCPU Xeon, 2**7 states at n=15 in chunks of 4
+# rows: 94 ms batched, 63 ms alone; 2**9 at n=13 in chunks of 16: 62 and 160 ms).
+_R_CHUNK = 1 << 15
+_R_MIN_ROWS = 16
+
+
+def _bit_sums(x: np.ndarray, bit: int) -> np.ndarray:
+    """(2, ...) sums of x over axis 0, by bit `bit` of the index: bit 0 first, then bit 1."""
+    return x.reshape((len(x) >> bit + 1, 2, 1 << bit) + x.shape[1:]).sum(axis=(0, 2))
 
 
 @_on_rows
 def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
-    """Every residual of an odd-n state, stacked as (n, ...).
+    """Every residual of an odd-n state, stacked as (n, ...), in one pass over j < 2**(n-1).
 
-    The cross form of the split on qubit i is B_i = sum_{j_i = 0} (-1)^N(j)
-    a_j a_~j, a signed marginal of the products a_j a_~j, j < 2**(n-1). Those
-    are viewed as a (2**h, 2**h) block, h = (n-1)/2, with the row bits on
-    qubits 2..h+1; one einsum sums its rows and one its columns, and every
-    B_i is a signed sum of one of the two short vectors.
+    With Z_j = s(j) a_j and Y_j = a_~j, every form of every split is a sum of
+    two-operand products over j < 2**(n-1), where e_i is qubit i's bit and s(~j
+    xor e_i) = s(j) for odd n:
+      B_i = sum (-1)^(j_i) Z_j Y_j,
+      L_i = 2 sum_{j_i = 0} Z_j Y_(j xor e_i),  H_i = -2 sum_{j_i = 1} Z_j Y_(j xor e_i)  (i > 1),
+      L_1 = 2 sum_{j < 2**(n-2)} Z_j Y_(j + 2**(n-1)),
+      H_1 = 2 sum_{j >= 2**(n-2)} s(j) a_(j + 2**(n-1)) Y_j.
+    Each worker takes one range of chunks of _R_CHUNK indices. A chunk signs its
+    amplitudes once, and every Y is a view of the state. A split on a bit inside
+    the chunk reads it as (..., 2, K) views; a split on a bit of the chunk index
+    reads the partner chunk at j0 xor e_i. Each chunk writes its partial sums to
+    its own row, and the rows are added in chunk order, so the value is the same
+    at any CPU count. A bit whose runs of 2**b * rows amplitudes are under 64 is
+    read from copies turned so that it lies above the chunk's other bits.
     """
+    if amps.ndim == 2 and 1 < amps.shape[1] < _R_MIN_ROWS:
+        return np.stack([_residuals(amps[:, r], n) for r in range(amps.shape[1])], axis=-1)
     amps = np.ascontiguousarray(amps)  # a batch chunk: rows at unit stride (_on_rows)
-    h = (n - 1) // 2
     tail, half = amps.shape[1:], 1 << (n - 1)
-    x = amps[:half].reshape((1 << h, 1 << h) + tail)
-    y = amps[::-1][:half].reshape((1 << h, 1 << h) + tail)    # y[r, c] = a_~(r, c)
-    signs = _marginal_signs(h)
-    # the row and column sums as two tasks, then one task per split; each
-    # einsum and each residual stays whole
-    row_sums, col_sums = state._fan_out(lambda spec: np.einsum(spec, x, signs[0], y),
-                                        ("rc...,c,rc...->r...", "rc...,r,rc...->c..."))
-    rows = np.einsum("r...,kr->k...", row_sums, signs)        # qubits 1..h+1
-    cols = np.einsum("c...,kc->k...", col_sums, signs[1:])    # qubits h+2..n
-    cross = np.concatenate([rows, cols])
+    size = min(_R_CHUNK, half >> 1)
+    bits, count = size.bit_length() - 1, half // size
+    top = count.bit_length() - 1                       # bit h of the chunk index is qubit top + 1 - h
+    turn = min(bits, max(0, 6 - (math.prod(tail).bit_length() - 1)))  # bits b < turn read turned
+    plain, turned = (size >> turn, 1 << turn) + tail, (1 << turn, size >> turn) + tail
+    grid = (size >> bits // 2, 1 << bits // 2) + tail  # a chunk as (rows, columns)
+    # a chunk's row of partial sums: B's row and column sums, each chunk bit's pair of
+    # sums, each chunk-index bit's sum, and qubit 1's
+    rows, pairs = grid[0], grid[0] + grid[1]
+    index = pairs + 2 * bits
+    part = np.empty((count, index + top + 1) + tail, dtype=complex)
+    y = amps[::-1]
+    signs = _block_signs(size).reshape((size,) + (1,) * len(tail))  # s(j) s(j0) in a chunk
 
-    def residual(i):
-        return _odd_measure(cross[i - 1], *_halves(amps, n, i))
+    def pair_sums(x, u, at, out):  # Z_j Y_(j xor e) summed by bit `at` of the layout: 0, then 1
+        shape = (size >> (at + 1), 2, 1 << at) + tail
+        np.einsum("atk...,atk...->t...", x.reshape(shape), u.reshape(shape)[:, ::-1], out=out)
 
-    return np.stack(state._fan_out(residual, range(1, n + 1)))
+    def run(chunks: range) -> None:
+        z, w = np.empty((2, size) + tail, dtype=complex)
+        sums = np.empty((top + 1, grid[0]) + tail, dtype=complex)
+        for out, k in zip(part[chunks.start:chunks.stop], chunks):
+            j0 = k * size
+            v = y[j0:j0 + size]
+            np.multiply(amps[j0:j0 + size], signs, out=z)
+            products = np.multiply(z, v, out=w).reshape(grid)
+            products.sum(axis=1, out=out[:rows])
+            products.sum(axis=0, out=out[rows:pairs])
+            for h in range(top):
+                partner = (k ^ (1 << h)) * size
+                np.einsum("rc...,rc...->r...", z.reshape(grid),
+                          y[partner:partner + size].reshape(grid), out=sums[h])
+            if k < count // 2:  # L_1's half
+                np.einsum("rc...,rc...->r...", z.reshape(grid),
+                          y[half + j0:half + j0 + size].reshape(grid), out=sums[top])
+            else:  # H_1's half
+                np.multiply(amps[half + j0:half + j0 + size], signs, out=w)
+                np.einsum("rc...,rc...->r...", w.reshape(grid), v.reshape(grid), out=sums[top])
+            sums.sum(axis=1, out=out[index:])
+            for b in range(turn, bits):
+                pair_sums(z, v, b, out[pairs + 2 * b:pairs + 2 * b + 2])
+            if turn:  # Z turned into w, then Y into z: bit b < turn lies at bits - turn + b
+                np.copyto(w.reshape(turned), z.reshape(plain).swapaxes(0, 1))
+                np.copyto(z.reshape(turned), v.reshape(plain).swapaxes(0, 1))
+                for b in range(turn):
+                    pair_sums(w, z, bits - turn + b, out[pairs + 2 * b:pairs + 2 * b + 2])
+            if k.bit_count() & 1:  # s(j0) = -1
+                np.negative(out, out=out)
+
+    ways = min(state._WORKERS, count)
+    bounds = [count * t // ways for t in range(ways + 1)]
+    state._fan_out(run, [range(a, b) for a, b in zip(bounds, bounds[1:])])
+    totals, whole = part[:, :rows].sum(axis=1), part.sum(axis=0)
+    cross, low, high = np.empty((3, n) + tail, dtype=complex)
+    cross[0] = totals.sum(axis=0)
+    low[0], high[0] = 2.0 * _bit_sums(part[:, -1], top - 1)
+    for h in range(top):  # qubit top + 1 - h
+        zero, one = _bit_sums(totals, h)
+        low_sum, high_sum = _bit_sums(part[:, index + h], h)
+        cross[top - h], low[top - h], high[top - h] = zero - one, 2.0 * low_sum, -2.0 * high_sum
+    for b in range(bits):  # qubit n - b: the columns hold the low bits // 2 bits, the rows the rest
+        line, bit = (whole[rows:pairs], b) if b < bits // 2 else (whole[:rows], b - bits // 2)
+        zero, one = _bit_sums(line, bit)
+        low_sum, high_sum = whole[pairs + 2 * b:pairs + 2 * b + 2]
+        cross[n - 1 - b], low[n - 1 - b], high[n - 1 - b] = zero - one, 2.0 * low_sum, -2.0 * high_sum
+    return _odd_measure(cross, low, high)
 
 
 def _tau_odd(amps: np.ndarray, n: int) -> np.ndarray:
@@ -410,7 +473,7 @@ class _Measure(NamedTuple):
 MEASURES = {
     "tau_even": _Measure("tau-even", _tau_even, "even n", 2, "quadratic", lambda n: 1 << (n - 1)),
     "tau_odd": _Measure("tau-odd", _tau_odd, "odd n", 4, "odd", lambda n: 1 << n),
-    "r_tangle": _Measure("r", _r_tangle, "odd n", 4, "r", lambda n: (n + 2) << (n - 1)),
+    "r_tangle": _Measure("r", _r_tangle, "odd n", 4, "r", lambda n: (n + 1) << (n - 1)),
     "concurrence": _Measure("concurrence", _tau_even, "n=2", 2, None, lambda n: 1 << (n - 1)),
     # products as coded: d1, d2 and d3 take 4 x 2, 6 x 3 and 2 x 3; wong's are the dense contraction's
     "three_tangle": _Measure("three-tangle", lambda amps, n: _three_tangle(amps), "n=3", 4, None,

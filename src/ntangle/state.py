@@ -518,6 +518,11 @@ def random_state(n: int, seed) -> StateVector:
 _DRAW_BYTES = 1 << 20
 
 
+def _check_draw(n: int, count: int) -> None:
+    """Refuse a draw of count states of n qubits past the capacity."""
+    _check_capacity(f"a draw of {count} random state{'s' * (count != 1)} of {n} qubits", n, count)
+
+
 def random_state_batch(n: int, count: int, seed) -> np.ndarray:
     """A (count, 2**n) array of independent Haar-uniform amplitude rows; 2**DEFAULT_MAX_QUBITS at most.
 
@@ -525,7 +530,7 @@ def random_state_batch(n: int, count: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise DomainError(f"random state needs n >= 1, got n={n}")
-    _check_capacity(f"a draw of {count} random state{'s' * (count != 1)} of {n} qubits", n, count)
+    _check_draw(n, count)
     rng = _rng(seed)
     z = np.empty((count, 1 << n), dtype=np.complex128)
     flat = z.view(np.float64)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,6 +89,10 @@ class SuiteConfig:
             raise UsageError(f"tol must be positive, got {self.tol}")
         if self.n_max is not None:
             state._check_capacity(f"{self.suite} up to n={self.n_max}", self.n_max)
+        trials, n_max, _ = _settings(self)
+        top = _PLANS[self.suite].top(n_max)
+        if top is not None:  # the largest batch it will draw, before it draws any
+            state._check_draw(top, trials)
 
 
 @dataclass(frozen=True)
@@ -143,11 +148,12 @@ def _check(name: str, worst, tol: float, count: int, detail: str = "") -> CheckR
                        tol=tol, detail=detail)
 
 
-def _settings(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> tuple[int, int, float]:
+def _settings(cfg: SuiteConfig) -> tuple[int, int, float]:
     """cfg's trials, n_max and tol, each falling back to the suite's default where unset."""
-    return (trials if cfg.trials is None else cfg.trials,
-            n_max if cfg.n_max is None else cfg.n_max,
-            tol if cfg.tol is None else cfg.tol)
+    plan = _PLANS[cfg.suite]
+    return (plan.trials if cfg.trials is None else cfg.trials,
+            plan.n_max if cfg.n_max is None else cfg.n_max,
+            plan.tol if cfg.tol is None else cfg.tol)
 
 
 def _report(cfg: SuiteConfig, checks, trials: int, n_max: int, tol: float) -> SuiteReport:
@@ -164,7 +170,7 @@ def _product(*factors) -> StateVector:
 
 
 def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
-    _, _, tol = _settings(cfg, 1, 6, TOL_NUMERIC)  # one fixed set of states: trials 1, n_max 6
+    _, _, tol = _settings(cfg)  # one fixed set of states: trials 1, n_max 6
     ghz3 = named_state("ghz", 3)
     ghz4 = named_state("ghz", 4)
     bell = named_state("bell", 2)
@@ -205,7 +211,7 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg, 1000, 12, TOL_ALGEBRAIC)
+    trials, n_max, tol = _settings(cfg)
     checks = []
     for n in range(2, n_max + 1):
         amps = random_state_batch(n, trials, _rng(cfg.seed, 1, n))
@@ -228,7 +234,7 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
-    trials, _, tol = _settings(cfg, 1000, 3, TOL_NUMERIC)  # n_max is fixed at 3
+    trials, _, tol = _settings(cfg)  # n_max is fixed at 3
     amps = random_state_batch(3, trials, _rng(cfg.seed, 3))
     t = _tau_odd(amps, 3)
     oracle = _three_tangle(amps)
@@ -260,19 +266,19 @@ def _odd_combination(amps: np.ndarray, n: int) -> np.ndarray:
             - 4.0 * _low_half_invariant(amps, n) * _high_half_invariant(amps, n))
 
 
-# by parity of n: qubit counts, default n_max, invariant, the measure's row of
-# MEASURES and check names. The invariant has the measure's degree in the
-# amplitudes, and both pick up the determinant product to half that power.
+# by parity of n: qubit counts, invariant, the measure's row of MEASURES and
+# check names. The invariant has the measure's degree in the amplitudes, and
+# both pick up the determinant product to half that power.
 _COVARIANCE = (
-    ((4, 6, 8, 10), 10, _even_invariant, "tau_even", "invariant-det-product", "tau-abs-det-product"),
-    ((5, 7, 9), 9, _odd_combination, "tau_odd", "combo-det-squared", "tau-abs-det-squared"),
+    ((4, 6, 8, 10), _even_invariant, "tau_even", "invariant-det-product", "tau-abs-det-product"),
+    ((5, 7, 9), _odd_combination, "tau_odd", "combo-det-squared", "tau-abs-det-squared"),
 )
 
 
 def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
-    sizes, default_n_max, invariant, kind, invariant_name, tau_name = _COVARIANCE[parity]
+    sizes, invariant, kind, invariant_name, tau_name = _COVARIANCE[parity]
     measure, power = MEASURES[kind].kernel, MEASURES[kind].degree // 2
-    trials, n_max, tol = _settings(cfg, 100, default_n_max, TOL_NUMERIC)
+    trials, n_max, tol = _settings(cfg)
     quarter = max(1, trials // 4)
     checks = []
     for n in [x for x in sizes if x <= n_max]:
@@ -354,8 +360,12 @@ def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
     return float(np.max(np.abs(kernel(moved, n) - kernel(amps, n)[:, None]), initial=0.0))
 
 
+# the sizes at which permutation samples `trials` states and their images: even n, odd n
+_PERMUTATION_SAMPLED = ((6, 8), (7, 9))
+
+
 def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg, 200, 9, TOL_NUMERIC)
+    trials, n_max, tol = _settings(cfg)
     checks = []
 
     # even n=4: every one of the 24 permutations, complex invariant included
@@ -364,7 +374,7 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         worst = _spread(_even_invariant, 4, amps, moved)
         checks.append(_check("even-invariant-exhaustive-n4", worst, tol, moved[..., 0].size))
 
-    for n in [x for x in (6, 8) if x <= n_max]:
+    for n in [x for x in _PERMUTATION_SAMPLED[0] if x <= n_max]:
         amps, moved = _sampled_moves(cfg.seed, (6, n), n, trials)
         checks.append(_check(f"even-sampled-n{n}", _spread(_tau_even, n, amps, moved), tol, trials))
 
@@ -376,7 +386,7 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         worst = max(_spread(_odd_invariant, 5, amps, moved), _spread(_tau_odd, 5, amps, moved))
         checks.append(_check("odd-exhaustive-n5", worst, tol, moved[..., 0].size))
 
-    for n in [x for x in (7, 9) if x <= n_max]:
+    for n in [x for x in _PERMUTATION_SAMPLED[1] if x <= n_max]:
         amps, moved = _sampled_moves(cfg.seed, (7, n), n, trials, fix_first=True)
         checks.append(_check(f"odd-sampled-fixing-qubit1-n{n}", _spread(_tau_odd, n, amps, moved),
                              tol, trials))
@@ -440,11 +450,14 @@ def _factor_residuals(amps: np.ndarray, size: int, other_tau: np.ndarray) -> lis
     return [res * other_tau ** 2 for res in _residuals(amps, size)]
 
 
+_PRODUCT_SIZES = (4, 5, 6, 7, 8)  # the sizes of the products factorized, `trials` a split
+
+
 def suite_product(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg, 50, 8, TOL_NUMERIC)
+    trials, n_max, tol = _settings(cfg)
     checks = []
 
-    for n in [x for x in (4, 5, 6, 7, 8) if x <= n_max]:
+    for n in [x for x in _PRODUCT_SIZES if x <= n_max]:
         worst_plain = worst_relabel = 0.0
         for l in range(1, n):
             rng, phi, omega, psi = _product_block(cfg.seed, (11, n, l), trials, n, l)
@@ -526,11 +539,14 @@ def _excess(p: np.ndarray, values: np.ndarray, base: np.ndarray, eta) -> float:
     return float(np.max((p * values ** eta).sum(0) - base ** eta, initial=0.0))
 
 
+_MONOTONE_SIZES = (3, 4, 5, 6)  # the sizes at which monotone draws `trials` states
+
+
 def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg, 2000, 6, TOL_NUMERIC)
+    trials, n_max, tol = _settings(cfg)
     checks = []
 
-    for n in [x for x in (3, 4, 5, 6) if x <= n_max]:
+    for n in [x for x in _MONOTONE_SIZES if x <= n_max]:
         even = n % 2 == 0
         rng = _rng(cfg.seed, 14, n)
         amps, ks = random_state_batch(n, trials, rng), rng.integers(1, n + 1, trials)
@@ -602,7 +618,7 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 def suite_range(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg, 10_000, 9, TOL_NUMERIC)
+    trials, n_max, tol = _settings(cfg)
     checks = []
     for n in range(2, n_max + 1):
         amps = random_state_batch(n, trials, _rng(cfg.seed, 17, n))
@@ -647,7 +663,7 @@ def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
 
 def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     # exact integer identities, each checked once: trials 1, zero violations allowed
-    _, n_max, _ = _settings(cfg, 1, 12, 0.0)
+    _, n_max, _ = _settings(cfg)
     tol = 0.0
     sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []
@@ -724,6 +740,33 @@ def _complement_counts(n_top):
     return bad, combos
 
 
+# ---------------------------------------------------------------------------
+# the registry: each suite's defaults and the largest batch of trials it draws
+# ---------------------------------------------------------------------------
+
+class _Plan(NamedTuple):
+    trials: int                       # the defaults of what a config leaves unset
+    n_max: int
+    tol: float
+    top: Callable[[int], int | None]  # the largest size it draws `trials` states at, by n_max
+
+
+def _up_to(*sizes: int) -> Callable[[int], int | None]:
+    return lambda n_max: max((n for n in sizes if n <= n_max), default=None)
+
+
+_PLANS = {
+    "bitops": _Plan(1, 12, 0.0, lambda n_max: None),  # exact identities, each checked once
+    "closed-form": _Plan(1000, 12, TOL_ALGEBRAIC, lambda n_max: max(n_max, 2)),  # and n=2's
+    "oracle-n3": _Plan(1000, 3, TOL_NUMERIC, lambda n_max: 3),
+    "golden-examples": _Plan(1, 6, TOL_NUMERIC, lambda n_max: None),  # one fixed set of states
+    "covariance-even": _Plan(100, 10, TOL_NUMERIC, _up_to(*_COVARIANCE[0][0])),
+    "covariance-odd": _Plan(100, 9, TOL_NUMERIC, _up_to(*_COVARIANCE[1][0])),
+    "permutation": _Plan(200, 9, TOL_NUMERIC, _up_to(*_PERMUTATION_SAMPLED[0], *_PERMUTATION_SAMPLED[1])),
+    "product": _Plan(50, 8, TOL_NUMERIC, _up_to(*_PRODUCT_SIZES)),
+    "monotone": _Plan(2000, 6, TOL_NUMERIC, _up_to(*_MONOTONE_SIZES)),
+    "range": _Plan(10_000, 9, TOL_NUMERIC, lambda n_max: n_max if n_max >= 2 else None),
+}
 
 SUITES = {  # in run order
     "bitops": suite_bitops,

@@ -10,11 +10,25 @@ from ntangle import bench
 RECORDS = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
 
 
+# R counted (n + 2) * 2**(n-1) products until its one-pass kernel, which BENCH_24.json
+# times as its "after" side: a run of older code keeps the count of the code it timed
+ONE_PASS_R = 24
+
+
+def _count(path, side, row):
+    count = bench.op_count(row["measure"], row["n"])
+    number = int(path.stem.split("_")[1])
+    older = number < ONE_PASS_R or (number == ONE_PASS_R and side == "before")
+    if row["measure"] in ("r", "batch:r") and older:
+        return count // (row["n"] + 1) * (row["n"] + 2)
+    return count
+
+
 def _rows(record):
-    """Every row of the record's runs: before, after and, where taken, the repeated pair."""
-    runs = [record["before"], record["after"]]
-    runs += [record["repeat"][side] for side in ("before", "after")] if "repeat" in record else []
-    return [row for run in runs for row in run["rows"]]
+    """(side, row) of every row of the record's runs: before, after and, where taken, the repeated pair."""
+    runs = [("before", record["before"]), ("after", record["after"])]
+    runs += [(side, record["repeat"][side]) for side in ("before", "after")] if "repeat" in record else []
+    return [(side, row) for side, run in runs for row in run["rows"]]
 
 
 def test_records_exist():
@@ -30,7 +44,7 @@ def test_bench_record_format(path):
     assert commands and all(isinstance(command, str) for command in commands)
     rows = _rows(record)
     assert rows
-    for row in rows:
+    for side, row in rows:
         # a measure `ntangle bench` still times, and its count for the row's full label
         assert row["measure"].split(":")[0] in bench._PARITY, row
-        assert row["op_count"] == bench.op_count(row["measure"], row["n"]), row
+        assert row["op_count"] == _count(path, side, row), row

@@ -405,8 +405,8 @@ def test_bench_r_times_the_odd_sizes(capsys):
     code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "8", "--measure", "r")
     assert code == 0
     assert [(int(r[0]), r[1]) for r in rows] == [(3, "r"), (5, "r"), (7, "r")]
-    # the cross pass reads the 2**(n-1) pair products twice; each split adds 2**(n-1)
-    assert [int(r[4]) for r in rows] == [(n + 2) * 2 ** (n - 1) for n in (3, 5, 7)]
+    # one pass over j < 2**(n-1): the cross products, one per split 2..n, one for qubit 1's self forms
+    assert [int(r[4]) for r in rows] == [(n + 1) * 2 ** (n - 1) for n in (3, 5, 7)]
     code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "8")
     assert code == 0
     assert [(int(r[0]), r[1]) for r in rows] == [(4, "quadratic"), (6, "quadratic"),
@@ -416,7 +416,7 @@ def test_bench_r_times_the_odd_sizes(capsys):
 def test_bench_single_parity_ranges(capsys):
     code, rows, _ = _bench_rows(capsys, "--n-min", "9", "--n-max", "9", "--measure", "r")
     assert code == 0
-    assert [(int(r[0]), int(r[4])) for r in rows] == [(9, 11 * 2 ** 8)]
+    assert [(int(r[0]), int(r[4])) for r in rows] == [(9, 10 * 2 ** 8)]
     code, rows, _ = _bench_rows(capsys, "--n-min", "6", "--n-max", "6")
     assert code == 0
     assert [(int(r[0]), r[1]) for r in rows] == [(6, "quadratic")]
@@ -453,9 +453,9 @@ def test_bench_batch_times_the_suite_kernels_on_a_seeded_batch(capsys, monkeypat
     monkeypatch.setattr(bench, "_tau_any", spy)
     code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "4", "--measure", "batch")
     assert code == 0
-    # each state counts its single-state products: tau_odd 2**n, R (n+2) 2**(n-1), tau_even 2**(n-1)
+    # each state counts its single-state products: tau_odd 2**n, R (n+1) 2**(n-1), tau_even 2**(n-1)
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
-        (3, "batch:tau", 2**7 * 8), (3, "batch:r", 2**7 * 20), (4, "batch:tau", 2**6 * 8)]
+        (3, "batch:tau", 2**7 * 8), (3, "batch:r", 2**7 * 16), (4, "batch:tau", 2**6 * 8)]
     assert shapes == [(2**7, 8), (2**6, 16)]
     code, rows, err = _bench_rows(capsys, "--n-min", "10", "--n-max", "11", "--measure", "batch")
     assert code == 2 and not rows
@@ -551,12 +551,12 @@ def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
 
 def test_op_count_of_every_bench_label():
     for n in range(2, 27):
-        counts = {"quadratic": 2 ** (n - 1), "quartic": 3 * 2 ** (4 * n), "r": (n + 2) * 2 ** (n - 1),
+        counts = {"quadratic": 2 ** (n - 1), "quartic": 3 * 2 ** (4 * n), "r": (n + 1) * 2 ** (n - 1),
                   "odd": 2 ** n, "residual:1": 2 ** n, f"residual:{n - 1}": 2 ** n, "read": 2 ** n,
                   "write": 2 ** n}
         if n <= bench.BATCH_BITS:
             counts["batch:tau"] = 2 ** (n - 1 + n % 2) * 2 ** (22 - n)
-            counts["batch:r"] = (n + 2) * 2 ** (n - 1) * 2 ** (22 - n)
+            counts["batch:r"] = (n + 1) * 2 ** (n - 1) * 2 ** (22 - n)
         assert {label: bench.op_count(label, n) for label in counts} == counts, n
 
 
@@ -588,6 +588,17 @@ def test_verify_batch_over_capacity_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--n-max", "3")
     assert (code, out, err) == (3, "", "error: a draw of 1000 random states of 3 qubits exceeds the "
                                        "capacity of 12 qubits\n")
+
+
+def test_verify_trials_past_capacity_exit_3_before_any_draw(capsys, monkeypatch):
+    def spy(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(suites, "random_state_batch", spy)
+    code, out, err = run_cli(capsys, "verify", "--suite", "closed-form", "--n-max", "13",
+                             "--trials", "100000")
+    assert (code, out, err) == (3, "", "error: a draw of 100000 random states of 13 qubits exceeds the "
+                                       "capacity of 26 qubits\n")
 
 
 def test_verify_rejects_bad_trials(capsys):
@@ -683,7 +694,20 @@ def _run_module(*args, **kwargs):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "ntangle", *args],
-                          capture_output=True, text=True, env=env, **kwargs)
+                          **{"capture_output": True, "text": True, "env": env} | kwargs)
+
+
+def test_a_closed_reader_exits_141_with_no_error_line():
+    # `| head -c 0`: the pipe has no reader before the child writes, so every write
+    # and the interpreter's exit flush would meet a closed pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run_module("compute", "--expr", "ghz:3@1,2,3 x bell@4,5", capture_output=False,
+                           stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_READER, "") == (141, "")
 
 
 def test_module_entry_point():

@@ -56,10 +56,10 @@ def split(amps: np.ndarray, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return amps[..., lo], amps[..., lo | (1 << (n - i))]
 
 
-def cross_forms(amps: np.ndarray, n: int, monkeypatch) -> np.ndarray:
-    """_residuals' cross forms B_1..B_n: each residual task hands its B_i back as it is."""
+def one_pass_forms(amps: np.ndarray, n: int, monkeypatch) -> np.ndarray:
+    """_residuals' forms of every split, stacked as (B, L, H): its last step hands them back as they are."""
     with monkeypatch.context() as m:
-        m.setattr(measures, "_odd_measure", lambda cross, lo, hi: cross)
+        m.setattr(measures, "_odd_measure", lambda cross, low, high: np.stack([cross, low, high]))
         return _residuals(amps, n)
 
 
@@ -89,10 +89,53 @@ def test_pair_is_exact_on_the_threaded_path():
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 21])
 def test_shared_cross_pass_equals_each_split(n, monkeypatch):
+    # up to n = 15 the half is smaller than one chunk and runs as two; at n = 21 it is 32 chunks
+    assert (1 << (n - 1) < measures._R_CHUNK) == (n <= 15)
     amps = gaussian_integer_state(n, 600 + n)
-    cross = cross_forms(amps, n, monkeypatch)
+    cross, low, high = one_pass_forms(amps, n, monkeypatch)
     for i in range(1, n + 1):
-        assert cross[i - 1] == _pair(*_halves(amps, n, i)) == pair_oracle(*split(amps, n, i)), i
+        lo, hi = split(amps, n, i)
+        lo_view, hi_view = _halves(amps, n, i)
+        assert cross[i - 1] == _pair(lo_view, hi_view) == pair_oracle(lo, hi), i
+        assert low[i - 1] == _self_pair(lo_view) == pair_oracle(lo, lo), i
+        assert high[i - 1] == _self_pair(hi_view) == pair_oracle(hi, hi), i
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_one_pass_forms_are_exact_over_uneven_worker_ranges(workers, monkeypatch):
+    # chunks of 8 indices: 2**8 / 8 = 32 chunks, which three workers cannot share evenly
+    n = 9
+    monkeypatch.setattr(measures, "_R_CHUNK", 8)
+    monkeypatch.setattr(state, "_WORKERS", workers)
+    monkeypatch.setattr(state, "_pool", None)
+    amps = gaussian_integer_state(n, 690)
+    try:
+        cross, low, high = one_pass_forms(amps, n, monkeypatch)
+        assert (state._pool is not None) == (workers > 1)
+    finally:
+        if state._pool is not None:
+            state._pool.shutdown()
+    for i in range(1, n + 1):
+        lo, hi = split(amps, n, i)
+        assert cross[i - 1] == pair_oracle(lo, hi), i
+        assert low[i - 1] == pair_oracle(lo, lo) and high[i - 1] == pair_oracle(hi, hi), i
+
+
+def test_one_state_residuals_are_the_same_on_one_and_two_workers(monkeypatch):
+    n = 21
+    amps = state.random_state(n, 1021).amps
+    assert (1 << (n - 1)) // measures._R_CHUNK > 2  # several chunks a worker
+    monkeypatch.setattr(state, "_WORKERS", 1)
+    serial = _residuals(amps, n)
+    monkeypatch.setattr(state, "_WORKERS", 2)
+    monkeypatch.setattr(state, "_pool", None)
+    try:
+        pooled = _residuals(amps, n)
+        assert state._pool is not None
+    finally:
+        if state._pool is not None:
+            state._pool.shutdown()
+    assert pooled.tobytes() == serial.tobytes()
 
 
 # --- the batched path: chunks of rows, transposed, on the pool ---------------
@@ -115,13 +158,16 @@ def test_batched_pair_forms_are_exact_in_chunks(n):
             assert (_self_pairs(amps, n, i) == want).all(), i
 
 
-@pytest.mark.parametrize("n", (5, 9))
+# at n = 13 a chunk of 16 rows reads its two lowest bits turned; at n = 15 four rows run one by one
+@pytest.mark.parametrize("n", (5, 9, 13, 15))
 def test_batched_cross_forms_are_exact_in_chunks(n, monkeypatch):
     amps = gaussian_integer_state(n, 800 + n, (chunked_rows(n),))
-    cross = cross_forms(amps, n, monkeypatch)
+    cross, low, high = one_pass_forms(amps, n, monkeypatch)
     assert cross.shape == (n, len(amps))
     for i in range(1, n + 1):
-        assert (cross[i - 1] == pair_oracle(*split(amps, n, i))).all(), i
+        lo, hi = split(amps, n, i)
+        assert (cross[i - 1] == pair_oracle(lo, hi)).all(), i
+        assert (low[i - 1] == pair_oracle(lo, lo)).all() and (high[i - 1] == pair_oracle(hi, hi)).all(), i
 
 
 @pytest.mark.parametrize("n", (4, 5, 8, 9))

@@ -304,8 +304,10 @@ def test_residuals_keep_no_permutation_cache():
     assert retained < 4096  # less than one 512-entry int64 gather map at n=9
 
 
-def test_r_tangle_memory_stays_far_below_the_state():
-    psi = rand(19, 4343)
+@pytest.mark.parametrize("n", (19, 21))
+def test_r_tangle_memory_stays_far_below_the_state(n):
+    # two chunk buffers a worker, and the chunks' partial sums: 2**(n-15) rows of a few hundred
+    psi = rand(n, 4343)
     r_tangle(psi)  # fill the sign-table caches
     gc.collect()
     tracemalloc.start()
@@ -314,7 +316,7 @@ def test_r_tangle_memory_stays_far_below_the_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < psi.amps.nbytes / 32
+    assert peak < (2 * state_module._WORKERS + 1) * 16 * measures._R_CHUNK
 
 
 # --- fan-out: split kernels against the serial ones --------------------------
@@ -375,7 +377,6 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
 
     monkeypatch.setattr(state_module, "_WORKERS", max(2, state_module._WORKERS))  # a pool, even on one CPU
     measures._block_signs.cache_clear()  # the threads race to fill the sign tables
-    measures._marginal_signs.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     users = ThreadPoolExecutor(4)

@@ -248,9 +248,33 @@ def test_every_suite_past_capacity_is_refused_when_its_config_is_built(monkeypat
     for work in ("random_state_batch", "_violations", "_complement_counts"):
         monkeypatch.setattr(suites, work, spy)
     monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 8)  # read when the config is built
-    SuiteConfig(name, n_max=8)
+    SuiteConfig(name, n_max=8, trials=1)  # one state a size fits at the capacity itself
     with pytest.raises(CapacityError, match=f"^{name} up to n=9 exceeds the capacity of 8 qubits$"):
         SuiteConfig(name, n_max=9)
+
+
+def test_trials_past_capacity_are_refused_before_any_draw(monkeypatch):
+    def spy(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(suites, "random_state_batch", spy)
+    # closed-form draws `trials` states at every size up to n_max: 2**26 amplitudes at n=13
+    SuiteConfig("closed-form", n_max=13, trials=1 << 13)
+    with pytest.raises(CapacityError, match="^a draw of 8193 random states of 13 qubits exceeds"
+                                            " the capacity of 26 qubits$"):
+        SuiteConfig("closed-form", n_max=13, trials=(1 << 13) + 1)
+    # a suite with sizes of its own checks the largest it reaches, whatever n_max
+    SuiteConfig("monotone", n_max=20, trials=1 << 20)  # its states stop at 6 qubits
+    with pytest.raises(CapacityError, match="of 6 qubits"):
+        SuiteConfig("monotone", n_max=20, trials=(1 << 20) + 1)
+    with pytest.raises(CapacityError, match="of 3 qubits"):
+        SuiteConfig("oracle-n3", trials=(1 << 23) + 1)
+    # suites that draw no batch take any trial count
+    for name in ("bitops", "golden-examples"):
+        SuiteConfig(name, trials=1 << 40)
+    for name in SUITES:  # the defaults and the --quick settings
+        SuiteConfig(name)
+        SuiteConfig(name, trials=25, n_max=None if name == "bitops" else 6)
 
 
 @pytest.mark.parametrize("request_", [{"suite": "nope"}, {"suite": "range", "trials": 0},
