@@ -16,7 +16,6 @@ generator, so there is no hidden global RNG state.
 from __future__ import annotations
 
 import contextlib
-import fractions
 import functools
 import io
 import math
@@ -27,7 +26,6 @@ import signal
 import sys
 import tempfile
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -631,17 +629,19 @@ def _contraction(g: np.ndarray, top) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _QSV_BLOCK = 1 << 12  # amplitudes formatted per numpy pass when writing; ~2.4 MB of temporaries
-# amplitude text per numpy parse when reading, and bytes per copy of one of the
-# writer's spools; bounds the temporaries of both
-_QSV_CHUNK_BYTES = 1 << 20
+# bytes of amplitude text per slice the reader parses, and per copy of one of
+# the writer's spools; bounds the temporaries of both
+_QSV_CHUNK_BYTES = 1 << 18
 # bytes of the first read of the header lines; each next read takes as many more
 # as all reads before it
 _QSV_HEAD_BYTES = 1 << 8
 _QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
-# amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon a
-# forked child costs about 5 ms, and two processes read 2**13 amplitudes in
-# 14.7 ms against 14.0 ms for one, 2**14 in 23 ms against 29 ms
-_QSV_RANGE_MIN = 1 << 13
+# amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon,
+# in four runs of 21 alternating calls, two processes read n=14 (2**13
+# amplitudes a range) in 1.01-1.04 of the time of one and wrote it in
+# 1.11-1.17; at n=15 they read in 0.77-0.78 (1.10 in one run) and wrote in
+# 0.88-0.91
+_QSV_RANGE_MIN = 1 << 14
 _QSV_ROUND = 1 << 17  # amplitudes per process and round when writing; bounds each child's spool
 
 
@@ -763,12 +763,15 @@ def _format_lines(flat: np.ndarray, lo: int, hi: int, write) -> bool:
 # The writer's "%.17g", vectorized. Each float x with |x| in (1e-280, 1e280)
 # has X = floor(log10|x|) and S = |x| * 10**(16 - X) in [1e16, 1e17); its 17
 # digits are the integer D nearest to S, and the text lays them out by the
-# rules of "%g". S is formed exactly enough to round it: 10**k is a pair of
-# doubles (hi, lo) with hi + lo within 2**-106 of it, and |x| * hi is split
-# exactly by Dekker's two-product. Zeros are written "0" and "-0". Every other
-# float whose digits this cannot prove (a tie or near-tie, a misjudged X, a
-# non-finite or extreme value) is formatted by Python's own "%.17g".
-_POW_MIN, _POW_MAX = -265, 297  # the k of every 10**k a float in range scales by
+# rules of "%g". S is formed exactly enough to round it: 10**k is the pair
+# of doubles (hi, lo) of _powers_of_ten, hi + lo within 2**-106 of it, and
+# |x| * hi is split exactly by Dekker's two-product. Zeros are written "0" and
+# "-0". Every other float whose digits this cannot prove (a tie or near-tie, a
+# misjudged X, a non-finite or extreme value) is formatted by Python's own
+# "%.17g".
+# the k of every 10**k: the writer scales a float in range by 10**(-265..297),
+# the reader a provable token by 10**(-290..288)
+_POW_MIN, _POW_MAX = -290, 297
 _SPLITTER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves (Veltkamp)
 _FIXED_MIN = -4  # "%g" writes exponents -4..16 in fixed notation, others as d.ddde±XX
 _EXP_MAX = 300  # above |X| of every float in range (at most 281)
@@ -817,17 +820,31 @@ def _token_layout(cls: int, tz: int, negative: bool, newline: bool) -> list:
 
 
 @functools.cache
-def _format_tables() -> dict:
-    """Exact powers of ten and the digit and layout tables of _qsv_lines.
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo), indexed by k - _POW_MIN: hi is 10**k rounded to a double, lo the rest rounded.
 
-    Built on the first write, not at import: the exact powers take ~15 ms.
+    Both are correctly rounded from exact integers: Python's int true division
+    and float(int) round correctly. Built at first use by the writer or the
+    reader, not at import, in about 1 ms.
     """
     hi, lo = [], []
     for k in range(_POW_MIN, _POW_MAX + 1):
-        power = fractions.Fraction(10) ** k
-        hi.append(float(power))
-        lo.append(float(power - fractions.Fraction(hi[-1])))
-    hi = np.array(hi)
+        if k >= 0:
+            power = 10 ** k
+            hi.append(float(power))
+            lo.append(float(power - int(hi[-1])))
+        else:
+            power = 10 ** -k
+            hi.append(1 / power)
+            m, d = hi[-1].as_integer_ratio()
+            lo.append((d - m * power) / (d * power))  # 1/power - m/d
+    return _readonly(np.array(hi)), _readonly(np.array(lo))
+
+
+@functools.cache
+def _format_tables() -> dict:
+    """The exact powers of ten and the digit and layout tables of _qsv_lines, built on the first write."""
+    hi, lo = _powers_of_ten()
     # class of each exponent X, indexed by X + _EXP_MAX
     exps = np.arange(-_EXP_MAX, _EXP_MAX)
     cls = np.where(exps >= 17, _SCI + (exps >= 100),
@@ -836,7 +853,7 @@ def _format_tables() -> dict:
                for negative in (False, True) for c in range(_PY_CLASS + 1) for tz in range(17)]
     quads = [b"%04d" % i for i in range(10 ** 4)]
     return {
-        "hi": hi, "hi_halves": _split(hi), "lo": np.array(lo), "cls": cls,
+        "hi": hi, "hi_halves": _split(hi), "lo": lo, "cls": cls,
         "layout": np.array(layouts, dtype=np.intp),
         "quad": np.frombuffer(b"".join(quads), dtype=np.uint32),  # 4 ASCII digits per word
         "exp": np.frombuffer(b"".join(b"%03d\0" % e for e in range(_EXP_MAX)), dtype=np.uint32),
@@ -968,11 +985,12 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
 
     Accepts a subset of what ``_scan_qsv`` accepts: tokens of ASCII digits,
     '.', 'e', 'E', '+' and '-', exactly two per line, separated by spaces,
-    tabs and newlines. numpy parses them with the correctly rounded strtod
-    behind ``float()``, so the bits agree. Anything else, including values
-    that parse to nan or inf, returns None and is left to the scanner.
+    tabs and newlines. _parse_tokens reads each to float()'s bits: by numpy
+    where it proves the rounding, by float() itself elsewhere. A token that
+    float() refuses, a value that is nan or inf, or anything else returns
+    None and leaves the block to the scanner.
 
-    The conversion holds the GIL, so a large block is cut into one range of
+    The parse holds the GIL, so a large block is cut into one range of
     whole lines per CPU and parsed through _in_ranges. The doubles go into one
     shared anonymous map, which a forked child's writes reach: each range's
     first line is counted before any fork, and this process or a child parses
@@ -1004,6 +1022,7 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
         return None
     ranges.append((lo, end, line, dim))
     flat = np.ndarray(2 * dim, np.float64, buffer=_AmplitudeMap(-1, 16 << n))
+    _powers_of_ten()  # built before any fork, so that every child inherits it
     if not _in_ranges(ranges, functools.partial(_parse_lines, data, flat)):
         return None
     return flat
@@ -1019,44 +1038,204 @@ def _parse_lines(data: bytes, flat: np.ndarray, lo: int, end: int, line: int, st
     False if a line is refused, a value is not finite, or the range does not
     hold exactly stop - line lines.
     """
-    with warnings.catch_warnings():
-        # older numpy only warns when a token is not read to its end
-        warnings.simplefilter("error", DeprecationWarning)
-        while True:
-            hi = data.find(b"\n", min(lo + _QSV_CHUNK_BYTES, end), end)
-            hi = end if hi < 0 else hi
-            text = data[lo:hi]
-            if text.translate(None, _QSV_TOKEN_BYTES):
-                return False
-            chunk = np.frombuffer(text, dtype=np.uint8)
-            newlines = np.flatnonzero(chunk == 10)
-            lines = newlines.size + 1
-            # tokens are runs of bytes above ' '; tokens 2j and 2j+1 must start
-            # on line j, after newline j-1 and before newline j
-            starts = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))[::2]
-            if (line + lines > stop or starts.size != 2 * lines or (starts[2::2] < newlines).any()
-                    or (starts[1:-1:2] > newlines).any()):
-                return False
-            try:
-                values = np.fromstring(text, dtype=np.float64, sep=" ")
-            except (ValueError, DeprecationWarning):
-                return False
-            # a token such as '1-2' is read as two numbers
-            if values.size != 2 * lines or not np.isfinite(values).all():
-                return False
-            flat[2 * line:2 * (line + lines)] = values
-            line += lines
-            if hi == end:
-                return line == stop
-            lo = hi + 1
+    while True:
+        cut = data.find(b"\n", min(lo + _QSV_CHUNK_BYTES, end), end)
+        cut = end if cut < 0 else cut
+        text = data[lo:cut]
+        if text.translate(None, _QSV_TOKEN_BYTES):
+            return False
+        chunk = np.frombuffer(text, dtype=np.uint8)
+        newlines = np.flatnonzero(chunk == 10)
+        lines = newlines.size + 1
+        # tokens are runs of bytes above ' ', from each start to each end in
+        # edges; tokens 2j and 2j+1 must start on line j, after newline j-1 and
+        # before newline j
+        edges = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))
+        starts = edges[::2]
+        if (line + lines > stop or starts.size != 2 * lines or (starts[2::2] < newlines).any()
+                or (starts[1:-1:2] > newlines).any()):
+            return False
+        values = _parse_tokens(text, starts, edges[1::2])
+        if values is None or not np.isfinite(values).all():
+            return False
+        flat[2 * line:2 * (line + lines)] = values
+        line += lines
+        if cut == end:
+            return line == stop
+        lo = cut + 1
+
+
+# The reader's decimal parse, vectorized: the writer's method run the other
+# way. A token [sign] digits [. digits] [e [sign] digits] of at most
+# _TOKEN_MAX bytes is |x| = D * 10**k, D the integer of its digits with the
+# dot dropped. D is read in uint64 words of 8 ASCII digits, as many as the
+# longest D of the slice needs, at most three: its last 24 digits, whose
+# integer must be below 10**19, or past 24 digits its first 19, and then |x|
+# lies in [D, D + 1) * 10**k. Where every D of a slice is below 2**53 and
+# every |k| at most 22, D and 10**|k| are exact doubles, and one product or
+# quotient rounds |x| as float() does (Clinger). Otherwise D * 10**k is formed
+# as p + t as in _decimal, within a margin far wider than the error of p + t,
+# and a token whose interval rounds to one double at both ends takes that
+# double, float()'s, since rounding is monotonic. Every other token (a
+# near-tie, an extreme or subnormal value, a longer token or one of another
+# shape) is read by float() itself.
+_TOKEN_MAX = 32
+_PAD = 64  # bytes around a slice: every read of a token's bytes lies in them
+_READ_MAX = 288  # the largest k of a provable token: D * 10**k stays finite
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII zeros
+# entry z + 32: a uint64 whose low z bytes (none below 0, all above 8) are 0xff
+_LOW_BYTES = ((np.arange(8) < np.arange(-32, 73)[:, None]) * np.uint8(0xFF)).view(np.uint64).ravel()
+
+
+def _runs(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every run of width bytes of buf, as one record per first byte; no copy."""
+    return np.ndarray((buf.size - width + 1,), np.dtype((np.void, width)), buffer=buf, strides=(1,))
+
+
+def _eight_digits(w: np.ndarray) -> np.ndarray:
+    """The value of the eight ASCII digits in each uint64 word, the first in the lowest byte."""
+    w = w - _ZEROS
+    w = w * np.uint64(10) + (w >> np.uint64(8))  # two-digit values in the even bytes
+    return ((w & np.uint64(0x000000FF000000FF)) * np.uint64(100 + (1000000 << 32))
+            + ((w >> np.uint64(16)) & np.uint64(0x000000FF000000FF)) * np.uint64(1 + (10000 << 32))
+            ) >> np.uint64(32)
+
+
+def _lowest(mask: np.ndarray) -> np.ndarray:
+    """The index of the lowest set bit of each mask of at most 40 bits; 40 where none is set."""
+    mask = mask | (1 << 40)
+    return np.bitwise_count((mask & -mask) - 1).astype(np.intp)
+
+
+def _parse_tokens(text: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """float(token) of each token text[starts[i]:ends[i]]; None if float() refuses one.
+
+    The tokens hold digits, '.', 'e', 'E', '+' and '-' only. See the comment
+    above _TOKEN_MAX for the method. Each step is a function of its own, so
+    that its temporaries are freed before the next one runs.
+    """
+    buf = np.zeros(len(text) + 2 * _PAD, np.uint8)
+    buf[_PAD:_PAD + len(text)] = np.frombuffer(text, np.uint8)
+    s = starts + _PAD
+    ok, minus, first, dot, end, power = _token_parts(buf, s, np.minimum(ends - starts, _TOKEN_MAX + 1))
+    digits, k, cut = _significand(buf, s, first, dot, end, ok)
+    value = _scaled(digits, k + power, cut, minus, ok)
+    refused = ~ok
+    for i, a, b in zip(np.flatnonzero(refused).tolist(), starts[refused].tolist(), ends[refused].tolist()):
+        try:
+            value[i] = float(text[a:b])
+        except ValueError:
+            return None
+    return value
+
+
+def _token_parts(buf: np.ndarray, s: np.ndarray, width: np.ndarray) -> tuple:
+    """(ok, minus, first, dot, end, power) of the tokens of width bytes at s.
+
+    ok where a token is well formed and short enough to read; minus where it
+    starts with '-'; first and end bound its mantissa's digits and the dot
+    (40 for none), and power is the value of its exponent.
+    """
+    # bit j of other: byte j of the token is not a digit
+    words = _runs(np.packbits((buf - 48) > 9, bitorder="little"), 8)[s >> 3].view(np.uint64)
+    other = (words >> (s & 7).astype(np.uint64)).view(np.int64) & ((1 << width) - 1)
+    head = buf[s]
+    minus = head == 45
+    sign = minus | (head == 43)
+    # after a sign, the first non-digit may be a '.', and the first or the
+    # next one an 'e', with a sign after it
+    rest = other - sign
+    dot = _lowest(rest)
+    has_dot = (dot < width) & (buf[s + dot] == 46)
+    x = np.where(has_dot, _lowest(rest & (rest - 1)), dot)
+    has_e = (x < width) & ((buf[s + x] | 32) == 101)
+    after = buf[s + x + 1]
+    exp_minus = has_e & (after == 45)
+    exp_sign = exp_minus | (has_e & (after == 43))
+    end = np.where(has_e, x, width)
+    exp_digits = np.where(has_e, width - x - 1 - exp_sign, 0)
+    # those are distinct bytes: the token is well formed when they are all
+    # of its non-digits, with digits before the exponent and in it
+    known = sum(flag.view(np.uint8) for flag in (sign, has_dot, has_e, exp_sign))
+    ok = ((np.bitwise_count(other) == known) & (end - sign - has_dot > 0)
+          & (has_e <= (exp_digits > 0)) & (exp_digits <= 8) & (width <= _TOKEN_MAX))
+    # the exponent's digits end the token; the bytes before them read as zeros
+    word = _runs(buf, 8)[s + width - 8].view(np.uint64)
+    fill = ~np.uint64(0) >> (exp_digits << 3).astype(np.uint64)
+    power = _eight_digits((word & ~fill) | (_ZEROS & fill)).view(np.int64)
+    return ok, minus, sign.view(np.uint8), np.where(has_dot, dot, 40), end, np.where(exp_minus, -power, power)
+
+
+def _significand(buf: np.ndarray, s: np.ndarray, first, dot, end, ok) -> tuple:
+    """(D, k, cut) of the mantissas from s + first to s + end; see the comment above _TOKEN_MAX.
+
+    The mantissa is D * 10**k, or within [D, D + 1) * 10**k where cut; ok is
+    cleared where D would not be below 10**19. D is read in the window of w
+    words that ends at its last digit, a word at a time: bytes before the dot
+    from the word at g, those after it from the word at g + 1.
+    """
+    has_dot = dot < 40
+    stop = end - has_dot  # the mantissa's length without the dot
+    count = stop - first
+    w = min(3, -(-int(np.max(count, where=ok, initial=1)) // 8))
+    cut = count > 24
+    last = np.where(cut, first + 19, stop)
+    g = last - 8 * w
+    words = _runs(buf, 8)
+    digits = np.zeros(s.size, np.uint64)
+    for j in range(w):
+        before = _LOW_BYTES[dot - g + 32]
+        zeros = _LOW_BYTES[first - g + 32]
+        word = (words[s + g].view(np.uint64) & before) | (words[s + g + 1].view(np.uint64) & ~before)
+        word = _eight_digits((word & ~zeros) | (_ZEROS & zeros))
+        if j == 0 and w == 3:
+            ok &= word < 1000
+        digits = digits * np.uint64(10 ** 8) + word
+        g += 8
+    return digits, (stop - last) - np.where(has_dot, end - dot - 1, 0), cut
+
+
+def _scaled(digits: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """D * 10**k rounded, negated where minus; ok is cleared where that rounding is not proven.
+
+    The values are made last, while the temporaries are still held, so they
+    lie above them on the heap; they live until the next slice's values are
+    made, so malloc does not give the slice's memory back to the system to
+    fault it in again for the next slice (on a 2-vCPU Xeon this took a read
+    at n=20 in one process from 146k page faults to 29k, and from 220 ns a
+    float to 175).
+    """
+    hi, lo = _powers_of_ten()
+    high = digits.astype(np.float64)
+    if np.all(~ok | (~cut & (digits < 2 ** 53) & (np.abs(k) <= 22))):
+        # D and 10**|k| are exact doubles: one product or quotient rounds as float() does
+        k = np.clip(k, -22, 22)
+        return _signed(high * hi[np.maximum(k, 0) - _POW_MIN] / hi[np.maximum(-k, 0) - _POW_MIN], minus)
+    # D = high + low exactly, high the double nearest to D
+    low = (digits - high.astype(np.uint64)).view(np.int64).astype(np.float64)
+    at = np.clip(k, _POW_MIN, _READ_MAX) - _POW_MIN
+    hi, lo, hi_high, hi_low = (table[at] for table in (hi, lo, *_split(hi)))
+    p = high * hi
+    high_high, high_low = _split(high)
+    t = (((high_high * hi_high - p) + high_high * hi_low + high_low * hi_high) + high_low * hi_low
+         + (high * lo + low * hi))
+    margin = np.abs(p) * 2.0 ** -90 + cut * 2 * hi
+    value = p + (t - margin)
+    ok &= (value == p + (t + margin)) & ((digits == 0) | ((k == at + _POW_MIN) & (np.abs(p) > 2.0 ** -900)))
+    return _signed(value, minus)
+
+
+def _signed(value: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    """value, at least +0 where it counts, with the sign bit set where minus."""
+    return (value.view(np.uint64) | (minus.astype(np.uint64) << np.uint64(63))).view(np.float64)
 
 
 def _scan_qsv(text: str) -> StateVector:
     """Parse qsv text line by line.
 
     This is the definition of the format and the source of every ParseError:
-    ``read_qsv`` comes here whenever the one-call parse of the amplitude block
-    refuses it.
+    ``read_qsv`` comes here whenever the vectorized parse of the amplitude
+    block refuses it.
     """
     bad = _NON_ASCII_RE.search(text)
     if bad is not None:

@@ -287,9 +287,9 @@ def test_tau_even_kernel_is_the_concurrence_at_n2():
 
 
 def test_residuals_keep_no_permutation_cache():
-    # the qsv writer's constant format tables are the one cache state may keep
+    # the qsv powers of ten and the writer's format tables are the caches state may keep
     caches = [name for name, obj in vars(state_module).items() if hasattr(obj, "cache_info")]
-    assert caches == ["_format_tables"]
+    assert caches == ["_powers_of_ten", "_format_tables"]
     psi = rand(9, 4242)
     gc.collect()
     tracemalloc.start()

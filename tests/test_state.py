@@ -1,10 +1,13 @@
 import ast
+import fractions
 import io
 import math
 import mmap
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -743,6 +746,19 @@ QSV_TABLE = (
     "qsv 1\nn 1\n1e 0\n1 0\n",
     "qsv 1\nn 1\n. 0\n1 0\n",
     "qsv 1\nn 1\n1.5.5 0\n1 0\n",
+    "qsv 1\nn 1\n1e+-3 0\n1 0\n",
+    "qsv 1\nn 1\n+-1 0\n1 0\n",
+    "qsv 1\nn 1\n--1 0\n1 0\n",
+    "qsv 1\nn 1\n0 1+\n1 0\n",
+    "qsv 1\nn 1\n1e5.3 0\n1 0\n",
+    "qsv 1\nn 2\n1.e5 -.5e-3\n00000000001.5 1e0000005\n"
+    "1234567890123456789012345 0.0000000000000000000000001234567890123456789\n-0 0\n",
+    # past 24 digits, read from the first 19: just above a tie (twice), a
+    # leading digit alone, and no nonzero digit among the first 19
+    "qsv 1\nn 2\n9007199254740993.000000001 1.000000000000000124900091e-1\n"
+    "1000000000000000000000001 0.000000000000000000000000001\n1 0\n0 1\n",
+    "qsv 1\nn 1\n3e23 0\n1 0\n",  # 10**23 is no double: 3 * 1e23 is not 3e23
+    "qsv 1\nn 1\n9007199254740993e-2 0\n1 0\n",  # D above 2**53: no exact double
 )
 
 
@@ -779,6 +795,104 @@ def test_qsv_path_bytes_and_text_mode_agree(tmp_path, text):
         assert _outcome(read_qsv, fh) == want
     assert _outcome(read_qsv, path) == want
     assert _outcome(read_qsv, io.BytesIO(path.read_bytes())) == want
+
+
+# the formats of the property below; "%.3f*" is "%.3f" of the double times 1e12
+QSV_FORMATS = ("%.17g", "%.16e", "%r", "%.6g", "%.3f", "%.3f*", "%.25e")
+
+
+def _qsv_document(values, fmt):
+    """(qsv text of the doubles written in fmt, two a line; the tokens in file order)."""
+    if fmt == "%.3f*":
+        fmt, values = "%.3f", [v * 1e12 for v in values]
+    tokens = [repr(v) if fmt == "%r" else fmt % v for v in values]
+    n = len(values).bit_length() - 2
+    lines = "".join(f"{a} {b}\n" for a, b in zip(tokens[::2], tokens[1::2]))
+    return f"qsv 1\nn {n}\n{lines}", tokens
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=16, max_size=16),
+       st.sampled_from(QSV_FORMATS))
+def test_qsv_reader_reads_every_double_as_float_does(values, fmt):
+    text, tokens = _qsv_document(values, fmt)
+    want = np.array([float(token) for token in tokens])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "_QSV_CHUNK_BYTES", 64)  # a slice of a few lines each
+        if not np.isfinite(want).all():  # "%.3f" of a double times 1e12 past the float range
+            with pytest.raises(ParseError, match="non-finite"):
+                read_qsv(io.StringIO(text))
+            return
+        got = read_qsv(io.StringIO(text))
+    assert got.amps.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fmt", QSV_FORMATS)
+@pytest.mark.parametrize("chunk", (1 << 9, 1 << 18))
+def test_qsv_reader_reads_wide_and_amplitude_doubles_as_float_does(monkeypatch, fmt, chunk):
+    # doubles of any exponent, then amplitudes as a writer writes them, then
+    # short decimals, in slices of a few lines or of the whole block: slices
+    # of short tokens take the exact product, the others the double-double
+    monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", chunk)
+    rng = np.random.default_rng(25)
+    wide = rng.integers(0, 1 << 64, 1 << 10, dtype=np.uint64).view(np.float64)
+    short = rng.integers(-10 ** 6, 10 ** 6, 1 << 10) * 10.0 ** rng.integers(-30, 30, 1 << 10)
+    values = np.concatenate([np.where(np.abs(wide) < 1e290, wide, 0.5),  # "%.3f*" stays finite
+                             random_state(10, 25).amps.view(np.float64), short])
+    text, tokens = _qsv_document(values.tolist(), fmt)
+    want = np.array([float(token) for token in tokens])
+    assert read_qsv(io.StringIO(text)).amps.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("fmt", ("%.17g", "%.16e", "%r", "%.6g", "%.3f", "%.25e"))
+def test_qsv_reader_proves_every_amplitude_of_common_formats(monkeypatch, fmt):
+    # no token of a state written in these formats is left to float()
+    values = random_state(12, 12).amps.view(np.float64).tolist()
+    text, tokens = _qsv_document(values, fmt)
+    refused = []
+    monkeypatch.setattr(state_module, "float", lambda token: refused.append(token) or float(token),
+                        raising=False)
+    got = read_qsv(io.StringIO(text)).amps.view(np.uint64).tolist()
+    assert refused == []
+    assert got == np.array([float(token) for token in tokens]).view(np.uint64).tolist()
+
+
+def test_powers_of_ten_are_the_exact_powers_rounded():
+    hi, lo = state_module._powers_of_ten()
+    assert len(hi) == len(lo) == state_module._POW_MAX - state_module._POW_MIN + 1
+    for k in range(state_module._POW_MIN, state_module._POW_MAX + 1):
+        power = fractions.Fraction(10) ** k
+        i = k - state_module._POW_MIN
+        assert hi[i] == float(power) and lo[i] == float(power - fractions.Fraction(hi[i])), k
+    assert not hi.flags.writeable and not lo.flags.writeable
+
+
+def test_import_builds_no_power_table():
+    # the tables are built at the first read or write: import ntangle costs none of them
+    src = str(pathlib.Path(state_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import ntangle; from ntangle import state; "
+            "print(state._powers_of_ten.cache_info().currsize, state._format_tables.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["0", "0"]
+
+
+def test_qsv_read_holds_the_block_and_a_bounded_parse(tmp_path, monkeypatch):
+    # at most O(_QSV_CHUNK_BYTES) a process besides the block: here 4 MiB for
+    # slices of 256 KiB, with the whole block read in this process
+    monkeypatch.setattr(state_module, "_WORKERS", 1)
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(16, 16), path)
+    block = path.stat().st_size - len(b"qsv 1\nn 16\n")
+    read_qsv(path)  # first call outside the trace, so no one-off table counts
+    tracemalloc.start()
+    try:
+        read_qsv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block > 8 * state_module._QSV_CHUNK_BYTES  # several slices
+    assert peak - block <= 4 << 20
 
 
 def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
@@ -826,7 +940,7 @@ def _wide_amplitudes(n, seed):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 @pytest.mark.parametrize("workers", (1, 2, 3, 5))
 def test_split_qsv_read_is_bit_identical_to_one_worker(tmp_path, monkeypatch, workers):
-    n = 16
+    n = 17
     assert 1 << n >= 5 * state_module._QSV_RANGE_MIN  # five ranges at most
     monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", 1 << 14)  # every range crosses chunks
     amps = _wide_amplitudes(n, 16)
@@ -1028,6 +1142,7 @@ def _serial_text(psi, monkeypatch):
 def test_split_qsv_write_is_byte_identical_to_one_worker(tmp_path, monkeypatch, workers):
     n, size = 16, 1 << 12
     monkeypatch.setattr(state_module, "_QSV_ROUND", size)  # 16 ranges, `workers` per round
+    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", size)  # which the floor allows
     psi = StateVector(n, _wide_amplitudes(n, 61))
     want = _serial_text(psi, monkeypatch)
     monkeypatch.setattr(state_module, "_WORKERS", workers)
@@ -1136,7 +1251,7 @@ def test_split_write_of_small_blocks_reaches_the_target(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 def test_split_write_reads_back_bit_exact(tmp_path, monkeypatch):
-    n = 15
+    n = 16
     assert 1 << n >= 3 * state_module._QSV_RANGE_MIN
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     amps = _wide_amplitudes(n, 15)
