@@ -84,17 +84,18 @@ def _cmd_compute(args) -> int:
         function, extra = kinds[name], ()
     else:
         raise ParseError(f"unknown measure {name!r}", line=1, column=1)
-    if args.file is not None:
-        psi = read_qsv(args.file)
-        label = f"file:{args.file}"
+    if args.expr is not None and function in measures.FACTORED:  # never builds the product
+        report = measures.product_measure(parse_product_expression(args.expr), function, *extra,
+                                          normalize=not args.no_normalize)
     else:
-        psi = build_product(parse_product_expression(args.expr))
-        label = args.expr
-    if function in measures.MEASURES:  # refuse a size before normalizing; tau takes n >= 2
-        measures._row(function, psi.n)
-    if not args.no_normalize:
-        psi = psi.normalized()
-    report = getattr(measures, function)(psi, *extra)
+        psi = read_qsv(args.file) if args.file is not None else build_product(
+            parse_product_expression(args.expr))
+        if function in measures.MEASURES:  # refuse a size before normalizing; tau takes n >= 2
+            measures._row(function, psi.n)
+        if not args.no_normalize:
+            psi = psi.normalized()
+        report = getattr(measures, function)(psi, *extra)
+    label = f"file:{args.file}" if args.file is not None else args.expr
 
     # one payload, in the text lines' order; JSON sorts its keys
     payload = {"value": report.value, "measure": report.kind, "n": report.n, "norm": report.norm}

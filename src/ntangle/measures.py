@@ -78,8 +78,10 @@ __all__ = [
     "concurrence",
     "wong_tangle",
     "three_tangle",
+    "product_measure",
     "DEFAULT_WONG_CAP",
     "MEASURES",
+    "FACTORED",
 ]
 
 # The dense quartic contraction holds several (2**n, 2**n) complex arrays: it
@@ -544,28 +546,28 @@ def high_half_invariant(psi: StateVector) -> InvariantValue:
     return InvariantValue(complex(_high_half_invariant(psi.amps, psi.n)), "high")
 
 
-def _report(kind: str, value: float, psi: StateVector, residuals=None) -> MeasureReport:
-    value, norm = float(value), psi.norm()
+def _report(kind: str, value: float, n: int, norm: float, residuals=None) -> MeasureReport:
+    value = float(value)
     if not all(map(math.isfinite, (value, norm, *(residuals or ())))):
         raise DomainError(f"{kind} of these raw amplitudes overflows the float range (value "
                           f"{value:g}, norm {norm:g}); normalize the state first")
-    return MeasureReport(kind=kind, value=value, n=psi.n, norm=norm, residuals=residuals)
+    return MeasureReport(kind=kind, value=value, n=n, norm=norm, residuals=residuals)
 
 
 def tau_even(psi: StateVector) -> MeasureReport:
     """Even-n measure 2|E|."""
-    return _report("tau_even", _row("tau_even", psi.n).kernel(psi.amps, psi.n), psi)
+    return _report("tau_even", _row("tau_even", psi.n).kernel(psi.amps, psi.n), psi.n, psi.norm())
 
 
 def tau_odd(psi: StateVector) -> MeasureReport:
     """Odd-n measure 4|B^2 - 4 L H|."""
-    return _report("tau_odd", _row("tau_odd", psi.n).kernel(psi.amps, psi.n), psi)
+    return _report("tau_odd", _row("tau_odd", psi.n).kernel(psi.amps, psi.n), psi.n, psi.norm())
 
 
 def tau(psi: StateVector) -> MeasureReport:
     """Parity dispatch: the even measure for even n, the odd measure for odd n."""
     kind = _tau_kind(psi.n)
-    return _report(kind, _row(kind, psi.n, "tau").kernel(psi.amps, psi.n), psi)
+    return _report(kind, _row(kind, psi.n, "tau").kernel(psi.amps, psi.n), psi.n, psi.norm())
 
 
 def tau_residual(psi: StateVector, i: int) -> MeasureReport:
@@ -573,28 +575,96 @@ def tau_residual(psi: StateVector, i: int) -> MeasureReport:
     kernel = _row("tau_residual", psi.n).kernel
     if not 1 <= i <= psi.n:
         raise DomainError(f"qubit label {i} out of range 1..{psi.n}")
-    return _report("tau_residual", kernel(psi.amps, psi.n, i), psi)
+    return _report("tau_residual", kernel(psi.amps, psi.n, i), psi.n, psi.norm())
 
 
 def r_tangle(psi: StateVector) -> MeasureReport:
     """Arithmetic mean of the per-qubit residual measures (odd n), with the residuals."""
     _row("r_tangle", psi.n)
     residuals = tuple(map(float, _residuals(psi.amps, psi.n)))
-    return _report("r_tangle", sum(residuals) / psi.n, psi, residuals=residuals)
+    return _report("r_tangle", sum(residuals) / psi.n, psi.n, psi.norm(), residuals)
 
 
 def concurrence(psi: StateVector) -> MeasureReport:
     """Two-qubit concurrence 2|a0 a3 - a1 a2|: the even measure's kernel at n=2."""
-    return _report("concurrence", _row("concurrence", psi.n).kernel(psi.amps, psi.n), psi)
+    return _report("concurrence", _row("concurrence", psi.n).kernel(psi.amps, psi.n), psi.n,
+                   psi.norm())
 
 
 def wong_tangle(psi: StateVector) -> MeasureReport:
     """Quartic even-n tangle of Wong and Christensen (expensive cross-reference), n <= DEFAULT_WONG_CAP."""
     kernel = _row("wong_tangle", psi.n).kernel
     _check_wong_cap(psi.n)
-    return _report("wong_tangle", kernel(psi.amps, psi.n), psi)
+    return _report("wong_tangle", kernel(psi.amps, psi.n), psi.n, psi.norm())
 
 
 def three_tangle(psi: StateVector) -> MeasureReport:
     """Independent three-qubit residual-entanglement oracle (external construction)."""
-    return _report("three_tangle", _row("three_tangle", psi.n).kernel(psi.amps, psi.n), psi)
+    return _report("three_tangle", _row("three_tangle", psi.n).kernel(psi.amps, psi.n), psi.n,
+                   psi.norm())
+
+
+# The public functions whose measure of a product expression product_measure takes factor by
+# factor; compute builds the product state for the others.
+FACTORED = ("tau", "tau_even", "tau_odd", "tau_residual", "r_tangle")
+
+
+def product_measure(expr: state.ProductExpression, function: str, *args,
+                    normalize: bool = True) -> MeasureReport:
+    """function(build_product(expr), *args) for a FACTORED function, without the product state.
+
+    The paper's product rules take the measure from each factor's own state.
+    For n even, tau is the product of the factors' tau when every factor has
+    even size, and 0 otherwise. For n odd, the residual about qubit q is 0 when
+    q's factor has even size or one qubit, or when more than one factor has odd
+    size; otherwise it is that factor's residual about q's place in its labels,
+    times the other factors' tau squared. tau is the residual about qubit 1, and
+    R the residuals' mean in label order.
+
+    Each factor is normalized unless normalize is false (the rules are
+    homogeneous), and the norm is the product of the factors' norms. With more
+    than one factor, each factor's value is divided by its normalized state's
+    sum of squares to half the measure's degree, the value at norm 1 exactly,
+    so that the factors' roundings do not compound: a Bell pair's tau is 1,
+    not 1 + 2**-52. A single factor is the product state itself, and gives the
+    same bits as on it; other values may differ from the product state's by a
+    few ulp. Each refusal reads as on the product state, in the same order.
+    """
+    n = len(state._check_product(expr))
+    kind = _tau_kind(n) if function == "tau" else function
+    if function != "tau":  # compute refuses the size before it normalizes; tau() after
+        _row(kind, n)
+    factors = [f.state.normalized() if normalize else f.state for f in expr.factors]
+    if function == "tau":
+        _row(kind, n, "tau")
+    if kind == "tau_residual" and not 1 <= args[0] <= n:
+        raise DomainError(f"qubit label {args[0]} out of range 1..{n}")
+    norm = math.prod(psi.norm() for psi in factors)
+    exact = normalize and len(factors) > 1
+    squares = [state._sum_of_squares(psi.amps.view(np.float64)) if exact else 1.0 for psi in factors]
+
+    def tau_of(k: int) -> float:  # factor k's tau, at an even size
+        return float(_tau_even(factors[k].amps, factors[k].n)) / squares[k]
+
+    if kind == "tau_even":
+        even = all(psi.n % 2 == 0 for psi in factors)
+        return _report(kind, math.prod(map(tau_of, range(len(factors)))) if even else 0.0, n, norm)
+    qubits = range(1, n + 1) if kind == "r_tangle" else (args[0] if args else 1,)
+    odd = [k for k, psi in enumerate(factors) if psi.n % 2]
+    k = odd[0]
+    focus, own = factors[k], expr.factors[k].labels
+    if len(odd) > 1 or focus.n == 1:
+        residuals = [0.0] * len(qubits)
+    else:
+        # t * t: a raw t**2 past the float range would raise, where a product gives inf
+        other = math.prod(t * t for t in map(tau_of, (j for j in range(len(factors)) if j != k)))
+        if kind == "r_tangle":  # every split of the focus in one pass
+            every = _residuals(focus.amps, focus.n)
+            residual = lambda i: every[i - 1]
+        else:
+            residual = lambda i: _residual(focus.amps, focus.n, i)
+        residuals = [float(residual(own.index(q) + 1)) / (squares[k] * squares[k]) * other
+                     if q in own else 0.0 for q in qubits]
+    if kind == "r_tangle":
+        return _report(kind, sum(residuals) / n, n, norm, tuple(residuals))
+    return _report(kind, residuals[0], n, norm)

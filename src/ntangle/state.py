@@ -181,22 +181,23 @@ def _norm(amps: np.ndarray) -> float:
     only a state whose squares leave the float range takes that path.
     """
     flat = amps.view(np.float64)
-    slices = [flat[k:k + _NORM_SLICE] for k in range(0, flat.size, _NORM_SLICE)]
-
-    @np.errstate(over="ignore")  # a square past the float range is inf, and is taken again
-    def sum_of_squares(e: int) -> float:
-        try:
-            return math.fsum(np.square(np.ldexp(part, -e) if e else part).sum() for part in slices)
-        except OverflowError:  # finite slice sums whose total passes the float range
-            return math.inf
-
-    total = sum_of_squares(0)
+    total = _sum_of_squares(flat)
     e = 0 if _NORMAL_MIN <= total < math.inf else _peak_exponent(flat)
     if not e:  # an ordinary state, zero, or a float that is not finite
         return math.sqrt(total)
     try:
-        return math.ldexp(math.sqrt(sum_of_squares(e)), e)
+        return math.ldexp(math.sqrt(_sum_of_squares(flat, e)), e)
     except OverflowError:  # the norm itself passes the float range
+        return math.inf
+
+
+@np.errstate(over="ignore")  # a square past the float range is inf, and _norm takes it again
+def _sum_of_squares(flat: np.ndarray, e: int = 0) -> float:
+    """The sum of the squares of flat * 2**-e: pairwise in each slice, the slices by math.fsum."""
+    slices = (flat[k:k + _NORM_SLICE] for k in range(0, flat.size, _NORM_SLICE))
+    try:
+        return math.fsum(np.square(np.ldexp(part, -e) if e else part).sum() for part in slices)
+    except OverflowError:  # finite slice sums whose total passes the float range
         return math.inf
 
 
@@ -389,8 +390,12 @@ class ProductExpression:
         return sum(f.state.n for f in self.factors)
 
 
-def build_product(expr: ProductExpression) -> StateVector:
-    """Tensor the factors in listed order, then move them onto their labels."""
+def _check_product(expr: ProductExpression) -> list:
+    """The factors' labels in listed order, once they partition 1..n within the capacity.
+
+    The one check of a product, whether its state is built or its measures are
+    taken factor by factor (measures.product_measure).
+    """
     if not expr.factors:
         raise DomainError("product expression has no factors")
     labels = []
@@ -404,6 +409,13 @@ def build_product(expr: ProductExpression) -> StateVector:
     if sorted(labels) != list(range(1, n + 1)):
         raise DomainError(f"factor labels {labels} do not partition 1..{n}")
     _check_capacity(f"product of {n} qubits", n)
+    return labels
+
+
+def build_product(expr: ProductExpression) -> StateVector:
+    """Tensor the factors in listed order, then move them onto their labels."""
+    labels = _check_product(expr)
+    n = len(labels)
     psi = expr.factors[0].state
     for f in expr.factors[1:]:
         psi = tensor(psi, f.state)
@@ -934,7 +946,10 @@ def read_qsv(source) -> StateVector:
     decoded from. The bytes get text mode's newlines: ``\\r\\n`` and a lone
     ``\\r`` become ``\\n``.
     """
-    with (contextlib.nullcontext(source) if hasattr(source, "read") else open(source, "rb")) as fh:
+    # a path is read unbuffered: a buffered read() of the block would join the bytes
+    # the header's readline() calls buffered to the rest, a second copy of the block
+    with (contextlib.nullcontext(source) if hasattr(source, "read")
+          else open(source, "rb", buffering=0)) as fh:
         # refuse an over-capacity header before the amplitude block is even read: the
         # head holds both header lines, and does not end in a '\r' that a '\n' may follow
         head = b""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ntangle
-from ntangle import bench, cli, state, suites
+from ntangle import bench, cli, measures, state, suites
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.errors import DomainError
@@ -135,8 +135,8 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "build_product", exhausted)
-    code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "tau")
+    monkeypatch.setattr(cli, "build_product", exhausted)  # concurrence builds the product state
+    code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
 
@@ -677,23 +677,37 @@ def test_compute_resolves_the_measure_before_it_reads_or_normalizes(capsys, monk
 
 @pytest.mark.parametrize("n, measure", [(3, "r"), (3, "tau"), (3, "residual:2"),
                                         (3, "three-tangle"), (4, "wong")])
-def test_compute_raw_overflow_prints_only_the_error_line(tmp_path, n, measure):
+@pytest.mark.parametrize("source", ["file", "expr"])
+def test_compute_raw_overflow_prints_only_the_error_line(tmp_path, n, measure, source):
     path = tmp_path / "ghz.qsv"
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = 1e100
     write_qsv(state.StateVector(n, amps), path)
-    proc = _run_module("compute", "--file", str(path), "--measure", measure, "--no-normalize")
+    if source == "expr":  # the same factor beside a Bell pair: factor by factor, or built
+        n, measure = n + 2, {"three-tangle": "tau-odd"}.get(measure, measure)
+        argv = ("--expr", f"file:{path}@{','.join(map(str, range(1, n - 1)))} x bell@{n - 1},{n}")
+    else:
+        argv = ("--file", str(path))
+    proc = _run_module("compute", *argv, "--measure", measure, "--no-normalize")
     assert (proc.returncode, proc.stdout) == (3, "")
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "overflows" in lines[0], lines
 
 
 def _run_module(*args, **kwargs):
+    return _run_child(["-m", "ntangle", *args], **kwargs)
+
+
+def _run_module_code(code, *args, **kwargs):
+    return _run_child(["-c", code, *args], **kwargs)
+
+
+def _run_child(argv, **kwargs):
     # the child must import the same package as this process, installed or not
     src = str(Path(ntangle.__file__).resolve().parent.parent)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "ntangle", *args],
+    return subprocess.run([sys.executable, *argv],
                           **{"capture_output": True, "text": True, "env": env} | kwargs)
 
 
@@ -731,7 +745,89 @@ def test_compute_file_on_one_cpu_gives_the_same_values(tmp_path):
     assert full["value"] == one["value"] and full["norm"] == one["norm"]
 
 
-REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
+def test_compute_expr_of_file_factors_matches_the_product_state(capsys, tmp_path):
+    # seeded raw factors on shuffled labels, one-qubit and several odd factors among them;
+    # each value within 1e-14 of norm**degree, the most the measure can take at that norm
+    rng = np.random.default_rng(2609)
+    for sizes in ((3, 1, 2), (1, 1, 3), (3, 5), (2, 4, 1), (5, 2, 2), (4, 6), (7, 2, 1, 3)):
+        labels = (rng.permutation(sum(sizes)) + 1).tolist()
+        tokens = []
+        for k, size in enumerate(sizes):
+            own, labels = labels[:size], labels[size:]
+            path = tmp_path / f"factor{k}.qsv"
+            write_qsv(state.StateVector(size, 10.0 ** rng.uniform(-1, 1)
+                                        * state.random_state(size, int(rng.integers(2**31))).amps), path)
+            tokens.append(f"file:{path}@{','.join(map(str, own))}")
+        text, n, i = " x ".join(tokens), sum(sizes), int(rng.integers(1, sum(sizes) + 1))
+        requests = ([("tau", "tau", ()), ("tau-odd", "tau_odd", ()), ("r", "r_tangle", ()),
+                     (f"residual:{i}", "tau_residual", (i,))] if n % 2
+                    else [("tau", "tau", ()), ("tau-even", "tau_even", ())])
+        psi = state.build_product(state.parse_product_expression(text))
+        for name, function, extra in requests:
+            for raw in ((), ("--no-normalize",)):
+                code, out, err = run_cli(capsys, "compute", "--expr", text, "--measure", name, *raw,
+                                         "--format", "json")
+                assert (code, err) == (0, ""), (sizes, name)
+                got = json.loads(out)
+                want = getattr(measures, function)(psi if raw else psi.normalized(), *extra)
+                scale = want.norm ** measures.MEASURES[want.kind].degree if raw else 1.0
+                assert (got["measure"], got["n"]) == (want.kind, want.n)
+                assert abs(got["value"] - want.value) <= 1e-14 * scale, (sizes, name, raw)
+                assert abs(got["norm"] - want.norm) <= 1e-14 * want.norm
+                for a, b in zip(got.get("residuals", ()), want.residuals or (), strict=True):
+                    assert abs(a - b) <= 1e-14 * scale, (sizes, name, raw)
+
+
+def test_compute_expr_never_builds_the_product_for_a_factored_measure(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the product state")
+
+    for module in (cli, state):
+        monkeypatch.setattr(module, "build_product", refuse)
+    for name in ("tensor", "permute"):
+        monkeypatch.setattr(state, name, refuse)
+    for text, names in (("bell@3,1 x ghz:4@2,4,6,5", ("tau", "tau-even")),
+                        ("ghz:3@5,1,3 x bell@2,4", ("tau", "tau-odd", "r", "residual:3"))):
+        for name in names:
+            code, out, err = run_cli(capsys, "compute", "--expr", text, "--measure", name)
+            value = "0.6" if name == "r" else "1"
+            assert (code, err) == (0, "") and out.startswith(f"value {value}\n"), (text, name)
+    with pytest.raises(AssertionError, match="built the product state"):  # the patch holds
+        main(["compute", "--expr", "bell@1,2", "--measure", "concurrence"])
+
+
+# The child's own peak: VmHWM belongs to the memory of the program exec started, where
+# RUSAGE_SELF's ru_maxrss keeps the high-water mark of the process that forked it (232 MB
+# for a child of the whole pytest run, against 33 MB of VmHWM).
+_PEAK = ("import sys\n"
+         "from ntangle.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "with open('/proc/self/status') as fh:\n"
+         "    print(*next(line.split() for line in fh if line.startswith('VmHWM:')))\n"
+         "sys.exit(code)\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("text, measure, value", [
+    (" x ".join(f"bell@{2 * k + 1},{2 * k + 2}" for k in range(13)), "tau", "1"),
+    (" x ".join(["ghz:3@1,2,3"] + [f"bell@{2 * k + 4},{2 * k + 5}" for k in range(11)]), "r", "0.12"),
+])
+def test_compute_expr_at_capacity_peaks_far_below_the_product_state(text, measure, value):
+    # the product state alone would be 1 GiB (n=26) or 512 MiB (n=25); importing takes ~32 MB
+    proc = _run_module_code(_PEAK, "compute", "--expr", text, "--measure", measure)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"value {value}"
+    assert lines[2] == f"n {26 if measure == 'tau' else 25}"
+    assert lines[-1].startswith("VmHWM: ") and lines[-1].endswith(" kB")
+    assert int(lines[-1].split()[1]) < 60 << 10
+
+
+def _labels(first, last):
+    return ",".join(map(str, range(first, last + 1)))
+
+
+REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code, stderr
     "compute-unknown-name": ("compute --expr bell@1,2 --measure foo", 2,
                              "error: unknown measure 'foo' (line 1, column 1)\n"),
     "compute-residual-x": ("compute --expr bell@1,2 --measure residual:x", 2,
@@ -744,6 +840,12 @@ REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
                                      "error: qsv file of 27 qubits exceeds the capacity of 26 qubits\n"),
     "compute-size-refused": ("compute --expr bell@1,2 --measure r", 3,
                              "error: r_tangle is defined for odd n only, got n=2\n"),
+    "compute-product-past-capacity": (f"compute --expr 'ghz:14@{_labels(1, 14)} x ghz:13@{_labels(15, 27)}'",
+                                      3, "error: product of 27 qubits exceeds the capacity of 26 qubits\n"),
+    "compute-zero-factor": ("compute --expr 'file:{tmp}/zero.qsv@1,2 x ghz:3@3,4,5' --measure r", 3,
+                            "error: cannot normalize the zero vector\n"),
+    "compute-residual-past-n": ("compute --expr 'bell@1,2 x ghz:3@3,4,5' --measure residual:6", 3,
+                                "error: qubit label 6 out of range 1..5\n"),
     "verify-unknown-suite": ("verify --suite nope", 2,
                              "error: unknown suite 'nope'; available: bitops, closed-form,"
                              " covariance-even, covariance-odd, golden-examples, monotone,"
@@ -769,5 +871,6 @@ REFUSALS = {  # argv (a {tmp} directory), exit code, stderr
 @pytest.mark.parametrize("argv, code, err", REFUSALS.values(), ids=REFUSALS.keys())
 def test_every_refusal_keeps_its_exit_code_and_message(capsys, tmp_path, argv, code, err):
     (tmp_path / "huge.qsv").write_text("qsv 1\nn 27\n")
-    got = run_cli(capsys, *argv.format(tmp=tmp_path).split())
+    (tmp_path / "zero.qsv").write_text("qsv 1\nn 2\n" + "0 0\n" * 4)
+    got = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
     assert got == (code, "", err.format(tmp=tmp_path))
