@@ -1,5 +1,8 @@
 """Command-line front door: compute measures, run verification suites, bench.
 
+compute takes every measure through measures.product_measure, a --file state as
+a product of one factor.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error, 3 domain, parity or capacity error (running out of memory counts
 as a capacity error), 141 a reader that closed stdout early (no message). Only
@@ -19,7 +22,7 @@ import sys
 from . import measures
 from .bench import BATCH_BITS, _PARITY, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError, UsageError
-from .state import parse_product_expression, build_product, read_qsv
+from .state import ProductExpression, ProductFactor, parse_product_expression, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -84,18 +87,12 @@ def _cmd_compute(args) -> int:
         function, extra = kinds[name], ()
     else:
         raise ParseError(f"unknown measure {name!r}", line=1, column=1)
-    if args.expr is not None and function in measures.FACTORED:  # never builds the product
-        report = measures.product_measure(parse_product_expression(args.expr), function, *extra,
-                                          normalize=not args.no_normalize)
+    if args.file is not None:  # a file is the one factor of its product, on labels 1..n
+        psi, label = read_qsv(args.file), f"file:{args.file}"
+        expr = ProductExpression((ProductFactor(psi, tuple(range(1, psi.n + 1))),))
     else:
-        psi = read_qsv(args.file) if args.file is not None else build_product(
-            parse_product_expression(args.expr))
-        if function in measures.MEASURES:  # refuse a size before normalizing; tau takes n >= 2
-            measures._row(function, psi.n)
-        if not args.no_normalize:
-            psi = psi.normalized()
-        report = getattr(measures, function)(psi, *extra)
-    label = f"file:{args.file}" if args.file is not None else args.expr
+        expr, label = parse_product_expression(args.expr), args.expr
+    report = measures.product_measure(expr, function, *extra, normalize=not args.no_normalize)
 
     # one payload, in the text lines' order; JSON sorts its keys
     payload = {"value": report.value, "measure": report.kind, "n": report.n, "norm": report.norm}

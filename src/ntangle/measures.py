@@ -81,7 +81,6 @@ __all__ = [
     "product_measure",
     "DEFAULT_WONG_CAP",
     "MEASURES",
-    "FACTORED",
 ]
 
 # The dense quartic contraction holds several (2**n, 2**n) complex arrays: it
@@ -604,37 +603,38 @@ def three_tangle(psi: StateVector) -> MeasureReport:
                    psi.norm())
 
 
-# The public functions whose measure of a product expression product_measure takes factor by
-# factor; compute builds the product state for the others.
-FACTORED = ("tau", "tau_even", "tau_odd", "tau_residual", "r_tangle")
-
-
 def product_measure(expr: state.ProductExpression, function: str, *args,
                     normalize: bool = True) -> MeasureReport:
-    """function(build_product(expr), *args) for a FACTORED function, without the product state.
+    """function(build_product(expr), *args): compute's one route to every measure.
 
-    The paper's product rules take the measure from each factor's own state.
-    For n even, tau is the product of the factors' tau when every factor has
-    even size, and 0 otherwise. For n odd, the residual about qubit q is 0 when
-    q's factor has even size or one qubit, or when more than one factor has odd
-    size; otherwise it is that factor's residual about q's place in its labels,
-    times the other factors' tau squared. tau is the residual about qubit 1, and
-    R the residuals' mean in label order.
+    A qsv file is a product of one factor. concurrence, three_tangle and
+    wong_tangle take the product state of the normalized factors, which cannot
+    underflow to zero as the raw factors' product can. The others take the
+    paper's product rules on each factor's own state. For n even, tau is the
+    product of the factors' tau when every factor has even size, else 0. For n
+    odd, the residual about qubit q is 0 when q's factor has even size or one
+    qubit, or when more than one factor has odd size; otherwise it is that
+    factor's residual about q's place in its labels, times the other factors'
+    tau squared. tau is the residual about qubit 1, R their mean in label order.
 
     Each factor is normalized unless normalize is false (the rules are
-    homogeneous), and the norm is the product of the factors' norms. With more
-    than one factor, each factor's value is divided by its normalized state's
-    sum of squares to half the measure's degree, the value at norm 1 exactly,
-    so that the factors' roundings do not compound: a Bell pair's tau is 1,
-    not 1 + 2**-52. A single factor is the product state itself, and gives the
-    same bits as on it; other values may differ from the product state's by a
-    few ulp. Each refusal reads as on the product state, in the same order.
+    homogeneous); a factored norm is the product of the factors' norms. With
+    more than one factor, each factor's value is divided by its normalized
+    state's sum of squares to half the measure's degree, the value at norm 1
+    exactly, so that roundings do not compound: a Bell pair's tau is 1, not
+    1 + 2**-52. One factor in label order gives the bits of its state's
+    measure; other values may differ from the product state's by a few ulp.
+    Each refusal reads as on the product state, in the same order.
     """
     n = len(state._check_product(expr))
     kind = _tau_kind(n) if function == "tau" else function
-    if function != "tau":  # compute refuses the size before it normalizes; tau() after
+    if function != "tau":  # refuse the size before normalizing; tau() refuses after
         _row(kind, n)
     factors = [f.state.normalized() if normalize else f.state for f in expr.factors]
+    unfactored = {"concurrence": concurrence, "three_tangle": three_tangle, "wong_tangle": wong_tangle}
+    if kind in unfactored:  # no product rule: the measure of the product of the factors
+        return unfactored[kind](state.build_product(state.ProductExpression(tuple(
+            state.ProductFactor(psi, f.labels) for psi, f in zip(factors, expr.factors)))))
     if function == "tau":
         _row(kind, n, "tau")
     if kind == "tau_residual" and not 1 <= args[0] <= n:

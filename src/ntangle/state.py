@@ -393,8 +393,8 @@ class ProductExpression:
 def _check_product(expr: ProductExpression) -> list:
     """The factors' labels in listed order, once they partition 1..n within the capacity.
 
-    The one check of a product, whether its state is built or its measures are
-    taken factor by factor (measures.product_measure).
+    The one check of a product: build_product runs it, and so does compute's one
+    route, measures.product_measure, first, on a qsv file as on an expression.
     """
     if not expr.factors:
         raise DomainError("product expression has no factors")

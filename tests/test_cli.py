@@ -135,7 +135,7 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "build_product", exhausted)  # concurrence builds the product state
+    monkeypatch.setattr(state, "build_product", exhausted)  # concurrence builds the product state
     code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
@@ -782,9 +782,7 @@ def test_compute_expr_never_builds_the_product_for_a_factored_measure(capsys, mo
     def refuse(*args, **kwargs):
         raise AssertionError("built the product state")
 
-    for module in (cli, state):
-        monkeypatch.setattr(module, "build_product", refuse)
-    for name in ("tensor", "permute"):
+    for name in ("build_product", "tensor", "permute"):
         monkeypatch.setattr(state, name, refuse)
     for text, names in (("bell@3,1 x ghz:4@2,4,6,5", ("tau", "tau-even")),
                         ("ghz:3@5,1,3 x bell@2,4", ("tau", "tau-odd", "r", "residual:3"))):
@@ -794,6 +792,45 @@ def test_compute_expr_never_builds_the_product_for_a_factored_measure(capsys, mo
             assert (code, err) == (0, "") and out.startswith(f"value {value}\n"), (text, name)
     with pytest.raises(AssertionError, match="built the product state"):  # the patch holds
         main(["compute", "--expr", "bell@1,2", "--measure", "concurrence"])
+
+
+def test_compute_file_and_a_one_factor_expr_agree(capsys, tmp_path):
+    # a file is the one factor of its product on 1..n: every request prints the same bytes
+    # but for the state label, refusals among them (a size, a residual label past n)
+    rng = np.random.default_rng(2710)
+    path = tmp_path / "x.qsv"
+    for n in range(2, 6):
+        scale = 10.0 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.uniform())
+        write_qsv(state.StateVector(n, scale * state.random_state(n, int(rng.integers(2**31))).amps),
+                  path)
+        sources = (("--file", str(path), f"file:{path}"),
+                   ("--expr", f"file:{path}@{_labels(1, n)}", f"file:{path}@{_labels(1, n)}"))
+        names = ["tau", *(row.cli for row in measures.MEASURES.values() if row.cli != "residual:<i>"),
+                 "residual:1", f"residual:{n}", f"residual:{n + 1}"]
+        for name in names:
+            for options in ((), ("--no-normalize",), ("--format", "json"),
+                            ("--no-normalize", "--format", "json")):
+                runs = []
+                for flag, source, label in sources:
+                    code, out, err = run_cli(capsys, "compute", flag, source, "--measure", name, *options)
+                    runs.append((code, out.replace(label, "<state>"), err))
+                assert runs[0] == runs[1], (n, name, options)
+
+
+def test_compute_product_of_underflowing_factors_takes_the_normalized_factors(capsys, tmp_path):
+    # amplitudes of 1e-200 multiply to 1e-400, 0 in floats: the product of the raw factors is
+    # the zero vector, and the product of the normalized factors a normalized state
+    (tmp_path / "tiny.qsv").write_text("qsv 1\nn 2\n1e-200 0\n0 0\n0 0\n1e-200 0\n")
+    (tmp_path / "tiny1.qsv").write_text("qsv 1\nn 1\n1e-200 0\n1e-200 0\n")
+    pairs = f"file:{tmp_path}/tiny.qsv@1,2 x file:{tmp_path}/tiny.qsv@3,4"
+    code, out, err = run_cli(capsys, "compute", "--expr", pairs, "--measure", "wong")
+    assert (code, err) == (0, "") and abs(value_of(out) - 1.0) <= 1e-14, out
+    code, out, err = run_cli(capsys, "compute", "--expr", pairs, "--measure", "wong", "--no-normalize")
+    assert (code, err) == (0, "") and out.startswith("value 0\nmeasure wong_tangle\nn 4\nnorm 0\n")
+    singles = f"file:{tmp_path}/tiny1.qsv@1 x file:{tmp_path}/tiny1.qsv@2"
+    for raw in ((), ("--no-normalize",)):
+        code, out, err = run_cli(capsys, "compute", "--expr", singles, "--measure", "concurrence", *raw)
+        assert (code, err) == (0, "") and out.startswith("value 0\n"), raw
 
 
 # The child's own peak: VmHWM belongs to the memory of the program exec started, where
@@ -846,6 +883,14 @@ REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code,
                             "error: cannot normalize the zero vector\n"),
     "compute-residual-past-n": ("compute --expr 'bell@1,2 x ghz:3@3,4,5' --measure residual:6", 3,
                                 "error: qubit label 6 out of range 1..5\n"),
+    "compute-file-size-refused": ("compute --file {tmp}/bell2.qsv --measure r", 3,
+                                  "error: r_tangle is defined for odd n only, got n=2\n"),
+    "compute-file-zero": ("compute --file {tmp}/zero.qsv", 3, "error: cannot normalize the zero vector\n"),
+    "compute-file-residual-past-n": ("compute --file {tmp}/ghz5.qsv --measure residual:6", 3,
+                                     "error: qubit label 6 out of range 1..5\n"),
+    "compute-file-three-tangle-n5": ("compute --file {tmp}/ghz5.qsv --measure three-tangle", 3,
+                                     "error: three_tangle is defined for n=3 only, got n=5\n"),
+    "compute-file-wong-past-cap": ("compute --file {tmp}/ghz12.qsv --measure wong", 3, f"error: {_WONG_CAP}\n"),
     "verify-unknown-suite": ("verify --suite nope", 2,
                              "error: unknown suite 'nope'; available: bitops, closed-form,"
                              " covariance-even, covariance-odd, golden-examples, monotone,"
@@ -872,5 +917,7 @@ REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code,
 def test_every_refusal_keeps_its_exit_code_and_message(capsys, tmp_path, argv, code, err):
     (tmp_path / "huge.qsv").write_text("qsv 1\nn 27\n")
     (tmp_path / "zero.qsv").write_text("qsv 1\nn 2\n" + "0 0\n" * 4)
+    for kind, n in (("bell", 2), ("ghz", 5), ("ghz", 12)):
+        write_qsv(named_state(kind, n), tmp_path / f"{kind}{n}.qsv")
     got = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
     assert got == (code, "", err.format(tmp=tmp_path))

@@ -603,10 +603,14 @@ def _on_product_state(expr, function, *args, normalize=True):
 
 
 def _requests(n, rng):
-    """(function, args) of every FACTORED function at n; a residual about a seeded qubit."""
-    if n % 2 == 0:
-        return [("tau", ()), ("tau_even", ())]
-    return [("tau", ()), ("tau_odd", ()), ("r_tangle", ()), ("tau_residual", (int(rng.integers(1, n + 1)),))]
+    """(function, args) of every function compute takes at n; a residual about a seeded qubit."""
+    if n % 2:
+        requests = [("tau", ()), ("tau_odd", ()), ("r_tangle", ()), ("tau_residual", (int(rng.integers(1, n + 1)),))]
+    else:
+        requests = [("tau", ()), ("tau_even", ())]
+    fits = {"concurrence": n == 2, "three_tangle": n == 3,
+            "wong_tangle": n % 2 == 0 and n <= measures.DEFAULT_WONG_CAP}
+    return requests + [(kind, ()) for kind, ok in fits.items() if ok]
 
 
 def _seeded_product(rng, sizes):
