@@ -1,7 +1,8 @@
 """Command-line front door: compute measures, run verification suites, bench.
 
-compute takes every measure through measures.product_measure, a --file state as
-a product of one factor.
+compute takes every measure through measures.product_measure, the one evaluator:
+a --file state is the one factor of its product, on labels 1..n, and each measure
+is taken factor by factor, never on the 2**n product state.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parse error, 3 domain, parity or capacity error (running out of memory counts
@@ -22,7 +23,7 @@ import sys
 from . import measures
 from .bench import BATCH_BITS, _PARITY, records_to_csv, records_to_json, records_to_text, run_bench
 from .errors import DomainError, NTangleError, ParseError, UsageError
-from .state import ProductExpression, ProductFactor, parse_product_expression, read_qsv
+from .state import _one_factor, parse_product_expression, read_qsv
 from .suites import DEFAULT_SEED, SUITES, SuiteConfig, run_suite
 
 EXIT_OK = 0
@@ -87,9 +88,8 @@ def _cmd_compute(args) -> int:
         function, extra = kinds[name], ()
     else:
         raise ParseError(f"unknown measure {name!r}", line=1, column=1)
-    if args.file is not None:  # a file is the one factor of its product, on labels 1..n
-        psi, label = read_qsv(args.file), f"file:{args.file}"
-        expr = ProductExpression((ProductFactor(psi, tuple(range(1, psi.n + 1))),))
+    if args.file is not None:
+        expr, label = _one_factor(read_qsv(args.file)), f"file:{args.file}"
     else:
         expr, label = parse_product_expression(args.expr), args.expr
     report = measures.product_measure(expr, function, *extra, normalize=not args.no_normalize)

@@ -37,14 +37,14 @@ another order. The norm in a report is StateVector.norm(), computed once per
 state and then memoized.
 
 The staggered defining sums and a flat complementary-pair sum stay as
-independent oracles, as do the quartic Wong-Christensen tangle (even n,
-capped) and the Coffman-Kundu-Wootters three-qubit residual entanglement, the
-only formula sourced outside the quadratic-form family.
+independent oracles, as do the two formulas sourced outside the quadratic-form
+family: the quartic Wong-Christensen tangle (even n, capped), which is tau_even
+squared, and the Coffman-Kundu-Wootters three-tangle, which is tau_odd at n=3.
 
 Kernels (underscore-prefixed) take raw amplitude arrays: the oracles and the
 entry points above with any leading batch axes, _halves, _pair and _self_pair
-in the layout above. The public operations take a StateVector and return an
-InvariantValue or MeasureReport.
+in the layout above. The invariants take a StateVector and return an
+InvariantValue; each measure is product_measure of its state as one factor.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def _on_rows(kernel):
     return entry
 
 
-# _report refuses an overflow's inf or nan; errstate holds per thread, so each kernel holds it
+# product_measure refuses an overflow's inf or nan; errstate holds per thread, so each kernel holds it
 @np.errstate(over="ignore", invalid="ignore")
 def _odd_measure(cross: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """4|B^2 - L H| of a split's cross form B = P(lo, hi) and self forms L = P(lo, lo), H = P(hi, hi)."""
@@ -316,6 +316,7 @@ def _bit_sums(x: np.ndarray, bit: int) -> np.ndarray:
 
 
 @_on_rows
+@np.errstate(over="ignore", invalid="ignore")
 def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
     """Every residual of an odd-n state, stacked as (n, ...), in one pass over j < 2**(n-1).
 
@@ -356,6 +357,7 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
         shape = (size >> (at + 1), 2, 1 << at) + tail
         np.einsum("atk...,atk...->t...", x.reshape(shape), u.reshape(shape)[:, ::-1], out=out)
 
+    @np.errstate(over="ignore", invalid="ignore")  # run on a pool thread, which has its own errstate
     def run(chunks: range) -> None:
         z, w = np.empty((2, size) + tail, dtype=complex)
         sums = np.empty((top + 1, grid[0]) + tail, dtype=complex)
@@ -546,7 +548,6 @@ def high_half_invariant(psi: StateVector) -> InvariantValue:
 
 
 def _report(kind: str, value: float, n: int, norm: float, residuals=None) -> MeasureReport:
-    value = float(value)
     if not all(map(math.isfinite, (value, norm, *(residuals or ())))):
         raise DomainError(f"{kind} of these raw amplitudes overflows the float range (value "
                           f"{value:g}, norm {norm:g}); normalize the state first")
@@ -555,100 +556,89 @@ def _report(kind: str, value: float, n: int, norm: float, residuals=None) -> Mea
 
 def tau_even(psi: StateVector) -> MeasureReport:
     """Even-n measure 2|E|."""
-    return _report("tau_even", _row("tau_even", psi.n).kernel(psi.amps, psi.n), psi.n, psi.norm())
+    return product_measure(state._one_factor(psi), "tau_even", normalize=False)
 
 
 def tau_odd(psi: StateVector) -> MeasureReport:
     """Odd-n measure 4|B^2 - 4 L H|."""
-    return _report("tau_odd", _row("tau_odd", psi.n).kernel(psi.amps, psi.n), psi.n, psi.norm())
+    return product_measure(state._one_factor(psi), "tau_odd", normalize=False)
 
 
 def tau(psi: StateVector) -> MeasureReport:
     """Parity dispatch: the even measure for even n, the odd measure for odd n."""
-    kind = _tau_kind(psi.n)
-    return _report(kind, _row(kind, psi.n, "tau").kernel(psi.amps, psi.n), psi.n, psi.norm())
+    return product_measure(state._one_factor(psi), "tau", normalize=False)
 
 
 def tau_residual(psi: StateVector, i: int) -> MeasureReport:
     """Residual measure with respect to qubit i: the odd measure after swapping 1 and i."""
-    kernel = _row("tau_residual", psi.n).kernel
-    if not 1 <= i <= psi.n:
-        raise DomainError(f"qubit label {i} out of range 1..{psi.n}")
-    return _report("tau_residual", kernel(psi.amps, psi.n, i), psi.n, psi.norm())
+    return product_measure(state._one_factor(psi), "tau_residual", i, normalize=False)
 
 
 def r_tangle(psi: StateVector) -> MeasureReport:
     """Arithmetic mean of the per-qubit residual measures (odd n), with the residuals."""
-    _row("r_tangle", psi.n)
-    residuals = tuple(map(float, _residuals(psi.amps, psi.n)))
-    return _report("r_tangle", sum(residuals) / psi.n, psi.n, psi.norm(), residuals)
+    return product_measure(state._one_factor(psi), "r_tangle", normalize=False)
 
 
 def concurrence(psi: StateVector) -> MeasureReport:
     """Two-qubit concurrence 2|a0 a3 - a1 a2|: the even measure's kernel at n=2."""
-    return _report("concurrence", _row("concurrence", psi.n).kernel(psi.amps, psi.n), psi.n,
-                   psi.norm())
+    return product_measure(state._one_factor(psi), "concurrence", normalize=False)
 
 
 def wong_tangle(psi: StateVector) -> MeasureReport:
-    """Quartic even-n tangle of Wong and Christensen (expensive cross-reference), n <= DEFAULT_WONG_CAP."""
-    kernel = _row("wong_tangle", psi.n).kernel
-    _check_wong_cap(psi.n)
-    return _report("wong_tangle", kernel(psi.amps, psi.n), psi.n, psi.norm())
+    """Quartic tangle of Wong and Christensen, tau_even**2 by a dense contraction, n <= DEFAULT_WONG_CAP."""
+    return product_measure(state._one_factor(psi), "wong_tangle", normalize=False)
 
 
 def three_tangle(psi: StateVector) -> MeasureReport:
     """Independent three-qubit residual-entanglement oracle (external construction)."""
-    return _report("three_tangle", _row("three_tangle", psi.n).kernel(psi.amps, psi.n), psi.n,
-                   psi.norm())
+    return product_measure(state._one_factor(psi), "three_tangle", normalize=False)
 
 
 def product_measure(expr: state.ProductExpression, function: str, *args,
                     normalize: bool = True) -> MeasureReport:
-    """function(build_product(expr), *args): compute's one route to every measure.
+    """function of the product state of expr by the paper's product rules, factor by factor.
 
-    A qsv file is a product of one factor. concurrence, three_tangle and
-    wong_tangle take the product state of the normalized factors, which cannot
-    underflow to zero as the raw factors' product can. The others take the
-    paper's product rules on each factor's own state. For n even, tau is the
-    product of the factors' tau when every factor has even size, else 0. For n
-    odd, the residual about qubit q is 0 when q's factor has even size or one
-    qubit, or when more than one factor has odd size; otherwise it is that
+    The one evaluator of every measure, which never builds the product state: a
+    public function's state and a qsv file are products of one factor on 1..n.
+    For n even (tau_even, concurrence, wong_tangle = tau_even**2) the value is
+    the product of the factors' values when every factor has even size, else 0.
+    For n odd the residual about qubit q is 0 when q's factor has even size or
+    one qubit, or when more than one factor has odd size; otherwise it is that
     factor's residual about q's place in its labels, times the other factors'
-    tau squared. tau is the residual about qubit 1, R their mean in label order.
+    tau_even squared. tau_odd is the residual about qubit 1, R their mean in
+    label order, three_tangle (n=3, where every residual is equal) the factor's.
 
     Each factor is normalized unless normalize is false (the rules are
-    homogeneous); a factored norm is the product of the factors' norms. With
-    more than one factor, each factor's value is divided by its normalized
-    state's sum of squares to half the measure's degree, the value at norm 1
-    exactly, so that roundings do not compound: a Bell pair's tau is 1, not
-    1 + 2**-52. One factor in label order gives the bits of its state's
-    measure; other values may differ from the product state's by a few ulp.
-    Each refusal reads as on the product state, in the same order.
+    homogeneous); the norm is the product of the factors' norms. With more than
+    one factor, each factor's value is divided by its normalized state's sum of
+    squares to half the measure's degree, the value at norm 1 exactly, so that
+    roundings do not compound: a Bell pair's tau is 1, not 1 + 2**-52. One
+    factor in label order gives the bits of its kernel; other values may differ
+    from the product state's by a few ulp. The capacity and the quartic cap
+    hold on the product's n. A size the measure does not take is refused before
+    any factor is normalized (tau's n >= 2 after), the cap and a label after.
     """
     n = len(state._check_product(expr))
     kind = _tau_kind(n) if function == "tau" else function
-    if function != "tau":  # refuse the size before normalizing; tau() refuses after
+    if function != "tau":  # refuse the size before normalizing; tau refuses after
         _row(kind, n)
     factors = [f.state.normalized() if normalize else f.state for f in expr.factors]
-    unfactored = {"concurrence": concurrence, "three_tangle": three_tangle, "wong_tangle": wong_tangle}
-    if kind in unfactored:  # no product rule: the measure of the product of the factors
-        return unfactored[kind](state.build_product(state.ProductExpression(tuple(
-            state.ProductFactor(psi, f.labels) for psi, f in zip(factors, expr.factors)))))
-    if function == "tau":
-        _row(kind, n, "tau")
+    row = _row(kind, n, function)
+    if kind == "wong_tangle":
+        _check_wong_cap(n)
     if kind == "tau_residual" and not 1 <= args[0] <= n:
         raise DomainError(f"qubit label {args[0]} out of range 1..{n}")
     norm = math.prod(psi.norm() for psi in factors)
     exact = normalize and len(factors) > 1
     squares = [state._sum_of_squares(psi.amps.view(np.float64)) if exact else 1.0 for psi in factors]
 
-    def tau_of(k: int) -> float:  # factor k's tau, at an even size
-        return float(_tau_even(factors[k].amps, factors[k].n)) / squares[k]
+    def unit(k: int, raw, degree: int) -> float:  # factor k's raw value over squares[k] ** (degree // 2)
+        return float(raw) / (squares[k] if degree == 2 else squares[k] * squares[k])
 
-    if kind == "tau_even":
+    if n % 2 == 0:
         even = all(psi.n % 2 == 0 for psi in factors)
-        return _report(kind, math.prod(map(tau_of, range(len(factors)))) if even else 0.0, n, norm)
+        values = (unit(k, row.kernel(psi.amps, psi.n), row.degree) for k, psi in enumerate(factors))
+        return _report(kind, math.prod(values) if even else 0.0, n, norm)
     qubits = range(1, n + 1) if kind == "r_tangle" else (args[0] if args else 1,)
     odd = [k for k, psi in enumerate(factors) if psi.n % 2]
     k = odd[0]
@@ -657,14 +647,17 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
         residuals = [0.0] * len(qubits)
     else:
         # t * t: a raw t**2 past the float range would raise, where a product gives inf
-        other = math.prod(t * t for t in map(tau_of, (j for j in range(len(factors)) if j != k)))
+        other = math.prod(t * t for t in (unit(j, _tau_even(psi.amps, psi.n), 2)
+                                          for j, psi in enumerate(factors) if j != k))
         if kind == "r_tangle":  # every split of the focus in one pass
             every = _residuals(focus.amps, focus.n)
             residual = lambda i: every[i - 1]
+        elif kind == "three_tangle":  # n=3: the residual about every qubit
+            residual = lambda i: row.kernel(focus.amps, focus.n)
         else:
             residual = lambda i: _residual(focus.amps, focus.n, i)
-        residuals = [float(residual(own.index(q) + 1)) / (squares[k] * squares[k]) * other
-                     if q in own else 0.0 for q in qubits]
+        residuals = [unit(k, residual(own.index(q) + 1), row.degree) * other if q in own else 0.0
+                     for q in qubits]
     if kind == "r_tangle":
         return _report(kind, sum(residuals) / n, n, norm, tuple(residuals))
     return _report(kind, residuals[0], n, norm)

@@ -390,11 +390,16 @@ class ProductExpression:
         return sum(f.state.n for f in self.factors)
 
 
+def _one_factor(psi: StateVector) -> ProductExpression:
+    """psi as the one factor of its product, on labels 1..n."""
+    return ProductExpression((ProductFactor(psi, tuple(range(1, psi.n + 1))),))
+
+
 def _check_product(expr: ProductExpression) -> list:
     """The factors' labels in listed order, once they partition 1..n within the capacity.
 
-    The one check of a product: build_product runs it, and so does compute's one
-    route, measures.product_measure, first, on a qsv file as on an expression.
+    The one check of a product: build_product runs it, and so does the one
+    evaluator of every measure, measures.product_measure, first.
     """
     if not expr.factors:
         raise DomainError("product expression has no factors")

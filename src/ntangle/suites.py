@@ -407,8 +407,8 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         worst = np.abs(np.choose(foci, moved_res) - np.choose(foci, res)).max()
         checks.append(_check(f"residual-fixing-focus-n{n}", worst, tol, 50))
 
-    # quartic cross-reference is permutation invariant; the quadratic measure
-    # value is recorded alongside for exploration but nothing relates the two
+    # quartic cross-reference is permutation invariant; the quadratic measure is
+    # recorded alongside, and the quartic value is its square (tests/test_measures.py)
     if n_max >= 4:
         rng = _rng(cfg.seed, 10)
         amps = random_state_batch(4, 50, rng)

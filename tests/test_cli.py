@@ -135,7 +135,7 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(state, "build_product", exhausted)  # concurrence builds the product state
+    monkeypatch.setattr(state.StateVector, "normalized", exhausted)  # the copy of each factor
     code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
@@ -675,15 +675,23 @@ def test_compute_resolves_the_measure_before_it_reads_or_normalizes(capsys, monk
         assert (code, out, err) == (2, "", f"error: {error} (line 1, column 1)\n")
 
 
-@pytest.mark.parametrize("n, measure", [(3, "r"), (3, "tau"), (3, "residual:2"),
-                                        (3, "three-tangle"), (4, "wong")])
+# a GHZ state at 1e100, or a seeded dense state at 1e200, whose products overflow inside R's chunks
+_OVERFLOWS = [(3, "r", False), (3, "tau", False), (3, "residual:2", False), (3, "three-tangle", False),
+              (4, "wong", False), (5, "r", True)]
+
+
+@pytest.mark.parametrize("n, measure, dense", _OVERFLOWS,
+                         ids=[f"{n}-{measure}" + "-dense" * dense for n, measure, dense in _OVERFLOWS])
 @pytest.mark.parametrize("source", ["file", "expr"])
-def test_compute_raw_overflow_prints_only_the_error_line(tmp_path, n, measure, source):
-    path = tmp_path / "ghz.qsv"
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = amps[-1] = 1e100
+def test_compute_raw_overflow_prints_only_the_error_line(tmp_path, n, measure, dense, source):
+    path = tmp_path / "state.qsv"
+    if dense:
+        amps = 1e200 * state.random_state(n, 2811).amps
+    else:
+        amps = np.zeros(1 << n, dtype=complex)
+        amps[0] = amps[-1] = 1e100
     write_qsv(state.StateVector(n, amps), path)
-    if source == "expr":  # the same factor beside a Bell pair: factor by factor, or built
+    if source == "expr":  # the same factor beside a Bell pair, taken factor by factor
         n, measure = n + 2, {"three-tangle": "tau-odd"}.get(measure, measure)
         argv = ("--expr", f"file:{path}@{','.join(map(str, range(1, n - 1)))} x bell@{n - 1},{n}")
     else:
@@ -784,14 +792,17 @@ def test_compute_expr_never_builds_the_product_for_a_factored_measure(capsys, mo
 
     for name in ("build_product", "tensor", "permute"):
         monkeypatch.setattr(state, name, refuse)
-    for text, names in (("bell@3,1 x ghz:4@2,4,6,5", ("tau", "tau-even")),
-                        ("ghz:3@5,1,3 x bell@2,4", ("tau", "tau-odd", "r", "residual:3"))):
-        for name in names:
+    # every --measure name, on relabeled products and on products of one-qubit factors
+    for text, values in (("bell@3,1 x ghz:4@2,4,6,5", {"tau": "1", "tau-even": "1", "wong": "1"}),
+                         ("ghz:3@5,1,3 x bell@2,4", {"tau": "1", "tau-odd": "1", "r": "0.6", "residual:3": "1"}),
+                         ("bell@2,1", {"concurrence": "1"}), ("ghz:3@3,1,2", {"three-tangle": "1"}),
+                         ("ghz:3@2,6,4 x w:3@1,5,3 x basis:1:1@7", {"tau": "0", "r": "0"}),
+                         ("basis:1:0@2 x basis:1:1@1", {"concurrence": "0", "wong": "0"})):
+        for name, value in values.items():
             code, out, err = run_cli(capsys, "compute", "--expr", text, "--measure", name)
-            value = "0.6" if name == "r" else "1"
             assert (code, err) == (0, "") and out.startswith(f"value {value}\n"), (text, name)
     with pytest.raises(AssertionError, match="built the product state"):  # the patch holds
-        main(["compute", "--expr", "bell@1,2", "--measure", "concurrence"])
+        state.build_product(state.parse_product_expression("bell@1,2"))
 
 
 def test_compute_file_and_a_one_factor_expr_agree(capsys, tmp_path):

@@ -507,10 +507,12 @@ def test_report_norm_is_computed_once_per_state(monkeypatch):
 def test_wong_tangle_examples():
     assert wong_tangle(named_state("basis", 2, extra=0)).value < 1e-15
     assert abs(wong_tangle(ghz(4)).value - 1.0) < 1e-9
-    # at n=2 the quartic contraction is the squared concurrence
-    for s in range(10):
-        psi = rand(2, 7000 + s)
-        assert abs(wong_tangle(psi).value - concurrence(psi).value ** 2) < 1e-12
+    # the quartic contraction is the squared even measure at every even n up to the cap
+    # (the squared concurrence at n=2)
+    for n in range(2, measures.DEFAULT_WONG_CAP + 1, 2):
+        for s in range(10 if n < 8 else 2):
+            psi = rand(n, 7000 + 100 * (n - 2) + s)
+            assert abs(wong_tangle(psi).value - tau_even(psi).value ** 2) < 1e-12, (n, s)
 
 
 def test_wong_tangle_permutation_invariance():
@@ -588,6 +590,42 @@ def test_public_functions_take_no_capacity_or_label():
         if inspect.isfunction(obj):
             params = inspect.signature(obj).parameters
             assert not {"max_qubits", "state"} & params.keys(), (name, list(params))
+
+
+# the sizes each public function takes, as its refusals name them (tau takes every n >= 2)
+_PUBLIC_SIZES = {"tau_even": "even n", "tau_odd": "odd n", "tau": "", "tau_residual": "odd n",
+                 "r_tangle": "odd n", "concurrence": "n=2", "three_tangle": "n=3", "wong_tangle": "even n"}
+_RESIDUAL_LABELS = {"0": lambda n: 0, "1": lambda n: 1, "n": lambda n: n, "n+1": lambda n: n + 1}
+
+
+@pytest.mark.parametrize("function, label", [(f, None) for f in _PUBLIC_SIZES if f != "tau_residual"]
+                         + [("tau_residual", label) for label in _RESIDUAL_LABELS])
+@pytest.mark.parametrize("n, zero", [(1, False), (2, False), (3, False), (4, False), (12, False),
+                                     (2, True), (3, True)])
+def test_public_functions_keep_each_refusal_and_value(function, label, n, zero):
+    # a basis state or the zero vector: each refusal keeps its type and message, and each
+    # measure that takes the state reports value 0 with the state's norm, exactly
+    psi = StateVector(n, np.zeros(1 << n)) if zero else named_state("basis", n, extra=0)
+    args = (_RESIDUAL_LABELS[label](n),) if label else ()
+    sizes = _PUBLIC_SIZES[function]
+    if n < 2 and not sizes.startswith("n="):
+        error = f"{function} needs at least 2 qubits, got n={n}"
+    elif sizes and sizes not in (f"n={n}", "odd n" if n % 2 else "even n"):
+        error = f"{function} is defined for {sizes} only, got n={n}"
+    elif function == "wong_tangle" and n > 10:
+        error = ("wong_tangle at n=12 exceeds the cap of 10: the dense contraction holds several "
+                 "(2**n, 2**n) complex arrays of 256 MiB each")
+    elif args and not 1 <= args[0] <= n:
+        error = f"qubit label {args[0]} out of range 1..{n}"
+    else:
+        kind = ("tau_odd" if n % 2 else "tau_even") if function == "tau" else function
+        residuals = (0.0,) * n if function == "r_tangle" else None
+        want = measures.MeasureReport(kind, 0.0, n, 0.0 if zero else 1.0, residuals)
+        assert getattr(measures, function)(psi, *args) == want
+        return
+    with pytest.raises(DomainError) as info:
+        getattr(measures, function)(psi, *args)
+    assert (type(info.value), str(info.value)) == (DomainError, error)
 
 
 # --- a product expression, factor by factor ----------------------------------
