@@ -155,5 +155,19 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def run() -> None:
+    """main() as a process, the `ntangle` script's and `python -m ntangle`'s entry.
+
+    Once main returns, stdout and stderr are flushed and the process leaves with
+    os._exit(code), which skips the interpreter's teardown: nothing is left to
+    release, and freeing every object took ~11 ms of each process. An uncaught
+    exception, argparse's SystemExit among them, still propagates as before.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -33,8 +33,8 @@ ranges run in turn. Each partial sum is the same reduction over q at any cut,
 R adds its chunks' partial sums in chunk order, and no chunk depends on the
 CPU count, so every value is bit-identical at any CPU count. A batched row
 may differ from the same state alone in the last bits: the sums run in
-another order. The norm in a report is StateVector.norm(), computed once per
-state and then memoized.
+another order. The norm in a raw report is StateVector.norm(), computed once
+per state and then memoized; a normalized report's is 1.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the two formulas sourced outside the quadratic-form
@@ -58,7 +58,7 @@ import numpy as np
 
 from . import state
 from .bitops import parity_signs, sgn_star_table, sgn_table
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 from .state import StateVector
 
 __all__ = [
@@ -594,6 +594,36 @@ def three_tangle(psi: StateVector) -> MeasureReport:
     return product_measure(state._one_factor(psi), "three_tangle", normalize=False)
 
 
+# Past this many qubits in all, product_measure refuses a product: its work and output (R's
+# residuals, a label error's labels) grow with n, while the capacity bounds each factor alone.
+_PRODUCT_CAP = 1 << 10
+
+# A factor whose sum of squares s lies in [2**-256, 2**256] is taken as it is. The terms of
+# a kernel of degree d <= 4 are products of d amplitudes, each at most s ** (d / 2) <= 2**512,
+# summed at most 2**40 at a time (wong's dense contraction at its cap), so none overflows,
+# and a normalized value of at least 2**-510 stays a normal float. Any other factor is
+# first scaled as _norm scales it.
+_RAW_SQUARES = 2.0 ** 256
+
+
+def _homogeneous(psi: StateVector) -> tuple[np.ndarray, float]:
+    """psi's amplitudes and their sum of squares s: a measure of degree d of the normalized
+    state is its kernel on them over s ** (d // 2). Where s lies outside [1 / _RAW_SQUARES,
+    _RAW_SQUARES], they are a copy scaled by the power of two that brings the largest float
+    into [1/2, 1); an ordinary state is never copied.
+    """
+    flat = psi.amps.view(np.float64)
+    squares = state._sum_of_squares(flat)
+    if not 1 / _RAW_SQUARES <= squares <= _RAW_SQUARES:
+        e = state._peak_exponent(flat)
+        if e:  # 0 for the zero vector, which stays as it is
+            flat = np.ldexp(flat, -e)
+            squares = state._sum_of_squares(flat)
+    if squares == 0.0:
+        raise DomainError("cannot normalize the zero vector")
+    return flat.view(np.complex128), squares
+
+
 def product_measure(expr: state.ProductExpression, function: str, *args,
                     normalize: bool = True) -> MeasureReport:
     """function of the product state of expr by the paper's product rules, factor by factor.
@@ -608,54 +638,58 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
     tau_even squared. tau_odd is the residual about qubit 1, R their mean in
     label order, three_tangle (n=3, where every residual is equal) the factor's.
 
-    Each factor is normalized unless normalize is false (the rules are
-    homogeneous); the norm is the product of the factors' norms. With more than
-    one factor, each factor's value is divided by its normalized state's sum of
-    squares to half the measure's degree, the value at norm 1 exactly, so that
-    roundings do not compound: a Bell pair's tau is 1, not 1 + 2**-52. One
-    factor in label order gives the bits of its kernel; other values may differ
-    from the product state's by a few ulp. The capacity and the quartic cap
-    hold on the product's n. A size the measure does not take is refused before
-    any factor is normalized (tau's n >= 2 after), the cap and a label after.
+    The measures are homogeneous, so a normalized factor's value is its raw
+    kernel over its sum of squares to half the measure's degree (_homogeneous),
+    and no normalized copy is made; a normalized report's norm is 1. Raw, each
+    factor's value is its kernel's, and the norm is the product of the factors'
+    norms. One factor in label order gives the bits of its kernel raw; other
+    values may differ from the product state's by a few ulp. Each factor keeps
+    the capacity, and the product is refused past _PRODUCT_CAP qubits. A size
+    the measure does not take is refused before the zero vector (tau's n >= 2
+    after), the quartic cap on the product's n and a label after.
     """
     n = len(state._check_product(expr))
+    for f in expr.factors:
+        state._check_capacity(f"factor of {f.state.n} qubits", f.state.n)
+    if n > _PRODUCT_CAP:
+        raise CapacityError(f"product of {n} qubits exceeds the cap of {_PRODUCT_CAP} qubits"
+                            f" of a product measure")
     kind = _tau_kind(n) if function == "tau" else function
-    if function != "tau":  # refuse the size before normalizing; tau refuses after
+    if function != "tau":  # refuse the size before the zero vector; tau refuses after
         _row(kind, n)
-    factors = [f.state.normalized() if normalize else f.state for f in expr.factors]
+    factors = [f.state for f in expr.factors]
+    amps, squares = zip(*(_homogeneous(psi) if normalize else (psi.amps, 1.0) for psi in factors))
     row = _row(kind, n, function)
     if kind == "wong_tangle":
         _check_wong_cap(n)
     if kind == "tau_residual" and not 1 <= args[0] <= n:
         raise DomainError(f"qubit label {args[0]} out of range 1..{n}")
-    norm = math.prod(psi.norm() for psi in factors)
-    exact = normalize and len(factors) > 1
-    squares = [state._sum_of_squares(psi.amps.view(np.float64)) if exact else 1.0 for psi in factors]
+    norm = 1.0 if normalize else math.prod(psi.norm() for psi in factors)
 
     def unit(k: int, raw, degree: int) -> float:  # factor k's raw value over squares[k] ** (degree // 2)
         return float(raw) / (squares[k] if degree == 2 else squares[k] * squares[k])
 
     if n % 2 == 0:
         even = all(psi.n % 2 == 0 for psi in factors)
-        values = (unit(k, row.kernel(psi.amps, psi.n), row.degree) for k, psi in enumerate(factors))
+        values = (unit(k, row.kernel(amps[k], psi.n), row.degree) for k, psi in enumerate(factors))
         return _report(kind, math.prod(values) if even else 0.0, n, norm)
     qubits = range(1, n + 1) if kind == "r_tangle" else (args[0] if args else 1,)
     odd = [k for k, psi in enumerate(factors) if psi.n % 2]
     k = odd[0]
-    focus, own = factors[k], expr.factors[k].labels
-    if len(odd) > 1 or focus.n == 1:
+    focus, size, own = amps[k], factors[k].n, expr.factors[k].labels
+    if len(odd) > 1 or size == 1:
         residuals = [0.0] * len(qubits)
     else:
         # t * t: a raw t**2 past the float range would raise, where a product gives inf
-        other = math.prod(t * t for t in (unit(j, _tau_even(psi.amps, psi.n), 2)
+        other = math.prod(t * t for t in (unit(j, _tau_even(amps[j], psi.n), 2)
                                           for j, psi in enumerate(factors) if j != k))
         if kind == "r_tangle":  # every split of the focus in one pass
-            every = _residuals(focus.amps, focus.n)
+            every = _residuals(focus, size)
             residual = lambda i: every[i - 1]
         elif kind == "three_tangle":  # n=3: the residual about every qubit
-            residual = lambda i: row.kernel(focus.amps, focus.n)
+            residual = lambda i: row.kernel(focus, size)
         else:
-            residual = lambda i: _residual(focus.amps, focus.n, i)
+            residual = lambda i: _residual(focus, size, i)
         residuals = [unit(k, residual(own.index(q) + 1), row.degree) * other if q in own else 0.0
                      for q in qubits]
     if kind == "r_tangle":

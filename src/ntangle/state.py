@@ -396,10 +396,11 @@ def _one_factor(psi: StateVector) -> ProductExpression:
 
 
 def _check_product(expr: ProductExpression) -> list:
-    """The factors' labels in listed order, once they partition 1..n within the capacity.
+    """The factors' labels in listed order, once they partition 1..n.
 
-    The one check of a product: build_product runs it, and so does the one
-    evaluator of every measure, measures.product_measure, first.
+    The one check of a product's labels: build_product runs it, then holds n to
+    the capacity; the one evaluator of every measure, measures.product_measure,
+    runs it first, then holds each factor to the capacity and n to its own cap.
     """
     if not expr.factors:
         raise DomainError("product expression has no factors")
@@ -413,7 +414,6 @@ def _check_product(expr: ProductExpression) -> list:
     n = len(labels)
     if sorted(labels) != list(range(1, n + 1)):
         raise DomainError(f"factor labels {labels} do not partition 1..{n}")
-    _check_capacity(f"product of {n} qubits", n)
     return labels
 
 
@@ -421,6 +421,7 @@ def build_product(expr: ProductExpression) -> StateVector:
     """Tensor the factors in listed order, then move them onto their labels."""
     labels = _check_product(expr)
     n = len(labels)
+    _check_capacity(f"product of {n} qubits", n)
     psi = expr.factors[0].state
     for f in expr.factors[1:]:
         psi = tensor(psi, f.state)
@@ -949,12 +950,16 @@ def read_qsv(source) -> StateVector:
     Every source is read as bytes: a path is opened in binary mode, and the
     strings of a text file object are encoded back to the bytes they were
     decoded from. The bytes get text mode's newlines: ``\\r\\n`` and a lone
-    ``\\r`` become ``\\n``.
+    ``\\r`` become ``\\n``. A path's amplitude block is parsed straight from a
+    read-only map of the file, and no copy of the block is held; the map is
+    closed before this returns. A file object, a block that holds a ``\\r``, an
+    empty block and a file that cannot be mapped are read into memory. A file
+    truncated while it is mapped ends the process with SIGBUS.
     """
-    # a path is read unbuffered: a buffered read() of the block would join the bytes
-    # the header's readline() calls buffered to the rest, a second copy of the block
-    with (contextlib.nullcontext(source) if hasattr(source, "read")
-          else open(source, "rb", buffering=0)) as fh:
+    path = not hasattr(source, "read")
+    # a path is read unbuffered: the header's readline() calls leave it at the block, so a
+    # map starts there, and a buffered read() would join the block to the bytes they buffered
+    with (open(source, "rb", buffering=0) if path else contextlib.nullcontext(source)) as fh:
         # refuse an over-capacity header before the amplitude block is even read: the
         # head holds both header lines, and does not end in a '\r' that a '\n' may follow
         head = b""
@@ -973,17 +978,39 @@ def read_qsv(source) -> StateVector:
                 head += line
                 blank = not line.decode("ascii", "surrogateescape").strip()
             return _scan_qsv(_newlines(head).decode("ascii", "surrogateescape"))
-        block = _as_bytes(fh.read())
-    if lines[2]:  # the head's reads passed a lone '\r'
-        block = lines[2] + block
-    block = _newlines(block)
-    flat = _parse_amplitude_block(block, n)
+        mapped = _map_block(fh) if path and not lines[2] else None  # lines[2]: the head passed a '\r'
+        if mapped is None:
+            block = _newlines(lines[2] + _as_bytes(fh.read()))
+            flat = _parse_amplitude_block(block, n)
+        else:
+            with mapped:
+                flat = _parse_amplitude_block(mapped, n, fh.tell())
+                if flat is None:  # the scanner takes the refused block
+                    block = mapped[fh.tell():]
     if flat is not None:
         return StateVector(n, _readonly(flat).view(np.complex128))
     block = block.decode("ascii", "surrogateescape")
     text = f"{header}\n{count}\n{block}"
     del block  # hold one copy of the text while the scanner splits it into lines
     return _scan_qsv(text)
+
+
+def _map_block(fh) -> mmap.mmap | None:
+    """A read-only map of the file fh, whose amplitude block starts at fh's position.
+
+    None where the block is empty or holds a '\\r', which text mode would
+    change, or where the file cannot be mapped (a pipe or a device).
+    """
+    try:
+        if os.fstat(fh.fileno()).st_size <= fh.tell():
+            return None
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except (OSError, ValueError):
+        return None
+    if mapped.find(b"\r", fh.tell()) < 0:
+        return mapped
+    mapped.close()
+    return None
 
 
 def _as_bytes(data) -> bytes:
@@ -1000,8 +1027,10 @@ _COUNT_RE = re.compile(r"^n\s+(\d+)\s*$")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 
 
-def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
-    """The 2 * 2**n doubles of a well-formed amplitude block, else None.
+def _parse_amplitude_block(data, n: int, start: int = 0) -> np.ndarray | None:
+    """The 2 * 2**n doubles of the well-formed amplitude block data[start:], else None.
+
+    data is bytes or a map of a file, whose block is parsed in place.
 
     Accepts a subset of what ``_scan_qsv`` accepts: tokens of ASCII digits,
     '.', 'e', 'E', '+' and '-', exactly two per line, separated by spaces,
@@ -1020,24 +1049,27 @@ def _parse_amplitude_block(data: bytes, n: int) -> np.ndarray | None:
     begins, returns None as well.
     """
     end = len(data)
-    while end and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
+    while end > start and data[end - 1] in b" \t\n":  # trailing blank lines are allowed
         end -= 1
     dim = 1 << n
     ways = _ways(dim)
     # (first byte, end byte, first line, end line) of each range: whole lines,
     # each ending before the newline that starts the next
     ranges = []
-    lo = line = 0
+    lo, line = start, 0
     octets = np.frombuffer(data, dtype=np.uint8)
-    for k in range(1, ways):
-        cut = data.find(b"\n", max(end * k // ways, lo), end)
-        if cut < 0:
-            break
-        # numpy counts a chunk in half the time of bytes.count
-        lines = 1 + sum(int(np.count_nonzero(octets[i:min(i + _QSV_CHUNK_BYTES, cut)] == 10))
-                        for i in range(lo, cut, _QSV_CHUNK_BYTES))
-        ranges.append((lo, cut, line, line + lines))
-        lo, line = cut + 1, line + lines
+    try:
+        for k in range(1, ways):
+            cut = data.find(b"\n", max(start + (end - start) * k // ways, lo), end)
+            if cut < 0:
+                break
+            # numpy counts a chunk in half the time of bytes.count
+            lines = 1 + sum(int(np.count_nonzero(octets[i:min(i + _QSV_CHUNK_BYTES, cut)] == 10))
+                            for i in range(lo, cut, _QSV_CHUNK_BYTES))
+            ranges.append((lo, cut, line, line + lines))
+            lo, line = cut + 1, line + lines
+    finally:
+        del octets  # a map cannot be closed while a view of it lives
     if line > dim:  # more lines than the state holds before the last range
         return None
     ranges.append((lo, end, line, dim))

@@ -135,7 +135,7 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(state.StateVector, "normalized", exhausted)  # the copy of each factor
+    monkeypatch.setattr(measures, "_homogeneous", exhausted)  # where a factor may be copied, scaled
     code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
@@ -659,13 +659,50 @@ def test_compute_bell_at_the_edges_of_the_float_range(capsys, tmp_path, scale, r
         assert "tau_even of these raw amplitudes overflows the float range" in err
 
 
+@pytest.mark.parametrize("scale", ["1e100", "1e-100", "1e200", "1e-200", "1e308"])
+def test_compute_quartic_measures_at_the_edges_of_the_float_range(capsys, tmp_path, scale):
+    # a GHZ state whose squares' squares leave the float range: each factor is scaled by a
+    # power of two before the kernel, so the degree-4 measures print 1 as well
+    path = tmp_path / "ghz.qsv"
+    path.write_text(f"qsv 1\nn 3\n{scale} 0\n" + "0 0\n" * 6 + f"{scale} 0\n")
+    for source in (("--file", str(path)), ("--expr", f"file:{path}@3,1,2 x bell@4,5")):
+        for measure in ("tau", "r", "residual:2", "three-tangle"):
+            if source[0] == "--expr" and measure == "three-tangle":
+                continue
+            code, out, err = run_cli(capsys, "compute", *source, "--measure", measure)
+            assert (code, err) == (0, ""), (source, measure)
+            value = 0.6 if source[0] == "--expr" and measure == "r" else 1
+            assert out.startswith(f"value {value}\n") and "norm 1\n" in out, (source, measure, out)
+
+
+def test_compute_normalized_reports_norm_1_exactly(capsys, tmp_path):
+    # the value is taken by homogeneity, and the report's norm is that of the normalized state
+    rng = np.random.default_rng(2911)
+    for n in (2, 3, 6, 7):
+        path = tmp_path / f"r{n}.qsv"
+        write_qsv(state.StateVector(n, 10.0 ** rng.uniform(-3, 3) * state.random_state(n, n).amps), path)
+        for source in (("--file", str(path)), ("--expr", f"file:{path}@{_labels(1, n)} x w:3@{_labels(n + 1, n + 3)}")):
+            for raw in ((), ("--no-normalize",)):
+                code, out, err = run_cli(capsys, "compute", *source, *raw, "--format", "json")
+                assert (code, err) == (0, "")
+                norm = json.loads(out)["norm"]
+                assert (norm == 1.0) != bool(raw), (n, source, raw, norm)
+
+
+def test_compute_expr_of_500_bell_pairs_passes_the_capacity(capsys):
+    text = " x ".join(f"bell@{k + 1},{k}" for k in range(1, 1001, 2))
+    code, out, err = run_cli(capsys, "compute", "--expr", text)
+    assert (code, err) == (0, "")
+    assert out.startswith("value 1\nmeasure tau_even\nn 1000\nnorm 1\n")
+
+
 def test_compute_resolves_the_measure_before_it_reads_or_normalizes(capsys, monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("read or normalized a state for a measure that refuses it")
 
     path = tmp_path / "bell.qsv"
     write_qsv(named_state("bell", 2), path)
-    monkeypatch.setattr(state.StateVector, "normalized", refuse)
+    monkeypatch.setattr(measures, "_homogeneous", refuse)
     code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau-odd")
     assert (code, out, err) == (3, "", "error: tau_odd is defined for odd n only, got n=2\n")
     monkeypatch.setattr(cli, "read_qsv", refuse)
@@ -736,6 +773,70 @@ def test_module_entry_point():
     proc = _run_module("compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert proc.returncode == 0
     assert "value 1" in proc.stdout
+
+
+# the `ntangle` script as pip writes it, and python -m ntangle: both leave through cli.run
+_SCRIPT = "import sys\nfrom ntangle.cli import run\nsys.exit(run())\n"
+_ENTRIES = {"script": lambda *args, **kwargs: _run_module_code(_SCRIPT, *args, **kwargs),
+            "module": _run_module}
+_R_OF_1023 = " x ".join(["ghz:3@1,2,3"] + [f"bell@{k},{k + 1}" for k in range(4, 1024, 2)])
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_entry_points_deliver_whole_outputs_and_every_exit_code(capsys, entry):
+    run = _ENTRIES[entry]
+    # whole outputs through a pipe: the largest verify report, R's 1023 residuals, bench rows
+    outputs = []
+    for argv in (["verify", "--suite", "monotone", "--format", "json"],
+                 ["compute", "--expr", _R_OF_1023, "--measure", "r", "--format", "json"],
+                 ["compute", "--expr", _R_OF_1023, "--measure", "r"]):
+        proc = run(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv[:2]
+        assert (0, proc.stdout, "") == run_cli(capsys, *argv), argv[:2]
+        outputs.append(proc.stdout)
+    assert json.loads(outputs[0])["passed"] and len(json.loads(outputs[1])["residuals"]) == 1023
+    proc = run("bench", "--n-min", "2", "--n-max", "10", "--measure", "both", "--format", "csv",
+               "--repetitions", "1")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    want = [(n, m) for n in range(2, 11, 2) for m in ("quadratic", "quartic")]
+    assert lines[0] == CSV_HEADER and [(int(r.split(",")[0]), r.split(",")[1]) for r in lines[1:]] == want
+    # every exit code, with its stderr
+    for argv, code, err in ((["verify", "--suite", "permutation", "--tol", "1e-300"], 1, ""),
+                            (["compute", "--expr", "bell@1,2", "--measure", "foo"], 2,
+                             "error: unknown measure 'foo' (line 1, column 1)\n"),
+                            (["compute", "--expr", "bell@1,2", "--measure", "r"], 3,
+                             "error: r_tangle is defined for odd n only, got n=2\n")):
+        proc = run(*argv)
+        assert (proc.returncode, proc.stderr) == (code, err), argv
+    read, write = os.pipe()
+    os.close(read)  # a reader that closed before the child writes, as `| head -c 0`
+    try:
+        proc = run("verify", "--suite", "monotone", capture_output=False, stdout=write,
+                   stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_run_skips_the_interpreter_teardown_but_not_an_uncaught_error():
+    # an atexit hook registered before run never runs; a traceback still reaches stderr, and
+    # argparse's SystemExit keeps its code
+    hook = "import atexit\natexit.register(print, 'teardown')\n"
+    proc = _run_module_code(hook + _SCRIPT, "compute", "--expr", "bell@1,2")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("value 1\n") and "teardown" not in proc.stdout
+    proc = _run_module_code(hook + "from ntangle import cli\ncli.main = lambda: 1 / 0\n" + _SCRIPT)
+    assert proc.returncode == 1 and proc.stdout == "teardown\n"
+    assert proc.stderr.startswith("Traceback") and proc.stderr.endswith("ZeroDivisionError: division by zero\n")
+    proc = _run_module_code(_SCRIPT, "compute")
+    assert proc.returncode == 2 and proc.stderr.endswith(
+        "ntangle compute: error: one of the arguments --file --expr is required\n")
+
+
+def test_no_module_registers_an_atexit_hook():
+    src = Path(ntangle.__file__).resolve().parent
+    assert [path.name for path in sorted(src.glob("*.py")) if "atexit" in path.read_text()] == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -888,8 +989,10 @@ REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code,
                                      "error: qsv file of 27 qubits exceeds the capacity of 26 qubits\n"),
     "compute-size-refused": ("compute --expr bell@1,2 --measure r", 3,
                              "error: r_tangle is defined for odd n only, got n=2\n"),
-    "compute-product-past-capacity": (f"compute --expr 'ghz:14@{_labels(1, 14)} x ghz:13@{_labels(15, 27)}'",
-                                      3, "error: product of 27 qubits exceeds the capacity of 26 qubits\n"),
+    "compute-product-past-cap": ("compute --expr '" + " x ".join(f"bell@{k},{k + 1}" for k in range(1, 1024, 2))
+                                 + " x basis:1:0@1025'", 3,
+                                 "error: product of 1025 qubits exceeds the cap of 1024 qubits of a product"
+                                 " measure\n"),
     "compute-zero-factor": ("compute --expr 'file:{tmp}/zero.qsv@1,2 x ghz:3@3,4,5' --measure r", 3,
                             "error: cannot normalize the zero vector\n"),
     "compute-residual-past-n": ("compute --expr 'bell@1,2 x ghz:3@3,4,5' --measure residual:6", 3,
@@ -902,6 +1005,12 @@ REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code,
     "compute-file-three-tangle-n5": ("compute --file {tmp}/ghz5.qsv --measure three-tangle", 3,
                                      "error: three_tangle is defined for n=3 only, got n=5\n"),
     "compute-file-wong-past-cap": ("compute --file {tmp}/ghz12.qsv --measure wong", 3, f"error: {_WONG_CAP}\n"),
+    "compute-file-truncated": ("compute --file {tmp}/truncated.qsv", 2,
+                               "error: expected 4 amplitude lines for n=2, found 3 (line 6, column 1)\n"),
+    "compute-file-header-only": ("compute --file {tmp}/header.qsv", 2,
+                                 "error: expected 4 amplitude lines for n=2, found 0 (line 3, column 1)\n"),
+    "compute-file-non-finite": ("compute --file {tmp}/overflow.qsv", 2,
+                                "error: non-finite real part '1e400' (line 4, column 1)\n"),
     "verify-unknown-suite": ("verify --suite nope", 2,
                              "error: unknown suite 'nope'; available: bitops, closed-form,"
                              " covariance-even, covariance-odd, golden-examples, monotone,"
@@ -928,6 +1037,9 @@ REFUSALS = {  # argv (a {tmp} directory, split as a shell splits it), exit code,
 def test_every_refusal_keeps_its_exit_code_and_message(capsys, tmp_path, argv, code, err):
     (tmp_path / "huge.qsv").write_text("qsv 1\nn 27\n")
     (tmp_path / "zero.qsv").write_text("qsv 1\nn 2\n" + "0 0\n" * 4)
+    (tmp_path / "truncated.qsv").write_text("qsv 1\nn 2\n0 1\n1 0\n0.5")
+    (tmp_path / "header.qsv").write_text("qsv 1\nn 2\n")
+    (tmp_path / "overflow.qsv").write_text("qsv 1\nn 1\n0 1\n1e400 0\n")
     for kind, n in (("bell", 2), ("ghz", 5), ("ghz", 12)):
         write_qsv(named_state(kind, n), tmp_path / f"{kind}{n}.qsv")
     got = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))

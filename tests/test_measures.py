@@ -691,14 +691,40 @@ def test_product_measure_matches_the_product_state():
 
 
 def test_product_measure_of_one_factor_in_label_order_keeps_the_bits():
+    # raw, the bits of the kernel; normalized, those bits over the state's sum of squares to
+    # half the degree (the rule by homogeneity), and norm 1
     rng = np.random.default_rng(2608)
     states = [rand(n, 300 + n) for n in range(2, 10)] + [ghz(3), ghz(4), named_state("w", 5), bell()]
     for psi in states:
         expr = ProductExpression((ProductFactor(psi, tuple(range(1, psi.n + 1))),))
+        squares = state_module._sum_of_squares(psi.amps.view(np.float64))
         for function, args in _requests(psi.n, rng):
-            for normalize in (True, False):
-                got = measures.product_measure(expr, function, *args, normalize=normalize)
-                assert got == _on_product_state(expr, function, *args, normalize=normalize)
+            raw = _on_product_state(expr, function, *args, normalize=False)
+            assert measures.product_measure(expr, function, *args, normalize=False) == raw
+            scale = squares if measures.MEASURES[raw.kind].degree == 2 else squares * squares
+            if raw.residuals is None:
+                want = measures.MeasureReport(raw.kind, raw.value / scale, raw.n, 1.0)
+            else:
+                residuals = tuple(r / scale for r in raw.residuals)
+                want = measures.MeasureReport(raw.kind, sum(residuals) / raw.n, raw.n, 1.0, residuals)
+            assert measures.product_measure(expr, function, *args) == want
+
+
+def test_normalized_product_measure_makes_no_copy_of_an_ordinary_state():
+    # the value is taken by homogeneity, on the raw amplitudes: under a quarter of the state is
+    # traced at n = 18 and 19 (a slice of the sum of squares, 512 KiB, is the most of it). A
+    # state whose squares leave [2**-256, 2**256] is scaled on a copy.
+    for psi in (rand(18, 2918), rand(19, 2919), StateVector(18, 1e200 * rand(18, 2918).amps)):
+        expr = ProductExpression((ProductFactor(psi, tuple(range(1, psi.n + 1))),))
+        measures.product_measure(expr, "tau")  # first call outside the trace: the pool, the tables
+        tracemalloc.start()
+        try:
+            report = measures.product_measure(expr, "tau")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.norm == 1.0 and 0 < report.value < 1
+        assert (peak < psi.amps.nbytes / 4) == (psi.norm() < 2.0 ** 128), (psi.n, peak)
 
 
 def test_product_measure_takes_the_named_products_exactly():
@@ -741,13 +767,36 @@ def test_product_measure_refuses_as_the_product_state_does(text, function, args,
     assert errors[0] == errors[1]
 
 
-def test_product_measure_of_27_qubits_is_refused_before_any_factor_is_normalized(monkeypatch):
-    def refuse(self):
-        raise AssertionError("normalized a factor of a product past the capacity")
+def test_product_measure_past_its_cap_is_refused_before_any_factor_is_normalized(monkeypatch):
+    def refuse(psi):
+        raise AssertionError("normalized a factor of a product past the cap")
 
-    monkeypatch.setattr(StateVector, "normalized", refuse)
-    expr = parse_product_expression(" x ".join(f"bell@{2 * k + 1},{2 * k + 2}" for k in range(13))
-                                    + " x basis:1:0@27")
-    with pytest.raises(CapacityError,
-                       match="^product of 27 qubits exceeds the capacity of 26 qubits$"):
+    monkeypatch.setattr(measures, "_homogeneous", refuse)
+    cap = measures._PRODUCT_CAP
+    expr = parse_product_expression(" x ".join(f"bell@{2 * k + 1},{2 * k + 2}" for k in range(cap // 2))
+                                    + f" x basis:1:0@{cap + 1}")
+    with pytest.raises(CapacityError, match=f"^product of {cap + 1} qubits exceeds the cap of {cap}"
+                                            " qubits of a product measure$"):
         measures.product_measure(expr, "tau")
+
+
+def test_product_measure_holds_each_factor_to_the_capacity(monkeypatch):
+    expr = ProductExpression((ProductFactor(named_state("ghz", 5), (1, 2, 3, 4, 5)),))
+    monkeypatch.setattr(state_module, "DEFAULT_MAX_QUBITS", 4)  # the product's n may pass it
+    for text, n in (("ghz:3@1,2,3 x bell@4,5 x bell@6,7", 7), ("ghz:4@4,3,2,1 x bell@5,6", 6)):
+        report = measures.product_measure(parse_product_expression(text), "tau")
+        assert (report.value, report.n, report.norm) == (1.0, n, 1.0)
+    with pytest.raises(CapacityError, match="^factor of 5 qubits exceeds the capacity of 4 qubits$"):
+        measures.product_measure(expr, "tau")
+    with pytest.raises(CapacityError, match="^product of 5 qubits exceeds the capacity of 4 qubits$"):
+        build_product(parse_product_expression("ghz:3@1,2,3 x bell@4,5"))
+
+
+def test_product_measure_of_500_bell_pairs():
+    expr = parse_product_expression(" x ".join(f"bell@{2 * k + 2},{2 * k + 1}" for k in range(500)))
+    for function in ("tau", "tau_even"):
+        assert measures.product_measure(expr, function) == measures.MeasureReport("tau_even", 1.0, 1000, 1.0)
+        raw = measures.product_measure(expr, function, normalize=False)
+        assert raw.n == 1000 and raw.norm == pytest.approx(1.0, rel=1e-12)
+    with pytest.raises(DomainError, match="^wong_tangle at n=1000 exceeds the cap of 10"):
+        measures.product_measure(expr, "wong_tangle")  # the quartic cap holds on the product's n
