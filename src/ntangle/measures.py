@@ -598,30 +598,14 @@ def three_tangle(psi: StateVector) -> MeasureReport:
 # residuals, a label error's labels) grow with n, while the capacity bounds each factor alone.
 _PRODUCT_CAP = 1 << 10
 
-# A factor whose sum of squares s lies in [2**-256, 2**256] is taken as it is. The terms of
-# a kernel of degree d <= 4 are products of d amplitudes, each at most s ** (d / 2) <= 2**512,
-# summed at most 2**40 at a time (wong's dense contraction at its cap), so none overflows,
-# and a normalized value of at least 2**-510 stays a normal float. Any other factor is
-# first scaled as _norm scales it.
-_RAW_SQUARES = 2.0 ** 256
-
-
 def _homogeneous(psi: StateVector) -> tuple[np.ndarray, float]:
     """psi's amplitudes and their sum of squares s: a measure of degree d of the normalized
-    state is its kernel on them over s ** (d // 2). Where s lies outside [1 / _RAW_SQUARES,
-    _RAW_SQUARES], they are a copy scaled by the power of two that brings the largest float
-    into [1/2, 1); an ordinary state is never copied.
+    state is its kernel on them over s ** (d // 2). They are a copy scaled by 2**-e where
+    state._scaled_squares scales; an ordinary state is never copied.
     """
     flat = psi.amps.view(np.float64)
-    squares = state._sum_of_squares(flat)
-    if not 1 / _RAW_SQUARES <= squares <= _RAW_SQUARES:
-        e = state._peak_exponent(flat)
-        if e:  # 0 for the zero vector, which stays as it is
-            flat = np.ldexp(flat, -e)
-            squares = state._sum_of_squares(flat)
-    if squares == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return flat.view(np.complex128), squares
+    squares, e = state._scaled_squares(flat)
+    return (np.ldexp(flat, -e) if e else flat).view(np.complex128), squares
 
 
 def product_measure(expr: state.ProductExpression, function: str, *args,

@@ -23,7 +23,6 @@ import mmap
 import os
 import re
 import signal
-import sys
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -146,17 +145,12 @@ class StateVector:
         return nrm
 
     def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        amps = self.amps
-        # numpy divides a complex by nrm through 1 / nrm: where either leaves
-        # the normal range, scale by a power of two first
-        if not _NORMAL_MIN <= nrm <= 1 / _NORMAL_MIN:
-            flat = amps.view(np.float64)
-            amps = np.ldexp(flat, -_peak_exponent(flat)).view(np.complex128)
-            nrm = _norm(amps)
-        return StateVector(self.n, _readonly(amps / nrm))
+        """The state over its norm, from a copy scaled by 2**-e where _scaled_squares scales."""
+        flat = self.amps.view(np.float64)
+        squares, e = _scaled_squares(flat)
+        amps = np.ldexp(flat, -e).view(np.complex128) if e else self.amps
+        # numpy divides a complex by a float through its reciprocal
+        return StateVector(self.n, _readonly(amps / math.sqrt(squares)))
 
     def allclose(self, other: "StateVector") -> bool:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=1e-12, atol=1e-12))
@@ -164,7 +158,6 @@ class StateVector:
 
 # slices of the float view whose sums of squares math.fsum adds exactly
 _NORM_SLICE = 1 << 16
-_NORMAL_MIN = sys.float_info.min  # the least positive normal float, 2**-1022
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -176,27 +169,46 @@ def _norm(amps: np.ndarray) -> float:
 
     Each slice's squares are summed pairwise, whose error, unlike a running
     sum's, stays a few ulp on equal amplitudes; math.fsum adds the slices. A
-    sum that is zero, infinite or below the normal range is taken again, every
-    float scaled by the power of two that brings the largest into [1/2, 1), so
-    only a state whose squares leave the float range takes that path.
+    sum outside [2**-256, 2**256] is taken again with every float scaled by
+    2**-e (_scaled_squares), slice by slice, never on a copy of the state.
     """
-    flat = amps.view(np.float64)
-    total = _sum_of_squares(flat)
-    e = 0 if _NORMAL_MIN <= total < math.inf else _peak_exponent(flat)
-    if not e:  # an ordinary state, zero, or a float that is not finite
-        return math.sqrt(total)
     try:
-        return math.ldexp(math.sqrt(_sum_of_squares(flat, e)), e)
+        squares, e = _scaled_squares(amps.view(np.float64))
+        return math.ldexp(math.sqrt(squares), e)
+    except DomainError:  # the zero vector
+        return 0.0
     except OverflowError:  # the norm itself passes the float range
         return math.inf
 
 
-@np.errstate(over="ignore")  # a square past the float range is inf, and _norm takes it again
+# The window of a sum of squares s taken as it is: [2**-256, 2**256]. A kernel of degree
+# d <= 4 sums products of d amplitudes, each at most s ** (d / 2) <= 2**512, at most 2**40 at
+# a time (wong's dense contraction at its cap): none overflows, a normalized value of at least
+# 2**-510 stays a normal float, and the subnormal squares add under 2**-766 of s.
+def _scaled_squares(flat: np.ndarray) -> tuple[float, int]:
+    """(s, e): s the sum of the squares of flat * 2**-e; e is 0 where s is in the window or not
+    finite, else it brings the largest float into [1/2, 1). Refuses the zero vector."""
+    squares = _sum_of_squares(flat)
+    if 2.0 ** -256 <= squares <= 2.0 ** 256:
+        return squares, 0
+    e = _peak_exponent(flat)
+    squares = _sum_of_squares(flat, e)
+    if squares == 0.0:
+        raise DomainError("cannot normalize the zero vector")
+    return squares, e
+
+
+@np.errstate(over="ignore")  # a square past the float range is inf, and _scaled_squares takes it again
 def _sum_of_squares(flat: np.ndarray, e: int = 0) -> float:
     """The sum of the squares of flat * 2**-e: pairwise in each slice, the slices by math.fsum."""
+    def square(part):  # a scaled slice is a copy, squared in place
+        if e:
+            part = np.ldexp(part, -e)
+        return np.square(part, out=part if e else None)
+
     slices = (flat[k:k + _NORM_SLICE] for k in range(0, flat.size, _NORM_SLICE))
     try:
-        return math.fsum(np.square(np.ldexp(part, -e) if e else part).sum() for part in slices)
+        return math.fsum(square(part).sum() for part in slices)
     except OverflowError:  # finite slice sums whose total passes the float range
         return math.inf
 
@@ -947,19 +959,18 @@ def _qsv_lines(x: np.ndarray) -> bytes:
 def read_qsv(source) -> StateVector:
     """Read a state in qsv format from a path or a binary or text file object.
 
-    Every source is read as bytes: a path is opened in binary mode, and the
-    strings of a text file object are encoded back to the bytes they were
-    decoded from. The bytes get text mode's newlines: ``\\r\\n`` and a lone
-    ``\\r`` become ``\\n``. A path's amplitude block is parsed straight from a
-    read-only map of the file, and no copy of the block is held; the map is
-    closed before this returns. A file object, a block that holds a ``\\r``, an
-    empty block and a file that cannot be mapped are read into memory. A file
-    truncated while it is mapped ends the process with SIGBUS.
+    Every source is read as bytes, its header lines by readline(): a path is
+    opened in buffered binary mode, and the strings of a text file object are
+    encoded back to the bytes they were decoded from. The bytes get text
+    mode's newlines: ``\\r\\n`` and a lone ``\\r`` become ``\\n``. A path's
+    amplitude block is parsed straight from a read-only map of the file, and
+    no copy of the block is held; the map is closed before this returns. A
+    file object, a block that holds a ``\\r``, an empty block and a file that
+    cannot be mapped are read into memory (_rest). A file truncated while it
+    is mapped ends the process with SIGBUS.
     """
     path = not hasattr(source, "read")
-    # a path is read unbuffered: the header's readline() calls leave it at the block, so a
-    # map starts there, and a buffered read() would join the block to the bytes they buffered
-    with (open(source, "rb", buffering=0) if path else contextlib.nullcontext(source)) as fh:
+    with (open(source, "rb") if path else contextlib.nullcontext(source)) as fh:
         # refuse an over-capacity header before the amplitude block is even read: the
         # head holds both header lines, and does not end in a '\r' that a '\n' may follow
         head = b""
@@ -980,7 +991,7 @@ def read_qsv(source) -> StateVector:
             return _scan_qsv(_newlines(head).decode("ascii", "surrogateescape"))
         mapped = _map_block(fh) if path and not lines[2] else None  # lines[2]: the head passed a '\r'
         if mapped is None:
-            block = _newlines(lines[2] + _as_bytes(fh.read()))
+            block = _newlines(_rest(fh, lines[2]))
             flat = _parse_amplitude_block(block, n)
         else:
             with mapped:
@@ -1011,6 +1022,16 @@ def _map_block(fh) -> mmap.mmap | None:
         return mapped
     mapped.close()
     return None
+
+
+def _rest(fh, start: bytes) -> bytes:
+    """start and the rest of fh's bytes, copied in slices into one buffer that grows in place,
+    so that the block is held once: a buffered fh.read() joins what it holds to the rest."""
+    out = io.BytesIO()
+    out.write(start)
+    while data := fh.read(_QSV_CHUNK_BYTES):
+        out.write(_as_bytes(data))
+    return out.getvalue()
 
 
 def _as_bytes(data) -> bytes:
@@ -1123,14 +1144,12 @@ def _parse_lines(data: bytes, flat: np.ndarray, lo: int, end: int, line: int, st
 # dot dropped. D is read in uint64 words of 8 ASCII digits, as many as the
 # longest D of the slice needs, at most three: its last 24 digits, whose
 # integer must be below 10**19, or past 24 digits its first 19, and then |x|
-# lies in [D, D + 1) * 10**k. Where every D of a slice is below 2**53 and
-# every |k| at most 22, D and 10**|k| are exact doubles, and one product or
-# quotient rounds |x| as float() does (Clinger). Otherwise D * 10**k is formed
-# as p + t as in _decimal, within a margin far wider than the error of p + t,
-# and a token whose interval rounds to one double at both ends takes that
-# double, float()'s, since rounding is monotonic. Every other token (a
-# near-tie, an extreme or subnormal value, a longer token or one of another
-# shape) is read by float() itself.
+# lies in [D, D + 1) * 10**k. D * 10**k is formed as p + t as in _decimal,
+# within a margin far wider than the error of p + t, and a token whose
+# interval rounds to one double at both ends takes that double, float()'s,
+# since rounding is monotonic. Every other token (a near-tie, an extreme or
+# subnormal value, a longer token or one of another shape) is read by float()
+# itself.
 _TOKEN_MAX = 32
 _PAD = 64  # bytes around a slice: every read of a token's bytes lies in them
 _READ_MAX = 288  # the largest k of a provable token: D * 10**k stays finite
@@ -1259,10 +1278,6 @@ def _scaled(digits: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarra
     """
     hi, lo = _powers_of_ten()
     high = digits.astype(np.float64)
-    if np.all(~ok | (~cut & (digits < 2 ** 53) & (np.abs(k) <= 22))):
-        # D and 10**|k| are exact doubles: one product or quotient rounds as float() does
-        k = np.clip(k, -22, 22)
-        return _signed(high * hi[np.maximum(k, 0) - _POW_MIN] / hi[np.maximum(-k, 0) - _POW_MIN], minus)
     # D = high + low exactly, high the double nearest to D
     low = (digits - high.astype(np.uint64)).view(np.int64).astype(np.float64)
     at = np.clip(k, _POW_MIN, _READ_MAX) - _POW_MIN

@@ -501,6 +501,35 @@ def test_norm_and_normalized_at_the_edges_of_the_float_range(scale):
     assert np.allclose(psi.normalized().amps, [2 ** -0.5, 0, 0, 2 ** -0.5], rtol=2e-16, atol=0)
 
 
+@pytest.mark.parametrize("e", [-511, -510])
+def test_norm_and_normalized_where_every_square_is_subnormal(e):
+    # the sum of squares is normal (2.2e-308 at 2**-511), but every square is not: the
+    # state is scaled into the float range first, so no square loses bits
+    flat = random_state(20, 3).amps.view(np.float64)
+    split = 134217729.0 * flat  # Veltkamp: flat = high + low, each of 26 bits
+    high = split - (split - flat)
+    low = flat - high
+    squares = flat * flat
+    errors = ((high * high - squares) + 2 * high * low) + low * low  # each square's exact error
+    exact = math.sqrt(math.fsum(np.concatenate([squares, errors])))
+    psi = StateVector(20, np.ldexp(flat, e).view(np.complex128))
+    assert abs(psi.norm() - math.ldexp(exact, e)) <= math.ulp(math.ldexp(exact, e))
+    assert np.abs(psi.normalized().amps.view(np.float64) - flat / exact).max() <= 2e-17
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_norm_makes_no_copy_of_the_state_at_any_scale(scale):
+    # a scaled sum is taken slice by slice, each slice's copy squared in place
+    psi = StateVector(18, random_state(18, 18).amps * scale)
+    tracemalloc.start()
+    try:
+        psi.norm()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.amps.nbytes / 4
+
+
 def test_norm_sums_each_slice_pairwise():
     # numpy sums a slice's squares pairwise; fsum adds the slices
     def pairwise(amps):
@@ -841,18 +870,12 @@ def test_qsv_path_block_is_read_from_a_map_closed_on_return(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("fmt", ("%.17g", "%.6g"))
 def test_qsv_path_bytes_and_text_routes_read_the_same_bits(tmp_path, monkeypatch, fmt):
-    # a block split over processes, parsed from the map of a path, from bytes and from text;
-    # every "%.6g" slice takes the exact product, which a "%.17g" slice never does
+    # a block split over processes, parsed from the map of a path, from bytes and from text
     values = random_state(15, 29).amps.view(np.float64).tolist()
     text, tokens = _qsv_document(values, fmt)
     want = np.array([float(token) for token in tokens]).view(np.uint64).tolist()
     path = tmp_path / "state.qsv"
     path.write_bytes(text.encode("ascii"))
-    if fmt == "%.6g":
-        def refuse(v):
-            raise AssertionError("a slice took the double-double product")
-
-        monkeypatch.setattr(state_module, "_split", refuse)
     maps = _spy_maps(monkeypatch)
     forks = _count_forks(monkeypatch)
     got = [read_qsv(source).amps.view(np.uint64).tolist()
@@ -897,8 +920,7 @@ def test_qsv_reader_reads_every_double_as_float_does(values, fmt):
 @pytest.mark.parametrize("chunk", (1 << 9, 1 << 18))
 def test_qsv_reader_reads_wide_and_amplitude_doubles_as_float_does(monkeypatch, fmt, chunk):
     # doubles of any exponent, then amplitudes as a writer writes them, then
-    # short decimals, in slices of a few lines or of the whole block: slices
-    # of short tokens take the exact product, the others the double-double
+    # short decimals, in slices of a few lines or of the whole block
     monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", chunk)
     rng = np.random.default_rng(25)
     wide = rng.integers(0, 1 << 64, 1 << 10, dtype=np.uint64).view(np.float64)
@@ -976,6 +998,38 @@ def test_qsv_read_of_a_path_holds_no_copy_of_the_block(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(got.amps, psi.amps)
     assert peak < path.stat().st_size / 4
+
+
+def test_qsv_read_of_an_unmapped_path_holds_the_block_once(tmp_path, monkeypatch):
+    # a path that cannot be mapped (a pipe, say) is read into memory: what is traced
+    # by the time the parse starts is the block, and no second copy of it
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(16, 16), path)
+    block = path.stat().st_size - len(b"qsv 1\nn 16\n")
+    peaks = []
+
+    def probe(data, n, start=0):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(state_module, "_map_block", lambda fh: None)
+    monkeypatch.setattr(state_module, "_parse_amplitude_block", probe)
+    monkeypatch.setattr(state_module, "_scan_qsv", lambda text: None)
+    tracemalloc.start()
+    try:
+        read_qsv(path)
+    finally:
+        tracemalloc.stop()
+    assert block <= peaks[0] < 1.5 * block
+
+
+def test_a_long_first_line_of_a_path_is_refused_at_once(tmp_path):
+    # the header of a path is read through a buffer, not a byte per system call
+    path = tmp_path / "long.qsv"
+    path.write_bytes(b"x" * (16 << 20))
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="bad qsv header"):
+        read_qsv(path)
+    assert time.perf_counter() - start < 2
 
 
 def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
