@@ -1,16 +1,15 @@
 """Timing and operation-count records for the measures' kernels and the qsv reader and writer.
 
-Wall times are environment noise; operation counts are exact. Each measure row
-(quadratic, odd, r, quartic; residual at qubits 1 and n-1) times the kernel of
-its row of ``measures.MEASURES`` at the sizes that row takes, and counts its
-``products``. The read and write rows time ``read_qsv`` and ``write_qsv`` of a
-seeded state in a temporary directory, written before the read is timed, and
-count its 2**n amplitudes. The batch rows time the kernels as the suites call
-them, on a seeded batch of 2**(22-n) states at every size up to 22: ``batch:tau``
-(tau_even or tau_odd by parity), and ``batch:r`` at odd n; each counts its
-single-state products once per state. The text output names the worker count of
-the kernels, the reader and the writer; the JSON output carries the environment
-the rows were timed in. Nothing here asserts absolute speed.
+Wall times are environment noise; operation counts are exact. Each measure row (quadratic,
+odd, r; residual at every qubit 1..n) times the kernel of its row of ``measures.MEASURES``
+at the sizes it takes and counts its ``products``; the quartic row times wong's oracle,
+``measures._QUARTIC``. The read and write rows time ``read_qsv`` and ``write_qsv`` of a
+seeded state in a temporary directory, written before the read is timed, and count its 2**n
+amplitudes. The batch rows time the kernels as the suites call them, on a seeded batch of
+2**(22-n) states at every size up to 22: ``batch:tau`` (tau_even or tau_odd by parity), and
+``batch:r`` at odd n; each counts its single-state products once per state. The text output
+names the worker count of the kernels, the reader and the writer; the JSON output carries
+the environment the rows were timed in. Nothing here asserts absolute speed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import state
 from .errors import DomainError, UsageError
-from .measures import MEASURES, _check_wong_cap, _r_tangle, _tau_any, _tau_kind
+from .measures import _QUARTIC, MEASURES, _check_wong_cap, _r_tangle, _tau_any, _tau_kind
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
@@ -47,8 +46,8 @@ class BenchRecord:
     op_count: int
 
 
-# each measure label's row of MEASURES, and the sizes each label takes (None: every size)
-_TIMED = {row.bench: row for row in MEASURES.values() if row.bench}
+# each label's row of MEASURES, the quartic oracle's in wong's place, and its sizes (None: every n)
+_TIMED = {row.bench: row for row in {**MEASURES, "wong_tangle": _QUARTIC}.values() if row.bench}
 _PARITY = {k: row.sizes for k, row in _TIMED.items()} | dict.fromkeys(("read", "write", "batch"))
 BATCH_BITS = 22  # a batch row's states hold 2**22 amplitudes (64 MiB) in all
 
@@ -69,7 +68,7 @@ def _rows(measure: str, psi: state.StateVector, tmp: str, seed: int) -> list:
         return [("write", lambda: state.write_qsv(psi, path))]
     kernel = _TIMED[measure].kernel
     if measure == "residual":
-        return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in (1, n - 1)]
+        return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in range(1, n + 1)]
     return [(measure, lambda: kernel(psi.amps, n))]
 
 

@@ -18,7 +18,7 @@ class CapacityError(DomainError):
 
 
 class UsageError(DomainError):
-    """A request names no valid run: an unknown suite or bench measure, or a bad setting."""
+    """A request names no valid run: an unknown suite, measure or bench measure, or a bad setting."""
 
 
 class ParseError(NTangleError, ValueError):

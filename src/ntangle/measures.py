@@ -38,8 +38,9 @@ per state and then memoized; a normalized report's is 1.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the two formulas sourced outside the quadratic-form
-family: the quartic Wong-Christensen tangle (even n, capped), which is tau_even
-squared, and the Coffman-Kundu-Wootters three-tangle, which is tau_odd at n=3.
+family: the quartic Wong-Christensen tangle (even n, capped), and the
+Coffman-Kundu-Wootters three-tangle. No measure is computed by them: the wong
+measure is tau_even squared, and the three-tangle is tau_odd at n=3.
 
 Kernels (underscore-prefixed) take raw amplitude arrays: the oracles and the
 entry points above with any leading batch axes, _halves, _pair and _self_pair
@@ -50,6 +51,7 @@ InvariantValue; each measure is product_measure of its state as one factor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from typing import Callable, NamedTuple
@@ -58,7 +60,7 @@ import numpy as np
 
 from . import state
 from .bitops import parity_signs, sgn_star_table, sgn_table
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, UsageError
 from .state import StateVector
 
 __all__ = [
@@ -83,9 +85,9 @@ __all__ = [
     "MEASURES",
 ]
 
-# The dense quartic contraction holds several (2**n, 2**n) complex arrays: it
-# takes 0.04 / 0.2 / 7 / 230 ms at n = 4 / 6 / 8 / 10 on a 2-vCPU Xeon, and at
-# n = 12 each array would be 268 MB.
+# wong stays within this cap, so that its oracle _wong_tangle checks every value it gives:
+# that dense quartic contraction holds several (2**n, 2**n) complex arrays, takes 0.04 / 0.2
+# / 7 / 230 ms at n = 4 / 6 / 8 / 10 on a 2-vCPU Xeon, and at n = 12 each would be 268 MB.
 DEFAULT_WONG_CAP = 10
 
 
@@ -464,7 +466,7 @@ def _wong_tangle(amps: np.ndarray, n: int) -> np.ndarray:
 
 class _Measure(NamedTuple):
     cli: str                        # the `ntangle compute --measure` name
-    kernel: Callable                # (amps, n, *args) -> values, as the entry points above
+    kernel: Callable                # its pair-form entry point above: (amps, n, *args) -> values
     sizes: str                      # "even n" or "odd n" (n >= 2), or "n=<k>", as errors name them
     degree: int                     # scaling the amplitudes by c scales the value by |c|**degree
     bench: str | None               # the `ntangle bench` row that times the kernel, if one does
@@ -478,12 +480,13 @@ MEASURES = {
     "tau_odd": _Measure("tau-odd", _tau_odd, "odd n", 4, "odd", lambda n: 1 << n),
     "r_tangle": _Measure("r", _r_tangle, "odd n", 4, "r", lambda n: (n + 1) << (n - 1)),
     "concurrence": _Measure("concurrence", _tau_even, "n=2", 2, None, lambda n: 1 << (n - 1)),
-    # products as coded: d1, d2 and d3 take 4 x 2, 6 x 3 and 2 x 3; wong's are the dense contraction's
-    "three_tangle": _Measure("three-tangle", lambda amps, n: _three_tangle(amps), "n=3", 4, None,
-                             lambda n: 32),
-    "wong_tangle": _Measure("wong", _wong_tangle, "even n", 4, "quartic", lambda n: 3 << (4 * n)),
+    "three_tangle": _Measure("three-tangle", _tau_odd, "n=3", 4, None, lambda n: 1 << n),
+    "wong_tangle": _Measure("wong", _tau_even, "even n", 4, None, lambda n: 1 << (n - 1)),
     "tau_residual": _Measure("residual:<i>", _residual, "odd n", 4, "residual", lambda n: 1 << n),
 }
+
+# bench's quartic row: the oracle _wong_tangle of every wong value, and its dense contraction's products
+_QUARTIC = _Measure("wong", _wong_tangle, "even n", 4, "quartic", lambda n: 3 << (4 * n))
 
 
 def _tau_kind(n: int) -> str:
@@ -585,12 +588,12 @@ def concurrence(psi: StateVector) -> MeasureReport:
 
 
 def wong_tangle(psi: StateVector) -> MeasureReport:
-    """Quartic tangle of Wong and Christensen, tau_even**2 by a dense contraction, n <= DEFAULT_WONG_CAP."""
+    """Wong-Christensen quartic tangle, tau_even squared, even n <= DEFAULT_WONG_CAP (oracle _wong_tangle)."""
     return product_measure(state._one_factor(psi), "wong_tangle", normalize=False)
 
 
 def three_tangle(psi: StateVector) -> MeasureReport:
-    """Independent three-qubit residual-entanglement oracle (external construction)."""
+    """Coffman-Kundu-Wootters three-qubit residual entanglement, tau_odd at n=3 (oracle: _three_tangle)."""
     return product_measure(state._one_factor(psi), "three_tangle", normalize=False)
 
 
@@ -614,13 +617,13 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
 
     The one evaluator of every measure, which never builds the product state: a
     public function's state and a qsv file are products of one factor on 1..n.
-    For n even (tau_even, concurrence, wong_tangle = tau_even**2) the value is
-    the product of the factors' values when every factor has even size, else 0.
+    For n even (tau_even, concurrence; wong_tangle squared) the value is the product
+    of the factors' tau_even values when every factor has even size, else 0.
     For n odd the residual about qubit q is 0 when q's factor has even size or
     one qubit, or when more than one factor has odd size; otherwise it is that
     factor's residual about q's place in its labels, times the other factors'
     tau_even squared. tau_odd is the residual about qubit 1, R their mean in
-    label order, three_tangle (n=3, where every residual is equal) the factor's.
+    label order, and three_tangle (n=3) is tau_odd.
 
     The measures are homogeneous, so a normalized factor's value is its raw
     kernel over its sum of squares to half the measure's degree (_homogeneous),
@@ -630,8 +633,15 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
     values may differ from the product state's by a few ulp. Each factor keeps
     the capacity, and the product is refused past _PRODUCT_CAP qubits. A size
     the measure does not take is refused before the zero vector (tau's n >= 2
-    after), the quartic cap on the product's n and a label after.
+    after), the quartic cap on the product's n and a label after. An unknown
+    function, or arguments other than tau_residual's one qubit label, are
+    refused first.
     """
+    if function != "tau" and function not in MEASURES:
+        raise UsageError(f"unknown measure {function!r}")
+    if len(args) != (function == "tau_residual"):
+        wants = "one qubit label" if function == "tau_residual" else "no arguments"
+        raise UsageError(f"{function} takes {wants}, got {len(args)}")
     n = len(state._check_product(expr))
     for f in expr.factors:
         state._check_capacity(f"factor of {f.state.n} qubits", f.state.n)
@@ -646,32 +656,36 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
     row = _row(kind, n, function)
     if kind == "wong_tangle":
         _check_wong_cap(n)
-    if kind == "tau_residual" and not 1 <= args[0] <= n:
-        raise DomainError(f"qubit label {args[0]} out of range 1..{n}")
+    qubit = 1  # the residual tau_odd and three_tangle take
+    if kind == "tau_residual":
+        try:
+            qubit = operator.index(args[0])  # an int or a numpy integer, never 1.5
+        except TypeError:
+            raise DomainError(f"qubit label {args[0]!r} is not an integer") from None
+        if not 1 <= qubit <= n:
+            raise DomainError(f"qubit label {qubit} out of range 1..{n}")
     norm = 1.0 if normalize else math.prod(psi.norm() for psi in factors)
 
     def unit(k: int, raw, degree: int) -> float:  # factor k's raw value over squares[k] ** (degree // 2)
         return float(raw) / (squares[k] if degree == 2 else squares[k] * squares[k])
 
     if n % 2 == 0:
-        even = all(psi.n % 2 == 0 for psi in factors)
-        values = (unit(k, row.kernel(amps[k], psi.n), row.degree) for k, psi in enumerate(factors))
-        return _report(kind, math.prod(values) if even else 0.0, n, norm)
-    qubits = range(1, n + 1) if kind == "r_tangle" else (args[0] if args else 1,)
+        values = (unit(k, row.kernel(amps[k], psi.n), 2) for k, psi in enumerate(factors))
+        t = math.prod(values) if all(psi.n % 2 == 0 for psi in factors) else 0.0
+        # t * t: a raw t**2 past the float range would raise, where a product gives inf
+        return _report(kind, t * t if row.degree == 4 else t, n, norm)
+    qubits = range(1, n + 1) if kind == "r_tangle" else (qubit,)
     odd = [k for k, psi in enumerate(factors) if psi.n % 2]
     k = odd[0]
     focus, size, own = amps[k], factors[k].n, expr.factors[k].labels
     if len(odd) > 1 or size == 1:
         residuals = [0.0] * len(qubits)
     else:
-        # t * t: a raw t**2 past the float range would raise, where a product gives inf
         other = math.prod(t * t for t in (unit(j, _tau_even(amps[j], psi.n), 2)
                                           for j, psi in enumerate(factors) if j != k))
         if kind == "r_tangle":  # every split of the focus in one pass
             every = _residuals(focus, size)
             residual = lambda i: every[i - 1]
-        elif kind == "three_tangle":  # n=3: the residual about every qubit
-            residual = lambda i: row.kernel(focus, size)
         else:
             residual = lambda i: _residual(focus, size, i)
         residuals = [unit(k, residual(own.index(q) + 1), row.degree) * other if q in own else 0.0

@@ -972,9 +972,11 @@ def read_qsv(source) -> StateVector:
     path = not hasattr(source, "read")
     with (open(source, "rb") if path else contextlib.nullcontext(source)) as fh:
         # refuse an over-capacity header before the amplitude block is even read: the
-        # head holds both header lines, and does not end in a '\r' that a '\n' may follow
+        # head holds both header lines, and the count line does not end in a '\r' that a
+        # '\n' may follow
         head = b""
-        while ((len(lines := _newlines(head).split(b"\n", 2)) < 3 or head.endswith(b"\r"))
+        while ((len(lines := _newlines(head).split(b"\n", 2)) < 3
+                or head.endswith(b"\r") and not lines[2])
                and (line := _as_bytes(fh.readline(len(head) + _QSV_HEAD_BYTES)))):
             head += line
         header, count = (part.decode("ascii", "surrogateescape") for part in (lines + [b""])[:2])
@@ -991,7 +993,9 @@ def read_qsv(source) -> StateVector:
             return _scan_qsv(_newlines(head).decode("ascii", "surrogateescape"))
         mapped = _map_block(fh) if path and not lines[2] else None  # lines[2]: the head passed a '\r'
         if mapped is None:
-            block = _newlines(_rest(fh, lines[2]))
+            # a '\r' that ends the head goes back to _rest, which joins it to a '\n' that follows
+            start = lines[2][:-1] + b"\r" if head.endswith(b"\r") and lines[2] else lines[2]
+            block = _rest(fh, start)
             flat = _parse_amplitude_block(block, n)
         else:
             with mapped:
@@ -1025,12 +1029,33 @@ def _map_block(fh) -> mmap.mmap | None:
 
 
 def _rest(fh, start: bytes) -> bytes:
-    """start and the rest of fh's bytes, copied in slices into one buffer that grows in place,
-    so that the block is held once: a buffered fh.read() joins what it holds to the rest."""
+    """start and the rest of fh's bytes with text mode's newlines, held once.
+
+    The bytes are copied in slices into one buffer that grows in place: a
+    buffered fh.read() joins what it holds to the rest. A '\\r' is then
+    converted in place through a view of that buffer, one slice at a time,
+    each written forward over bytes already read, and the buffer is cut to
+    the converted length.
+    """
     out = io.BytesIO()
     out.write(start)
     while data := fh.read(_QSV_CHUNK_BYTES):
         out.write(_as_bytes(data))
+    block = out.getvalue()  # the buffer itself, not a copy
+    if b"\r" not in block:
+        return block
+    del block  # the buffer is out's alone again, so that its view writes to it in place
+    read = write = 0
+    with out.getbuffer() as view:
+        while read < len(view):
+            part = bytes(view[read:read + _QSV_CHUNK_BYTES])
+            if part.endswith(b"\r") and read + len(part) < len(view):
+                part = part[:-1]  # the '\r' goes with the next slice, whose '\n' may follow it
+            read += len(part)
+            part = _newlines(part)
+            view[write:write + len(part)] = part
+            write += len(part)
+    out.truncate(write)
     return out.getvalue()
 
 

@@ -365,8 +365,8 @@ def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
     assert env["cpu_model"] == bench.cpu_model()
     assert env["cpu_model"] is None or (isinstance(env["cpu_model"], str) and env["cpu_model"])
     rows = payload["rows"]
-    assert [(r["n"], r["measure"]) for r in rows] == [(3, "residual:1"), (3, "residual:2"),
-                                                       (5, "residual:1"), (5, "residual:4")]
+    assert [(r["n"], r["measure"]) for r in rows] == [(n, f"residual:{i}") for n in (3, 5)
+                                                       for i in range(1, n + 1)]
     for r in rows:
         assert set(r) == {"n", "measure", "median_ns", "min_ns", "op_count"}
         assert r["op_count"] == 2 ** r["n"]
@@ -435,8 +435,9 @@ def test_bench_odd_and_residual_rows(capsys):
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [(5, "odd", 32), (7, "odd", 128)]
     code, rows, _ = _bench_rows(capsys, "--n-min", "5", "--n-max", "7", "--measure", "residual")
     assert code == 0
+    # every split 1..n, each at 2**n products
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
-        (5, "residual:1", 32), (5, "residual:4", 32), (7, "residual:1", 128), (7, "residual:6", 128)]
+        (n, f"residual:{i}", 2 ** n) for n in (5, 7) for i in range(1, n + 1)]
     code, rows, err = _bench_rows(capsys, "--n-min", "6", "--n-max", "6", "--measure", "odd")
     assert code == 3 and not rows
     assert "odd size" in err
@@ -505,7 +506,7 @@ def test_bench_text_names_the_worker_count(capsys):
                            "--measure", "residual", "--repetitions", "1")
     assert code == 0
     lines = out.splitlines()
-    assert [line.split()[1] for line in lines[1:3]] == ["residual:1", "residual:2"]
+    assert [line.split()[1] for line in lines[1:4]] == ["residual:1", "residual:2", "residual:3"]
     assert lines[-1] == (f"workers: {state._WORKERS} (one per CPU in the affinity mask: kernels,"
                          f" qsv reader and writer)")
 
@@ -904,6 +905,28 @@ def test_compute_expr_never_builds_the_product_for_a_factored_measure(capsys, mo
             assert (code, err) == (0, "") and out.startswith(f"value {value}\n"), (text, name)
     with pytest.raises(AssertionError, match="built the product state"):  # the patch holds
         state.build_product(state.parse_product_expression("bell@1,2"))
+
+
+def test_no_measure_runs_an_outside_formula(capsys, monkeypatch):
+    # the quartic and the three-tangle formulas are oracles only: every --measure name and
+    # every public measure function runs with both made to raise
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran an oracle")
+
+    oracles = {measures._wong_tangle, measures._three_tangle}
+    assert not oracles & {row.kernel for row in measures.MEASURES.values()}
+    monkeypatch.setattr(measures, "_wong_tangle", refuse)
+    monkeypatch.setattr(measures, "_three_tangle", refuse)
+    sizes = {"even n": 4, "odd n": 5, "n=2": 2, "n=3": 3}
+    for kind, row in {"tau": measures.MEASURES["tau_odd"], **measures.MEASURES}.items():
+        n = sizes[row.sizes]
+        args = (2,) if kind == "tau_residual" else ()
+        assert getattr(measures, kind)(named_state("ghz", n), *args).value == pytest.approx(1.0)
+        name = {"tau": "tau", "tau_residual": "residual:2"}.get(kind, row.cli)
+        code, out, err = run_cli(capsys, "compute", "--expr", f"ghz:{n}@{_labels(1, n)}", "--measure", name)
+        assert (code, err) == (0, "") and abs(value_of(out) - 1.0) <= 1e-14, (name, out)
+    with pytest.raises(AssertionError, match="ran an oracle"):  # the patch holds
+        measures._wong_tangle(named_state("ghz", 4).amps, 4)
 
 
 def test_compute_file_and_a_one_factor_expr_agree(capsys, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 import ntangle
 from ntangle import measures
 from ntangle import state as state_module
-from ntangle.errors import CapacityError, DomainError
+from ntangle.errors import CapacityError, DomainError, UsageError
 from ntangle.measures import (
     _even_invariant,
     _halves,
@@ -507,12 +507,19 @@ def test_report_norm_is_computed_once_per_state(monkeypatch):
 def test_wong_tangle_examples():
     assert wong_tangle(named_state("basis", 2, extra=0)).value < 1e-15
     assert abs(wong_tangle(ghz(4)).value - 1.0) < 1e-9
-    # the quartic contraction is the squared even measure at every even n up to the cap
-    # (the squared concurrence at n=2)
+    # the quartic oracle agrees with the measure, the squared even measure, at every even n
+    # up to the cap (the squared concurrence at n=2)
     for n in range(2, measures.DEFAULT_WONG_CAP + 1, 2):
         for s in range(10 if n < 8 else 2):
             psi = rand(n, 7000 + 100 * (n - 2) + s)
-            assert abs(wong_tangle(psi).value - tau_even(psi).value ** 2) < 1e-12, (n, s)
+            assert abs(wong_tangle(psi).value - float(measures._wong_tangle(psi.amps, n))) < 1e-12, (n, s)
+
+
+def test_wong_tangle_is_tau_even_squared_to_the_bit():
+    for n in range(2, measures.DEFAULT_WONG_CAP + 1, 2):
+        for s in range(5):
+            psi = rand(n, 7500 + 100 * (n - 2) + s)
+            assert wong_tangle(psi).value == tau_even(psi).value ** 2, (n, s)
 
 
 def test_wong_tangle_permutation_invariance():
@@ -553,10 +560,10 @@ def test_three_tangle_examples():
         three_tangle(ghz(5))
 
 
-def test_three_tangle_matches_tau_odd():
+def test_three_tangle_matches_its_oracle():
     for s in range(200):
         psi = rand(3, 9000 + s)
-        assert abs(three_tangle(psi).value - tau_odd(psi).value) < 1e-9
+        assert abs(three_tangle(psi).value - float(measures._three_tangle(psi.amps))) < 1e-9
 
 
 def test_invariant_metadata():
@@ -626,6 +633,31 @@ def test_public_functions_keep_each_refusal_and_value(function, label, n, zero):
     with pytest.raises(DomainError) as info:
         getattr(measures, function)(psi, *args)
     assert (type(info.value), str(info.value)) == (DomainError, error)
+
+
+def test_tau_residual_refuses_a_label_that_is_not_an_integer():
+    psi = ghz(3)
+    with pytest.raises(DomainError, match=r"^qubit label 1\.5 is not an integer$"):
+        tau_residual(psi, 1.5)
+    assert tau_residual(psi, np.int64(2)) == tau_residual(psi, 2)  # a numpy integer is a label
+
+
+def test_product_measure_refuses_a_residual_without_its_label():
+    expr = parse_product_expression("ghz:3@1,2,3")
+    with pytest.raises(UsageError, match="^tau_residual takes one qubit label, got 0$"):
+        measures.product_measure(expr, "tau_residual")
+
+
+def test_product_measure_refuses_an_unknown_measure():
+    expr = parse_product_expression("ghz:3@1,2,3")
+    with pytest.raises(UsageError, match="^unknown measure 'nonsense'$"):
+        measures.product_measure(expr, "nonsense")
+
+
+def test_product_measure_refuses_an_argument_the_measure_does_not_take():
+    expr = parse_product_expression("ghz:3@1,2,3")
+    with pytest.raises(UsageError, match="^tau takes no arguments, got 1$"):
+        measures.product_measure(expr, "tau", 3)
 
 
 # --- a product expression, factor by factor ----------------------------------

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import fractions
 import io
 import math
@@ -822,6 +823,8 @@ def test_qsv_path_bytes_and_text_mode_agree(tmp_path, text):
         want = _outcome(_scan_qsv, fh.read())  # the text that text mode reads
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
         assert _outcome(read_qsv, fh) == want
+    with open(path, encoding="ascii", errors="surrogateescape", newline="") as fh:  # keeps each '\r'
+        assert _outcome(read_qsv, fh) == want
     assert _outcome(read_qsv, path) == want
     assert _outcome(read_qsv, io.BytesIO(path.read_bytes())) == want
 
@@ -1020,6 +1023,30 @@ def test_qsv_read_of_an_unmapped_path_holds_the_block_once(tmp_path, monkeypatch
     finally:
         tracemalloc.stop()
     assert block <= peaks[0] < 1.5 * block
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "lone CR"])
+def test_qsv_read_of_a_cr_file_holds_the_block_once(tmp_path, newline):
+    # a block with '\r' newlines is read into memory and converted there in place, so the
+    # traced peak is the file and a bounded parse, by path and as binary and text file
+    # objects (newline="" keeps each '\r'); the values are the '\n' read's, bit for bit
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(18, 18), path)
+    want = read_qsv(path)
+    crs = tmp_path / "cr.qsv"
+    crs.write_bytes(path.read_bytes().replace(b"\n", newline))
+    sources = {"path": lambda: contextlib.nullcontext(crs), "binary": lambda: open(crs, "rb"),
+               "text": lambda: open(crs, encoding="ascii", newline="")}
+    for name, source in sources.items():
+        with source() as fh:
+            tracemalloc.start()
+            try:
+                got = read_qsv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64)), name
+        assert peak <= crs.stat().st_size + (4 << 20), (name, peak)
 
 
 def test_a_long_first_line_of_a_path_is_refused_at_once(tmp_path):
