@@ -546,6 +546,11 @@ def random_state(n: int, seed) -> StateVector:
 _DRAW_BYTES = 1 << 20
 
 
+def _in_blocks(n: int, count: int) -> bool:
+    """Whether a draw of count states of n qubits takes more than one block: only then has the pool work."""
+    return count << n > _DRAW_BYTES >> 3
+
+
 def _check_draw(n: int, count: int) -> None:
     """Refuse a draw of count states of n qubits past the capacity."""
     _check_capacity(f"a draw of {count} random state{'s' * (count != 1)} of {n} qubits", n, count)
@@ -579,7 +584,7 @@ def random_state_batch(n: int, count: int, seed) -> np.ndarray:
             normalize(flat[start >> n:end >> n])
 
     # one block has nothing to overlap: one buffer, and no pool
-    pool = _executor() if size > step else None
+    pool = _executor() if _in_blocks(n, count) else None
     bufs = np.empty((1 if pool is None else 2, min(step, size)))
     for part in (real, imag):
         pending = []

@@ -13,6 +13,13 @@ dropping or reordering a call, or changing its size, changes every value drawn
 after it. The trial count is one of those sizes, so changing ``trials``
 changes every sample of a block, not just the last ones.
 
+Since every block has its own generator, where a block is drawn does not
+matter. ``range`` and ``closed-form``, whose drawing is most of their time,
+draw their largest size on the kernels' pool while the calling thread draws
+and checks the smaller sizes (``_each_size``), and hold one finished batch at
+a time. With one CPU, or batches of one draw block, everything runs on the
+calling thread. The reports are the same either way.
+
 Suite names, in run order: bitops, closed-form, oracle-n3, golden-examples,
 covariance-even, covariance-odd, permutation, product, monotone, range.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -161,6 +168,28 @@ def _report(cfg: SuiteConfig, checks, trials: int, n_max: int, tol: float) -> Su
                        tolerance=tol, checks=tuple(checks))
 
 
+def _each_size(sizes: Sequence[int], count: int, draw, work) -> list:
+    """[work(n, draw(n)) for n in sizes], with the last size's draw on the pool beside the others.
+
+    sizes ascend, so the last batch is the largest and its draw the longest.
+    Every size has its own generator, so where a batch is drawn changes none
+    of its bits. The pool is taken by random_state_batch's own rule: only
+    when there is one and a batch of count states spans more than one draw
+    block. Each batch is dropped before the next is drawn, and the pooled
+    draw is waited for on every exit, errors included.
+    """
+    pool = state._executor() if sizes and state._in_blocks(sizes[-1], count) else None
+    if pool is None:
+        return [work(n, draw(n)) for n in sizes]
+    *rest, last = sizes
+    pending = pool.submit(draw, last)
+    try:
+        done = [work(n, draw(n)) for n in rest]
+    finally:
+        pending.exception()  # waits for the draw; its own error, if any, is raised below
+    return done + [work(last, pending.result())]
+
+
 # ---------------------------------------------------------------------------
 # golden-examples: the eight canonical product states and their measure values
 # ---------------------------------------------------------------------------
@@ -212,15 +241,14 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
 
 def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
     trials, n_max, tol = _settings(cfg)
-    checks = []
-    for n in range(2, n_max + 1):
-        amps = random_state_batch(n, trials, _rng(cfg.seed, 1, n))
-        if n % 2 == 0:
-            dev = np.abs(_even_invariant(amps, n) - _invariant_pairs(amps, n)).max()
-            checks.append(_check(f"even-pair-form-n{n}", dev, tol, trials))
-        else:
-            dev = np.abs(_odd_invariant(amps, n) - _invariant_pairs(amps, n)).max()
-            checks.append(_check(f"odd-pair-form-n{n}", dev, tol, trials))
+
+    def pair_form(n, amps):
+        invariant, parity = (_even_invariant, "even") if n % 2 == 0 else (_odd_invariant, "odd")
+        dev = np.abs(invariant(amps, n) - _invariant_pairs(amps, n)).max()
+        return _check(f"{parity}-pair-form-n{n}", dev, tol, trials)
+
+    checks = _each_size(range(2, n_max + 1), trials,
+                        lambda n: random_state_batch(n, trials, _rng(cfg.seed, 1, n)), pair_form)
     amps2 = random_state_batch(2, trials, _rng(cfg.seed, 2))
     direct = 2.0 * np.abs(amps2[:, 0] * amps2[:, 3] - amps2[:, 1] * amps2[:, 2])
     dev = np.abs(_tau_even(amps2, 2) - direct).max()
@@ -619,19 +647,20 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
 
 def suite_range(cfg: SuiteConfig) -> SuiteReport:
     trials, n_max, tol = _settings(cfg)
-    checks = []
-    for n in range(2, n_max + 1):
-        amps = random_state_batch(n, trials, _rng(cfg.seed, 17, n))
-        vals = _tau_any(amps, n)
+
+    def in_range(name, vals):
         dev = max(float(vals.max()) - 1.0, -float(vals.min()), 0.0)
-        checks.append(_check(f"tau-range-n{n}", dev, tol, trials,
-                             detail=f"observed [{vals.min():.3g}, {vals.max():.3g}]"))
+        return _check(name, dev, tol, trials, detail=f"observed [{vals.min():.3g}, {vals.max():.3g}]")
+
+    def at_size(n, amps):
+        checks = [in_range(f"tau-range-n{n}", _tau_any(amps, n))]
         if n % 2 == 1:
-            rvals = _r_tangle(amps, n)
-            rdev = max(float(rvals.max()) - 1.0, -float(rvals.min()), 0.0)
-            checks.append(_check(f"r-range-n{n}", rdev, tol, trials,
-                                 detail=f"observed [{rvals.min():.3g}, {rvals.max():.3g}]"))
-    return _report(cfg, checks, trials, n_max, tol)
+            checks.append(in_range(f"r-range-n{n}", _r_tangle(amps, n)))
+        return checks
+
+    per_size = _each_size(range(2, n_max + 1), trials,
+                          lambda n: random_state_batch(n, trials, _rng(cfg.seed, 17, n)), at_size)
+    return _report(cfg, itertools.chain.from_iterable(per_size), trials, n_max, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -155,22 +158,74 @@ def test_batched_monotone_matches_the_per_trial_oracle():
 
 
 def test_suite_batches_fan_out_to_the_serial_reports(monkeypatch):
-    # suite batches run in chunks of rows on the pool; the chunks depend on n
-    # alone, so every report, each worst value included, is the serial one
+    # suite batches run in chunks of rows on the pool, and range and closed-form
+    # draw their largest batch there beside their other sizes; the chunks depend
+    # on n alone and each size has its own generator, so every report, each
+    # worst value included, is the serial one
     monkeypatch.setattr(state, "_WORKERS", 1)
     serial = [run_suite(SuiteConfig(name, seed=7)) for name in SUITES]
     monkeypatch.setattr(state, "_WORKERS", 2)
-    fan_out, sizes = state._fan_out, []
+    fan_out, draw, sizes, draws = state._fan_out, suites.random_state_batch, [], []
+    caller = threading.current_thread().name
 
     def spy(fn, items):
         sizes.append(len(items))
         return fan_out(fn, items)
 
+    def spy_draw(n, count, seed):
+        draws.append((suite, n, threading.current_thread().name))
+        return draw(n, count, seed)
+
     monkeypatch.setattr(state, "_fan_out", spy)
+    monkeypatch.setattr(suites, "random_state_batch", spy_draw)
     for want in serial:
-        assert want.passed, want.suite
-        assert run_suite(SuiteConfig(want.suite, seed=7)) == want, want.suite
+        suite = want.suite
+        assert want.passed, suite
+        assert run_suite(SuiteConfig(suite, seed=7)) == want, suite
     assert max(sizes) > 1  # range's n=9 batch is 40 chunks
+    pooled = [(suite, n) for suite, n, thread in draws if thread != caller]
+    assert sorted(pooled) == [("closed-form", 12), ("range", 9)]
+    assert all(thread.startswith("ntangle") for _, _, thread in draws if thread != caller)
+
+
+def test_each_size_draws_the_last_size_beside_the_others_and_drops_each_batch(monkeypatch):
+    monkeypatch.setattr(state, "_WORKERS", 2)
+    sizes = (2, 3, 20)  # one state of 20 qubits spans more than one draw block
+    caller = threading.current_thread().name
+    started, finished, threads, held = threading.Event(), threading.Event(), {}, []
+
+    def draw(n):
+        threads[n] = threading.current_thread().name
+        batch = np.full(3, n)
+        if n == sizes[-1]:
+            started.set()
+            time.sleep(0.2)  # still drawing while the caller works
+            finished.set()
+        else:
+            assert all(ref() is None for ref in held)  # no finished batch is still held
+            held.append(weakref.ref(batch))
+        return batch
+
+    def work(n, batch):
+        assert started.wait(5)  # the last draw was submitted before any work
+        return n, int(batch[0])
+
+    assert suites._each_size(sizes, 1, draw, work) == [(2, 2), (3, 3), (20, 20)]
+    assert threads[2] == threads[3] == caller and threads[20].startswith("ntangle")
+
+    def fail(n, batch):
+        raise ZeroDivisionError(n)
+
+    started.clear()
+    finished.clear()
+    with pytest.raises(ZeroDivisionError):
+        suites._each_size(sizes, 1, draw, fail)
+    assert finished.is_set()  # the pooled draw ended before the error left
+
+    # a batch within one block is drawn on the caller, as random_state_batch keeps it off the pool
+    threads.clear()
+    assert suites._each_size((2, 3), 1, draw, lambda n, batch: n) == [2, 3]
+    assert set(threads.values()) == {caller}
 
 
 def test_run_all_suites_script_runs_from_an_uninstalled_checkout(tmp_path):
