@@ -207,8 +207,8 @@ def _block_signs(size: int) -> np.ndarray:
 # next. A pair form over a block of at least this many amplitudes (8 MB) cuts
 # its partial sums over the pool: on a 2-vCPU Xeon a split of a smaller block
 # costs more in dispatch than it saves. The size of one state decides, never
-# the batch: a batch below it fans out by chunks of rows (_on_rows). Only _pair
-# and _on_rows read it; R's ranges of chunks go to the pool at any size.
+# the batch, which fans out by chunks of rows (_on_rows). Only _pair reads it;
+# R's ranges of chunks go to the pool at any size.
 _SPLIT_MIN = 1 << 19
 
 
@@ -246,10 +246,13 @@ def _self_pair(x: np.ndarray) -> np.ndarray:
 
 # Input with leading batch axes runs in chunks of rows whose count depends on
 # n alone, never on the CPU count, so every value is the same at any count.
-# Below n = 20 each chunk is one task on the pool; from n = 20 a chunk is one
-# state, whose own kernel fans out, and the chunks run in turn. Putting those
-# states on the pool as well was slower on a 2-vCPU Xeon: R on a (2, 2**21)
-# batch went from 135-147 to 171-184 ms in two rounds. A kernel sees
+# Each chunk is one task on the pool; from n = 20 a chunk is one state, and
+# its kernel runs whole on its pool thread (one state alone fans out inside
+# its kernel). On a 2-vCPU Xeon that is as fast as running the states in
+# turn, each fanning out. Medians of ten rounds in BENCH_35.json, this way
+# against in turn: R on a (2, 2**21) batch 68.1 against 68.5 ms, tau 16.0
+# against 16.3, and tau on (4, 2**20) 8.6 against 8.0, each inside the range
+# of the other's rounds. A kernel sees
 # its chunk as a transposed (2**n, rows) view. R copies it first: its einsums
 # then run their inner loops along the rows at unit stride, with the whole
 # chunk in one core's 2 MiB share of L2. tau reads its chunk once (even n) or
@@ -270,14 +273,7 @@ def _on_rows(kernel):
             return kernel(amps, n, *args)
         lead, rows, step = amps.shape[:-1], amps.reshape(-1, amps.shape[-1]), _chunk_rows(n)
         starts = range(0, max(len(rows), 1), step)  # an empty batch: one empty chunk
-
-        def chunk(k):
-            return kernel(rows[k:k + step].T, n, *args)
-
-        if 1 << (n - 1) < _SPLIT_MIN:
-            parts = state._fan_out(chunk, starts)
-        else:  # the state's own kernel fans out
-            parts = [chunk(k) for k in starts]
+        parts = state._fan_out(lambda k: kernel(rows[k:k + step].T, n, *args), starts)
         out = np.concatenate(parts, axis=-1)
         return out.reshape(out.shape[:-1] + lead)
 

@@ -1,5 +1,12 @@
 """Named verification suites behind `ntangle verify` and the acceptance tests.
 
+SUITES is the one registry, in run order: each row holds the function that
+returns the suite's checks, its default trials, n_max and tol, the largest
+batch it draws, which SuiteConfig checks against the capacity, and the
+settings it fixes whatever a config asks (``golden-examples`` trials 1 and
+n_max 6, ``oracle-n3`` n_max 3, ``bitops`` trials 1 and tol 0). run_suite
+resolves the three settings once and builds the report from the checks.
+
 Every suite is a pure function of its SuiteConfig: identical config yields an
 identical report. Each block of trials (a suite's check at one qubit count,
 say) has its own generator, derived from the master seed and the block's key,
@@ -19,15 +26,13 @@ draw their largest size on the kernels' pool while the calling thread draws
 and checks the smaller sizes (``_each_size``), and hold one finished batch at
 a time. With one CPU, or batches of one draw block, everything runs on the
 calling thread. The reports are the same either way.
-
-Suite names, in run order: bitops, closed-form, oracle-n3, golden-examples,
-covariance-even, covariance-odd, permutation, product, monotone, range.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -96,8 +101,9 @@ class SuiteConfig:
             raise UsageError(f"tol must be positive, got {self.tol}")
         if self.n_max is not None:
             state._check_capacity(f"{self.suite} up to n={self.n_max}", self.n_max)
-        trials, n_max, _ = _settings(self)
-        top = _PLANS[self.suite].top(n_max)
+        suite = SUITES[self.suite]
+        trials, n_max, _ = suite.settings(self)
+        top = suite.top(n_max)
         if top is not None:  # the largest batch it will draw, before it draws any
             state._check_draw(top, trials)
 
@@ -155,19 +161,6 @@ def _check(name: str, worst, tol: float, count: int, detail: str = "") -> CheckR
                        tol=tol, detail=detail)
 
 
-def _settings(cfg: SuiteConfig) -> tuple[int, int, float]:
-    """cfg's trials, n_max and tol, each falling back to the suite's default where unset."""
-    plan = _PLANS[cfg.suite]
-    return (plan.trials if cfg.trials is None else cfg.trials,
-            plan.n_max if cfg.n_max is None else cfg.n_max,
-            plan.tol if cfg.tol is None else cfg.tol)
-
-
-def _report(cfg: SuiteConfig, checks, trials: int, n_max: int, tol: float) -> SuiteReport:
-    return SuiteReport(suite=cfg.suite, seed=cfg.seed, n_max=n_max, trials=trials,
-                       tolerance=tol, checks=tuple(checks))
-
-
 def _each_size(sizes: Sequence[int], count: int, draw, work) -> list:
     """[work(n, draw(n)) for n in sizes], with the last size's draw on the pool beside the others.
 
@@ -198,8 +191,7 @@ def _product(*factors) -> StateVector:
     return build_product(ProductExpression(tuple(ProductFactor(s, labels) for s, labels in factors)))
 
 
-def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
-    _, _, tol = _settings(cfg)  # one fixed set of states: trials 1, n_max 6
+def suite_golden_examples(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     ghz3 = named_state("ghz", 3)
     ghz4 = named_state("ghz", 4)
     bell = named_state("bell", 2)
@@ -230,8 +222,7 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
     ta, tb = float(_tau_odd(a.amps, 5)), float(_tau_odd(b.amps, 5))
     checks.append(_check("ghz125-bell34-and-bell15-ghz234", max(abs(ta - 1.0), abs(tb)), tol, 2,
                          detail=f"tau={ta:.12g} and {tb:.3g}"))
-
-    return _report(cfg, checks, 1, 6, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +230,7 @@ def suite_golden_examples(cfg: SuiteConfig) -> SuiteReport:
 # and the two-qubit reduction to the concurrence
 # ---------------------------------------------------------------------------
 
-def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg)
-
+def suite_closed_form(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     def pair_form(n, amps):
         invariant, parity = (_even_invariant, "even") if n % 2 == 0 else (_odd_invariant, "odd")
         dev = np.abs(invariant(amps, n) - _invariant_pairs(amps, n)).max()
@@ -253,7 +242,7 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
     direct = 2.0 * np.abs(amps2[:, 0] * amps2[:, 3] - amps2[:, 1] * amps2[:, 2])
     dev = np.abs(_tau_even(amps2, 2) - direct).max()
     checks.append(_check("concurrence-reduction-n2", dev, tol, trials))
-    return _report(cfg, checks, trials, n_max, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +250,7 @@ def suite_closed_form(cfg: SuiteConfig) -> SuiteReport:
 # residual-entanglement construction, residual equality and R = tau
 # ---------------------------------------------------------------------------
 
-def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
-    trials, _, tol = _settings(cfg)  # n_max is fixed at 3
+def suite_oracle_n3(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     amps = random_state_batch(3, trials, _rng(cfg.seed, 3))
     t = _tau_odd(amps, 3)
     oracle = _three_tangle(amps)
@@ -281,7 +269,7 @@ def suite_oracle_n3(cfg: SuiteConfig) -> SuiteReport:
         abs(float(_tau_odd(w3.amps, 3))),
     )
     checks.append(_check("ghz-w-anchors", anchor_dev, tol, 4, detail="ghz -> 1, w -> 0"))
-    return _report(cfg, checks, trials, 3, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +291,9 @@ _COVARIANCE = (
 )
 
 
-def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
+def suite_covariance(cfg: SuiteConfig, trials: int, n_max: int, tol: float, parity: int) -> list:
     sizes, invariant, kind, invariant_name, tau_name = _COVARIANCE[parity]
     measure, power = MEASURES[kind].kernel, MEASURES[kind].degree // 2
-    trials, n_max, tol = _settings(cfg)
     quarter = max(1, trials // 4)
     checks = []
     for n in [x for x in sizes if x <= n_max]:
@@ -331,7 +318,7 @@ def suite_covariance(cfg: SuiteConfig, parity: int) -> SuiteReport:
         checks.append(_check(f"{invariant_name}-n{n}", inv_dev.max(), tol, trials))
         checks.append(_check(f"{tau_name}-n{n}", tau_dev.max(), tol, trials))
         checks.append(_check(f"sl-invariance-n{n}", sl_dev.max(), tol, quarter))
-    return _report(cfg, checks, trials, n_max, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +379,7 @@ def _spread(kernel, n: int, amps: np.ndarray, moved: np.ndarray) -> float:
 _PERMUTATION_SAMPLED = ((6, 8), (7, 9))
 
 
-def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg)
+def suite_permutation(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     checks = []
 
     # even n=4: every one of the 24 permutations, complex invariant included
@@ -445,8 +431,7 @@ def suite_permutation(cfg: SuiteConfig) -> SuiteReport:
         pair = f"sample quartic={wong[0, 0]:.6g} quadratic={float(_tau_even(amps[0], 4)):.6g}"
         checks.append(_check("quartic-permutation-n4", np.abs(wong[1] - wong[0]).max(), tol, 50,
                              detail=pair))
-
-    return _report(cfg, checks, trials, n_max, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +466,7 @@ def _factor_residuals(amps: np.ndarray, size: int, other_tau: np.ndarray) -> lis
 _PRODUCT_SIZES = (4, 5, 6, 7, 8)  # the sizes of the products factorized, `trials` a split
 
 
-def suite_product(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg)
+def suite_product(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     checks = []
 
     for n in [x for x in _PRODUCT_SIZES if x <= n_max]:
@@ -538,8 +522,7 @@ def suite_product(cfg: SuiteConfig) -> SuiteReport:
         worst = max(abs(float(_tau_any(witness.amps, n)) - 1.0), _tau_any(images, n).max())
         checks.append(_check(f"nonreachability-from-ghz-n{n}", worst, tol, reach_trials + 1,
                              detail="images of GHZ under singular tuples stay at 0"))
-
-    return _report(cfg, checks, trials, n_max, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +553,7 @@ def _excess(p: np.ndarray, values: np.ndarray, base: np.ndarray, eta) -> float:
 _MONOTONE_SIZES = (3, 4, 5, 6)  # the sizes at which monotone draws `trials` states
 
 
-def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg)
+def suite_monotone(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     checks = []
 
     for n in [x for x in _MONOTONE_SIZES if x <= n_max]:
@@ -637,17 +619,14 @@ def suite_monotone(cfg: SuiteConfig) -> SuiteReport:
         closed = (a * b + np.sqrt((1.0 - a * a) * (1.0 - b * b))) * _tau_even(ghz4[0], 4)
         worst = np.abs((p * _tau_even(phi, 4)).sum(0) - closed).max()
         checks.append(_check("diagonal-closed-form-ghz4", worst, tol, a.size))
-
-    return _report(cfg, checks, trials, n_max, tol)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # range: measures of normalized states stay inside [0, 1]
 # ---------------------------------------------------------------------------
 
-def suite_range(cfg: SuiteConfig) -> SuiteReport:
-    trials, n_max, tol = _settings(cfg)
-
+def suite_range(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     def in_range(name, vals):
         dev = max(float(vals.max()) - 1.0, -float(vals.min()), 0.0)
         return _check(name, dev, tol, trials, detail=f"observed [{vals.min():.3g}, {vals.max():.3g}]")
@@ -660,7 +639,7 @@ def suite_range(cfg: SuiteConfig) -> SuiteReport:
 
     per_size = _each_size(range(2, n_max + 1), trials,
                           lambda n: random_state_batch(n, trials, _rng(cfg.seed, 17, n)), at_size)
-    return _report(cfg, itertools.chain.from_iterable(per_size), trials, n_max, tol)
+    return [check for checks in per_size for check in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +669,7 @@ def _violations(n_max: int, l_lo: int, identity, keep=None) -> tuple[int, int]:
     return bad, cases
 
 
-def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
-    # exact integer identities, each checked once: trials 1, zero violations allowed
-    _, n_max, _ = _settings(cfg)
-    tol = 0.0
+def suite_bitops(cfg: SuiteConfig, trials: int, n_max: int, tol: float) -> list:
     sgn, star = bitops.sgn_table, bitops.sgn_star_table
     checks = []
 
@@ -754,7 +730,7 @@ def suite_bitops(cfg: SuiteConfig) -> SuiteReport:
     run("even-width-collapse", grid(0, lambda n, l, j, k: (star(n)[k] == parity_sign(k),),
                                     lambda n, l: l == 0 and n % 2 == 0),
         detail="sgn_star with even first argument is the plain parity sign")
-    return _report(cfg, checks, 1, n_max, tol)
+    return checks
 
 
 def _complement_counts(n_top):
@@ -770,46 +746,53 @@ def _complement_counts(n_top):
 
 
 # ---------------------------------------------------------------------------
-# the registry: each suite's defaults and the largest batch of trials it draws
+# the registry, in run order: each suite's checks, its defaults, the largest
+# batch of trials it draws and the settings it fixes
 # ---------------------------------------------------------------------------
-
-class _Plan(NamedTuple):
-    trials: int                       # the defaults of what a config leaves unset
-    n_max: int
-    tol: float
-    top: Callable[[int], int | None]  # the largest size it draws `trials` states at, by n_max
-
 
 def _up_to(*sizes: int) -> Callable[[int], int | None]:
     return lambda n_max: max((n for n in sizes if n <= n_max), default=None)
 
 
-_PLANS = {
-    "bitops": _Plan(1, 12, 0.0, lambda n_max: None),  # exact identities, each checked once
-    "closed-form": _Plan(1000, 12, TOL_ALGEBRAIC, lambda n_max: max(n_max, 2)),  # and n=2's
-    "oracle-n3": _Plan(1000, 3, TOL_NUMERIC, lambda n_max: 3),
-    "golden-examples": _Plan(1, 6, TOL_NUMERIC, lambda n_max: None),  # one fixed set of states
-    "covariance-even": _Plan(100, 10, TOL_NUMERIC, _up_to(*_COVARIANCE[0][0])),
-    "covariance-odd": _Plan(100, 9, TOL_NUMERIC, _up_to(*_COVARIANCE[1][0])),
-    "permutation": _Plan(200, 9, TOL_NUMERIC, _up_to(*_PERMUTATION_SAMPLED[0], *_PERMUTATION_SAMPLED[1])),
-    "product": _Plan(50, 8, TOL_NUMERIC, _up_to(*_PRODUCT_SIZES)),
-    "monotone": _Plan(2000, 6, TOL_NUMERIC, _up_to(*_MONOTONE_SIZES)),
-    "range": _Plan(10_000, 9, TOL_NUMERIC, lambda n_max: n_max if n_max >= 2 else None),
-}
+class _Suite(NamedTuple):
+    checks: Callable[..., list]       # (cfg, trials, n_max, tol) -> its checks, in report order
+    trials: int                       # the defaults of what a config leaves unset
+    n_max: int
+    tol: float
+    top: Callable[[int], int | None] = _up_to()  # the largest size it draws `trials` states at, by n_max
+    fixed: tuple = ()                 # the settings held at their defaults, whatever a config asks
 
-SUITES = {  # in run order
-    "bitops": suite_bitops,
-    "closed-form": suite_closed_form,
-    "oracle-n3": suite_oracle_n3,
-    "golden-examples": suite_golden_examples,
-    "covariance-even": lambda cfg: suite_covariance(cfg, 0),
-    "covariance-odd": lambda cfg: suite_covariance(cfg, 1),
-    "permutation": suite_permutation,
-    "product": suite_product,
-    "monotone": suite_monotone,
-    "range": suite_range,
+    def settings(self, cfg: SuiteConfig) -> tuple[int, int, float]:
+        """cfg's trials, n_max and tol, each the default where cfg leaves it unset or the suite fixes it."""
+        return tuple(getattr(self, name) if name in self.fixed or getattr(cfg, name) is None
+                     else getattr(cfg, name) for name in ("trials", "n_max", "tol"))
+
+    def __call__(self, cfg: SuiteConfig) -> SuiteReport:
+        return run_suite(cfg)
+
+
+SUITES = {
+    # exact integer identities, each checked once: zero violations allowed
+    "bitops": _Suite(suite_bitops, 1, 12, 0.0, fixed=("trials", "tol")),
+    "closed-form": _Suite(suite_closed_form, 1000, 12, TOL_ALGEBRAIC,
+                          lambda n_max: max(n_max, 2)),  # and n=2's
+    "oracle-n3": _Suite(suite_oracle_n3, 1000, 3, TOL_NUMERIC, _up_to(3), fixed=("n_max",)),
+    "golden-examples": _Suite(suite_golden_examples, 1, 6, TOL_NUMERIC, fixed=("trials", "n_max")),
+    "covariance-even": _Suite(partial(suite_covariance, parity=0), 100, 10, TOL_NUMERIC,
+                              _up_to(*_COVARIANCE[0][0])),
+    "covariance-odd": _Suite(partial(suite_covariance, parity=1), 100, 9, TOL_NUMERIC,
+                             _up_to(*_COVARIANCE[1][0])),
+    "permutation": _Suite(suite_permutation, 200, 9, TOL_NUMERIC,
+                          _up_to(*_PERMUTATION_SAMPLED[0], *_PERMUTATION_SAMPLED[1])),
+    "product": _Suite(suite_product, 50, 8, TOL_NUMERIC, _up_to(*_PRODUCT_SIZES)),
+    "monotone": _Suite(suite_monotone, 2000, 6, TOL_NUMERIC, _up_to(*_MONOTONE_SIZES)),
+    "range": _Suite(suite_range, 10_000, 9, TOL_NUMERIC, lambda n_max: n_max if n_max >= 2 else None),
 }
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    return SUITES[cfg.suite](cfg)
+    """The report of cfg's suite at cfg's settings, resolved against the suite's defaults."""
+    suite = SUITES[cfg.suite]
+    trials, n_max, tol = suite.settings(cfg)
+    return SuiteReport(suite=cfg.suite, seed=cfg.seed, n_max=n_max, trials=trials, tolerance=tol,
+                       checks=tuple(suite.checks(cfg, trials, n_max, tol)))

@@ -183,9 +183,12 @@ def test_batched_tau_is_exact_in_chunks(n):
         assert (_tau_odd(amps, n) == want).all()
 
 
-@pytest.mark.parametrize("n", (4, 5, 8, 9))
+# from n = 20 a chunk is one state, and two of them are enough to fan out
+@pytest.mark.parametrize("n", (4, 5, 8, 9, 20, 21))
 def test_batched_values_are_the_same_on_one_and_two_workers(n, monkeypatch):
-    amps = state.random_state_batch(n, chunked_rows(n), 1000 + n).reshape(1, -1, 1 << n)
+    rows = chunked_rows(n) if n < 20 else 2
+    assert (measures._chunk_rows(n) == 1) == (n >= 20)
+    amps = state.random_state_batch(n, rows, 1000 + n).reshape(1, -1, 1 << n)
 
     def values():
         out = [_tau_any(amps, n)]

@@ -56,6 +56,21 @@ def test_suite_passes_quick(name):
     assert report.checks, "suite produced no checks"
 
 
+@pytest.mark.parametrize("request_, fixed", [
+    ({"suite": "bitops", "tol": 1e-3, "trials": 3}, {"tolerance": 0.0, "trials": 1}),
+    ({"suite": "golden-examples", "trials": 25, "n_max": 9}, {"trials": 1, "n_max": 6}),
+    ({"suite": "oracle-n3", "n_max": 7}, {"n_max": 3}),
+])
+def test_a_suite_reports_the_settings_it_fixes_whatever_the_request(request_, fixed):
+    cfg = SuiteConfig(**request_)
+    report = run_suite(cfg)
+    assert report == SUITES[cfg.suite](cfg)
+    assert {key: getattr(report, key) for key in fixed} == fixed
+    if "tolerance" in fixed:
+        assert {c.tol for c in report.checks} == {fixed["tolerance"]}
+    assert report.passed, report.to_text()
+
+
 def test_reports_are_deterministic():
     for cfg in (SuiteConfig("closed-form", trials=20, n_max=4, seed=123),
                 SuiteConfig("monotone", trials=12, n_max=5, seed=123),
