@@ -29,6 +29,7 @@ from .measures import (
     three_tangle,
     wong_tangle,
 )
+from .qsv import read_qsv, write_qsv
 from .state import (
     DEFAULT_MAX_QUBITS,
     ProductExpression,
@@ -44,9 +45,7 @@ from .state import (
     random_operator,
     random_state,
     random_state_batch,
-    read_qsv,
     tensor,
-    write_qsv,
 )
 from .suites import SUITES, CheckResult, SuiteConfig, SuiteReport, run_suite
 

@@ -1,9 +1,10 @@
 """Timing and operation-count records for the measures' kernels and the qsv reader and writer.
 
-Wall times are environment noise; operation counts are exact. Each measure row (quadratic,
-odd, r; residual at every qubit 1..n) times the kernel of its row of ``measures.MEASURES``
-at the sizes it takes and counts its ``products``; the quartic row times wong's oracle,
-``measures._QUARTIC``. The read and write rows time ``read_qsv`` and ``write_qsv`` of a
+Wall times are environment noise; operation counts are exact. Each row makes one untimed
+call, then keeps the median, min and quartiles of its timed ones. Each measure row
+(quadratic, odd, r; residual at every qubit 1..n) times the kernel of its row of
+``measures.MEASURES`` at the sizes it takes and counts its ``products``; the quartic row
+times wong's oracle, ``measures._QUARTIC``. The read and write rows time ``read_qsv`` and ``write_qsv`` of a
 seeded state in a temporary directory, written before the read is timed, and count its 2**n
 amplitudes. The batch rows time the kernels as the suites call them, on a seeded batch of
 2**(22-n) states at every size up to 22: ``batch:tau`` (tau_even or tau_odd by parity), and
@@ -24,14 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import state
+from . import qsv, state
 from .errors import DomainError, UsageError
 from .measures import _QUARTIC, MEASURES, _check_wong_cap, _r_tangle, _tau_any, _tau_kind
 
 __all__ = ["BenchRecord", "op_count", "run_bench", "records_to_csv",
            "records_to_json", "CSV_HEADER"]
 
-CSV_HEADER = "n,measure,median_ns,min_ns,op_count"
+CSV_HEADER = "n,measure,median_ns,min_ns,op_count,q1_ns,q3_ns"
 # thread counts a BLAS library reads at start; the kernels make no BLAS call,
 # but other numpy calls in the process (random states) do
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -44,6 +45,8 @@ class BenchRecord:
     median_ns: int
     min_ns: int
     op_count: int
+    q1_ns: int  # the first and third quartiles of the timed calls
+    q3_ns: int
 
 
 # each label's row of MEASURES, the quartic oracle's in wong's place, and its sizes (None: every n)
@@ -61,11 +64,11 @@ def _rows(measure: str, psi: state.StateVector, tmp: str, seed: int) -> list:
         return rows + [("batch:r", lambda: _r_tangle(amps, n))] if n % 2 else rows
     if measure == "read":
         path = os.path.join(tmp, f"state{n}.qsv")
-        state.write_qsv(psi, path)
-        return [("read", lambda: state.read_qsv(path))]
+        qsv.write_qsv(psi, path)
+        return [("read", lambda: qsv.read_qsv(path))]
     if measure == "write":
         path = os.path.join(tmp, f"state{n}.qsv")
-        return [("write", lambda: state.write_qsv(psi, path))]
+        return [("write", lambda: qsv.write_qsv(psi, path))]
     kernel = _TIMED[measure].kernel
     if measure == "residual":
         return [(f"residual:{i}", lambda i=i: kernel(psi.amps, n, i)) for i in range(1, n + 1)]
@@ -90,14 +93,16 @@ def op_count(label: str, n: int) -> int:
     raise DomainError(f"unknown bench measure {label!r}")
 
 
-def _time_call(fn, repetitions: int) -> tuple[int, int]:
+def _time_call(fn, repetitions: int) -> tuple[int, int, int, int]:
+    """(median, min, first quartile, third quartile) in ns of fn's timed calls, each one of the times."""
+    fn()  # untimed: the first call of a row pays for its caches and its pool's threads
     samples = []
     for _ in range(repetitions):
         start = time.perf_counter_ns()
         fn()
         samples.append(time.perf_counter_ns() - start)
     samples.sort()
-    return samples[len(samples) // 2], samples[0]
+    return samples[repetitions // 2], samples[0], samples[repetitions // 4], samples[3 * repetitions // 4]
 
 
 def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) -> list:
@@ -136,17 +141,14 @@ def run_bench(ns, measures=("quadratic",), repetitions: int = 5, seed: int = 7) 
             psi = state.random_state(n, seed + n)
             for measure in todo:
                 for label, call in _rows(measure, psi, tmp, seed + n):
-                    median_ns, min_ns = _time_call(call, repetitions)
-                    records.append(BenchRecord(n=n, measure=label, median_ns=median_ns,
-                                               min_ns=min_ns, op_count=op_count(label, n)))
+                    median, low, q1, q3 = _time_call(call, repetitions)
+                    records.append(BenchRecord(n, label, median, low, op_count(label, n), q1, q3))
     return records
 
 
 def records_to_csv(records) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(f"{r.n},{r.measure},{r.median_ns},{r.min_ns},{r.op_count}")
-    return "\n".join(lines) + "\n"
+    rows = [",".join(str(value) for value in dataclasses.astuple(r)) for r in records]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def cpu_model():
@@ -172,12 +174,10 @@ def records_to_json(records) -> str:
 
 
 def records_to_text(records) -> str:
-    lines = [f"{'n':>4} {'measure':<12} {'median':>12} {'min':>12} {'op_count':>16}"]
+    lines = [f"{'n':>4} {'measure':<12} {'median':>12} {'q1':>12} {'q3':>12} {'min':>12} {'op_count':>16}"]
     for r in records:
-        lines.append(
-            f"{r.n:>4} {r.measure:<12} {r.median_ns / 1e6:>10.3f}ms {r.min_ns / 1e6:>10.3f}ms"
-            f" {r.op_count:>16}"
-        )
+        times = (f"{ns / 1e6:>10.3f}ms" for ns in (r.median_ns, r.q1_ns, r.q3_ns, r.min_ns))
+        lines.append(f"{r.n:>4} {r.measure:<12} {' '.join(times)} {r.op_count:>16}")
     by_kind = {}
     for r in records:
         by_kind.setdefault(r.n, {})[r.measure] = r.op_count

@@ -122,12 +122,8 @@ def _cmd_bench(args) -> int:
     timed = ("quadratic", "quartic") if args.measure == "both" else (args.measure,)
     records = run_bench(range(args.n_min, args.n_max + 1), measures=timed,
                         repetitions=args.repetitions, seed=args.seed)
-    if args.format == "csv":
-        print(records_to_csv(records), end="")
-    elif args.format == "json":
-        print(records_to_json(records), end="")
-    else:
-        print(records_to_text(records), end="")
+    formats = {"csv": records_to_csv, "json": records_to_json, "text": records_to_text}
+    print(formats[args.format](records), end="")
     return EXIT_OK
 
 

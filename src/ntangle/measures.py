@@ -86,8 +86,8 @@ __all__ = [
 ]
 
 # wong stays within this cap, so that its oracle _wong_tangle checks every value it gives:
-# that dense quartic contraction holds several (2**n, 2**n) complex arrays, takes 0.04 / 0.2
-# / 7 / 230 ms at n = 4 / 6 / 8 / 10 on a 2-vCPU Xeon, and at n = 12 each would be 268 MB.
+# that dense quartic contraction holds several (2**n, 2**n) complex arrays, takes 0.03 / 0.09
+# / 1.7 / 26 ms at n = 4 / 6 / 8 / 10 on a 2-vCPU Xeon, and at n = 12 each would be 268 MB.
 DEFAULT_WONG_CAP = 10
 
 
@@ -441,19 +441,21 @@ def _wong_tangle(amps: np.ndarray, n: int) -> np.ndarray:
 
     Slots 1..n-1 pair the first/second and third/fourth copies, slot n pairs
     first/third and second/fourth. The inner pairing over slots 1..n-1 is
-    nonzero only for index pairs differing in every one of those bits, which
-    lets the 2**(4n)-term sum be evaluated as dense matrix contractions
-    without changing a single term.
+    nonzero only for index pairs differing in every one of those bits, so the
+    2**(4n)-term sum is sum(t * (last @ t @ last.T)) over the dense (2**n, 2**n)
+    pairing t, where last[i, j] = eps[i & 1, j & 1] pairs slot n. A product
+    with last only sums by the lowest bit of an index, so with s the 2x2 sums
+    of t by the parities of its indices the sum is sum(s * (eps @ s @ eps.T)),
+    2 det(s): no BLAS call, whose threads would outlast it.
     """
     dim = 1 << n
     x = np.arange(dim)
     xor = x[:, None] ^ x[None, :]
     lead_signs = np.where(np.bitwise_count((x >> 1).astype(np.uint64)) & 1, -1, 1)
     pair_upper = np.where((xor | 1) == dim - 1, lead_signs[:, None], 0)
-    eps = np.array([[0, 1], [-1, 0]])
-    last = eps[x[:, None] & 1, x[None, :] & 1]
     t = (amps[..., :, None] * amps[..., None, :]) * pair_upper
-    return 2.0 * np.abs(np.sum(t * (last @ t @ last.T), axis=(-2, -1)))
+    s = t.reshape(t.shape[:-2] + (dim >> 1, 2, dim >> 1, 2)).sum(axis=(-4, -2))
+    return 4.0 * np.abs(s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +483,9 @@ MEASURES = {
     "tau_residual": _Measure("residual:<i>", _residual, "odd n", 4, "residual", lambda n: 1 << n),
 }
 
-# bench's quartic row: the oracle _wong_tangle of every wong value, and its dense contraction's products
-_QUARTIC = _Measure("wong", _wong_tangle, "even n", 4, "quartic", lambda n: 3 << (4 * n))
+# bench's quartic row: the oracle _wong_tangle of every wong value, and its products: the dense
+# pairing's 2**(2n) and the determinant's 2
+_QUARTIC = _Measure("wong", _wong_tangle, "even n", 4, "quartic", lambda n: (1 << (2 * n)) + 2)
 
 
 def _tau_kind(n: int) -> str:

@@ -99,10 +99,10 @@ class SuiteConfig:
             raise UsageError(f"trials must be at least 1, got {self.trials}")
         if self.tol is not None and not self.tol > 0:  # nan too
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.n_max is not None:
-            state._check_capacity(f"{self.suite} up to n={self.n_max}", self.n_max)
         suite = SUITES[self.suite]
-        trials, n_max, _ = suite.settings(self)
+        trials, n_max, _ = suite.settings(self)  # what it will run: a setting it fixes ignores the request
+        if self.n_max is not None:
+            state._check_capacity(f"{self.suite} up to n={n_max}", n_max)
         top = suite.top(n_max)
         if top is not None:  # the largest batch it will draw, before it draws any
             state._check_draw(top, trials)

@@ -15,9 +15,16 @@ RECORDS = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
 ONE_PASS_R = 24
 
 
+# the quartic oracle counted its 3 * 2**(4n) term products until it summed by index parity;
+# BENCH_31.json, the last record with a quartic row, timed that dense contraction
+DENSE_QUARTIC = 31
+
+
 def _count(path, side, row):
     count = bench.op_count(row["measure"], row["n"])
     number = int(path.stem.split("_")[1])
+    if row["measure"] == "quartic" and number <= DENSE_QUARTIC:
+        return 3 << (4 * row["n"])
     older = number < ONE_PASS_R or (number == ONE_PASS_R and side == "before")
     if row["measure"] in ("r", "batch:r") and older:
         return count // (row["n"] + 1) * (row["n"] + 2)
@@ -48,3 +55,6 @@ def test_bench_record_format(path):
         # a measure `ntangle bench` still times, and its count for the row's full label
         assert row["measure"].split(":")[0] in bench._PARITY, row
         assert row["op_count"] == _count(path, side, row), row
+        # rows timed since bench kept quartiles carry them, in order; older rows have none
+        if "q1_ns" in row:
+            assert row["q3_ns"] >= row["median_ns"] >= row["q1_ns"] >= row["min_ns"] >= 0, row

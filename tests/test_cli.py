@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ntangle
-from ntangle import bench, cli, measures, state, suites
+from ntangle import bench, cli, measures, qsv, state, suites
 from ntangle.bench import CSV_HEADER
 from ntangle.cli import main
 from ntangle.errors import DomainError
@@ -346,7 +346,8 @@ def test_bench_csv_roundtrip(capsys):
         n = int(r[0])
         assert r[1] == "quadratic"
         assert int(r[4]) == 2 ** (n - 1)
-        assert int(r[2]) >= int(r[3]) >= 0  # median >= min
+        median, low, q1, q3 = (int(r[k]) for k in (2, 3, 5, 6))
+        assert q3 >= median >= q1 >= low >= 0
 
 
 def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
@@ -368,9 +369,21 @@ def test_bench_json_carries_the_env_and_every_row(capsys, monkeypatch):
     assert [(r["n"], r["measure"]) for r in rows] == [(n, f"residual:{i}") for n in (3, 5)
                                                        for i in range(1, n + 1)]
     for r in rows:
-        assert set(r) == {"n", "measure", "median_ns", "min_ns", "op_count"}
+        assert set(r) == {"n", "measure", "median_ns", "min_ns", "op_count", "q1_ns", "q3_ns"}
         assert r["op_count"] == 2 ** r["n"]
-        assert r["median_ns"] >= r["min_ns"] >= 0
+        assert r["q3_ns"] >= r["median_ns"] >= r["q1_ns"] >= r["min_ns"] >= 0
+
+
+def test_time_call_warms_up_once_then_keeps_the_median_min_and_quartiles(monkeypatch):
+    # each call moves a clock on by its duration; the first call is not timed
+    durations, now = iter([1000, 5, 1, 4, 2, 3, 8, 7, 6]), [0]
+    monkeypatch.setattr(bench.time, "perf_counter_ns", lambda: now[0])
+
+    def call():
+        now[0] += next(durations)
+
+    assert bench._time_call(call, 8) == (5, 1, 3, 7)  # of 1..8: median, min, first and third quartiles
+    assert next(durations, None) is None  # nine calls: the warm-up and eight timed
 
 
 def test_cpu_model_reads_cpuinfo_then_platform_then_none(monkeypatch, tmp_path):
@@ -457,7 +470,7 @@ def test_bench_batch_times_the_suite_kernels_on_a_seeded_batch(capsys, monkeypat
     # each state counts its single-state products: tau_odd 2**n, R (n+1) 2**(n-1), tau_even 2**(n-1)
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
         (3, "batch:tau", 2**7 * 8), (3, "batch:r", 2**7 * 16), (4, "batch:tau", 2**6 * 8)]
-    assert shapes == [(2**7, 8), (2**6, 16)]
+    assert shapes == [(2**7, 8)] * 2 + [(2**6, 16)] * 2  # each row's untimed call, then its timed one
     code, rows, err = _bench_rows(capsys, "--n-min", "10", "--n-max", "11", "--measure", "batch")
     assert code == 2 and not rows
     assert "batch" in err
@@ -465,7 +478,7 @@ def test_bench_batch_times_the_suite_kernels_on_a_seeded_batch(capsys, monkeypat
 
 def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
     read, writes = [], []
-    time_call, write_qsv_ = bench._time_call, state.write_qsv
+    time_call, write_qsv_ = bench._time_call, qsv.write_qsv
 
     def timed(call, repetitions):
         before = len(writes)
@@ -474,7 +487,7 @@ def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
         return time_call(call, repetitions)
 
     monkeypatch.setattr(bench, "_time_call", timed)
-    monkeypatch.setattr(state, "write_qsv", lambda *args: (writes.append(args), write_qsv_(*args)))
+    monkeypatch.setattr(qsv, "write_qsv", lambda *args: (writes.append(args), write_qsv_(*args)))
     code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "5", "--measure", "read")
     assert code == 0
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
@@ -485,19 +498,19 @@ def test_bench_read_times_read_qsv_of_a_written_state(capsys, monkeypatch):
 
 
 def test_bench_write_times_write_qsv_of_the_seeded_state(capsys, monkeypatch):
-    written, write_qsv_ = [], state.write_qsv
+    written, write_qsv_ = [], qsv.write_qsv
 
     def spy(psi, path):
         write_qsv_(psi, path)
-        written.append((path, state.read_qsv(path)))
+        written.append((path, qsv.read_qsv(path)))
 
-    monkeypatch.setattr(state, "write_qsv", spy)
+    monkeypatch.setattr(qsv, "write_qsv", spy)
     code, rows, _ = _bench_rows(capsys, "--n-min", "3", "--n-max", "5", "--measure", "write")
     assert code == 0
     assert [(int(r[0]), r[1], int(r[4])) for r in rows] == [
         (3, "write", 8), (4, "write", 16), (5, "write", 32)]
-    assert [back.amps.tolist() for _, back in written] == [
-        state.random_state(n, cli.DEFAULT_SEED + n).amps.tolist() for n in (3, 4, 5)]
+    assert [back.amps.tolist() for _, back in written] == [  # the untimed write, then the timed one
+        state.random_state(n, cli.DEFAULT_SEED + n).amps.tolist() for n in (3, 4, 5) for _ in "12"]
     assert not any(os.path.exists(path) for path, _ in written)  # the temporary files are gone
 
 
@@ -518,7 +531,7 @@ def test_bench_quartic_op_count(capsys):
     rows = [line.split(",") for line in out.strip().splitlines()[1:]]
     counts = {r[1]: int(r[4]) for r in rows}
     assert counts["quadratic"] == 2 ** 3
-    assert counts["quartic"] == 3 * 2 ** 16
+    assert counts["quartic"] == 2 ** 8 + 2
 
 
 def test_bench_quartic_beyond_cap(capsys):
@@ -552,7 +565,7 @@ def test_run_bench_checks_every_size_before_timing(monkeypatch, ns, kinds):
 
 def test_op_count_of_every_bench_label():
     for n in range(2, 27):
-        counts = {"quadratic": 2 ** (n - 1), "quartic": 3 * 2 ** (4 * n), "r": (n + 1) * 2 ** (n - 1),
+        counts = {"quadratic": 2 ** (n - 1), "quartic": 2 ** (2 * n) + 2, "r": (n + 1) * 2 ** (n - 1),
                   "odd": 2 ** n, "residual:1": 2 ** n, f"residual:{n - 1}": 2 ** n, "read": 2 ** n,
                   "write": 2 ** n}
         if n <= bench.BATCH_BITS:
@@ -580,7 +593,7 @@ def test_bench_text_reports_op_count_ratio(capsys):
     code, out, _ = run_cli(capsys, "bench", "--n-min", "4", "--n-max", "4",
                            "--measure", "both", "--repetitions", "2")
     assert code == 0
-    assert "quartic/quadratic = 24576" in out
+    assert "quartic/quadratic = 32" in out  # (2**8 + 2) // 2**3
 
 
 def test_verify_batch_over_capacity_exit_3(capsys, monkeypatch):
@@ -628,6 +641,10 @@ def test_verify_past_capacity_exits_3_before_any_work(capsys, monkeypatch, name)
     def spy(*args):
         raise AssertionError("a state was drawn or a grid was built")
 
+    if "n_max" in suites.SUITES[name].fixed:  # the request's n_max is ignored, so never refused
+        code, out, _ = run_cli(capsys, "verify", "--suite", name, "--n-max", "27", "--format", "json")
+        assert (code, json.loads(out)["n_max"]) == (0, suites.SUITES[name].n_max)
+        return
     for work in ("random_state_batch", "_violations", "_complement_counts"):
         monkeypatch.setattr(suites, work, spy)
     got = run_cli(capsys, "verify", "--suite", name, "--n-max", "27")
@@ -843,7 +860,7 @@ def test_no_module_registers_an_atexit_hook():
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 def test_compute_file_on_one_cpu_gives_the_same_values(tmp_path):
     n = 15  # a block the reader splits over two CPUs, or over one
-    assert 1 << n >= 2 * state._QSV_RANGE_MIN
+    assert 1 << n >= 2 * qsv._QSV_RANGE_MIN
     path = tmp_path / "state.qsv"
     write_qsv(state.random_state(n, 15), path)
     cpu = min(os.sched_getaffinity(0))

@@ -15,7 +15,7 @@ import pytest
 
 import ntangle
 from ntangle import measures
-from ntangle import state as state_module
+from ntangle import qsv as qsv_module, state as state_module
 from ntangle.errors import CapacityError, DomainError, UsageError
 from ntangle.measures import (
     _even_invariant,
@@ -291,9 +291,10 @@ def test_tau_even_kernel_is_the_concurrence_at_n2():
 
 
 def test_residuals_keep_no_permutation_cache():
-    # the qsv powers of ten and the writer's format tables are the caches state may keep
-    caches = [name for name, obj in vars(state_module).items() if hasattr(obj, "cache_info")]
-    assert caches == ["_powers_of_ten", "_format_tables"]
+    # the qsv powers of ten and the writer's format tables are the caches the state layer may keep
+    caches = [f"{module.__name__}.{name}" for module in (state_module, qsv_module)
+              for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
+    assert caches == ["ntangle.qsv._powers_of_ten", "ntangle.qsv._format_tables"]
     psi = rand(9, 4242)
     gc.collect()
     tracemalloc.start()

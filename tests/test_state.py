@@ -17,15 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ntangle import state as state_module
+from ntangle import qsv as qsv_module, state as state_module
 from ntangle.errors import CapacityError, DomainError, ParseError
+from ntangle.qsv import _QSV_BLOCK, _scan_qsv
 from ntangle.state import (
-    _QSV_BLOCK,
     _apply_at,
     _apply_each,
     _contraction,
     _ginibre,
-    _scan_qsv,
     _special_linear,
     _unitary,
     ProductExpression,
@@ -797,7 +796,7 @@ def test_qsv_reader_agrees_with_the_line_scanner(text):
     assert _outcome(read_qsv, io.StringIO(text)) == _outcome(_scan_qsv, text)
 
 
-_HEAD = state_module._QSV_HEAD_BYTES
+_HEAD = qsv_module._QSV_HEAD_BYTES
 # lone '\r' and '\r\n' where the reads of the header lines end
 NEWLINE_TABLE = {
     "lone CR, a header line longer than the first read":
@@ -832,13 +831,13 @@ def test_qsv_path_bytes_and_text_mode_agree(tmp_path, text):
 def _spy_maps(monkeypatch):
     """The outcome of every _map_block call of read_qsv: a map of a path's block, or None."""
     maps = []
-    map_block = state_module._map_block
+    map_block = qsv_module._map_block
 
     def spy(fh):
         maps.append(map_block(fh))
         return maps[-1]
 
-    monkeypatch.setattr(state_module, "_map_block", spy)
+    monkeypatch.setattr(qsv_module, "_map_block", spy)
     return maps
 
 
@@ -886,7 +885,7 @@ def test_qsv_path_bytes_and_text_routes_read_the_same_bits(tmp_path, monkeypatch
     _no_child_left()
     assert got == [want] * 3
     assert len(maps) == 1 and maps[0].closed
-    assert len(forks) == 3 * (state_module._ways(1 << 15) - 1)
+    assert len(forks) == 3 * (qsv_module._ways(1 << 15) - 1)
 
 
 # the formats of the property below; "%.3f*" is "%.3f" of the double times 1e12
@@ -910,7 +909,7 @@ def test_qsv_reader_reads_every_double_as_float_does(values, fmt):
     text, tokens = _qsv_document(values, fmt)
     want = np.array([float(token) for token in tokens])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(state_module, "_QSV_CHUNK_BYTES", 64)  # a slice of a few lines each
+        patch.setattr(qsv_module, "_QSV_CHUNK_BYTES", 64)  # a slice of a few lines each
         if not np.isfinite(want).all():  # "%.3f" of a double times 1e12 past the float range
             with pytest.raises(ParseError, match="non-finite"):
                 read_qsv(io.StringIO(text))
@@ -924,7 +923,7 @@ def test_qsv_reader_reads_every_double_as_float_does(values, fmt):
 def test_qsv_reader_reads_wide_and_amplitude_doubles_as_float_does(monkeypatch, fmt, chunk):
     # doubles of any exponent, then amplitudes as a writer writes them, then
     # short decimals, in slices of a few lines or of the whole block
-    monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(qsv_module, "_QSV_CHUNK_BYTES", chunk)
     rng = np.random.default_rng(25)
     wide = rng.integers(0, 1 << 64, 1 << 10, dtype=np.uint64).view(np.float64)
     short = rng.integers(-10 ** 6, 10 ** 6, 1 << 10) * 10.0 ** rng.integers(-30, 30, 1 << 10)
@@ -941,7 +940,7 @@ def test_qsv_reader_proves_every_amplitude_of_common_formats(monkeypatch, fmt):
     values = random_state(12, 12).amps.view(np.float64).tolist()
     text, tokens = _qsv_document(values, fmt)
     refused = []
-    monkeypatch.setattr(state_module, "float", lambda token: refused.append(token) or float(token),
+    monkeypatch.setattr(qsv_module, "float", lambda token: refused.append(token) or float(token),
                         raising=False)
     got = read_qsv(io.StringIO(text)).amps.view(np.uint64).tolist()
     assert refused == []
@@ -949,21 +948,35 @@ def test_qsv_reader_proves_every_amplitude_of_common_formats(monkeypatch, fmt):
 
 
 def test_powers_of_ten_are_the_exact_powers_rounded():
-    hi, lo = state_module._powers_of_ten()
-    assert len(hi) == len(lo) == state_module._POW_MAX - state_module._POW_MIN + 1
-    for k in range(state_module._POW_MIN, state_module._POW_MAX + 1):
+    hi, lo = qsv_module._powers_of_ten()
+    assert len(hi) == len(lo) == qsv_module._POW_MAX - qsv_module._POW_MIN + 1
+    for k in range(qsv_module._POW_MIN, qsv_module._POW_MAX + 1):
         power = fractions.Fraction(10) ** k
-        i = k - state_module._POW_MIN
+        i = k - qsv_module._POW_MIN
         assert hi[i] == float(power) and lo[i] == float(power - fractions.Fraction(hi[i])), k
     assert not hi.flags.writeable and not lo.flags.writeable
+
+
+def test_qsv_and_state_import_in_a_fresh_interpreter(tmp_path):
+    # state re-exports qsv's reader and writer, and qsv builds on state: no cycle between the
+    # two may hide behind the order in which the package imports its modules
+    path = tmp_path / "ghz3.qsv"
+    write_qsv(named_state("ghz", 3), path)
+    src = str(pathlib.Path(state_module.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (["-c", "import ntangle.qsv"], ["-c", "from ntangle.state import read_qsv, write_qsv"],
+                 ["-m", "ntangle", "compute", "--file", str(path)]):
+        out = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (0, ""), argv
+    assert "value 1" in out.stdout.splitlines()
 
 
 def test_import_builds_no_power_table():
     # the tables are built at the first read or write: import ntangle costs none of them
     src = str(pathlib.Path(state_module.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import ntangle; from ntangle import state; "
-            "print(state._powers_of_ten.cache_info().currsize, state._format_tables.cache_info().currsize)")
+    code = ("import ntangle; from ntangle import qsv; "
+            "print(qsv._powers_of_ten.cache_info().currsize, qsv._format_tables.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["0", "0"]
 
@@ -982,7 +995,7 @@ def test_qsv_read_holds_the_block_and_a_bounded_parse(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert block > 8 * state_module._QSV_CHUNK_BYTES  # several slices
+    assert block > 8 * qsv_module._QSV_CHUNK_BYTES  # several slices
     assert peak - block <= 4 << 20
 
 
@@ -1014,9 +1027,9 @@ def test_qsv_read_of_an_unmapped_path_holds_the_block_once(tmp_path, monkeypatch
     def probe(data, n, start=0):
         peaks.append(tracemalloc.get_traced_memory()[1])
 
-    monkeypatch.setattr(state_module, "_map_block", lambda fh: None)
-    monkeypatch.setattr(state_module, "_parse_amplitude_block", probe)
-    monkeypatch.setattr(state_module, "_scan_qsv", lambda text: None)
+    monkeypatch.setattr(qsv_module, "_map_block", lambda fh: None)
+    monkeypatch.setattr(qsv_module, "_parse_amplitude_block", probe)
+    monkeypatch.setattr(qsv_module, "_scan_qsv", lambda text: None)
     tracemalloc.start()
     try:
         read_qsv(path)
@@ -1063,7 +1076,7 @@ def test_well_formed_qsv_never_reaches_the_scanner(tmp_path, monkeypatch):
     def refuse(text):
         raise AssertionError("the line scanner ran")
 
-    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
+    monkeypatch.setattr(qsv_module, "_scan_qsv", refuse)
     psi = random_state(16, 5)  # several read chunks
     path = tmp_path / "big.qsv"
     write_qsv(psi, path)
@@ -1084,13 +1097,13 @@ def _no_child_left():
 def _count_forks(monkeypatch):
     """The range of every forked child: (lo, hi) of the writer, (lo, end, line, stop) of the reader."""
     forks = []
-    fork = state_module._fork
+    fork = qsv_module._fork
 
     def spy(work, *args):
         forks.append(args)
         return fork(work, *args)
 
-    monkeypatch.setattr(state_module, "_fork", spy)
+    monkeypatch.setattr(qsv_module, "_fork", spy)
     return forks
 
 
@@ -1105,12 +1118,12 @@ def _wide_amplitudes(n, seed):
 @pytest.mark.parametrize("workers", (1, 2, 3, 5))
 def test_split_qsv_read_is_bit_identical_to_one_worker(tmp_path, monkeypatch, workers):
     n = 17
-    assert 1 << n >= 5 * state_module._QSV_RANGE_MIN  # five ranges at most
-    monkeypatch.setattr(state_module, "_QSV_CHUNK_BYTES", 1 << 14)  # every range crosses chunks
+    assert 1 << n >= 5 * qsv_module._QSV_RANGE_MIN  # five ranges at most
+    monkeypatch.setattr(qsv_module, "_QSV_CHUNK_BYTES", 1 << 14)  # every range crosses chunks
     amps = _wide_amplitudes(n, 16)
     path = tmp_path / "state.qsv"
     write_qsv(StateVector(n, amps), path)
-    assert path.stat().st_size > 8 * workers * state_module._QSV_CHUNK_BYTES
+    assert path.stat().st_size > 8 * workers * qsv_module._QSV_CHUNK_BYTES
     with monkeypatch.context() as serial:
         serial.setattr(state_module, "_WORKERS", 1)
         want = read_qsv(path).amps.view(np.uint64)
@@ -1133,7 +1146,7 @@ def test_split_read_makes_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     forks = _count_forks(monkeypatch)
     got = read_qsv(path)
     _no_child_left()
@@ -1171,7 +1184,7 @@ def _in_a_large_block(text, n=12):
 @pytest.mark.parametrize("text", QSV_TABLE)
 def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     path = tmp_path / "state.qsv"
     big, good = _in_a_large_block(text)
     path.write_bytes(big.encode("utf-8"))
@@ -1186,7 +1199,7 @@ def test_split_qsv_read_agrees_with_the_line_scanner(tmp_path, monkeypatch, text
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 def test_split_read_ends_its_ranges_at_a_last_line_longer_than_a_range(tmp_path, monkeypatch):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     lines = "0.5 -0.25\n" * ((1 << 12) - 1)
     # the last line is half the block: no newline follows the second of three cuts
     text = "qsv 1\nn 12\n" + lines + " " * len(lines) + "1 0\n"
@@ -1202,7 +1215,7 @@ def test_split_read_ends_its_ranges_at_a_last_line_longer_than_a_range(tmp_path,
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 def test_split_read_of_surplus_lines_goes_to_the_scanner(tmp_path, monkeypatch):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     text = "qsv 1\nn 12\n" + "0.5 -0.25\n" * (2 << 12)  # the first two ranges hold 5461 lines
     path = tmp_path / "state.qsv"
     path.write_text(text)
@@ -1219,9 +1232,9 @@ def test_failed_child_range_is_parsed_by_the_reader(tmp_path, monkeypatch, fault
     path = tmp_path / "state.qsv"
     write_qsv(psi, path)
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     parent, mine = os.getpid(), []
-    parse_lines, exit_ = state_module._parse_lines, os._exit
+    parse_lines, exit_ = qsv_module._parse_lines, os._exit
 
     def refuse(text):
         raise AssertionError("the line scanner ran")
@@ -1243,8 +1256,8 @@ def test_failed_child_range_is_parsed_by_the_reader(tmp_path, monkeypatch, fault
         monkeypatch.setattr(os, "fork", no_fork)
     elif fault == "exits 7 after writing all of its doubles":
         monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
-    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
-    monkeypatch.setattr(state_module, "_parse_lines", spy)
+    monkeypatch.setattr(qsv_module, "_scan_qsv", refuse)
+    monkeypatch.setattr(qsv_module, "_parse_lines", spy)
     forks = _count_forks(monkeypatch)
     got = read_qsv(path)
     _no_child_left()
@@ -1258,15 +1271,15 @@ def test_interrupted_split_read_reaps_every_child(tmp_path, monkeypatch):
     path = tmp_path / "state.qsv"
     write_qsv(random_state(12, 13), path)
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
-    parent, parse_lines = os.getpid(), state_module._parse_lines
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
+    parent, parse_lines = os.getpid(), qsv_module._parse_lines
 
     def interrupted(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         return parse_lines(*args)
 
-    monkeypatch.setattr(state_module, "_parse_lines", interrupted)
+    monkeypatch.setattr(qsv_module, "_parse_lines", interrupted)
     with pytest.raises(KeyboardInterrupt):
         read_qsv(path)
     _no_child_left()
@@ -1277,7 +1290,7 @@ def test_interrupted_split_read_kills_a_working_child(tmp_path, monkeypatch):
     path = tmp_path / "state.qsv"
     write_qsv(random_state(12, 14), path)
     monkeypatch.setattr(state_module, "_WORKERS", 2)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     parent = os.getpid()
 
     def stuck(*args):
@@ -1285,7 +1298,7 @@ def test_interrupted_split_read_kills_a_working_child(tmp_path, monkeypatch):
             raise KeyboardInterrupt
         time.sleep(60)  # a child still at work
 
-    monkeypatch.setattr(state_module, "_parse_lines", stuck)
+    monkeypatch.setattr(qsv_module, "_parse_lines", stuck)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         read_qsv(path)
@@ -1305,8 +1318,8 @@ def _serial_text(psi, monkeypatch):
 @pytest.mark.parametrize("workers", (1, 2, 3, 5))
 def test_split_qsv_write_is_byte_identical_to_one_worker(tmp_path, monkeypatch, workers):
     n, size = 16, 1 << 12
-    monkeypatch.setattr(state_module, "_QSV_ROUND", size)  # 16 ranges, `workers` per round
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", size)  # which the floor allows
+    monkeypatch.setattr(qsv_module, "_QSV_ROUND", size)  # 16 ranges, `workers` per round
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", size)  # which the floor allows
     psi = StateVector(n, _wide_amplitudes(n, 61))
     want = _serial_text(psi, monkeypatch)
     monkeypatch.setattr(state_module, "_WORKERS", workers)
@@ -1330,9 +1343,9 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
     psi = random_state(14, 14)
     want = _serial_text(psi, monkeypatch)
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     parent, mine = os.getpid(), []
-    format_lines, exit_ = state_module._format_lines, os._exit
+    format_lines, exit_ = qsv_module._format_lines, os._exit
 
     def no_fork():
         raise OSError("no process to be had")
@@ -1352,7 +1365,7 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
         monkeypatch.setattr(os, "fork", no_fork)
     elif fault == "exits 7 after writing all of its text":
         monkeypatch.setattr(os, "_exit", lambda code: exit_(7 if os.getpid() != parent else code))
-    monkeypatch.setattr(state_module, "_format_lines", spy)
+    monkeypatch.setattr(qsv_module, "_format_lines", spy)
     forks = _count_forks(monkeypatch)
     buf = io.StringIO()
     write_qsv(psi, buf)
@@ -1366,8 +1379,8 @@ def test_failed_child_range_is_formatted_by_the_writer(monkeypatch, fault):
 @pytest.mark.parametrize("where", ("_format_lines", "spool copy"))
 def test_interrupted_split_write_reaps_every_child(monkeypatch, where):
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
-    parent, format_lines, make_spool = os.getpid(), state_module._format_lines, tempfile.TemporaryFile
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
+    parent, format_lines, make_spool = os.getpid(), qsv_module._format_lines, tempfile.TemporaryFile
     spools, mine = [], []
 
     def spool(*args, **kwargs):
@@ -1390,7 +1403,7 @@ def test_interrupted_split_write_reaps_every_child(monkeypatch, where):
             return super().write(data)
 
     monkeypatch.setattr(tempfile, "TemporaryFile", spool)
-    monkeypatch.setattr(state_module, "_format_lines", interrupted)
+    monkeypatch.setattr(qsv_module, "_format_lines", interrupted)
     forks = _count_forks(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         write_qsv(random_state(12, 13), Target())
@@ -1401,9 +1414,9 @@ def test_interrupted_split_write_reaps_every_child(monkeypatch, where):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 def test_split_write_of_small_blocks_reaches_the_target(monkeypatch):
-    monkeypatch.setattr(state_module, "_QSV_BLOCK", 16)  # each block's text fits in a file's buffer
+    monkeypatch.setattr(qsv_module, "_QSV_BLOCK", 16)  # each block's text fits in a file's buffer
     monkeypatch.setattr(state_module, "_WORKERS", 3)
-    monkeypatch.setattr(state_module, "_QSV_RANGE_MIN", 1)
+    monkeypatch.setattr(qsv_module, "_QSV_RANGE_MIN", 1)
     psi = random_state(12, 21)
     forks = _count_forks(monkeypatch)
     buf = io.BytesIO()
@@ -1416,7 +1429,7 @@ def test_split_write_of_small_blocks_reaches_the_target(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 def test_split_write_reads_back_bit_exact(tmp_path, monkeypatch):
     n = 16
-    assert 1 << n >= 3 * state_module._QSV_RANGE_MIN
+    assert 1 << n >= 3 * qsv_module._QSV_RANGE_MIN
     monkeypatch.setattr(state_module, "_WORKERS", 3)
     amps = _wide_amplitudes(n, 15)
     path = tmp_path / "state.qsv"
@@ -1437,7 +1450,7 @@ def test_ignored_sigchld_reads_and_writes_in_one_process(tmp_path, monkeypatch):
     psi = random_state(16, 16)
     path, again = tmp_path / "state.qsv", tmp_path / "again.qsv"
     write_qsv(psi, path)
-    monkeypatch.setattr(state_module, "_scan_qsv", refuse)
+    monkeypatch.setattr(qsv_module, "_scan_qsv", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     # the kernel reaps the children itself, so their exit status is lost
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -1473,7 +1486,7 @@ def _os_references(name):
 
 def test_one_fork_and_no_pipe_in_the_package():
     # the qsv reader and writer fan out through one runner, _in_ranges
-    assert _os_references("fork") == [("state", "_fork")]
+    assert _os_references("fork") == [("qsv", "_fork")]
     assert _os_references("pipe") == []
 
 
@@ -1571,7 +1584,7 @@ FORMAT_CASES = {
 def test_qsv_formatter_matches_percent_17g(case):
     x = FORMAT_CASES[case]()
     assert x.size % 2 == 0
-    got, want = state_module._qsv_lines(x).split(b"\n"), _per_pair(x).split(b"\n")
+    got, want = qsv_module._qsv_lines(x).split(b"\n"), _per_pair(x).split(b"\n")
     assert len(got) == len(want)
     bad = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert not bad, bad[:5]
@@ -1583,16 +1596,16 @@ def test_qsv_formatter_splices_unproven_tokens_mid_block():
                6002: 1234567890123456.75, 6003: -(2.0 ** 50 + 0.25), 7000: -0.0, 7001: 0.0}
     for i, v in special.items():
         x[i] = v
-    digits, exp, proven = state_module._decimal(x, state_module._format_tables())
+    digits, exp, proven = qsv_module._decimal(x, qsv_module._format_tables())
     assert np.flatnonzero(~proven).tolist() == sorted(special)  # zeros have no digits either
-    assert state_module._qsv_lines(x) == _per_pair(x)
+    assert qsv_module._qsv_lines(x) == _per_pair(x)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the block is split over forked processes")
 @pytest.mark.parametrize("workers", (1, 2))
 def test_qsv_path_and_text_file_get_the_same_bytes(tmp_path, monkeypatch, workers):
     n = 15
-    assert 1 << n >= 2 * state_module._QSV_RANGE_MIN
+    assert 1 << n >= 2 * qsv_module._QSV_RANGE_MIN
     monkeypatch.setattr(state_module, "_WORKERS", workers)
     psi = StateVector(n, _wide_amplitudes(n, 150))
     forks = _count_forks(monkeypatch)

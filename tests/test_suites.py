@@ -60,6 +60,9 @@ def test_suite_passes_quick(name):
     ({"suite": "bitops", "tol": 1e-3, "trials": 3}, {"tolerance": 0.0, "trials": 1}),
     ({"suite": "golden-examples", "trials": 25, "n_max": 9}, {"trials": 1, "n_max": 6}),
     ({"suite": "oracle-n3", "n_max": 7}, {"n_max": 3}),
+    # past the capacity of 26 qubits: a fixed n_max is never checked against the request's
+    ({"suite": "golden-examples", "n_max": 27}, {"n_max": 6}),
+    ({"suite": "oracle-n3", "n_max": 30}, {"n_max": 3}),
 ])
 def test_a_suite_reports_the_settings_it_fixes_whatever_the_request(request_, fixed):
     cfg = SuiteConfig(**request_)
@@ -319,6 +322,9 @@ def test_every_suite_past_capacity_is_refused_when_its_config_is_built(monkeypat
         monkeypatch.setattr(suites, work, spy)
     monkeypatch.setattr(state, "DEFAULT_MAX_QUBITS", 8)  # read when the config is built
     SuiteConfig(name, n_max=8, trials=1)  # one state a size fits at the capacity itself
+    if "n_max" in SUITES[name].fixed:  # the suite runs at its own n_max: the request's is ignored
+        assert SUITES[name].settings(SuiteConfig(name, n_max=9, trials=1))[1] == SUITES[name].n_max <= 8
+        return
     with pytest.raises(CapacityError, match=f"^{name} up to n=9 exceeds the capacity of 8 qubits$"):
         SuiteConfig(name, n_max=9)
 
