@@ -29,7 +29,6 @@ _QSV_CHUNK_BYTES = 1 << 18
 # bytes of the first read of the header lines; each next read takes as many more
 # as all reads before it
 _QSV_HEAD_BYTES = 1 << 8
-_QSV_TOKEN_BYTES = b"0123456789.eE+- \t\n"
 # amplitudes per process, at least, when a block is split: on a 2-vCPU Xeon,
 # in four runs of 21 alternating calls, two processes read n=14 (2**13
 # amplitudes a range) in 1.01-1.04 of the time of one and wrote it in
@@ -442,12 +441,10 @@ def _parse_amplitude_block(data, n: int, start: int = 0) -> np.ndarray | None:
 
     data is bytes or a map of a file, whose block is parsed in place.
 
-    Accepts a subset of what ``_scan_qsv`` accepts: tokens of ASCII digits,
-    '.', 'e', 'E', '+' and '-', exactly two per line, separated by spaces,
-    tabs and newlines. _parse_tokens reads each to float()'s bits: by numpy
-    where it proves the rounding, by float() itself elsewhere. A token that
-    float() refuses, a value that is nan or inf, or anything else returns
-    None and leaves the block to the scanner.
+    Accepts a subset of what ``_scan_qsv`` accepts: exactly two tokens a
+    line, separated by spaces, tabs and newlines, each read to float()'s bits
+    (_parse_slice). A token that float() refuses, a value that is nan or inf,
+    or anything else returns None and leaves the block to the scanner.
 
     The parse holds the GIL, so a large block is cut into one range of
     whole lines per CPU and parsed through _in_ranges. The doubles go into one
@@ -490,196 +487,239 @@ def _parse_amplitude_block(data, n: int, start: int = 0) -> np.ndarray | None:
     return flat
 
 
-def _parse_lines(data: bytes, flat: np.ndarray, lo: int, end: int, line: int, stop: int) -> bool:
-    """Parse the lines of data[lo:end] into amplitudes line..stop-1 of flat, two doubles a line.
+def _parse_lines(data, flat: np.ndarray, lo: int, end: int, line: int, stop: int) -> bool:
+    """Parse the lines of data[lo:end] into amplitudes line..stop-1 of flat; False if refused.
 
-    False if a line is refused, a value is not finite, or the range does not
-    hold exactly stop - line lines.
+    The slices share one buffer: with one made per slice, glibc can give its
+    heap back and fault it in again every slice; at n=20 a copy of the source
+    then took 30k minor faults a read against 4.4k.
     """
-    while True:
+    buf = np.empty(0, np.uint8)
+    while lo <= end:
         cut = data.find(b"\n", min(lo + _QSV_CHUNK_BYTES, end), end)
         cut = end if cut < 0 else cut
-        text = data[lo:cut]
-        if text.translate(None, _QSV_TOKEN_BYTES):
+        if buf.size < cut - lo + 2 * _PAD:
+            buf = np.empty(cut - lo + 2 * _PAD, np.uint8)
+        lines = _parse_slice(data, lo, cut, flat, line, stop, buf)
+        if not lines:
             return False
-        chunk = np.frombuffer(text, dtype=np.uint8)
-        newlines = np.flatnonzero(chunk == 10)
-        lines = newlines.size + 1
-        # tokens are runs of bytes above ' ', from each start to each end in
-        # edges; tokens 2j and 2j+1 must start on line j, after newline j-1 and
-        # before newline j
-        edges = np.flatnonzero(np.diff(chunk > 32, prepend=False, append=False))
-        starts = edges[::2]
-        if (line + lines > stop or starts.size != 2 * lines or (starts[2::2] < newlines).any()
-                or (starts[1:-1:2] > newlines).any()):
-            return False
-        values = _parse_tokens(text, starts, edges[1::2])
-        if values is None or not np.isfinite(values).all():
-            return False
-        flat[2 * line:2 * (line + lines)] = values
-        line += lines
-        if cut == end:
-            return line == stop
-        lo = cut + 1
+        line, lo = line + lines, cut + 1
+    return line == stop
+
+
+def _parse_slice(data, lo: int, cut: int, flat: np.ndarray, line: int, stop: int, buf: np.ndarray) -> int:
+    """The count of the lines of data[lo:cut], parsed into flat from amplitude line on; 0 if refused.
+
+    The slice goes into buf between _PAD zero bytes. Tokens are runs of bytes
+    above ' ' between spaces, tabs and newlines, two on each line.
+    """
+    size = cut - lo
+    buf[:_PAD] = buf[_PAD + size:size + 2 * _PAD] = 0
+    buf[_PAD:_PAD + size] = np.frombuffer(data, np.uint8, size, lo)
+    work = np.subtract(buf[:size + 2 * _PAD], 48)
+    other = np.packbits(np.greater(work, 9, out=work.view(bool)), bitorder="little")  # not a digit
+    # every separator, and the zero bytes either side of the slice
+    at = np.flatnonzero(np.less_equal(buf[_PAD - 1:_PAD + size + 1], 32, out=work[:size + 2].view(bool)))
+    del work
+    at += _PAD - 1
+    starts = at[:-1][buf[at[:-1] + 1] > 32] + 1
+    ends = at[1:][buf[at[1:] - 1] > 32]
+    seps = buf[at[1:-1]]
+    newlines = np.compress(seps == 10, at[1:-1])
+    lines = newlines.size + 1
+    if (line + lines > stop or starts.size != 2 * lines or not ((seps == 32) | (seps - 9 < 2)).all()
+            or (starts[2::2] < newlines).any() or (starts[1:-1:2] > newlines).any()):
+        return 0
+    del at, seps, newlines
+    width = np.minimum(ends - starts, _TOKEN_MAX + 1).astype(np.uint8)
+    del ends
+    ok, minus, first, dot, end, k = _token_parts(buf, other, starts, width)
+    del other, width
+    out = flat[2 * line:2 * (line + lines)]
+    partial = _significand(buf, starts, first, dot, end, ok, k, out.view(np.uint64))
+    del starts, first, dot, end
+    _scaled(out, k, partial, minus, ok, buf)
+    refused = np.flatnonzero(~ok).tolist()
+    if refused:  # float() reads them from their lines
+        heads = [lo, *(np.flatnonzero(np.frombuffer(data, np.uint8, size, lo) == 10) + lo + 1).tolist(), cut + 1]
+        try:
+            out[refused] = [float(data[heads[i >> 1]:heads[(i >> 1) + 1] - 1].split()[i & 1]) for i in refused]
+        except ValueError:
+            return 0
+    return lines if np.isfinite(out[refused]).all() else 0
 
 
 # The reader's decimal parse, vectorized: the writer's method run the other
 # way. A token [sign] digits [. digits] [e [sign] digits] of at most
-# _TOKEN_MAX bytes is |x| = D * 10**k, D the integer of its digits with the
-# dot dropped. D is read in uint64 words of 8 ASCII digits, as many as the
-# longest D of the slice needs, at most three: its last 24 digits, whose
-# integer must be below 10**19, or past 24 digits its first 19, and then |x|
-# lies in [D, D + 1) * 10**k. D * 10**k is formed as p + t as in _decimal,
-# within a margin far wider than the error of p + t, and a token whose
-# interval rounds to one double at both ends takes that double, float()'s,
-# since rounding is monotonic. Every other token (a near-tie, an extreme or
-# subnormal value, a longer token or one of another shape) is read by float()
-# itself.
+# _TOKEN_MAX bytes and 4 exponent digits is |x| = D * 10**k, D the integer of
+# its digits with the dot dropped: their last 24, whose integer must be below
+# 10**19, or past 24 digits their first 19, and then |x| lies in [D, D + 1) *
+# 10**k. A token whose interval rounds to one double at both ends takes that
+# double, float()'s, since rounding is monotonic; every other token (a
+# near-tie, an extreme or subnormal value, a longer token or one of another
+# shape) is read by float() itself. Each step frees its temporaries before the
+# next runs: one slice's parse holds under 64 bytes a token of %.17g text.
 _TOKEN_MAX = 32
-_PAD = 64  # bytes around a slice: every read of a token's bytes lies in them
+_PAD = 64  # zero bytes around a slice: every read of a token's bytes lies in them
 _READ_MAX = 288  # the largest k of a provable token: D * 10**k stays finite
-_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII zeros
-# entry z + 32: a uint64 whose low z bytes (none below 0, all above 8) are 0xff
-_LOW_BYTES = ((np.arange(8) < np.arange(-32, 73)[:, None]) * np.uint8(0xFF)).view(np.uint64).ravel()
+_UPPER = np.uint64(0xFFFFFFFFF8000000)  # the sign, exponent and upper 26 significant bits of a double
 
 
-def _runs(buf: np.ndarray, width: int) -> np.ndarray:
-    """Every run of width bytes of buf, as one record per first byte; no copy."""
-    return np.ndarray((buf.size - width + 1,), np.dtype((np.void, width)), buffer=buf, strides=(1,))
+def _words(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The uint64 word of the 8 bytes of buf from each at, the first in the lowest byte."""
+    return np.ndarray((buf.size - 7,), np.dtype((np.void, 8)), buffer=buf, strides=(1,))[at].view(np.uint64)
 
 
-def _eight_digits(w: np.ndarray) -> np.ndarray:
-    """The value of the eight ASCII digits in each uint64 word, the first in the lowest byte."""
-    w = w - _ZEROS
-    w = w * np.uint64(10) + (w >> np.uint64(8))  # two-digit values in the even bytes
-    return ((w & np.uint64(0x000000FF000000FF)) * np.uint64(100 + (1000000 << 32))
-            + ((w >> np.uint64(16)) & np.uint64(0x000000FF000000FF)) * np.uint64(1 + (10000 << 32))
-            ) >> np.uint64(32)
+def _digits(w: np.ndarray, skip) -> np.ndarray:
+    """The value of each word's 8 ASCII digits, the first the highest, in place; the lowest skip bytes read 0."""
+    skip = skip * np.uint8(8)
+    w >>= skip
+    w <<= skip
+    for lane, mask in ((8, 0x0F0F0F0F0F0F0F0F), (16, 0x00FF00FF00FF00FF), (32, 0x0000FFFF0000FFFF)):
+        w &= mask  # values of lane // 8 digits in every other lane, made lanes twice as wide
+        w *= 1 + (10 ** (lane // 8) << lane)
+        w >>= lane
+    return w
 
 
-def _lowest(mask: np.ndarray) -> np.ndarray:
-    """The index of the lowest set bit of each mask of at most 40 bits; 40 where none is set."""
-    mask = mask | (1 << 40)
-    return np.bitwise_count((mask & -mask) - 1).astype(np.intp)
+def _pop_lowest(bits: np.ndarray) -> np.ndarray:
+    """The index of each word's lowest set bit, as uint8 (64 for none), cleared in place."""
+    low = bits - 1
+    bits &= low
+    low ^= bits  # the bits below it
+    return np.bitwise_count(low)
 
 
-def _parse_tokens(text: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """float(token) of each token text[starts[i]:ends[i]]; None if float() refuses one.
+def _token_parts(buf: np.ndarray, other: np.ndarray, s: np.ndarray, width: np.ndarray) -> tuple:
+    """(ok, minus, first, dot, end, k) of the tokens of width bytes at s, from one bit a byte and three bytes.
 
-    The tokens hold digits, '.', 'e', 'E', '+' and '-' only. See the comment
-    above _TOKEN_MAX for the method. Each step is a function of its own, so
-    that its temporaries are freed before the next one runs.
+    ok where a token can be read, minus where it starts with '-', the offsets of its first
+    digit, dot (end where it has none) and mantissa's end, and its exponent as int16.
     """
-    buf = np.zeros(len(text) + 2 * _PAD, np.uint8)
-    buf[_PAD:_PAD + len(text)] = np.frombuffer(text, np.uint8)
-    s = starts + _PAD
-    ok, minus, first, dot, end, power = _token_parts(buf, s, np.minimum(ends - starts, _TOKEN_MAX + 1))
-    digits, k, cut = _significand(buf, s, first, dot, end, ok)
-    value = _scaled(digits, k + power, cut, minus, ok)
-    refused = ~ok
-    for i, a, b in zip(np.flatnonzero(refused).tolist(), starts[refused].tolist(), ends[refused].tolist()):
-        try:
-            value[i] = float(text[a:b])
-        except ValueError:
-            return None
-    return value
-
-
-def _token_parts(buf: np.ndarray, s: np.ndarray, width: np.ndarray) -> tuple:
-    """(ok, minus, first, dot, end, power) of the tokens of width bytes at s.
-
-    ok where a token is well formed and short enough to read; minus where it
-    starts with '-'; first and end bound its mantissa's digits and the dot
-    (40 for none), and power is the value of its exponent.
-    """
-    # bit j of other: byte j of the token is not a digit
-    words = _runs(np.packbits((buf - 48) > 9, bitorder="little"), 8)[s >> 3].view(np.uint64)
-    other = (words >> (s & 7).astype(np.uint64)).view(np.int64) & ((1 << width) - 1)
+    # bit j of rest: byte j of the token is not a digit; bit `width` is the separator after it
+    rest = _words(other, s >> 3)
+    rest <<= 63 - width - np.bitwise_and(s, 7, dtype=np.uint8, casting="unsafe")
+    rest >>= 63 - width
     head = buf[s]
     minus = head == 45
-    sign = minus | (head == 43)
+    first = (minus | (head == 43)).view(np.uint8)
+    rest -= first
+    known = np.bitwise_count(rest)
     # after a sign, the first non-digit may be a '.', and the first or the
-    # next one an 'e', with a sign after it
-    rest = other - sign
-    dot = _lowest(rest)
-    has_dot = (dot < width) & (buf[s + dot] == 46)
-    x = np.where(has_dot, _lowest(rest & (rest - 1)), dot)
-    has_e = (x < width) & ((buf[s + x] | 32) == 101)
-    after = buf[s + x + 1]
+    # next one an 'e', with a sign after it; each byte is read inside the token
+    dot, end = _pop_lowest(rest), _pop_lowest(rest)
+    del rest
+    last = width - 1
+    has_dot = buf[s + np.minimum(dot, last)] == 46
+    end = dot + (end - dot) * has_dot
+    has_e = (buf[s + np.minimum(end, last)] | 32) == 101
+    after = buf[s + np.minimum(end + 1, last)]
     exp_minus = has_e & (after == 45)
-    exp_sign = exp_minus | (has_e & (after == 43))
-    end = np.where(has_e, x, width)
-    exp_digits = np.where(has_e, width - x - 1 - exp_sign, 0)
+    exp_sign = (exp_minus | (has_e & (after == 43))).view(np.uint8)
+    exp_digits = width - end - 1 - exp_sign  # wraps where there is no 'e'
     # those are distinct bytes: the token is well formed when they are all
     # of its non-digits, with digits before the exponent and in it
-    known = sum(flag.view(np.uint8) for flag in (sign, has_dot, has_e, exp_sign))
-    ok = ((np.bitwise_count(other) == known) & (end - sign - has_dot > 0)
-          & (has_e <= (exp_digits > 0)) & (exp_digits <= 8) & (width <= _TOKEN_MAX))
-    # the exponent's digits end the token; the bytes before them read as zeros
-    word = _runs(buf, 8)[s + width - 8].view(np.uint64)
-    fill = ~np.uint64(0) >> (exp_digits << 3).astype(np.uint64)
-    power = _eight_digits((word & ~fill) | (_ZEROS & fill)).view(np.int64)
-    return ok, minus, sign.view(np.uint8), np.where(has_dot, dot, 40), end, np.where(exp_minus, -power, power)
+    ok = ((known - has_dot == 1 + has_e.view(np.uint8) + exp_sign) & (end - first > has_dot)
+          & (width <= _TOKEN_MAX) & (~has_e | (exp_digits - 1 < 4)))
+    del head, known, after, last
+    k = np.zeros(s.size, np.int16)
+    e = np.flatnonzero(has_e & ok)  # the exponent's digits end the token
+    value = _digits(_words(buf, s[e] + width[e] - 8), 8 - exp_digits[e]).astype(np.int16)
+    k[e] = np.where(exp_minus[e], -value, value)
+    return ok, minus, first, dot, end, k
 
 
-def _significand(buf: np.ndarray, s: np.ndarray, first, dot, end, ok) -> tuple:
-    """(D, k, cut) of the mantissas from s + first to s + end; see the comment above _TOKEN_MAX.
+def _significand(buf: np.ndarray, s: np.ndarray, first, dot, end, ok, k, digits: np.ndarray) -> np.ndarray:
+    """cut, of the mantissas from s + first to s + end with their dot at s + dot; s is left as it came.
 
-    The mantissa is D * 10**k, or within [D, D + 1) * 10**k where cut; ok is
-    cleared where D would not be below 10**19. D is read in the window of w
-    words that ends at its last digit, a word at a time: bytes before the dot
-    from the word at g, those after it from the word at g + 1.
+    Each is D * 10**k, or within [D, D + 1) * 10**k where cut, D in digits; ok is cleared
+    where D is not below 10**19. The dot is dropped in buf, and D read in uint64 words of
+    8 ASCII digits (SWAR) that end at its last digit, as many as the slice's longest D needs.
     """
-    has_dot = dot < 40
-    stop = end - has_dot  # the mantissa's length without the dot
-    count = stop - first
-    w = min(3, -(-int(np.max(count, where=ok, initial=1)) // 8))
+    has_dot = dot < end
+    count = end - first - has_dot  # digits, the dot dropped
+    before, after = dot - first, end - dot - 1  # digits either side of the dot; after wraps without one
+    back = has_dot & (after < before)
+    k -= after * has_dot
+    # in a well-formed token the dot takes the nearest digit of the shorter run
+    # beside it, that digit the next one, and so on down the run
+    moved = (before + (after - before) * back) * (has_dot & ok)
+    step = back.view(np.int8) * 2 - 1  # -1 where the run before the dot moves
+    at = s + dot
+    for r in range(int(moved.max(initial=0))):
+        step *= moved > r
+        at += step
+        byte = buf[at]
+        at -= step
+        buf[at] = byte
+        at += step
+    stop = end - back  # the end of the digits
+    del has_dot, before, after, back, moved, step, at
     cut = count > 24
-    last = np.where(cut, first + 19, stop)
-    g = last - 8 * w
-    words = _runs(buf, 8)
-    digits = np.zeros(s.size, np.uint64)
-    for j in range(w):
-        before = _LOW_BYTES[dot - g + 32]
-        zeros = _LOW_BYTES[first - g + 32]
-        word = (words[s + g].view(np.uint64) & before) | (words[s + g + 1].view(np.uint64) & ~before)
-        word = _eight_digits((word & ~zeros) | (_ZEROS & zeros))
-        if j == 0 and w == 3:
+    k[cut] += count[cut] - 19  # the window of the first 19 digits, and the rest's power of ten
+    stop[cut] -= count[cut] - 19
+    count[cut] = 19
+    w = min(3, -(-int(np.max(count, where=ok, initial=1)) // 8))
+    count = count.astype(np.int16)
+    s += stop
+    s -= 8 * w
+    for j in range(w - 1, -1, -1):  # from the word of the highest digits on
+        word = _digits(_words(buf, s), np.clip(8 * (j + 1) - count, 0, 8).astype(np.uint8))
+        s += 8
+        if j < w - 1:
+            digits *= 10 ** 8
+            digits += word
+        elif w == 3:  # D is below 10**19 where the highest of three words is below 1000
             ok &= word < 1000
-        digits = digits * np.uint64(10 ** 8) + word
-        g += 8
-    return digits, (stop - last) - np.where(has_dot, end - dot - 1, 0), cut
+            np.minimum(word, 999, out=digits)
+        else:
+            digits[:] = word
+        del word
+    s -= stop
+    return cut
 
 
-def _scaled(digits: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """D * 10**k rounded, negated where minus; ok is cleared where that rounding is not proven.
+def _scaled(out: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarray, ok: np.ndarray,
+            room: np.ndarray) -> None:
+    """D * 10**k rounded, negated where minus, in place of out's D; ok is cleared where not proven.
 
-    The values are made last, while the temporaries are still held, so they
-    lie above them on the heap; they live until the next slice's values are
-    made, so malloc does not give the slice's memory back to the system to
-    fault it in again for the next slice (on a 2-vCPU Xeon this took a read
-    at n=20 in one process from 146k page faults to 29k, and from 220 ns a
-    float to 175).
+    D = h + l + low, h the upper 26 significant bits of the double nearest D,
+    and 10**k = H + L + lo, H + L the double nearest it: P = h * H and l * H
+    are exact, and r adds the rest but low * (L + lo) to within 2**-74 P,
+    inside the margin. room's bytes hold two arrays where they fit.
     """
     hi, lo = _powers_of_ten()
-    high = digits.astype(np.float64)
-    # D = high + low exactly, high the double nearest to D
-    low = (digits - high.astype(np.uint64)).view(np.int64).astype(np.float64)
-    at = np.clip(k, _POW_MIN, _READ_MAX) - _POW_MIN
-    hi, lo, hi_high, hi_low = (table[at] for table in (hi, lo, *_split(hi)))
-    p = high * hi
-    high_high, high_low = _split(high)
-    t = (((high_high * hi_high - p) + high_high * hi_low + high_low * hi_high) + high_low * hi_low
-         + (high * lo + low * hi))
-    margin = np.abs(p) * 2.0 ** -90 + cut * 2 * hi
-    value = p + (t - margin)
-    ok &= (value == p + (t + margin)) & ((digits == 0) | ((k == at + _POW_MIN) & (np.abs(p) > 2.0 ** -900)))
-    return _signed(value, minus)
-
-
-def _signed(value: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    """value, at least +0 where it counts, with the sign bit set where minus."""
-    return (value.view(np.uint64) | (minus.astype(np.uint64) << np.uint64(63))).view(np.float64)
+    hi_high, hi_low = _split(hi)
+    at = np.clip(k, _POW_MIN, _READ_MAX)
+    ok &= at == k
+    at -= _POW_MIN
+    digits, size = out.view(np.uint64), out.size
+    room = room[:room.size // 8 * 8].view(np.float64)
+    high, r = room[:2 * size].reshape(2, size) if room.size >= 2 * size else np.empty((2, size))
+    np.copyto(high, digits, casting="unsafe")
+    np.subtract(digits, high, out=digits, dtype=np.uint64, casting="unsafe")
+    np.copyto(r, digits.view(np.int64), casting="unsafe")  # D - high, exactly
+    upper = hi_high.take(at, mode="clip")
+    r *= upper
+    for table in (lo, hi_low):  # high * lo, high * L
+        table.take(at, out=out, mode="clip")
+        out *= high
+        r += out
+    np.bitwise_and(high.view(np.uint64), _UPPER, out=out.view(np.uint64))  # h
+    high -= out  # l
+    p = out * upper
+    upper *= high  # l * H
+    r += upper
+    margin = np.abs(p, out=upper)
+    margin *= 2.0 ** -72
+    margin[cut] += 2 * hi[at[cut]]
+    np.add(r, margin, out=high)
+    high += p
+    np.subtract(r, margin, out=out)
+    out += p
+    ok &= (out == high) & ((p == 0) | (margin > 2.0 ** -972))  # |P| above 2**-900: products stay normal
+    del p, margin, upper
+    out.view(np.uint64)[...] |= np.left_shift(minus, 63, dtype=np.uint64)
 
 
 def _scan_qsv(text: str) -> StateVector:
@@ -717,29 +757,26 @@ def _scan_qsv(text: str) -> StateVector:
         raise ParseError(f"expected {dim} amplitude lines for n={n}, found {len(lines) - 2}",
                          line=min(len(lines), dim + 2) + 1, column=1)
     amps = np.empty(dim, dtype=np.complex128)
+    flat = amps.view(np.float64)
     for i, line in enumerate(lines[2:]):
         tokens = line.split()
-        lineno = i + 3
         if len(tokens) != 2:
-            raise ParseError(f"amplitude line must be 're im', got {line!r}", line=lineno, column=1)
-        try:
-            re_part = float(tokens[0])
-        except ValueError:
-            raise ParseError(f"bad real part {tokens[0]!r}", line=lineno,
-                             column=line.index(tokens[0]) + 1) from None
-        try:
-            im_part = float(tokens[1])
-        except ValueError:
-            raise ParseError(f"bad imaginary part {tokens[1]!r}", line=lineno,
-                             column=line.rindex(tokens[1]) + 1) from None
-        amps[i] = complex(re_part, im_part)
+            raise ParseError(f"amplitude line must be 're im', got {line!r}", line=i + 3, column=1)
+        for part, token in enumerate(tokens):
+            try:
+                flat[2 * i + part] = float(token)
+            except ValueError:
+                raise _part_error("bad", line, i, part) from None
     # float() accepts nan, inf and overflowing literals; a measure of them is meaningless
-    bad = np.flatnonzero(~np.isfinite(amps.view(np.float64)))  # tokens in file order
+    bad = np.flatnonzero(~np.isfinite(flat))  # tokens in file order
     if bad.size:
         i, part = divmod(int(bad[0]), 2)
-        line = lines[i + 2]
-        token = line.split()[part]
-        column = (line.rindex(token) if part else line.index(token)) + 1
-        raise ParseError(f"non-finite {('real', 'imaginary')[part]} part {token!r}",
-                         line=i + 3, column=column)
+        raise _part_error("non-finite", lines[i + 2], i, part)
     return StateVector(n, _readonly(amps))
+
+
+def _part_error(what: str, line: str, i: int, part: int) -> ParseError:
+    """The error of amplitude line i's token part (0 real, 1 imaginary), at its column."""
+    token = line.split()[part]
+    return ParseError(f"{what} {('real', 'imaginary')[part]} part {token!r}", line=i + 3,
+                      column=(line.rindex(token) if part else line.index(token)) + 1)

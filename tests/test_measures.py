@@ -296,12 +296,17 @@ def test_residuals_keep_no_permutation_cache():
               for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
     assert caches == ["ntangle.qsv._powers_of_ten", "ntangle.qsv._format_tables"]
     psi = rand(9, 4242)
-    gc.collect()
-    tracemalloc.start()
-    try:
+
+    def residuals():
         r_tangle(psi)
         for i in range(1, 10):
             tau_residual(psi, i)
+
+    residuals()  # untraced: the sign tables and numpy's own first-use caches fill here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        residuals()
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
@@ -333,8 +338,8 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
     rng = np.random.default_rng(970 + n)
     amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
 
-    one = rand(15, 975).amps  # R's tasks fan out at any size, below _SPLIT_MIN too
-    assert 1 << 14 < measures._SPLIT_MIN
+    one = rand(15, 975).amps  # R's tasks fan out only once _SPLIT_MIN is set to 1 below
+    assert 1 << 15 < measures._SPLIT_MIN
 
     def values():
         out = []
@@ -465,6 +470,20 @@ def test_r_tangle_leaves_no_thread_spinning():
     assert busy.keys() == {"19", "21", "batch9", "public19"}
     for label, busy_ms in busy.items():
         assert float(busy_ms) < 20, f"{busy_ms} ms of CPU in a 300 ms sleep after R on {label}"
+
+
+def test_r_of_a_product_of_small_factors_starts_no_pool():
+    # R fans out from _SPLIT_MIN amplitudes: 19 qubits in factors of at most 8 run on the
+    # calling thread, and the process never imports the pool's module
+    src = str(Path(ntangle.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    expr = "ghz:5@3,17,8,12,1 x ghz:8@5,19,2,14,9,11,6,16 x ghz:4@4,13,18,7 x w:2@10,15"
+    code = ("import sys; from ntangle import cli; "
+            f"code = cli.main(['compute', '--expr', {expr!r}, '--measure', 'r']); "
+            "print(code, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_a_raw_value_past_the_float_range_is_refused():

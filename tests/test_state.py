@@ -760,7 +760,7 @@ QSV_TABLE = (
     "1e-320 -2.5e-324\n",  # sign and point forms, subnormals
     "qsv 1\nn 2\n9007199254740993 18014398509481986\n18014398509481990 0.30000000000000004\n"
     "2.2250738585072011e-308 1.0000000000000001\n-18014398509481986 3\n",  # halfway literals
-    "qsv 1\nn 1\n1_0 0\n1 0\n",  # float() takes it; only the scanner does
+    "qsv 1\nn 1\n1_0 0\n1 0\n",  # float() takes it, in the vectorized parse as in the scanner
     "qsv 1\nn 1\n0x1p3 0\n1 0\n",
     "qsv 1\nn 1\n1-2 0\n1 0\n",
     "qsv 1\nn 1\n1 0\n3 1-2\n",
@@ -997,6 +997,28 @@ def test_qsv_read_holds_the_block_and_a_bounded_parse(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert block > 8 * qsv_module._QSV_CHUNK_BYTES  # several slices
     assert peak - block <= 4 << 20
+
+
+@pytest.mark.parametrize("values", ("gaussian", "state"))
+def test_qsv_read_of_a_slice_holds_64_bytes_a_token_or_fewer(values):
+    # every temporary of one slice's parse, its buffer among them, traced: the parse of
+    # PR 29 held about 205 bytes a token. "%.17g" of N(0, 1) draws, about 20 bytes a
+    # token, and of a normalized state's amplitudes, about 23
+    rng = np.random.default_rng(37)
+    doubles = rng.standard_normal(1 << 14) if values == "gaussian" else random_state(13, 37).amps.view(np.float64)
+    text = "".join("%.17g %.17g\n" % pair for pair in zip(doubles[::2].tolist(), doubles[1::2].tolist()))
+    data = text.encode("ascii")[:text.rindex("\n", 0, qsv_module._QSV_CHUNK_BYTES)]  # one slice
+    lines = data.count(b"\n") + 1
+    flat = np.empty(2 * lines)
+    assert qsv_module._parse_lines(data, flat, 0, len(data), 0, lines)  # the power tables, untraced
+    tracemalloc.start()
+    try:
+        assert qsv_module._parse_lines(data, flat, 0, len(data), 0, lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.tolist() == [float(token) for token in data.split()]
+    assert peak <= 64 * 2 * lines
 
 
 def test_qsv_read_of_a_path_holds_no_copy_of_the_block(tmp_path):
