@@ -27,14 +27,14 @@ view; R copies its chunk first, so that its einsums run along the rows.
 
 Kernels use every CPU in the process's affinity mask (`taskset -c 0` gives
 one thread). The chunks of a batch run as one task each. A large state's pair
-form cuts its partial sums into one slice per CPU, and R gives each CPU one
-range of its chunks; on a smaller state, or inside a pool thread (a chunk of
-a batch), R's ranges run in turn. Each partial sum is the same reduction over
-q at any cut, R adds its chunks' partial sums in chunk order, and no chunk
-depends on the CPU count, so every value is bit-identical at any CPU count.
-A batched row may differ from the same state alone in the last bits: the sums
-run in another order. The norm in a raw report is StateVector.norm(), computed
-once per state and then memoized; a normalized report's is 1.
+form cuts its partial sums into one slice per CPU. R with full chunks gives
+each CPU a range of them; else, or in a pool thread (a chunk of a batch), the
+ranges run in turn. Each partial sum is the same reduction over q at any cut,
+R adds its chunks' partial sums in chunk order, and no chunk depends on the
+CPU count, so every value is bit-identical at any CPU count. A batched row
+may differ from the same state alone in the last bits: the sums run in
+another order. The norm in a raw report is StateVector.norm(), computed once
+per state and then memoized; a normalized report's is 1.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the two formulas sourced outside the quadratic-form
@@ -207,9 +207,7 @@ def _block_signs(size: int) -> np.ndarray:
 # next. A pair form over a block of at least this many amplitudes (8 MB) cuts
 # its partial sums over the pool: on a 2-vCPU Xeon a split of a smaller block
 # costs more in dispatch than it saves. The size of one state decides, never
-# the batch, which fans out by chunks of rows (_on_rows). R's ranges of chunks
-# go to the pool from the same size: below it one worker is as fast as two (n <=
-# 15 measured), and a request that never fans out starts no pool threads.
+# the batch, which fans out by chunks of rows (_on_rows). Only _pair reads it.
 _SPLIT_MIN = 1 << 19
 
 
@@ -302,6 +300,7 @@ def _residual(amps: np.ndarray, n: int, i: int) -> np.ndarray:
 
 # R runs over chunks of this many indices j < 2**(n-1) (two chunks of half of them up
 # to n = 17): 512 KiB of one state, in one core's 2 MiB of L2 with two chunk buffers.
+# Its ranges of chunks go to the pool once chunks are full (n >= 17); below, one worker wins.
 # Batch axes trail, so einsum's inner loops run along them; under 16 rows that loop
 # costs more than each state alone (2-vCPU Xeon, 2**7 states at n=15 in chunks of 4
 # rows: 94 ms batched, 63 ms alone; 2**9 at n=13 in chunks of 16: 62 and 160 ms).
@@ -388,7 +387,7 @@ def _residuals(amps: np.ndarray, n: int) -> np.ndarray:
             if k.bit_count() & 1:  # s(j0) = -1
                 np.negative(out, out=out)
 
-    ways = min(state._WORKERS, count) if len(amps) >= _SPLIT_MIN else 1
+    ways = min(state._WORKERS, count) if size == _R_CHUNK else 1
     bounds = [count * t // ways for t in range(ways + 1)]
     state._fan_out(run, [range(a, b) for a, b in zip(bounds, bounds[1:])])
     totals, whole = part[:, :rows].sum(axis=1), part.sum(axis=0)

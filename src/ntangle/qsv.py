@@ -439,12 +439,11 @@ _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 def _parse_amplitude_block(data, n: int, start: int = 0) -> np.ndarray | None:
     """The 2 * 2**n doubles of the well-formed amplitude block data[start:], else None.
 
-    data is bytes or a map of a file, whose block is parsed in place.
-
-    Accepts a subset of what ``_scan_qsv`` accepts: exactly two tokens a
-    line, separated by spaces, tabs and newlines, each read to float()'s bits
-    (_parse_slice). A token that float() refuses, a value that is nan or inf,
-    or anything else returns None and leaves the block to the scanner.
+    data is bytes or a map of a file, whose block is parsed in place. Accepts a
+    subset of what ``_scan_qsv`` accepts: two tokens a line, separated by spaces,
+    tabs and newlines, each read to float()'s bits (_parse_slice). A token that
+    float() refuses, a value that is nan or inf, or anything else returns None
+    and leaves the block to the scanner.
 
     The parse holds the GIL, so a large block is cut into one range of
     whole lines per CPU and parsed through _in_ranges. The doubles go into one
@@ -490,9 +489,7 @@ def _parse_amplitude_block(data, n: int, start: int = 0) -> np.ndarray | None:
 def _parse_lines(data, flat: np.ndarray, lo: int, end: int, line: int, stop: int) -> bool:
     """Parse the lines of data[lo:end] into amplitudes line..stop-1 of flat; False if refused.
 
-    The slices share one buffer: with one made per slice, glibc can give its
-    heap back and fault it in again every slice; at n=20 a copy of the source
-    then took 30k minor faults a read against 4.4k.
+    The slices share one buffer, which glibc then does not fault in again for each.
     """
     buf = np.empty(0, np.uint8)
     while lo <= end:
@@ -510,8 +507,7 @@ def _parse_lines(data, flat: np.ndarray, lo: int, end: int, line: int, stop: int
 def _parse_slice(data, lo: int, cut: int, flat: np.ndarray, line: int, stop: int, buf: np.ndarray) -> int:
     """The count of the lines of data[lo:cut], parsed into flat from amplitude line on; 0 if refused.
 
-    The slice goes into buf between _PAD zero bytes. Tokens are runs of bytes
-    above ' ' between spaces, tabs and newlines, two on each line.
+    The slice goes into buf between _PAD zero bytes. Tokens are runs of bytes above ' '.
     """
     size = cut - lo
     buf[:_PAD] = buf[_PAD + size:size + 2 * _PAD] = 0
@@ -571,8 +567,7 @@ def _words(buf: np.ndarray, at: np.ndarray) -> np.ndarray:
 
 
 def _digits(w: np.ndarray, skip) -> np.ndarray:
-    """The value of each word's 8 ASCII digits, the first the highest, in place; the lowest skip bytes read 0."""
-    skip = skip * np.uint8(8)
+    """The value of each word's 8 ASCII digits, the first the highest, in place; the lowest skip bits read 0."""
     w >>= skip
     w <<= skip
     for lane, mask in ((8, 0x0F0F0F0F0F0F0F0F), (16, 0x00FF00FF00FF00FF), (32, 0x0000FFFF0000FFFF)):
@@ -591,7 +586,7 @@ def _pop_lowest(bits: np.ndarray) -> np.ndarray:
 
 
 def _token_parts(buf: np.ndarray, other: np.ndarray, s: np.ndarray, width: np.ndarray) -> tuple:
-    """(ok, minus, first, dot, end, k) of the tokens of width bytes at s, from one bit a byte and three bytes.
+    """(ok, minus, first, dot, end, k) of the tokens of width bytes at s, from one bit a byte.
 
     ok where a token can be read, minus where it starts with '-', the offsets of its first
     digit, dot (end where it has none) and mantissa's end, and its exponent as int16.
@@ -606,14 +601,13 @@ def _token_parts(buf: np.ndarray, other: np.ndarray, s: np.ndarray, width: np.nd
     rest -= first
     known = np.bitwise_count(rest)
     # after a sign, the first non-digit may be a '.', and the first or the
-    # next one an 'e', with a sign after it; each byte is read inside the token
+    # next one an 'e', with a sign after it
     dot, end = _pop_lowest(rest), _pop_lowest(rest)
     del rest
-    last = width - 1
-    has_dot = buf[s + np.minimum(dot, last)] == 46
+    has_dot = buf[s + dot] == 46
     end = dot + (end - dot) * has_dot
-    has_e = (buf[s + np.minimum(end, last)] | 32) == 101
-    after = buf[s + np.minimum(end + 1, last)]
+    has_e = (buf[s + end] | 32) == 101
+    after = buf[s + end + 1]
     exp_minus = has_e & (after == 45)
     exp_sign = (exp_minus | (has_e & (after == 43))).view(np.uint8)
     exp_digits = width - end - 1 - exp_sign  # wraps where there is no 'e'
@@ -621,61 +615,55 @@ def _token_parts(buf: np.ndarray, other: np.ndarray, s: np.ndarray, width: np.nd
     # of its non-digits, with digits before the exponent and in it
     ok = ((known - has_dot == 1 + has_e.view(np.uint8) + exp_sign) & (end - first > has_dot)
           & (width <= _TOKEN_MAX) & (~has_e | (exp_digits - 1 < 4)))
-    del head, known, after, last
+    del head, known, after
     k = np.zeros(s.size, np.int16)
     e = np.flatnonzero(has_e & ok)  # the exponent's digits end the token
-    value = _digits(_words(buf, s[e] + width[e] - 8), 8 - exp_digits[e]).astype(np.int16)
+    value = _digits(_words(buf, s[e] + width[e] - 8), 64 - 8 * exp_digits[e]).astype(np.int16)
     k[e] = np.where(exp_minus[e], -value, value)
     return ok, minus, first, dot, end, k
 
 
 def _significand(buf: np.ndarray, s: np.ndarray, first, dot, end, ok, k, digits: np.ndarray) -> np.ndarray:
-    """cut, of the mantissas from s + first to s + end with their dot at s + dot; s is left as it came.
+    """cut, of the mantissas from s + first to s + end with their dot at s + dot; end is moved, s kept.
 
     Each is D * 10**k, or within [D, D + 1) * 10**k where cut, D in digits; ok is cleared
-    where D is not below 10**19. The dot is dropped in buf, and D read in uint64 words of
-    8 ASCII digits (SWAR) that end at its last digit, as many as the slice's longest D needs.
+    where D is not below 10**19. The dot is dropped in buf, and D read in 1-3 uint64 words
+    of 8 ASCII digits (SWAR) that end at its last digit.
     """
     has_dot = dot < end
     count = end - first - has_dot  # digits, the dot dropped
-    before, after = dot - first, end - dot - 1  # digits either side of the dot; after wraps without one
-    back = has_dot & (after < before)
-    k -= after * has_dot
-    # in a well-formed token the dot takes the nearest digit of the shorter run
-    # beside it, that digit the next one, and so on down the run
-    moved = (before + (after - before) * back) * (has_dot & ok)
-    step = back.view(np.int8) * 2 - 1  # -1 where the run before the dot moves
+    k -= (end - dot - 1) * has_dot
+    # in a well-formed token the digit before the dot moves over it, the one before that
+    # into its place, and so on: D's digits end at end, which a cut moves to its window's end
+    moved = (dot - first) * (has_dot & ok)
     at = s + dot
     for r in range(int(moved.max(initial=0))):
-        step *= moved > r
-        at += step
-        byte = buf[at]
+        step = moved > r
         at -= step
-        buf[at] = byte
+        byte = buf[at]
         at += step
-    stop = end - back  # the end of the digits
-    del has_dot, before, after, back, moved, step, at
+        buf[at] = byte
+        at -= step
+    del has_dot, moved, at
     cut = count > 24
     k[cut] += count[cut] - 19  # the window of the first 19 digits, and the rest's power of ten
-    stop[cut] -= count[cut] - 19
+    end[cut] -= count[cut] - 19
     count[cut] = 19
     w = min(3, -(-int(np.max(count, where=ok, initial=1)) // 8))
     count = count.astype(np.int16)
-    s += stop
+    s += end
     s -= 8 * w
+    digits[:] = 0
     for j in range(w - 1, -1, -1):  # from the word of the highest digits on
-        word = _digits(_words(buf, s), np.clip(8 * (j + 1) - count, 0, 8).astype(np.uint8))
+        word = _digits(_words(buf, s), np.clip(64 * (j + 1) - 8 * count, 0, 64).astype(np.uint8))
         s += 8
-        if j < w - 1:
-            digits *= 10 ** 8
-            digits += word
-        elif w == 3:  # D is below 10**19 where the highest of three words is below 1000
+        if j == 2:  # D is below 10**19 where the highest of three words is below 1000
             ok &= word < 1000
-            np.minimum(word, 999, out=digits)
-        else:
-            digits[:] = word
+            np.minimum(word, 999, out=word)
+        digits *= 10 ** 8
+        digits += word
         del word
-    s -= stop
+    s -= end
     return cut
 
 
@@ -718,7 +706,6 @@ def _scaled(out: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarray, 
     np.subtract(r, margin, out=out)
     out += p
     ok &= (out == high) & ((p == 0) | (margin > 2.0 ** -972))  # |P| above 2**-900: products stay normal
-    del p, margin, upper
     out.view(np.uint64)[...] |= np.left_shift(minus, 63, dtype=np.uint64)
 
 
@@ -757,26 +744,29 @@ def _scan_qsv(text: str) -> StateVector:
         raise ParseError(f"expected {dim} amplitude lines for n={n}, found {len(lines) - 2}",
                          line=min(len(lines), dim + 2) + 1, column=1)
     amps = np.empty(dim, dtype=np.complex128)
-    flat = amps.view(np.float64)
     for i, line in enumerate(lines[2:]):
         tokens = line.split()
+        lineno = i + 3
         if len(tokens) != 2:
-            raise ParseError(f"amplitude line must be 're im', got {line!r}", line=i + 3, column=1)
-        for part, token in enumerate(tokens):
-            try:
-                flat[2 * i + part] = float(token)
-            except ValueError:
-                raise _part_error("bad", line, i, part) from None
+            raise ParseError(f"amplitude line must be 're im', got {line!r}", line=lineno, column=1)
+        try:
+            re_part = float(tokens[0])
+        except ValueError:
+            raise ParseError(f"bad real part {tokens[0]!r}", line=lineno,
+                             column=line.index(tokens[0]) + 1) from None
+        try:
+            im_part = float(tokens[1])
+        except ValueError:
+            raise ParseError(f"bad imaginary part {tokens[1]!r}", line=lineno,
+                             column=line.rindex(tokens[1]) + 1) from None
+        amps[i] = complex(re_part, im_part)
     # float() accepts nan, inf and overflowing literals; a measure of them is meaningless
-    bad = np.flatnonzero(~np.isfinite(flat))  # tokens in file order
+    bad = np.flatnonzero(~np.isfinite(amps.view(np.float64)))  # tokens in file order
     if bad.size:
         i, part = divmod(int(bad[0]), 2)
-        raise _part_error("non-finite", lines[i + 2], i, part)
+        line = lines[i + 2]
+        token = line.split()[part]
+        column = (line.rindex(token) if part else line.index(token)) + 1
+        raise ParseError(f"non-finite {('real', 'imaginary')[part]} part {token!r}",
+                         line=i + 3, column=column)
     return StateVector(n, _readonly(amps))
-
-
-def _part_error(what: str, line: str, i: int, part: int) -> ParseError:
-    """The error of amplitude line i's token part (0 real, 1 imaginary), at its column."""
-    token = line.split()[part]
-    return ParseError(f"{what} {('real', 'imaginary')[part]} part {token!r}", line=i + 3,
-                      column=(line.rindex(token) if part else line.index(token)) + 1)

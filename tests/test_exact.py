@@ -103,11 +103,9 @@ def test_shared_cross_pass_equals_each_split(n, monkeypatch):
 
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_one_pass_forms_are_exact_over_uneven_worker_ranges(workers, monkeypatch):
-    # chunks of 8 indices: 2**8 / 8 = 32 chunks, which three workers cannot share evenly;
-    # R fans out from _SPLIT_MIN amplitudes, which n = 9 reaches only with it set to 1
+    # chunks of 8 indices: 2**8 / 8 = 32 chunks, which three workers cannot share evenly
     n = 9
     monkeypatch.setattr(measures, "_R_CHUNK", 8)
-    monkeypatch.setattr(measures, "_SPLIT_MIN", 1)
     monkeypatch.setattr(state, "_WORKERS", workers)
     monkeypatch.setattr(state, "_pool", None)
     amps = gaussian_integer_state(n, 690)

@@ -295,18 +295,23 @@ def test_residuals_keep_no_permutation_cache():
     caches = [f"{module.__name__}.{name}" for module in (state_module, qsv_module)
               for name, obj in vars(module).items() if hasattr(obj, "cache_info")]
     assert caches == ["ntangle.qsv._powers_of_ten", "ntangle.qsv._format_tables"]
-    psi = rand(9, 4242)
 
-    def residuals():
+    def residuals(psi):
         r_tangle(psi)
-        for i in range(1, 10):
+        for i in range(1, psi.n + 1):
             tau_residual(psi, i)
 
-    residuals()  # untraced: the sign tables and numpy's own first-use caches fill here
+    # untraced: numpy's and the kernels' first-use state fills at n = 7, and the sign
+    # tables of n = 9's R chunk and pair-form block are made by hand, so that a cache
+    # keyed by n or by a size n = 9 alone takes still shows in the trace
+    residuals(rand(7, 4242))
+    for size in (1 << 7, 1 << 4):
+        measures._block_signs(size)
+    psi = rand(9, 4242)
     gc.collect()
     tracemalloc.start()
     try:
-        residuals()
+        residuals(psi)
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
@@ -338,15 +343,15 @@ def test_split_kernels_are_bit_identical_to_serial(monkeypatch, workers, n):
     rng = np.random.default_rng(970 + n)
     amps = rng.standard_normal((3, 2, 1 << n)) + 1j * rng.standard_normal((3, 2, 1 << n))
 
-    one = rand(15, 975).amps  # R's tasks fan out only once _SPLIT_MIN is set to 1 below
-    assert 1 << 15 < measures._SPLIT_MIN
+    one = rand(17, 975).amps  # R's tasks fan out once its chunks are full, below _SPLIT_MIN too
+    assert 1 << 17 < measures._SPLIT_MIN and 1 << 15 == measures._R_CHUNK
 
     def values():
         out = []
         for i in range(1, n + 1):
             lo, hi = _halves(np.moveaxis(amps, -1, 0), n, i)
             out += [_pair(lo, hi), _pair(hi, lo), _pair(lo, lo)]
-        out.append(_residuals(one, 15))
+        out.append(_residuals(one, 17))
         if n % 2 == 0:
             return out + [_tau_even(amps, n)]
         assert amps[0].shape[0] <= measures._chunk_rows(n)  # a batch of one chunk

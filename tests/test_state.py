@@ -1001,9 +1001,9 @@ def test_qsv_read_holds_the_block_and_a_bounded_parse(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("values", ("gaussian", "state"))
 def test_qsv_read_of_a_slice_holds_64_bytes_a_token_or_fewer(values):
-    # every temporary of one slice's parse, its buffer among them, traced: the parse of
-    # PR 29 held about 205 bytes a token. "%.17g" of N(0, 1) draws, about 20 bytes a
-    # token, and of a normalized state's amplitudes, about 23
+    # every temporary of one slice's parse, its buffer among them, traced: a parse of whole
+    # arrays a step held about 205 bytes a token. "%.17g" of N(0, 1) draws, about 20 bytes
+    # a token, and of a normalized state's amplitudes, about 23
     rng = np.random.default_rng(37)
     doubles = rng.standard_normal(1 << 14) if values == "gaussian" else random_state(13, 37).amps.view(np.float64)
     text = "".join("%.17g %.17g\n" % pair for pair in zip(doubles[::2].tolist(), doubles[1::2].tolist()))
