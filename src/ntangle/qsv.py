@@ -213,12 +213,13 @@ def _token_layout(cls: int, tz: int, negative: bool, newline: bool) -> list:
 
 
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo), indexed by k - _POW_MIN: hi is 10**k rounded to a double, lo the rest rounded.
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, hi_high, hi_low), indexed by k - _POW_MIN: hi is 10**k rounded to a double.
 
-    Both are correctly rounded from exact integers: Python's int true division
-    and float(int) round correctly. Built at first use by the writer or the
-    reader, not at import, in about 1 ms.
+    lo is the rest rounded, and hi_high and hi_low are hi's halves by _split.
+    hi and lo are correctly rounded from exact integers: Python's int true
+    division and float(int) round correctly. Built at first use by the writer
+    or the reader, not at import, in about 1 ms.
     """
     hi, lo = [], []
     for k in range(_POW_MIN, _POW_MAX + 1):
@@ -231,13 +232,13 @@ def _powers_of_ten() -> tuple[np.ndarray, np.ndarray]:
             hi.append(1 / power)
             m, d = hi[-1].as_integer_ratio()
             lo.append((d - m * power) / (d * power))  # 1/power - m/d
-    return _readonly(np.array(hi)), _readonly(np.array(lo))
+    hi = np.array(hi)
+    return tuple(map(_readonly, (hi, np.array(lo), *_split(hi))))
 
 
 @functools.cache
 def _format_tables() -> dict:
     """The exact powers of ten and the digit and layout tables of _qsv_lines, built on the first write."""
-    hi, lo = _powers_of_ten()
     # class of each exponent X, indexed by X + _EXP_MAX
     exps = np.arange(-_EXP_MAX, _EXP_MAX)
     cls = np.where(exps >= 17, _SCI + (exps >= 100),
@@ -246,7 +247,7 @@ def _format_tables() -> dict:
                for negative in (False, True) for c in range(_PY_CLASS + 1) for tz in range(17)]
     quads = [b"%04d" % i for i in range(10 ** 4)]
     return {
-        "hi": hi, "hi_halves": _split(hi), "lo": lo, "cls": cls,
+        "powers": _powers_of_ten(), "cls": cls,
         "layout": np.array(layouts, dtype=np.intp),
         "quad": np.frombuffer(b"".join(quads), dtype=np.uint32),  # 4 ASCII digits per word
         "exp": np.frombuffer(b"".join(b"%03d\0" % e for e in range(_EXP_MAX)), dtype=np.uint32),
@@ -263,8 +264,7 @@ def _decimal(x: np.ndarray, tables: dict) -> tuple[np.ndarray, np.ndarray, np.nd
     a = np.where(proven, a, 1.0)
     exp = np.floor(np.log10(a)).astype(np.intp)
     k = 16 - _POW_MIN - exp
-    hi, lo = tables["hi"][k], tables["lo"][k]
-    hi_high, hi_low = (half[k] for half in tables["hi_halves"])
+    hi, lo, hi_high, hi_low = (table[k] for table in tables["powers"])
     # S = p + t: p = fl(a * hi) and t its exact error (Dekker), plus a * lo
     p = a * hi
     a_high, a_low = _split(a)
@@ -394,32 +394,19 @@ def _map_block(fh) -> mmap.mmap | None:
 def _rest(fh, start: bytes) -> bytes:
     """start and the rest of fh's bytes with text mode's newlines, held once.
 
-    The bytes are copied in slices into one buffer that grows in place: a
-    buffered fh.read() joins what it holds to the rest. A '\\r' is then
-    converted in place through a view of that buffer, one slice at a time,
-    each written forward over bytes already read, and the buffer is cut to
-    the converted length.
+    The bytes are read in slices, each converted on its way into one buffer
+    that grows in place: a buffered fh.read() joins what it holds to the
+    rest. A slice that ends in '\\r' holds it back as the start of the next,
+    whose '\\n' may follow it; one held at the end of the input is converted
+    alone.
     """
     out = io.BytesIO()
-    out.write(start)
     while data := fh.read(_QSV_CHUNK_BYTES):
-        out.write(_as_bytes(data))
-    block = out.getvalue()  # the buffer itself, not a copy
-    if b"\r" not in block:
-        return block
-    del block  # the buffer is out's alone again, so that its view writes to it in place
-    read = write = 0
-    with out.getbuffer() as view:
-        while read < len(view):
-            part = bytes(view[read:read + _QSV_CHUNK_BYTES])
-            if part.endswith(b"\r") and read + len(part) < len(view):
-                part = part[:-1]  # the '\r' goes with the next slice, whose '\n' may follow it
-            read += len(part)
-            part = _newlines(part)
-            view[write:write + len(part)] = part
-            write += len(part)
-    out.truncate(write)
-    return out.getvalue()
+        data = start + _as_bytes(data)  # here and below, data itself where start is empty: no copy
+        start = b"\r" if data.endswith(b"\r") else b""
+        out.write(_newlines(data[:len(data) - len(start)]))
+    out.write(_newlines(start))
+    return out.getvalue()  # the buffer itself, not a copy
 
 
 def _as_bytes(data) -> bytes:
@@ -676,8 +663,7 @@ def _scaled(out: np.ndarray, k: np.ndarray, cut: np.ndarray, minus: np.ndarray, 
     are exact, and r adds the rest but low * (L + lo) to within 2**-74 P,
     inside the margin. room's bytes hold two arrays where they fit.
     """
-    hi, lo = _powers_of_ten()
-    hi_high, hi_low = _split(hi)
+    hi, lo, hi_high, hi_low = _powers_of_ten()
     at = np.clip(k, _POW_MIN, _READ_MAX)
     ok &= at == k
     at -= _POW_MIN

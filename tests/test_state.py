@@ -948,13 +948,14 @@ def test_qsv_reader_proves_every_amplitude_of_common_formats(monkeypatch, fmt):
 
 
 def test_powers_of_ten_are_the_exact_powers_rounded():
-    hi, lo = qsv_module._powers_of_ten()
+    hi, lo, hi_high, hi_low = qsv_module._powers_of_ten()
     assert len(hi) == len(lo) == qsv_module._POW_MAX - qsv_module._POW_MIN + 1
     for k in range(qsv_module._POW_MIN, qsv_module._POW_MAX + 1):
         power = fractions.Fraction(10) ** k
         i = k - qsv_module._POW_MIN
         assert hi[i] == float(power) and lo[i] == float(power - fractions.Fraction(hi[i])), k
-    assert not hi.flags.writeable and not lo.flags.writeable
+    assert [hi_high.tolist(), hi_low.tolist()] == [half.tolist() for half in qsv_module._split(hi)]
+    assert not any(table.flags.writeable for table in (hi, lo, hi_high, hi_low))
 
 
 def test_qsv_and_state_import_in_a_fresh_interpreter(tmp_path):
@@ -1062,7 +1063,7 @@ def test_qsv_read_of_an_unmapped_path_holds_the_block_once(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "lone CR"])
 def test_qsv_read_of_a_cr_file_holds_the_block_once(tmp_path, newline):
-    # a block with '\r' newlines is read into memory and converted there in place, so the
+    # a block with '\r' newlines is converted as it is read into memory, so the
     # traced peak is the file and a bounded parse, by path and as binary and text file
     # objects (newline="" keeps each '\r'); the values are the '\n' read's, bit for bit
     path = tmp_path / "state.qsv"
@@ -1082,6 +1083,31 @@ def test_qsv_read_of_a_cr_file_holds_the_block_once(tmp_path, newline):
                 tracemalloc.stop()
         assert np.array_equal(got.amps.view(np.float64), want.amps.view(np.float64)), name
         assert peak <= crs.stat().st_size + (4 << 20), (name, peak)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["CRLF", "lone CR"])
+def test_qsv_read_keeps_a_crlf_split_between_two_reads_one_newline(tmp_path, monkeypatch, newline):
+    # reads of one line's text and its '\r': the first ends on the '\r' of a '\r\n', which
+    # goes with the next read's '\n'; the '\r' that ends a lone-CR source is converted once
+    # the input ends. The block read is the '\n' file's, and so are the values, bit for bit
+    path = tmp_path / "state.qsv"
+    write_qsv(random_state(8, 38), path)
+    want = read_qsv(path)
+    text = path.read_bytes()
+    header = len(b"qsv 1\nn 8\n")
+    monkeypatch.setattr(qsv_module, "_QSV_CHUNK_BYTES", text.index(b"\n", header) - header + 1)
+    crs = tmp_path / "cr.qsv"
+    crs.write_bytes(text.replace(b"\n", newline))
+    blocks = []
+    rest = qsv_module._rest
+    monkeypatch.setattr(qsv_module, "_rest", lambda fh, start: blocks.append(rest(fh, start)) or blocks[-1])
+    sources = {"path": lambda: contextlib.nullcontext(crs), "binary": lambda: open(crs, "rb"),
+               "text": lambda: open(crs, encoding="ascii", newline="")}
+    for name, source in sources.items():
+        with source() as fh:
+            got = read_qsv(fh)
+        assert blocks.pop() == text[header:], name
+        assert got.amps.view(np.uint64).tolist() == want.amps.view(np.uint64).tolist(), name
 
 
 def test_a_long_first_line_of_a_path_is_refused_at_once(tmp_path):
