@@ -33,8 +33,8 @@ ranges run in turn. Each partial sum is the same reduction over q at any cut,
 R adds its chunks' partial sums in chunk order, and no chunk depends on the
 CPU count, so every value is bit-identical at any CPU count. A batched row
 may differ from the same state alone in the last bits: the sums run in
-another order. The norm in a raw report is StateVector.norm(), computed once
-per state and then memoized; a normalized report's is 1.
+another order. A state sums its squares once: a raw report's norm and a
+normalized value's divisor come from that sum. A normalized report's norm is 1.
 
 The staggered defining sums and a flat complementary-pair sum stay as
 independent oracles, as do the two formulas sourced outside the quadratic-form
@@ -600,15 +600,6 @@ def three_tangle(psi: StateVector) -> MeasureReport:
 # residuals, a label error's labels) grow with n, while the capacity bounds each factor alone.
 _PRODUCT_CAP = 1 << 10
 
-def _homogeneous(psi: StateVector) -> tuple[np.ndarray, float]:
-    """psi's amplitudes and their sum of squares s: a measure of degree d of the normalized
-    state is its kernel on them over s ** (d // 2). They are a copy scaled by 2**-e where
-    state._scaled_squares scales; an ordinary state is never copied.
-    """
-    flat = psi.amps.view(np.float64)
-    squares, e = state._scaled_squares(flat)
-    return (np.ldexp(flat, -e) if e else flat).view(np.complex128), squares
-
 
 def product_measure(expr: state.ProductExpression, function: str, *args,
                     normalize: bool = True) -> MeasureReport:
@@ -625,16 +616,16 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
     label order, and three_tangle (n=3) is tau_odd.
 
     The measures are homogeneous, so a normalized factor's value is its raw
-    kernel over its sum of squares to half the measure's degree (_homogeneous),
-    and no normalized copy is made; a normalized report's norm is 1. Raw, each
-    factor's value is its kernel's, and the norm is the product of the factors'
-    norms. One factor in label order gives the bits of its kernel raw; other
-    values may differ from the product state's by a few ulp. Each factor keeps
-    the capacity, and the product is refused past _PRODUCT_CAP qubits. A size
-    the measure does not take is refused before the zero vector (tau's n >= 2
-    after), the quartic cap on the product's n and a label after. An unknown
-    function, or arguments other than tau_residual's one qubit label, are
-    refused first.
+    kernel over its sum of squares to half the measure's degree, the one sum
+    its norm() reads (StateVector._scaled_amps); no normalized copy is made,
+    and a normalized report's norm is 1. Raw, each factor's value is its
+    kernel's, and the norm is the product of the factors' norms. One factor in
+    label order gives the bits of its kernel raw; other values may differ from
+    the product state's by a few ulp. Each factor keeps the capacity, and the
+    product is refused past _PRODUCT_CAP qubits. A size the measure does not
+    take is refused before the zero vector (tau's n >= 2 after), the quartic
+    cap on the product's n and a label after. An unknown function, or
+    arguments other than tau_residual's one qubit label, are refused first.
     """
     if function != "tau" and function not in MEASURES:
         raise UsageError(f"unknown measure {function!r}")
@@ -651,7 +642,7 @@ def product_measure(expr: state.ProductExpression, function: str, *args,
     if function != "tau":  # refuse the size before the zero vector; tau refuses after
         _row(kind, n)
     factors = [f.state for f in expr.factors]
-    amps, squares = zip(*(_homogeneous(psi) if normalize else (psi.amps, 1.0) for psi in factors))
+    amps, squares = zip(*(psi._scaled_amps() if normalize else (psi.amps, 1.0) for psi in factors))
     row = _row(kind, n, function)
     if kind == "wong_tangle":
         _check_wong_cap(n)

@@ -96,11 +96,14 @@ def _executor():
 
 
 def _fan_out(fn, items) -> list:
-    """[fn(item) for item in items], on the pool; serial for one item or without a pool."""
+    """[fn(item) for item in items], on the pool; serial for one item or without a pool.
+    Every task ends before it returns or raises; an error is the first in item order."""
     pool = _executor() if len(items) > 1 else None
     if pool is None:
         return [fn(item) for item in items]
+    from concurrent.futures import wait  # imported with the pool
     futures = [pool.submit(fn, item) for item in items]
+    wait(futures)
     return [future.result() for future in futures]
 
 
@@ -131,21 +134,33 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
 
+    @np.errstate(over="ignore")  # a norm past the float range is inf
     def norm(self) -> float:
-        """The 2-norm, computed once: the amplitudes cannot change after construction."""
-        nrm = self.__dict__.get("_norm")
-        if nrm is None:
-            nrm = _norm(self.amps)
-            object.__setattr__(self, "_norm", nrm)
-        return nrm
+        """The 2-norm from the state's one sum of squares: 0 for the zero vector, inf past the float range."""
+        squares, e = self._squares()
+        return float(np.ldexp(math.sqrt(squares), e))
 
     def normalized(self) -> "StateVector":
-        """The state over its norm, from a copy scaled by 2**-e where _scaled_squares scales."""
-        flat = self.amps.view(np.float64)
-        squares, e = _scaled_squares(flat)
-        amps = np.ldexp(flat, -e).view(np.complex128) if e else self.amps
+        """The state over its norm, from _scaled_amps' amplitudes and sum of squares."""
+        amps, squares = self._scaled_amps()
         # numpy divides a complex by a float through its reciprocal
         return StateVector(self.n, _readonly(amps / math.sqrt(squares)))
+
+    def _squares(self) -> tuple[float, int]:
+        """(s, e) of _scaled_squares, taken at first use: the amplitudes cannot change."""
+        if "_squares_memo" not in self.__dict__:
+            object.__setattr__(self, "_squares_memo", _scaled_squares(self.amps.view(np.float64)))
+        return self._squares_memo
+
+    def _scaled_amps(self) -> tuple[np.ndarray, float]:
+        """The amplitudes times 2**-e, copied only where e != 0, and s; refuses the zero vector.
+
+        A measure of degree d of the normalized state is its kernel on them over s ** (d // 2).
+        """
+        squares, e = self._squares()
+        if squares == 0.0:
+            raise DomainError("cannot normalize the zero vector")
+        return (np.ldexp(self.amps.view(np.float64), -e).view(np.complex128) if e else self.amps), squares
 
     def allclose(self, other: "StateVector") -> bool:
         return self.n == other.n and bool(np.allclose(self.amps, other.amps, rtol=1e-12, atol=1e-12))
@@ -155,47 +170,29 @@ class StateVector:
 _NORM_SLICE = 1 << 16
 
 
-def _norm(amps: np.ndarray) -> float:
-    """The 2-norm on numpy's own loops, at any CPU count.
-
-    np.linalg.norm goes to a threaded BLAS: its last bits follow the thread
-    count, and its threads keep spinning on the CPUs for ~0.1 s after a large
-    call, in the way of the measure kernels' own threads.
-
-    Each slice's squares are summed pairwise, whose error, unlike a running
-    sum's, stays a few ulp on equal amplitudes; math.fsum adds the slices. A
-    sum outside [2**-256, 2**256] is taken again with every float scaled by
-    2**-e (_scaled_squares), slice by slice, never on a copy of the state.
-    """
-    try:
-        squares, e = _scaled_squares(amps.view(np.float64))
-        return math.ldexp(math.sqrt(squares), e)
-    except DomainError:  # the zero vector
-        return 0.0
-    except OverflowError:  # the norm itself passes the float range
-        return math.inf
-
-
 # The window of a sum of squares s taken as it is: [2**-256, 2**256]. A kernel of degree
 # d <= 4 sums products of d amplitudes, each at most s ** (d / 2) <= 2**512, at most 2**40 at
 # a time (wong's dense contraction at its cap): none overflows, a normalized value of at least
 # 2**-510 stays a normal float, and the subnormal squares add under 2**-766 of s.
 def _scaled_squares(flat: np.ndarray) -> tuple[float, int]:
-    """(s, e): s the sum of the squares of flat * 2**-e; e is 0 where s is in the window or not
-    finite, else it brings the largest float into [1/2, 1). Refuses the zero vector."""
+    """(s, e): s the sum of the squares of flat * 2**-e; e is 0 where s is in the window, else it
+    brings the largest float into [1/2, 1) and the sum is taken again, slice by slice, never on
+    a copy. Where that float is zero or not finite, e is 0 and the first sum stands."""
     squares = _sum_of_squares(flat)
     if 2.0 ** -256 <= squares <= 2.0 ** 256:
         return squares, 0
     e = _peak_exponent(flat)
-    squares = _sum_of_squares(flat, e)
-    if squares == 0.0:
-        raise DomainError("cannot normalize the zero vector")
-    return squares, e
+    return (_sum_of_squares(flat, e) if e else squares), e
 
 
 @np.errstate(over="ignore")  # a square past the float range is inf, and _scaled_squares takes it again
 def _sum_of_squares(flat: np.ndarray, e: int = 0) -> float:
-    """The sum of the squares of flat * 2**-e: pairwise in each slice, the slices by math.fsum."""
+    """The sum of the squares of flat * 2**-e: pairwise in each slice, the slices by math.fsum.
+
+    Not np.linalg.norm: its threaded BLAS gives bits that follow the thread count, and its
+    threads spin for ~0.1 s after a large call, in the kernels' way. A pairwise sum stays
+    within a few ulp on equal amplitudes, where a running sum drifts; fsum adds exactly.
+    """
     def square(part):  # a scaled slice is a copy, squared in place
         if e:
             part = np.ldexp(part, -e)

@@ -135,7 +135,7 @@ def test_compute_out_of_memory_exit_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(measures, "_homogeneous", exhausted)  # where a factor may be copied, scaled
+    monkeypatch.setattr(state.StateVector, "_scaled_amps", exhausted)  # where a factor may be copied, scaled
     code, _, err = run_cli(capsys, "compute", "--expr", "bell@1,2", "--measure", "concurrence")
     assert code == 3
     assert err.startswith("error: ") and "capacity" in err
@@ -720,7 +720,7 @@ def test_compute_resolves_the_measure_before_it_reads_or_normalizes(capsys, monk
 
     path = tmp_path / "bell.qsv"
     write_qsv(named_state("bell", 2), path)
-    monkeypatch.setattr(measures, "_homogeneous", refuse)
+    monkeypatch.setattr(state.StateVector, "_scaled_amps", refuse)
     code, out, err = run_cli(capsys, "compute", "--file", str(path), "--measure", "tau-odd")
     assert (code, out, err) == (3, "", "error: tau_odd is defined for odd n only, got n=2\n")
     monkeypatch.setattr(cli, "read_qsv", refuse)

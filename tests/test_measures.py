@@ -405,6 +405,27 @@ def test_fan_out_from_many_threads_gives_the_serial_values(monkeypatch):
         users.shutdown(wait=False, cancel_futures=True)
 
 
+def test_fan_out_waits_for_every_task_before_it_raises(monkeypatch):
+    finished = []
+
+    def task(k):  # item 0 fails at once, item 1 a moment later
+        time.sleep(0.2 * k)
+        finished.append(k)
+        raise ValueError(k)
+
+    monkeypatch.setattr(state_module, "_WORKERS", 2)  # a pool, even on one CPU
+    monkeypatch.setattr(state_module, "_pool", None)
+    try:
+        with pytest.raises(ValueError) as info:
+            state_module._fan_out(task, [0, 1])
+        assert (info.value.args, sorted(finished)) == ((0,), [0, 1])  # no task runs on after it
+        with pytest.raises(ValueError) as info:  # the first error in item order, not in time
+            state_module._fan_out(task, [1, 0])
+        assert info.value.args == (1,)
+    finally:
+        state_module._pool.shutdown()
+
+
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
 def test_forked_child_fans_out_on_a_pool_of_its_own(monkeypatch):
     monkeypatch.setattr(state_module, "_WORKERS", 2)
@@ -509,13 +530,13 @@ def test_report_norm_is_computed_once_per_state(monkeypatch):
     flat = psi.amps.view(np.float64)
     want = math.sqrt(math.fsum((flat * flat).tolist()))
     calls = []
-    norm = state_module._norm
+    scaled_squares = state_module._scaled_squares
 
-    def counted(amps):
-        calls.append(amps)
-        return norm(amps)
+    def counted(flat):
+        calls.append(flat)
+        return scaled_squares(flat)
 
-    monkeypatch.setattr(state_module, "_norm", counted)
+    monkeypatch.setattr(state_module, "_scaled_squares", counted)
     got = tau_odd(psi).norm
     assert abs(got - want) <= 1e-15 * want
     assert r_tangle(psi).norm == got
@@ -525,6 +546,37 @@ def test_report_norm_is_computed_once_per_state(monkeypatch):
     for _ in range(2):  # the memoized zero is refused as the computed one was
         with pytest.raises(DomainError):
             zero.normalized()
+
+
+def test_a_state_sums_its_squares_once(monkeypatch):
+    # norm(), normalized() and the normalized measures divide by one sum; a zero or
+    # non-finite state has no peak to scale by, so its first sum stands
+    passes = []
+    sum_of_squares = state_module._sum_of_squares
+
+    def counted(flat, e=0):
+        passes.append(e)
+        return sum_of_squares(flat, e)
+
+    monkeypatch.setattr(state_module, "_sum_of_squares", counted)
+    for psi, scaled in ((rand(9, 909), False), (StateVector(9, 1e200 * rand(9, 909).amps), True)):
+        passes.clear()
+        expr = ProductExpression((ProductFactor(psi, tuple(range(1, 10))),))
+        psi.norm()
+        psi.normalized()
+        measures.product_measure(expr, "tau")
+        measures.product_measure(expr, "r_tangle")
+        assert len(passes) == 1 + scaled and (passes[-1] != 0) == scaled, passes
+    zero = StateVector(3, np.zeros(8))
+    passes.clear()
+    assert zero.norm() == 0.0
+    for normalize in (zero.normalized, lambda: measures.product_measure(state_module._one_factor(zero), "tau")):
+        with pytest.raises(DomainError, match="^cannot normalize the zero vector$"):
+            normalize()
+    assert passes == [0]
+    passes.clear()
+    assert StateVector(3, np.array([math.inf, 0, 0, 0, 0, 0, 0, 1])).norm() == math.inf
+    assert passes == [0]
 
 
 # --- quartic cross-reference ------------------------------------------------
@@ -828,7 +880,7 @@ def test_product_measure_past_its_cap_is_refused_before_any_factor_is_normalized
     def refuse(psi):
         raise AssertionError("normalized a factor of a product past the cap")
 
-    monkeypatch.setattr(measures, "_homogeneous", refuse)
+    monkeypatch.setattr(StateVector, "_scaled_amps", refuse)
     cap = measures._PRODUCT_CAP
     expr = parse_product_expression(" x ".join(f"bell@{2 * k + 1},{2 * k + 2}" for k in range(cap // 2))
                                     + f" x basis:1:0@{cap + 1}")

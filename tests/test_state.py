@@ -542,9 +542,9 @@ def test_norm_sums_each_slice_pairwise():
         for seed in range(3):
             amps = random_state(n, seed).amps
             for scale in (1.0, 3.7, 1e-120, 1e120):
-                assert state_module._norm(amps * scale) == pairwise(amps * scale), (n, seed, scale)
+                assert StateVector(n, amps * scale).norm() == pairwise(amps * scale), (n, seed, scale)
     for row in random_state_batch(6, 40, 11):
-        assert state_module._norm(row) == pairwise(row)
+        assert StateVector(6, row).norm() == pairwise(row)
     # equal amplitudes, where a running sum drifts: 161 ulp at 6e100, 37 at 0.1
     for value, ulps in ((6e100, 0), (6e200, 0), (0.1, 2), (0.3, 2)):
         for n, norm in ((16, value * 256), (17, value * 512)):
