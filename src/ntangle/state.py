@@ -525,12 +525,12 @@ def random_state(n: int, seed) -> StateVector:
     return StateVector(n, _readonly(random_state_batch(n, 1, seed)[0]))
 
 
-# The draws of a batch run in blocks of this many bytes, into two buffers in
-# turn: while the generator fills one, a pool thread copies the other into
-# place and, in the imaginary pass, normalizes the rows it completes. The
-# generator's stream does not depend on how it is cut into calls, so neither
-# do the bits. On a 2-vCPU Xeon this took 18-35% off the draw at (n, count) =
-# (9, 10000) and 12-16% off one state at n=24 (medians of 11, four runs).
+# A batch is drawn in blocks of this many bytes, into two buffers in turn:
+# while the generator fills one, a pool thread copies the other into place and
+# normalizes the rows it completes, one copy in flight, so a pooled draw holds
+# the state and two blocks. The generator's stream does not depend on how it is
+# cut into calls, so neither do the bits. On a 2-vCPU Xeon this took 18-35% off
+# the draw at (n, count) = (9, 10000) and 12-16% off one state at n=24 (medians of 11, four runs).
 _DRAW_BYTES = 1 << 20
 
 
@@ -540,54 +540,53 @@ def _in_blocks(n: int, count: int) -> bool:
 
 
 def _check_draw(n: int, count: int) -> None:
-    """Refuse a draw of count states of n qubits past the capacity."""
+    """Refuse a draw of a negative count, or of count states of n qubits past the capacity."""
+    if count < 0:
+        raise DomainError(f"a draw needs count >= 0, got count={count}")
     _check_capacity(f"a draw of {count} random state{'s' * (count != 1)} of {n} qubits", n, count)
 
 
 def random_state_batch(n: int, count: int, seed) -> np.ndarray:
     """A (count, 2**n) array of independent Haar-uniform amplitude rows; 2**DEFAULT_MAX_QUBITS at most.
 
-    All real parts are drawn first, row by row, then all imaginary parts.
+    All real parts are drawn first, row by row, then all imaginary parts; no
+    copy of a block (see _DRAW_BYTES) runs on after the call returns or raises.
     """
     if n < 1:
         raise DomainError(f"random state needs n >= 1, got n={n}")
     _check_draw(n, count)
     rng = np.random.default_rng(seed)  # a Generator is taken as it is
     z = np.empty((count, 1 << n), dtype=np.complex128)
-    flat = z.view(np.float64)
     size, step = z.size, _DRAW_BYTES >> 3
-    whole_rows = step >= 1 << n  # then every block holds whole rows
     real, imag = z.reshape(-1).real, z.reshape(-1).imag
-
-    def normalize(rows):
-        # the sum of squares over the float view needs no temporary; complex
-        # division by (s, 0) computes (re + im * 0) * (1 / s), so multiplying
-        # the floats by 1 / s gives the same bits
-        rows *= (1.0 / np.sqrt(np.vecdot(rows, rows)))[:, None]
 
     def put(part, start, drawn):
         end = start + len(drawn)
         part[start:end] = drawn
-        if part is imag and whole_rows:
-            normalize(flat[start >> n:end >> n])
+        if part is imag:  # the rows this copy completes, their real parts all in
+            rows = z.view(np.float64)[start >> n:end >> n]
+            # the sum of squares over the float view needs no temporary; complex
+            # division by (s, 0) computes (re + im * 0) * (1 / s), so multiplying
+            # the floats by 1 / s gives the same bits
+            rows *= (1.0 / np.sqrt(np.vecdot(rows, rows)))[:, None]
 
     # one block has nothing to overlap: one buffer, and no pool
     pool = _executor() if _in_blocks(n, count) else None
     bufs = np.empty((1 if pool is None else 2, min(step, size)))
-    for part in (real, imag):
-        pending = []
-        for k, start in enumerate(range(0, size, step)):
-            if len(pending) == 2:
-                pending.pop(0).result()  # its buffer is free again
+    blocks = [(part, start) for part in (real, imag) for start in range(0, size, step)]
+    copy = None  # the one copy in flight
+    try:
+        for k, (part, start) in enumerate(blocks):
             drawn = rng.standard_normal(out=bufs[k % len(bufs), :min(step, size - start)])
+            if copy is not None:
+                copy.result()  # its buffer is free again
             if pool is None:
                 put(part, start, drawn)
             else:
-                pending.append(pool.submit(put, part, start, drawn))
-        for task in pending:  # every real part is in before a row is normalized
-            task.result()
-    if not whole_rows:
-        normalize(flat)
+                copy = pool.submit(put, part, start, drawn)
+    finally:
+        if copy is not None:
+            copy.result()
     return z
 
 

@@ -302,11 +302,22 @@ def _peak_ratio(fn, psi):
     return peak / psi.amps.nbytes
 
 
-def test_random_state_peaks_at_the_state_and_one_real_draw():
-    # the state plus the Gaussian draw of its real parts; a conjugate copy for
-    # the norm, or a copy of the drawn row on adoption, reads 2x
+def test_random_state_peaks_at_the_state_and_one_real_draw(monkeypatch):
+    # one block: the state plus the Gaussian draw of its real parts; a conjugate
+    # copy for the norm, or a copy of the drawn row on adoption, reads 2x
     psi = random_state(16, 5)
     assert _peak_ratio(lambda: random_state(16, 5), psi) <= 1.6
+    # on the pool: the state plus its two block buffers, one copy in flight, and
+    # 64 KiB for the futures; a third buffer, or a temporary row, passes it
+    monkeypatch.setattr(state_module, "_WORKERS", 2)  # a pool, even on one CPU
+    monkeypatch.setattr(state_module, "_pool", None)
+    try:
+        psi = random_state(20, 5)
+        assert state_module._in_blocks(20, 1)
+        bound = psi.amps.nbytes + 2 * state_module._DRAW_BYTES + (1 << 16)
+        assert _peak_ratio(lambda: random_state(20, 5), psi) <= bound / psi.amps.nbytes
+    finally:
+        state_module._pool.shutdown()
 
 
 def test_operator_results_are_adopted_without_a_copy():
@@ -478,6 +489,42 @@ def test_random_batch_over_capacity_is_refused_before_allocating(monkeypatch):
         random_state_batch(11, 1, 1)
     with pytest.raises(DomainError):
         random_state_batch(0, 1, 1)
+    with pytest.raises(DomainError, match="count >= 0"):
+        random_state_batch(3, -1, 1)
+
+
+def test_random_batch_leaves_no_copy_running_when_the_draw_fails(monkeypatch):
+    class Failing(np.random.Generator):  # a generator that fails on its 4th block
+        blocks = 0
+
+        def standard_normal(self, *args, **kwargs):
+            self.blocks += 1
+            if self.blocks == 4:
+                raise RuntimeError("draw failed")
+            return super().standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(state_module, "_WORKERS", 2)  # a pool, even on one CPU
+    monkeypatch.setattr(state_module, "_pool", None)
+    pool, copies = state_module._executor(), []
+
+    class Spy:
+        @staticmethod
+        def submit(fn, *args):
+            def slow():  # a copy left running when the error surfaces is still in its sleep
+                time.sleep(0.05)
+                fn(*args)
+
+            copies.append(pool.submit(slow))
+            return copies[-1]
+
+    monkeypatch.setattr(state_module, "_executor", lambda: Spy)
+    try:
+        assert state_module._in_blocks(22, 1)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            random_state_batch(22, 1, Failing(np.random.PCG64(22)))
+        assert len(copies) == 3 and all(copy.done() for copy in copies)
+    finally:
+        pool.shutdown()
 
 
 def test_norm_past_the_float_range_is_the_true_norm():
